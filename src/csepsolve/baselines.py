@@ -5,44 +5,27 @@ the extragradient hybrid solves a second (corrector) subproblem, and the
 Armijo hybrid runs a backtracking linesearch plus an extra projection onto
 the feasible set.  Their acceptance sets are subsets of C, so the anchor
 projection targets C intersected with two linearized cuts (alternating
-projections), not just the two halfspaces.
+projections), not just the two halfspaces.  Each method is a step for the
+shared outer loop ``hybrid.drive``, which runs the same checks, trace and
+stop tests as for the cutting-halfspace solvers (with eps = 0 in the
+solution-distance check).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    LinesearchFailed,
-    MaxInnerIterationsExceeded,
-    ParameterViolation,
-    SolverError,
-)
+from .errors import LinesearchFailed, MaxInnerIterationsExceeded, ParameterViolation
 from .geometry import (
     as_point,
     dykstra,
     project_halfspace,
     project_halfspace_intersection,
 )
-from .hybrid import (
-    ANCHOR_PROJECTION_TOL,
-    CONTAINMENT_SLACK,
-    DISTANCE_BOUND_SLACK,
-    MONOTONE_SLACK,
-    build_c_cut,
-    build_q_cut,
-)
-from .outcome import (
-    STOP_ERROR,
-    STOP_MAX_OUTER,
-    STOP_TOLERANCE,
-    IterationRecord,
-    RunCounters,
-    SolverOutcome,
-)
+from .hybrid import Step, build_c_cut, build_q_cut, drive, probe_rng
+from .outcome import RunCounters, SolverOutcome
 from .problems import CsepInstance
 from .prox import solve_prox
 
@@ -139,37 +122,14 @@ def _project_onto_set_and_cuts(set_, cuts, x0, counters, tol=1e-12):
         ) from exc
 
 
-def _check_invariants(violations, cuts, x, x_next, x0, anchor_dist,
-                      known_point, near_points):
-    """Shared per-iteration checks; returns the updated anchor distance."""
-    q_cut = cuts[-1]
-    if not q_cut.is_whole_space:
-        p = project_halfspace(q_cut, x0)
-        if float(np.linalg.norm(p - x)) > ANCHOR_PROJECTION_TOL * (
-            1.0 + float(np.linalg.norm(x0))
-        ):
-            violations["anchor_projection"] += 1
-    next_dist = float(np.linalg.norm(x_next - x0))
-    if next_dist < anchor_dist - MONOTONE_SLACK:
-        violations["anchor_monotonicity"] += 1
-    if known_point is not None:
-        for cut in cuts:
-            if cut.violation(known_point) > CONTAINMENT_SLACK:
-                violations["cut_containment"] += 1
-        ref = float(np.linalg.norm(x - known_point))
-        for pt in near_points:
-            if float(np.linalg.norm(pt - known_point)) > ref + DISTANCE_BOUND_SLACK:
-                violations["solution_distance_bound"] += 1
-    return next_dist
-
-
-def _new_violations():
-    return {
-        "cut_containment": 0,
-        "solution_distance_bound": 0,
-        "anchor_monotonicity": 0,
-        "anchor_projection": 0,
-    }
+def _single_problem_start(instance: CsepInstance, name: str):
+    """The one bifunction and the anchor x0, which must lie in C."""
+    if instance.n_problems != 1:
+        raise ParameterViolation(f"the {name} baseline requires N = 1")
+    x0 = as_point(instance.x0, instance.dimension)
+    if not instance.set.contains(x0, 1e-9):
+        raise ParameterViolation("the baseline schemes require x0 in C")
+    return instance.bifunctions[0], x0
 
 
 def run_hybrid_extragradient(
@@ -190,9 +150,7 @@ def run_hybrid_extragradient(
     Requires a single equilibrium problem, a starting point inside C, and
     lam below min(1/(2 c1), 1/(2 c2)).
     """
-    if instance.n_problems != 1:
-        raise ParameterViolation("the extragradient baseline requires N = 1")
-    f = instance.bifunctions[0]
+    f, x0 = _single_problem_start(instance, "extragradient")
     lip = f.lipschitz_data()
     lam_cap = min(1.0 / (2.0 * lip.c1), 1.0 / (2.0 * lip.c2)) if min(lip.c1, lip.c2) > 0 else np.inf
     if not 0.0 < lam < lam_cap:
@@ -200,88 +158,23 @@ def run_hybrid_extragradient(
             f"lam={lam:g} outside (0, {lam_cap:g}) for c1={lip.c1:g}, c2={lip.c2:g}"
         )
     set_ = instance.set
-    x0 = as_point(instance.x0, instance.dimension)
-    if not set_.contains(x0, 1e-9):
-        raise ParameterViolation("the baseline schemes require x0 in C")
-    if known_point is not None:
-        known_point = as_point(known_point, instance.dimension)
-
     counters = RunCounters()
-    violations = _new_violations()
-    trace: list[IterationRecord] = []
-    iterates: list[np.ndarray] = []
-    min_cert = np.inf
-    anchor_dist = 0.0
-    x = x0.copy()
-    stop_reason = STOP_MAX_OUTER
-    error_msg = None
 
-    try:
-        for n in range(1, max_outer + 1):
-            t0 = time.perf_counter()
-            rng = np.random.default_rng((seed, n, 0)) if certify_probes > 0 else None
-            res_y = solve_prox(f, x, x, lam, set_, certify_probes=certify_probes, rng=rng)
-            rng = np.random.default_rng((seed, n, 1)) if certify_probes > 0 else None
-            res_z = solve_prox(f, res_y.minimizer, x, lam, set_,
-                               certify_probes=certify_probes, rng=rng)
-            y, z = res_y.minimizer, res_z.minimizer
-            counters.prox_solves += 2
-            for r in (res_y, res_z):
-                counters.set_projections += r.inner_iterations
-                if not np.isnan(r.certificate_gap):
-                    min_cert = min(min_cert, r.certificate_gap)
+    def step(n, x):
+        res_y = solve_prox(f, x, x, lam, set_, certify_probes=certify_probes,
+                           rng=probe_rng(certify_probes, seed, n, 0))
+        res_z = solve_prox(f, res_y.minimizer, x, lam, set_,
+                           certify_probes=certify_probes,
+                           rng=probe_rng(certify_probes, seed, n, 1))
+        y, z = res_y.minimizer, res_z.minimizer
+        cuts = [build_c_cut(x, z, 0.0), build_q_cut(x0, x)]
+        x_next = _project_onto_set_and_cuts(set_, cuts, x0, counters)
+        residual = max(float(np.linalg.norm(y - x)), float(np.linalg.norm(z - x)))
+        return Step(x_next, cuts, [(z, 0.0)], residual, [res_y, res_z])
 
-            cuts = [build_c_cut(x, z, 0.0), build_q_cut(x0, x)]
-            x_next = _project_onto_set_and_cuts(set_, cuts, x0, counters)
-            step_norm = float(np.linalg.norm(x_next - x))
-            residual = max(
-                float(np.linalg.norm(y - x)), float(np.linalg.norm(z - x))
-            )
-
-            if check_invariants:
-                anchor_dist = _check_invariants(
-                    violations, cuts, x, x_next, x0, anchor_dist, known_point, [z]
-                )
-
-            dist_known = (
-                float(np.linalg.norm(x_next - known_point))
-                if known_point is not None
-                else float("nan")
-            )
-            trace.append(
-                IterationRecord(
-                    n=n,
-                    step_norm=step_norm,
-                    residual=residual,
-                    eps_min=0.0,
-                    eps_max=0.0,
-                    dist_to_known=dist_known,
-                    wall_ms=(time.perf_counter() - t0) * 1e3,
-                    degenerate_cuts=sum(c.is_whole_space for c in cuts),
-                )
-            )
-            if collect_iterates:
-                iterates.append(x_next.copy())
-            x = x_next
-            if max(step_norm, residual) <= tol:
-                stop_reason = STOP_TOLERANCE
-                break
-    except SolverError as exc:
-        stop_reason = STOP_ERROR
-        error_msg = str(exc)
-
-    return SolverOutcome(
-        algorithm="extragradient",
-        final_x=x,
-        stop_reason=stop_reason,
-        iterations=len(trace),
-        trace=trace,
-        invariant_violations=violations,
-        counters=counters,
-        min_prox_certificate=float(min_cert) if np.isfinite(min_cert) else float("nan"),
-        error=error_msg,
-        iterates=iterates if collect_iterates else None,
-    )
+    return drive("extragradient", step, x0, tol, max_outer, counters,
+                 known_point=known_point, check_invariants=check_invariants,
+                 collect_iterates=collect_iterates)
 
 
 def run_armijo_hybrid(
@@ -303,111 +196,28 @@ def run_armijo_hybrid(
     The subgradient step length is -eta^m f(z, y) / ((1 - eta^m) ||g||^2)
     with g a subgradient of f(z, .) at z, taken as zero when g vanishes
     (then z already minimizes f(z, .) and the relaxation point is x_n).
+    A subproblem solution within ``tol`` of x_n ends the run at x_n before
+    the linesearch, which needs x_n != y_n.
     """
-    if instance.n_problems != 1:
-        raise ParameterViolation("the Armijo baseline requires N = 1")
-    f = instance.bifunctions[0]
+    f, x0 = _single_problem_start(instance, "Armijo")
     set_ = instance.set
-    x0 = as_point(instance.x0, instance.dimension)
-    if not set_.contains(x0, 1e-9):
-        raise ParameterViolation("the baseline schemes require x0 in C")
-    if known_point is not None:
-        known_point = as_point(known_point, instance.dimension)
-
     counters = RunCounters()
-    violations = _new_violations()
-    trace: list[IterationRecord] = []
-    iterates: list[np.ndarray] = []
-    min_cert = np.inf
-    anchor_dist = 0.0
-    x = x0.copy()
-    stop_reason = STOP_MAX_OUTER
-    error_msg = None
 
-    try:
-        for n in range(1, max_outer + 1):
-            t0 = time.perf_counter()
-            rng = np.random.default_rng((seed, n, 0)) if certify_probes > 0 else None
-            res_y = solve_prox(f, x, x, params.lam, set_,
-                               certify_probes=certify_probes, rng=rng)
-            y = res_y.minimizer
-            counters.prox_solves += 1
-            counters.set_projections += res_y.inner_iterations
-            if not np.isnan(res_y.certificate_gap):
-                min_cert = min(min_cert, res_y.certificate_gap)
+    def step(n, x):
+        res_y = solve_prox(f, x, x, params.lam, set_, certify_probes=certify_probes,
+                           rng=probe_rng(certify_probes, seed, n, 0))
+        y = res_y.minimizer
+        residual = float(np.linalg.norm(y - x))
+        if residual <= tol:
+            return Step(x, [], [], residual, [res_y])
+        m, z = armijo_linesearch(f, x, y, params.lam, params)
+        sigma, g = armijo_step_size(f, z, y, m, params.eta)
+        u = set_.project(x - sigma * g)
+        counters.set_projections += 1
+        cuts = [build_c_cut(x, u, 0.0), build_q_cut(x0, x)]
+        x_next = _project_onto_set_and_cuts(set_, cuts, x0, counters)
+        return Step(x_next, cuts, [(u, 0.0)], residual, [res_y])
 
-            residual = float(np.linalg.norm(y - x))
-            if residual <= tol:
-                trace.append(
-                    IterationRecord(
-                        n=n,
-                        step_norm=0.0,
-                        residual=residual,
-                        eps_min=0.0,
-                        eps_max=0.0,
-                        dist_to_known=(
-                            float(np.linalg.norm(x - known_point))
-                            if known_point is not None
-                            else float("nan")
-                        ),
-                        wall_ms=(time.perf_counter() - t0) * 1e3,
-                    )
-                )
-                if collect_iterates:
-                    iterates.append(x.copy())
-                stop_reason = STOP_TOLERANCE
-                break
-
-            m, z = armijo_linesearch(f, x, y, params.lam, params)
-            sigma, g = armijo_step_size(f, z, y, m, params.eta)
-            u = set_.project(x - sigma * g)
-            counters.set_projections += 1
-
-            cuts = [build_c_cut(x, u, 0.0), build_q_cut(x0, x)]
-            x_next = _project_onto_set_and_cuts(set_, cuts, x0, counters)
-            step_norm = float(np.linalg.norm(x_next - x))
-
-            if check_invariants:
-                anchor_dist = _check_invariants(
-                    violations, cuts, x, x_next, x0, anchor_dist, known_point, [u]
-                )
-
-            dist_known = (
-                float(np.linalg.norm(x_next - known_point))
-                if known_point is not None
-                else float("nan")
-            )
-            trace.append(
-                IterationRecord(
-                    n=n,
-                    step_norm=step_norm,
-                    residual=residual,
-                    eps_min=0.0,
-                    eps_max=0.0,
-                    dist_to_known=dist_known,
-                    wall_ms=(time.perf_counter() - t0) * 1e3,
-                    degenerate_cuts=sum(c.is_whole_space for c in cuts),
-                )
-            )
-            if collect_iterates:
-                iterates.append(x_next.copy())
-            x = x_next
-            if max(step_norm, residual) <= tol:
-                stop_reason = STOP_TOLERANCE
-                break
-    except SolverError as exc:
-        stop_reason = STOP_ERROR
-        error_msg = str(exc)
-
-    return SolverOutcome(
-        algorithm="armijo",
-        final_x=x,
-        stop_reason=stop_reason,
-        iterations=len(trace),
-        trace=trace,
-        invariant_violations=violations,
-        counters=counters,
-        min_prox_certificate=float(min_cert) if np.isfinite(min_cert) else float("nan"),
-        error=error_msg,
-        iterates=iterates if collect_iterates else None,
-    )
+    return drive("armijo", step, x0, tol, max_outer, counters,
+                 known_point=known_point, check_invariants=check_invariants,
+                 collect_iterates=collect_iterates)

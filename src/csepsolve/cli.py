@@ -51,7 +51,6 @@ def _add_solver_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-outer", type=int, default=100_000)
     p.add_argument("--rule", choices=("strict", "relaxed"), default="strict")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--certify", type=int, default=0, metavar="PROBES",
                    help="probes per inner solve for optimality certificates")
@@ -100,7 +99,6 @@ def _spec_from_args(args, algorithm: str) -> RunSpec:
         max_outer=args.max_outer,
         rule=args.rule,
         seed=args.seed,
-        workers=args.workers,
         certify_probes=args.certify,
         trace_path=getattr(args, "trace_path", None),
         summary_path=getattr(args, "summary_path", None),

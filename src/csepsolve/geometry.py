@@ -1,8 +1,7 @@
 """Points, feasible sets, halfspace cuts, and metric projections.
 
 The ambient space is R^d with the standard dot product; points are 1-D
-float64 arrays.  All routines here are pure functions of their inputs and
-safe to call from concurrent workers.
+float64 arrays.  All routines here are pure functions of their inputs.
 """
 
 from __future__ import annotations

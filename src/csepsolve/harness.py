@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .hybrid import (
     RULE_RELAXED,
     RULE_STRICT,
     HybridParams,
+    require_one_worker,
     run_maxsel_hybrid,
     run_parallel_hybrid,
     run_sequential,
@@ -40,7 +41,8 @@ from .problems import (
     ViInducedBifunction,
 )
 
-ALGORITHMS = ("parallel", "maxsel", "single", "sequential", "extragradient", "armijo")
+HYBRID_ALGORITHMS = ("parallel", "maxsel", "single", "sequential")
+ALGORITHMS = HYBRID_ALGORITHMS + ("extragradient", "armijo")
 SINGLE_ONLY = ("single", "extragradient", "armijo")
 
 # Named black-box bifunctions available to problem files.
@@ -339,7 +341,10 @@ def reference_solution(instance: CsepInstance) -> np.ndarray:
 
 @dataclass
 class RunSpec:
-    """One solver invocation: problem, algorithm, parameters, outputs."""
+    """One solver invocation: problem, algorithm, parameters, outputs.
+
+    ``workers`` accepts only 1; subproblems are solved serially.
+    """
 
     problem_path: str
     algorithm: str
@@ -360,6 +365,7 @@ class RunSpec:
             raise ParameterViolation(
                 f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
             )
+        require_one_worker(self.workers)
 
 
 def derive_default_params(instance: CsepInstance, rule: str = RULE_STRICT):
@@ -400,14 +406,18 @@ def run(spec: RunSpec) -> SolverOutcome:
         certify_probes=spec.certify_probes,
         seed=spec.seed,
     )
+    # Derived defaults go into the spec, so the summary records them.
+    if spec.algorithm in HYBRID_ALGORITHMS:
+        d_lam, d_k = derive_default_params(instance, spec.rule)
+    elif spec.algorithm == "extragradient":
+        d_lam, d_k = extragradient_default_lam(instance), None
+    else:
+        d_lam, d_k = derive_default_params(instance)[0], None
+    spec = replace(spec, lam=d_lam if spec.lam is None else spec.lam,
+                   k=d_k if spec.k is None else spec.k)
     t0 = time.perf_counter()
-    if spec.algorithm in ("parallel", "maxsel", "single", "sequential"):
-        lam, k = spec.lam, spec.k
-        if lam is None or k is None:
-            d_lam, d_k = derive_default_params(instance, spec.rule)
-            lam = d_lam if lam is None else lam
-            k = d_k if k is None else k
-        params = HybridParams(lam=lam, k=k, tol=spec.tol,
+    if spec.algorithm in HYBRID_ALGORITHMS:
+        params = HybridParams(lam=spec.lam, k=spec.k, tol=spec.tol,
                               max_outer=spec.max_outer, rule=spec.rule)
         runner = {
             "parallel": run_parallel_hybrid,
@@ -417,15 +427,13 @@ def run(spec: RunSpec) -> SolverOutcome:
         }[spec.algorithm]
         outcome = runner(instance, params, workers=spec.workers, **common)
     elif spec.algorithm == "extragradient":
-        lam = spec.lam if spec.lam is not None else extragradient_default_lam(instance)
         outcome = run_hybrid_extragradient(
-            instance, lam, tol=spec.tol, max_outer=spec.max_outer, **common
+            instance, spec.lam, tol=spec.tol, max_outer=spec.max_outer, **common
         )
     else:
-        lam = spec.lam if spec.lam is not None else derive_default_params(instance)[0]
-        params = ArmijoParams(eta=spec.eta, lam=lam)
         outcome = run_armijo_hybrid(
-            instance, params, tol=spec.tol, max_outer=spec.max_outer, **common
+            instance, ArmijoParams(eta=spec.eta, lam=spec.lam),
+            tol=spec.tol, max_outer=spec.max_outer, **common
         )
     wall_ms = (time.perf_counter() - t0) * 1e3
 
@@ -442,9 +450,12 @@ def run(spec: RunSpec) -> SolverOutcome:
 
 
 def summarize(spec: RunSpec, outcome: SolverOutcome, wall_ms: float) -> dict:
+    """The run record: outcome, work counters, and the parameters in ``spec``
+    (``k`` and ``rule`` for the hybrid variants, ``eta`` for armijo)."""
     summary = {
         "problem": spec.problem_path,
         "algorithm": spec.algorithm,
+        "lam": spec.lam,
         "final_x": [float(v) for v in outcome.final_x],
         "stop_reason": outcome.stop_reason,
         "iterations": outcome.iterations,
@@ -452,10 +463,18 @@ def summarize(spec: RunSpec, outcome: SolverOutcome, wall_ms: float) -> dict:
         "counters": {
             "prox_solves": outcome.counters.prox_solves,
             "set_projections": outcome.counters.set_projections,
+            "prox_nonconverged": outcome.counters.prox_nonconverged,
         },
         "wall_ms": wall_ms,
         "seed": spec.seed,
+        "tol": spec.tol,
+        "max_outer": spec.max_outer,
     }
+    if spec.algorithm in HYBRID_ALGORITHMS:
+        summary["k"] = spec.k
+        summary["rule"] = spec.rule
+    elif spec.algorithm == "armijo":
+        summary["eta"] = spec.eta
     if not np.isnan(outcome.min_prox_certificate):
         summary["min_prox_certificate"] = outcome.min_prox_certificate
     dist = outcome.final_dist_to_known()

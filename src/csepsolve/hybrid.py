@@ -14,13 +14,23 @@ x0 onto their intersection.  Four variants:
 
 The correction term added to each cut keeps the solution set inside despite
 the missing corrector step; it may be negative and is used unclamped.
+
+Every solver, the baselines in ``baselines`` included, shares one outer
+loop, ``drive``.  A solver supplies only a *step*: a callable
+``step(n, x) -> Step`` that keeps its own state (previous iterates and
+subproblem solutions) and computes the next iterate, its cuts and residual.
+``drive`` owns everything else: iteration count and timing, work counters,
+the four per-iteration invariant checks, trace records, the stop tests,
+turning a ``SolverError`` into an error outcome, and the outcome itself.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +50,7 @@ from .outcome import (
     SolverOutcome,
 )
 from .problems import CsepInstance, LipschitzData
-from .prox import solve_prox
+from .prox import ProxResult, solve_prox
 
 RULE_STRICT = "strict"
 RULE_RELAXED = "relaxed"
@@ -50,6 +60,13 @@ CONTAINMENT_SLACK = 1e-8
 DISTANCE_BOUND_SLACK = 1e-8
 MONOTONE_SLACK = 1e-12
 ANCHOR_PROJECTION_TOL = 1e-10
+
+VIOLATION_KEYS = (
+    "cut_containment",
+    "solution_distance_bound",
+    "anchor_monotonicity",
+    "anchor_projection",
+)
 
 
 @dataclass
@@ -139,6 +156,145 @@ def cyclic_index(n: int, n_problems: int) -> int:
     return n % n_problems
 
 
+class Step(NamedTuple):
+    """What one outer iteration of an algorithm hands ``drive``.
+
+    ``cuts`` ends with the Q-cut; it is empty when the step stopped before
+    building any, and then ``drive`` runs no checks.  ``near`` holds the
+    (point, eps) pairs bounded by the solution-distance check, and ``prox``
+    the inner solves the step made.
+    """
+
+    x_next: np.ndarray
+    cuts: list[HalfspaceCut]
+    near: list[tuple[np.ndarray, float]]
+    residual: float
+    prox: list[ProxResult]
+    selected: int | None = None
+
+
+def require_one_worker(workers: int) -> None:
+    """Subproblems are solved serially; ``workers`` accepts only 1."""
+    if workers != 1:
+        raise ParameterViolation(
+            f"workers={workers}: only 1 is supported (subproblems run serially)"
+        )
+
+
+def probe_rng(certify_probes: int, seed: int, n: int, i: int):
+    """Certificate-probe generator for inner solve i of outer iteration n."""
+    return np.random.default_rng((seed, n, i)) if certify_probes > 0 else None
+
+
+def drive(
+    algorithm: str,
+    step: Callable[[int, np.ndarray], Step],
+    x0: np.ndarray,
+    tol: float,
+    max_outer: int,
+    counters: RunCounters,
+    *,
+    known_point: np.ndarray | None = None,
+    check_invariants: bool = True,
+    collect_iterates: bool = False,
+) -> SolverOutcome:
+    """Run ``step(n, x)`` for n = 1, 2, ... from x = x0 until
+    max(||x_{n+1} - x_n||, residual) <= tol or ``max_outer`` iterations.
+
+    Per iteration: checks that x_n is the projection of x0 onto the Q-cut,
+    that ||x_{n+1} - x0|| does not decrease, and, given ``known_point``,
+    that every cut contains it and that ||y - p||^2 <= ||x_n - p||^2 + eps
+    for each (y, eps) in ``Step.near``.
+    """
+    if known_point is not None:
+        known_point = as_point(known_point, x0.size)
+    violations = dict.fromkeys(VIOLATION_KEYS, 0)
+    anchor_tol = ANCHOR_PROJECTION_TOL * (1.0 + float(np.linalg.norm(x0)))
+    trace: list[IterationRecord] = []
+    iterates: list[np.ndarray] = []
+    min_cert = np.inf
+    anchor_dist = 0.0
+    x = x0.copy()
+    stop_reason = STOP_MAX_OUTER
+    error_msg = None
+
+    try:
+        for n in range(1, max_outer + 1):
+            t0 = time.perf_counter()
+            x_next, cuts, near, residual, results, selected = step(n, x)
+            counters.prox_solves += len(results)
+            for r in results:
+                counters.set_projections += r.inner_iterations
+                if not r.converged:
+                    counters.prox_nonconverged += 1
+                if not math.isnan(r.certificate_gap):
+                    min_cert = min(min_cert, r.certificate_gap)
+
+            step_norm = float(np.linalg.norm(x_next - x))
+
+            if check_invariants and cuts:
+                q_cut = cuts[-1]
+                if not q_cut.is_whole_space:
+                    p = project_halfspace(q_cut, x0)
+                    if float(np.linalg.norm(p - x)) > anchor_tol:
+                        violations["anchor_projection"] += 1
+                next_dist = float(np.linalg.norm(x_next - x0))
+                if next_dist < anchor_dist - MONOTONE_SLACK:
+                    violations["anchor_monotonicity"] += 1
+                anchor_dist = next_dist
+                if known_point is not None:
+                    for cut in cuts:
+                        if cut.violation(known_point) > CONTAINMENT_SLACK:
+                            violations["cut_containment"] += 1
+                    ref_sq = float((x - known_point) @ (x - known_point))
+                    for y_pt, eps_val in near:
+                        lhs = float((y_pt - known_point) @ (y_pt - known_point))
+                        if lhs > ref_sq + eps_val + DISTANCE_BOUND_SLACK:
+                            violations["solution_distance_bound"] += 1
+
+            dist_known = (
+                float(np.linalg.norm(x_next - known_point))
+                if known_point is not None
+                else float("nan")
+            )
+            eps = [e for _, e in near] or [0.0]
+            trace.append(
+                IterationRecord(
+                    n=n,
+                    step_norm=step_norm,
+                    residual=residual,
+                    eps_min=min(eps),
+                    eps_max=max(eps),
+                    dist_to_known=dist_known,
+                    wall_ms=(time.perf_counter() - t0) * 1e3,
+                    degenerate_cuts=sum(c.is_whole_space for c in cuts),
+                    selected_index=selected,
+                )
+            )
+            if collect_iterates:
+                iterates.append(x_next.copy())
+            x = x_next
+            if max(step_norm, residual) <= tol:
+                stop_reason = STOP_TOLERANCE
+                break
+    except SolverError as exc:
+        stop_reason = STOP_ERROR
+        error_msg = str(exc)
+
+    return SolverOutcome(
+        algorithm=algorithm,
+        final_x=x,
+        stop_reason=stop_reason,
+        iterations=len(trace),
+        trace=trace,
+        invariant_violations=violations,
+        counters=counters,
+        min_prox_certificate=float(min_cert) if np.isfinite(min_cert) else float("nan"),
+        error=error_msg,
+        iterates=iterates if collect_iterates else None,
+    )
+
+
 def run_parallel_hybrid(instance: CsepInstance, params: HybridParams, **kw) -> SolverOutcome:
     """All subproblems per iteration; anchor projected onto N+1 halfspaces."""
     return _run("parallel", instance, params, **kw)
@@ -175,219 +331,101 @@ def _run(
     check_invariants: bool = True,
     collect_iterates: bool = False,
 ) -> SolverOutcome:
-    n_problems = instance.n_problems
-    fs = instance.bifunctions
+    require_one_worker(workers)
     lips = instance.lipschitz_all()
-    c1_max = max(d.c1 for d in lips)
-    c2_max = max(d.c2 for d in lips)
-    validate_params(params, c1_max, c2_max)
-    lip_shared = LipschitzData(c1_max, c2_max)
-
-    set_ = instance.set
+    validate_params(params, max(d.c1 for d in lips), max(d.c2 for d in lips))
     x0 = as_point(instance.x0, instance.dimension)
-    if known_point is not None:
-        known_point = as_point(known_point, instance.dimension)
-
     counters = RunCounters()
-    violations = {
-        "cut_containment": 0,
-        "solution_distance_bound": 0,
-        "anchor_monotonicity": 0,
-        "anchor_projection": 0,
-    }
-
-    y_init = set_.project(x0)
+    y_init = instance.set.project(x0)
     counters.set_projections += 1
 
-    x_prev = x0.copy()
-    x = x0.copy()
+    fs, set_, lam = instance.bifunctions, instance.set, params.lam
+
+    def prox(i, w, x, n):
+        return solve_prox(fs[i], w, x, lam, set_, certify_probes=certify_probes,
+                          rng=probe_rng(certify_probes, seed, n, i))
+
     if mode == "parallel":
-        y_prev = [y_init.copy() for _ in range(n_problems)]
-        y_cur = [y_init.copy() for _ in range(n_problems)]
+        step = _parallel_step(params, lips, x0, y_init, prox)
     else:
-        ybar_prev = y_init.copy()
-        ybar = y_init.copy()
-        last_y = [y_init.copy() for _ in range(n_problems)]
+        step = _shared_anchor_step(params, lips, x0, y_init, prox,
+                                   cyclic=mode == "sequential")
+    return drive(mode, step, x0, params.tol, params.max_outer, counters,
+                 known_point=known_point, check_invariants=check_invariants,
+                 collect_iterates=collect_iterates)
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
-    def _solve_all(anchors, n):
-        def one(i):
-            rng = (
-                np.random.default_rng((seed, n, i)) if certify_probes > 0 else None
+def _parallel_step(params, lips, x0, y_init, prox):
+    """Every subproblem from its own previous solution; one C-cut each."""
+    n_problems = len(lips)
+    x_prev = x0
+    y_prev = [y_init] * n_problems
+    y_cur = [y_init] * n_problems
+
+    def step(n, x):
+        nonlocal x_prev, y_prev, y_cur
+        dx2 = float((x - x_prev) @ (x - x_prev))
+        results = [prox(i, y_cur[i], x, n) for i in range(n_problems)]
+        y_next = [r.minimizer for r in results]
+        eps_list = [
+            epsilon(
+                params,
+                lips[i],
+                dx2,
+                float((y_cur[i] - y_prev[i]) @ (y_cur[i] - y_prev[i])),
+                float((y_next[i] - y_cur[i]) @ (y_next[i] - y_cur[i])),
             )
-            return solve_prox(
-                fs[i],
-                anchors[i],
-                x,
-                params.lam,
-                set_,
-                certify_probes=certify_probes,
-                rng=rng,
-            )
-        if pool is None:
-            return [one(i) for i in range(n_problems)]
-        return list(pool.map(one, range(n_problems)))
+            for i in range(n_problems)
+        ]
+        cuts = [build_c_cut(x, y_next[i], eps_list[i]) for i in range(n_problems)]
+        cuts.append(build_q_cut(x0, x))
+        x_next = project_halfspace_intersection(cuts, x0)
+        residual = max(float(np.linalg.norm(y - x)) for y in y_next)
+        x_prev, y_prev, y_cur = x, y_cur, y_next
+        return Step(x_next, cuts, list(zip(y_next, eps_list)), residual, results)
 
-    trace: list[IterationRecord] = []
-    iterates: list[np.ndarray] = []
-    min_cert = np.inf
-    anchor_dist = 0.0
-    stop_reason = STOP_MAX_OUTER
-    error_msg = None
+    return step
 
-    try:
-        for n in range(1, params.max_outer + 1):
-            t0 = time.perf_counter()
-            dx2 = float((x - x_prev) @ (x - x_prev))
-            selected = None
 
-            if mode == "parallel":
-                results = _solve_all(y_cur, n)
-                counters.prox_solves += n_problems
-                y_next = [r.minimizer for r in results]
-                eps_list = [
-                    epsilon(
-                        params,
-                        lips[i],
-                        dx2,
-                        float((y_cur[i] - y_prev[i]) @ (y_cur[i] - y_prev[i])),
-                        float((y_next[i] - y_cur[i]) @ (y_next[i] - y_cur[i])),
-                    )
-                    for i in range(n_problems)
-                ]
-                cuts = [
-                    build_c_cut(x, y_next[i], eps_list[i]) for i in range(n_problems)
-                ]
-                cuts.append(build_q_cut(x0, x))
-                x_next = project_halfspace_intersection(cuts, x0)
-                residual = max(
-                    float(np.linalg.norm(y_next[i] - x)) for i in range(n_problems)
-                )
-                fejer_pairs = list(zip(y_next, eps_list))
-            elif mode == "maxsel":
-                results = _solve_all([ybar] * n_problems, n)
-                counters.prox_solves += n_problems
-                y_next = [r.minimizer for r in results]
-                dists = [float(np.linalg.norm(yi - x)) for yi in y_next]
-                selected = int(np.argmax(dists))
-                ybar_next = y_next[selected]
-                eps_val = epsilon(
-                    params,
-                    lip_shared,
-                    dx2,
-                    float((ybar - ybar_prev) @ (ybar - ybar_prev)),
-                    float((ybar_next - ybar) @ (ybar_next - ybar)),
-                )
-                eps_list = [eps_val]
-                cuts = [build_c_cut(x, ybar_next, eps_val), build_q_cut(x0, x)]
-                x_next = project_halfspace_intersection(cuts, x0)
-                residual = max(dists)
-                fejer_pairs = [(yi, eps_val) for yi in y_next]
-            else:  # sequential
-                i = cyclic_index(n, n_problems)
-                selected = i
-                rng = (
-                    np.random.default_rng((seed, n, i)) if certify_probes > 0 else None
-                )
-                res = solve_prox(
-                    fs[i], ybar, x, params.lam, set_,
-                    certify_probes=certify_probes, rng=rng,
-                )
-                results = [res]
-                counters.prox_solves += 1
-                y_next_pt = res.minimizer
-                eps_val = epsilon(
-                    params,
-                    lip_shared,
-                    dx2,
-                    float((ybar - ybar_prev) @ (ybar - ybar_prev)),
-                    float((y_next_pt - ybar) @ (y_next_pt - ybar)),
-                )
-                eps_list = [eps_val]
-                cuts = [build_c_cut(x, y_next_pt, eps_val), build_q_cut(x0, x)]
-                x_next = project_halfspace_intersection(cuts, x0)
-                last_y[i] = y_next_pt
-                residual = max(float(np.linalg.norm(yi - x)) for yi in last_y)
-                fejer_pairs = [(y_next_pt, eps_val)]
+def _shared_anchor_step(params, lips, x0, y_init, prox, cyclic):
+    """Subproblems anchored at one shared sequence ybar; one C-cut.
 
-            for r in results:
-                counters.set_projections += r.inner_iterations
-                if not np.isnan(r.certificate_gap):
-                    min_cert = min(min_cert, r.certificate_gap)
+    ``maxsel`` (cyclic=False) solves every subproblem and cuts with the
+    solution farthest from x_n; ``sequential`` (cyclic=True) solves the one
+    chosen by ``cyclic_index`` and measures the residual over the latest
+    solution of each subproblem.
+    """
+    n_problems = len(lips)
+    lip = LipschitzData(max(d.c1 for d in lips), max(d.c2 for d in lips))
+    x_prev = x0
+    ybar_prev = ybar = y_init
+    last_y = [y_init] * n_problems
 
-            step_norm = float(np.linalg.norm(x_next - x))
+    def step(n, x):
+        nonlocal x_prev, ybar_prev, ybar
+        dx2 = float((x - x_prev) @ (x - x_prev))
+        if cyclic:
+            selected = cyclic_index(n, n_problems)
+            results = [prox(selected, ybar, x, n)]
+            y_next = last_y[selected] = results[0].minimizer
+            residual = max(float(np.linalg.norm(y - x)) for y in last_y)
+        else:
+            results = [prox(i, ybar, x, n) for i in range(n_problems)]
+            dists = [float(np.linalg.norm(r.minimizer - x)) for r in results]
+            selected = int(np.argmax(dists))
+            y_next = results[selected].minimizer
+            residual = max(dists)
+        eps = epsilon(
+            params,
+            lip,
+            dx2,
+            float((ybar - ybar_prev) @ (ybar - ybar_prev)),
+            float((y_next - ybar) @ (y_next - ybar)),
+        )
+        cuts = [build_c_cut(x, y_next, eps), build_q_cut(x0, x)]
+        x_next = project_halfspace_intersection(cuts, x0)
+        near = [(y_next, eps)] if cyclic else [(r.minimizer, eps) for r in results]
+        x_prev, ybar_prev, ybar = x, ybar, y_next
+        return Step(x_next, cuts, near, residual, results, selected)
 
-            if check_invariants:
-                q_cut = cuts[-1]
-                if not q_cut.is_whole_space:
-                    p = project_halfspace(q_cut, x0)
-                    if float(np.linalg.norm(p - x)) > ANCHOR_PROJECTION_TOL * (
-                        1.0 + float(np.linalg.norm(x0))
-                    ):
-                        violations["anchor_projection"] += 1
-                next_dist = float(np.linalg.norm(x_next - x0))
-                if next_dist < anchor_dist - MONOTONE_SLACK:
-                    violations["anchor_monotonicity"] += 1
-                anchor_dist = next_dist
-                if known_point is not None:
-                    for cut in cuts:
-                        if cut.violation(known_point) > CONTAINMENT_SLACK:
-                            violations["cut_containment"] += 1
-                    ref_sq = float((x - known_point) @ (x - known_point))
-                    for y_pt, eps_val in fejer_pairs:
-                        lhs = float((y_pt - known_point) @ (y_pt - known_point))
-                        if lhs > ref_sq + eps_val + DISTANCE_BOUND_SLACK:
-                            violations["solution_distance_bound"] += 1
-
-            dist_known = (
-                float(np.linalg.norm(x_next - known_point))
-                if known_point is not None
-                else float("nan")
-            )
-            trace.append(
-                IterationRecord(
-                    n=n,
-                    step_norm=step_norm,
-                    residual=residual,
-                    eps_min=float(min(eps_list)),
-                    eps_max=float(max(eps_list)),
-                    dist_to_known=dist_known,
-                    wall_ms=(time.perf_counter() - t0) * 1e3,
-                    degenerate_cuts=sum(c.is_whole_space for c in cuts),
-                    selected_index=selected,
-                )
-            )
-            if collect_iterates:
-                iterates.append(x_next.copy())
-
-            x_prev, x = x, x_next
-            if mode == "parallel":
-                y_prev, y_cur = y_cur, y_next
-            elif mode == "maxsel":
-                ybar_prev, ybar = ybar, ybar_next
-            else:
-                ybar_prev, ybar = ybar, y_next_pt
-
-            if max(step_norm, residual) <= params.tol:
-                stop_reason = STOP_TOLERANCE
-                break
-    except SolverError as exc:
-        stop_reason = STOP_ERROR
-        error_msg = str(exc)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    return SolverOutcome(
-        algorithm=mode,
-        final_x=x,
-        stop_reason=stop_reason,
-        iterations=len(trace),
-        trace=trace,
-        invariant_violations=violations,
-        counters=counters,
-        min_prox_certificate=float(min_cert) if np.isfinite(min_cert) else float("nan"),
-        error=error_msg,
-        iterates=iterates if collect_iterates else None,
-    )
+    return step

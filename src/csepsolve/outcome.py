@@ -20,13 +20,17 @@ TRACE_HEADER = (
     "eps_max",
     "dist_to_known",
     "wall_ms",
+    "degenerate_cuts",
+    "selected_index",
 )
 
 
 @dataclass
 class IterationRecord:
     """One outer iteration: displacement, residual, correction-term range,
-    distance to the known limit (NaN when no oracle), and wall time."""
+    distance to the known limit (NaN when no oracle), wall time, the number
+    of cuts that collapsed to the whole space, and the subproblem that
+    defined the C-cut (None for the parallel variant and the baselines)."""
 
     n: int
     step_norm: float
@@ -40,18 +44,22 @@ class IterationRecord:
 
     def csv_row(self) -> str:
         dist = "" if math.isnan(self.dist_to_known) else f"{self.dist_to_known:.17g}"
+        selected = "" if self.selected_index is None else self.selected_index
         return (
             f"{self.n},{self.step_norm:.17g},{self.residual:.17g},"
-            f"{self.eps_min:.17g},{self.eps_max:.17g},{dist},{self.wall_ms:.6g}"
+            f"{self.eps_min:.17g},{self.eps_max:.17g},{dist},{self.wall_ms:.6g},"
+            f"{self.degenerate_cuts},{selected}"
         )
 
 
 @dataclass
 class RunCounters:
-    """Work counters: subproblem solves and projections onto the feasible set."""
+    """Work counters: subproblem solves, projections onto the feasible set,
+    and inner solves that stopped at their iteration cap unconverged."""
 
     prox_solves: int = 0
     set_projections: int = 0
+    prox_nonconverged: int = 0
 
 
 @dataclass

@@ -21,7 +21,7 @@ from csepsolve import (
     run_single,
 )
 
-from conftest import csep2_instance, halfline_instance, scalar_1d_instance
+from conftest import PROBLEM_DIR, csep2_instance, halfline_instance, scalar_1d_instance
 
 
 class TestExtragradient:
@@ -217,3 +217,20 @@ class TestThreeMethodAgreement:
             assert np.linalg.norm(out.final_x - ref) < 1e-4
         assert np.linalg.norm(a.final_x - b.final_x) < 1e-4
         assert np.linalg.norm(a.final_x - c.final_x) < 1e-4
+
+
+class TestBaselineChecks:
+    def test_wrong_known_point_fires_checks(self):
+        # the solution of vi_scalar_1d is 0, so cuts built towards it exclude
+        # 0.5 and the iterates get closer to 0 than to 0.5
+        from csepsolve import load_problem
+
+        inst = load_problem(str(PROBLEM_DIR / "vi_scalar_1d.json"))
+        runs = (
+            run_hybrid_extragradient(inst, lam=0.3, known_point=[0.5], max_outer=300),
+            run_armijo_hybrid(inst, ArmijoParams(0.5, 0.3), known_point=[0.5],
+                              max_outer=300),
+        )
+        for out in runs:
+            assert out.invariant_violations["cut_containment"] > 0
+            assert out.invariant_violations["solution_distance_bound"] > 0

@@ -26,6 +26,16 @@ class TestSolve:
         assert (tmp_path / "t.csv").exists()
         assert json.loads((tmp_path / "s.json").read_text())["algorithm"] == "single"
 
+    def test_summary_records_derived_params(self, capsys, tmp_path):
+        from csepsolve import derive_default_params, load_problem
+
+        code = main(["solve", SCALAR, "--algorithm", "single",
+                     "--summary", str(tmp_path / "s.json")])
+        assert code == 0
+        summary = json.loads((tmp_path / "s.json").read_text())
+        lam, k = derive_default_params(load_problem(SCALAR))
+        assert (summary["lam"], summary["k"]) == (lam, k)
+
     def test_parameter_violation_exit_two(self, capsys):
         code = main(["solve", SCALAR, "--algorithm", "single",
                      "--lambda", "1.0", "--k", "4"])

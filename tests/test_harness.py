@@ -22,7 +22,7 @@ from csepsolve import (
     run,
 )
 from csepsolve.harness import derive_default_params
-from csepsolve.outcome import TRACE_HEADER
+from csepsolve.outcome import TRACE_HEADER, IterationRecord
 
 from conftest import PROBLEM_DIR
 
@@ -194,13 +194,20 @@ class TestRun:
 
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert lines[0] == ",".join(TRACE_HEADER)
+        assert TRACE_HEADER[-2:] == ("degenerate_cuts", "selected_index")
         assert len(lines) == out.iterations + 1
+        # at n = 1 the Q-cut is the whole space (x_1 = x0); N = 1 selects 0
+        assert lines[1].split(",")[-2:] == ["1", "0"]
+        assert IterationRecord(1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0).csv_row().endswith(",0,")
 
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["stop_reason"] == "tolerance"
         assert summary["iterations"] == out.iterations
         assert summary["dist_to_oracle"] < 1e-5
         assert sum(summary["invariant_violations"].values()) == 0
+        assert summary["counters"]["prox_nonconverged"] == 0
+        assert (summary["lam"], summary["k"], summary["rule"]) == (0.3, 4.0, "strict")
+        assert (summary["tol"], summary["max_outer"]) == (1e-8, 100_000)
 
     def test_out_of_bounds_lam_raises(self):
         spec = RunSpec(problem_path=str(PROBLEM_DIR / "vi_scalar_1d.json"),
@@ -321,14 +328,3 @@ class TestReproducibility:
             assert ra.eps_max == rb.eps_max
             assert ra.dist_to_known == rb.dist_to_known
         assert a.min_prox_certificate == b.min_prox_certificate
-
-    def test_worker_count_invariance(self):
-        base = dict(problem_path=str(PROBLEM_DIR / "csep3_plane_3d.json"),
-                    algorithm="parallel", lam=0.2, k=6.0, seed=3)
-        a = run(RunSpec(workers=1, **base))
-        b = run(RunSpec(workers=4, **base))
-        assert a.iterations == b.iterations
-        assert np.linalg.norm(a.final_x - b.final_x) <= 1e-12
-        for ra, rb in zip(a.trace, b.trace):
-            assert abs(ra.step_norm - rb.step_norm) <= 1e-12
-            assert abs(ra.residual - rb.residual) <= 1e-12

@@ -9,6 +9,7 @@ from csepsolve import (
     InfeasibleCut,
     LipschitzData,
     ParameterViolation,
+    RunSpec,
     SingletonSolution,
     ViInducedBifunction,
     build_c_cut,
@@ -242,13 +243,28 @@ class TestRunners:
         assert out.iterations == len(out.trace) == 5
         assert out.stop_reason == "max_outer"
 
-    def test_workers_do_not_change_results(self):
-        inst = csep3_plane_instance()
-        params = HybridParams(lam=0.2, k=6.0, max_outer=300, tol=0.0)
-        a = run_parallel_hybrid(inst, params, workers=1, collect_iterates=True)
-        b = run_parallel_hybrid(inst, params, workers=4, collect_iterates=True)
-        for xa, xb in zip(a.iterates, b.iterates):
-            assert np.linalg.norm(xa - xb) <= 1e-12
+    def test_workers_other_than_one_rejected(self):
+        with pytest.raises(ParameterViolation):
+            RunSpec(problem_path="x.json", algorithm="parallel", workers=2)
+        with pytest.raises(ParameterViolation):
+            run_parallel_hybrid(csep3_plane_instance(), HybridParams(lam=0.2, k=6.0),
+                                workers=2)
+
+    def test_unconverged_inner_solves_counted(self, monkeypatch):
+        import csepsolve.hybrid as hybrid_module
+
+        real = hybrid_module.solve_prox
+
+        def unconverged(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.converged = False
+            return res
+
+        monkeypatch.setattr(hybrid_module, "solve_prox", unconverged)
+        out = run_maxsel_hybrid(csep2_instance(),
+                                HybridParams(lam=0.2, k=6.0, max_outer=5, tol=0.0))
+        assert out.counters.prox_solves == 10
+        assert out.counters.prox_nonconverged == 10
 
     def test_anchor_distance_monotone(self):
         inst = halfline_instance()

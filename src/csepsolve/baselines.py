@@ -86,19 +86,17 @@ def armijo_step_size(f, z, y_n, m, eta):
     return -t * f.value(z, y_n) / ((1.0 - t) * g_sq), g
 
 
-def _project_onto_set_and_cuts(set_, cuts, x0, counters, tol=1e-12):
+def _project_onto_set_and_cuts(set_, faces, cuts, x0, counters, tol=1e-12):
     """Projection of x0 onto C intersected with the given halfspace cuts.
 
-    Polyhedral sets (boxes, cut intersections) fold their faces into a single
-    halfspace projection, which stays exact when the cuts become nearly
-    parallel near convergence; other sets alternate projections, counting one
-    set projection per cycle.
+    Polyhedral sets pass their ``faces`` (built once per run), which fold
+    into a single exact halfspace projection; other sets (``faces`` None)
+    alternate projections, counting one set projection per cycle.
     """
     live = [c for c in cuts if not c.is_whole_space]
-    if hasattr(set_, "as_halfspaces"):
+    if faces is not None:
         counters.set_projections += 1
-        return project_halfspace_intersection(set_.as_halfspaces() + live, x0,
-                                              tol=tol)
+        return project_halfspace_intersection(faces + live, x0, tol=tol)
 
     def count_set_projection(v):
         counters.set_projections += 1
@@ -158,6 +156,7 @@ def run_hybrid_extragradient(
             f"lam={lam:g} outside (0, {lam_cap:g}) for c1={lip.c1:g}, c2={lip.c2:g}"
         )
     set_ = instance.set
+    faces = set_.as_halfspaces() if hasattr(set_, "as_halfspaces") else None
     counters = RunCounters()
 
     def step(n, x):
@@ -168,7 +167,7 @@ def run_hybrid_extragradient(
                            rng=probe_rng(certify_probes, seed, n, 1))
         y, z = res_y.minimizer, res_z.minimizer
         cuts = [build_c_cut(x, z, 0.0), build_q_cut(x0, x)]
-        x_next = _project_onto_set_and_cuts(set_, cuts, x0, counters)
+        x_next = _project_onto_set_and_cuts(set_, faces, cuts, x0, counters)
         residual = max(float(np.linalg.norm(y - x)), float(np.linalg.norm(z - x)))
         return Step(x_next, cuts, [(z, 0.0)], residual, [res_y, res_z])
 
@@ -201,6 +200,7 @@ def run_armijo_hybrid(
     """
     f, x0 = _single_problem_start(instance, "Armijo")
     set_ = instance.set
+    faces = set_.as_halfspaces() if hasattr(set_, "as_halfspaces") else None
     counters = RunCounters()
 
     def step(n, x):
@@ -215,7 +215,7 @@ def run_armijo_hybrid(
         u = set_.project(x - sigma * g)
         counters.set_projections += 1
         cuts = [build_c_cut(x, u, 0.0), build_q_cut(x0, x)]
-        x_next = _project_onto_set_and_cuts(set_, cuts, x0, counters)
+        x_next = _project_onto_set_and_cuts(set_, faces, cuts, x0, counters)
         return Step(x_next, cuts, [(u, 0.0)], residual, [res_y])
 
     return drive("armijo", step, x0, tol, max_outer, counters,

@@ -2,10 +2,20 @@
 
 The ambient space is R^d with the standard dot product; points are 1-D
 float64 arrays.  All routines here are pure functions of their inputs.
+
+``project_halfspace_intersection`` is exact for any number of cuts: closed
+forms for one or two, and for more the Goldfarb-Idnani dual active-set
+method, which stops in finitely many steps and returns a point only with
+its KKT certificate (every cut satisfied and every active cut tight to
+``tol * (1 + ||x0||)`` in distance, multipliers nonnegative).  An empty
+intersection raises EmptyIntersection.  ``dykstra`` handles intersections
+of general convex sets; ``dykstra_halfspaces`` is kept as an independent
+cross-check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,135 +309,30 @@ def project_two_halfspaces(cut1: HalfspaceCut, cut2: HalfspaceCut, x0) -> np.nda
     )
 
 
-def _prune_dependent(normals, scale, working):
-    """Subset of ``working`` whose normals are numerically independent."""
-    rows = []
-    kept = []
-    for i in working:
-        r = normals[i] / scale[i]
-        for q in rows:
-            r = r - (r @ q) * q
-        rn = float(np.linalg.norm(r))
-        if rn > 1e-8:
-            rows.append(r / rn)
-            kept.append(i)
-    return kept
-
-
-def _active_set_polish(normals, offsets, scale, x0, x, tol):
-    """Exact candidate for the projection, seeded by the active set at ``x``.
-
-    Runs a small working-set loop: project ``x0`` onto the affine hull of the
-    working constraints, drop the most negative multiplier, add the most
-    violated constraint.  A candidate is only returned with a verified
-    optimality certificate (nonnegative multipliers on an independent working
-    set plus feasibility for every constraint), so a wrong guess costs nothing
-    but a few small solves.
-    """
-    m = len(normals)
-    feas_tol = max(tol, 1e-12 * (1.0 + float(np.linalg.norm(x0))))
-    if float(np.max((normals @ x0 - offsets) / scale)) <= feas_tol:
-        return x0.copy()
-    act_tol = 1e-9 * (1.0 + float(np.linalg.norm(x)))
-    working = set(np.flatnonzero((normals @ x - offsets) / scale >= -act_tol))
-    if not working:
-        return None
-    for _ in range(2 * m + 6):
-        kept = _prune_dependent(normals, scale, sorted(working))
-        if not kept:
-            return None
-        A = normals[kept]
-        b = offsets[kept]
-        try:
-            mu = np.linalg.solve(A @ A.T, A @ x0 - b)
-        except np.linalg.LinAlgError:
-            return None
-        if mu.min() < -1e-9:
-            working = set(kept)
-            working.discard(kept[int(np.argmin(mu))])
-            if not working:
-                return None
-            continue
-        z = x0 - A.T @ np.maximum(mu, 0.0)
-        slack = (normals @ z - offsets) / scale
-        worst = int(np.argmax(slack))
-        if slack[worst] <= feas_tol:
-            return z
-        if worst in working:
-            return None
-        working = set(kept)
-        working.add(worst)
-    return None
-
-
 def dykstra_halfspaces(
     cuts: list[HalfspaceCut],
     x0,
     tol: float = 1e-12,
     max_cycles: int = 10_000,
-    polish: bool = True,
 ) -> np.ndarray:
     """Dykstra's alternating projection onto an intersection of halfspaces.
 
-    Stops when the displacement over a full cycle falls below ``tol`` and all
-    constraints are satisfied to ``tol`` (distance scale).  Whole-space cuts
-    are skipped.  With ``polish`` on, each cycle additionally tries an exact
-    active-set solve; the candidate is only accepted with a verified
-    optimality certificate, so the result is never worse than plain Dykstra.
-    Nearly parallel cuts make plain Dykstra arbitrarily slow, which is where
-    the polish pays off.
+    ``dykstra`` with one halfspace projector per cut: it stops when the
+    displacement over a full cycle falls below ``tol`` and every cut is
+    satisfied to ``tol`` in distance.  Nearly parallel cuts make it
+    arbitrarily slow; it serves as an independent cross-check of
+    ``project_halfspace_intersection``.
     """
-    live = [c for c in cuts if not c.is_whole_space]
-    x0 = as_point(x0)
-    if not live:
-        return x0.copy()
-
-    normals = np.array([c.normal for c in live])
-    offsets = np.array([c.offset for c in live])
-    norms = np.einsum("ij,ij->i", normals, normals)
-    scale = np.sqrt(norms)
-    m = len(live)
-
-    x = x0.copy()
-    corrections = np.zeros((m, x0.size))
-    for _ in range(max_cycles):
-        start = x.copy()
-        for i in range(m):
-            s = x + corrections[i]
-            v = float(normals[i] @ s) - offsets[i]
-            if v > 0.0:
-                x = s - (v / norms[i]) * normals[i]
-            else:
-                x = s
-            corrections[i] = s - x
-        if polish:
-            z = _active_set_polish(normals, offsets, scale, x0, x, tol)
-            if z is not None:
-                return z
-        disp = float(np.linalg.norm(x - start))
-        if disp <= tol:
-            worst = float(np.max((normals @ x - offsets) / scale))
-            if worst <= tol:
-                return x
-    violations = (normals @ x - offsets) / scale
-    raise MaxInnerIterationsExceeded(
-        f"halfspace Dykstra hit {max_cycles} cycles "
-        f"(max violation {float(np.max(violations)):.3e}); intersection may be empty",
-        violations=violations,
-        best=x,
-    )
+    projectors = [lambda v, c=c: project_halfspace(c, v) for c in cuts]
+    return dykstra(projectors, x0, tol=tol, max_cycles=max_cycles)
 
 
-def project_halfspace_intersection(
-    cuts: list[HalfspaceCut],
-    x0,
-    tol: float = 1e-12,
-    max_cycles: int = 10_000,
-) -> np.ndarray:
+def project_halfspace_intersection(cuts: list[HalfspaceCut], x0,
+                                   tol: float = 1e-12) -> np.ndarray:
     """Projection onto an intersection of halfspaces.
 
-    Lists of at most two live cuts dispatch to the closed forms; longer lists
-    use Dykstra's method.
+    One or two live cuts use the closed forms, more ``_dual_active_set``;
+    ``tol`` is its feasibility slack in distance, relative to 1 + ||x0||.
     """
     live = [c for c in cuts if not c.is_whole_space]
     if not live:
@@ -436,7 +341,101 @@ def project_halfspace_intersection(
         return project_halfspace(live[0], x0)
     if len(live) == 2:
         return project_two_halfspaces(live[0], live[1], x0)
-    return dykstra_halfspaces(live, x0, tol=tol, max_cycles=max_cycles)
+    return _dual_active_set(live, x0, tol)
+
+
+def _dual_active_set(cuts, x0, tol):
+    """Goldfarb-Idnani dual active-set method with identity Hessian.
+
+    With unit normals a_i, z = x0 - A^T mu, mu >= 0 supported on an active
+    set P of independent normals tight at z.  Each step raises mu_j of the
+    most violated cut j, moving z along dz, the part of a_j orthogonal to
+    the active normals, until cut j is tight (j joins P) or an active
+    multiplier reaches zero (that cut leaves P; j is still being added).
+    If dz = 0 the step is purely dual, and if no multiplier then decreases,
+    a_j is a nonpositive combination of active normals with a violated
+    offset: the intersection is empty (Farkas).  Each completed addition
+    raises the dual objective, so the method is finite.  P is kept as
+    A_P^T = Q^T R with orthonormal rows Q and T = R^-1, which makes
+    r = (A_P A_P^T)^-1 A_P a_j equal to T Q a_j.
+    """
+    x0 = as_point(x0, cuts[0].dimension)
+    A = np.array([c.normal for c in cuts])
+    scale = np.sqrt(np.einsum("ij,ij->i", A, A))
+    A /= scale[:, None]
+    b = np.array([c.offset for c in cuts]) / scale
+    feas_tol = tol * (1.0 + math.sqrt(float(x0 @ x0)))
+    Q = np.empty_like(A)
+    T = np.zeros((len(cuts), len(cuts)))
+    active: list[int] = []
+    mu: list[float] = []
+    z = x0.copy()
+    for _ in range(10 * len(cuts)):
+        v = A @ z - b
+        j = int(v.argmax())
+        vj, mu_j = float(v[j]), 0.0
+        if vj <= feas_tol and (not active or np.abs(v[active]).max() <= feas_tol):
+            return z
+        if vj <= feas_tol or j in active:
+            break
+        while True:
+            k = len(active)
+            dz, r = _orthogonal_part(Q, T, k, A[j])
+            rho = float(dz @ dz)
+            t_part, drop = math.inf, -1
+            r_floor = 1e-12 * (1.0 + max(map(abs, r), default=0.0))
+            for i, (ri, mi) in enumerate(zip(r, mu)):
+                if ri > r_floor and mi < t_part * ri:
+                    t_part, drop = mi / ri, i
+            # Rounding leaves |dz| of about 1e-16 when a_j is in the span.
+            dependent = rho <= 1e-20
+            if dependent and drop < 0:
+                raise EmptyIntersection(
+                    f"cut {j} is violated by {vj:.3e} at every point of the "
+                    "active cuts' intersection"
+                )
+            t_full = math.inf if dependent else vj / rho
+            t = min(t_full, t_part)
+            mu = [max(mi - t * ri, 0.0) for mi, ri in zip(mu, r)]
+            mu_j += t
+            if not dependent:
+                z = z - t * dz
+            if t_full <= t_part:
+                _append_basis(Q, T, k, dz, r)
+                active.append(j)
+                mu.append(mu_j)
+                break
+            vj -= t * rho
+            del active[drop], mu[drop]
+            for i in range(drop, k - 1):
+                _append_basis(Q, T, i, *_orthogonal_part(Q, T, i, A[active[i]]))
+    raise MaxInnerIterationsExceeded(
+        f"dual active-set projection onto {len(cuts)} halfspaces did not certify "
+        f"a point (max violation {float(np.max(v)):.3e})", violations=v, best=z)
+
+
+def _orthogonal_part(Q, T, k, a):
+    """The part of the unit vector ``a`` orthogonal to the first k basis
+    rows, and T Q a.  When most of ``a`` cancels, a second Gram-Schmidt pass
+    keeps the basis error from growing by 1/|dz| per nearly dependent row.
+    """
+    if k == 0:
+        return a, []
+    q = Q[:k] @ a
+    dz = a - q @ Q[:k]
+    if dz @ dz < 0.5:
+        q2 = Q[:k] @ dz
+        dz -= q2 @ Q[:k]
+        q += q2
+    return dz, (T[:k, :k] @ q).tolist()
+
+
+def _append_basis(Q, T, k, dz, r):
+    """Extend the basis Q, T of k active normals by one whose new part is dz."""
+    norm = math.sqrt(float(dz @ dz))
+    Q[k] = dz / norm
+    T[:k, k] = [-ri / norm for ri in r]
+    T[k, k] = 1.0 / norm
 
 
 def dykstra(
@@ -462,7 +461,8 @@ def dykstra(
             x = proj(s)
             corrections[i] = s - x
         if float(np.linalg.norm(x - start)) <= tol:
-            worst = max(float(np.linalg.norm(proj(x) - x)) for proj in projectors)
+            worst = max((float(np.linalg.norm(proj(x) - x)) for proj in projectors),
+                        default=0.0)
             if worst <= tol:
                 return x
     raise MaxInnerIterationsExceeded(

@@ -1,8 +1,8 @@
 """Independent reference computations used only by the tests.
 
 These deliberately avoid the library's solution paths: the polyhedron
-projector enumerates active sets, the prox oracle scans a grid, and the
-derivative check uses central differences.
+projectors enumerate active sets or solve the dual by NNLS, the prox oracle
+scans a grid, and the derivative check uses central differences.
 """
 
 from __future__ import annotations
@@ -50,6 +50,39 @@ def project_polyhedron_enumerate(cuts, x0):
     if best is None:
         raise ValueError("enumeration found no feasible candidate")
     return best
+
+
+def project_ldp_nnls(cuts, x0):
+    """Projection onto an intersection of halfspaces by Lawson and Hanson's
+    least-distance programming reduction to NNLS (Solving Least Squares
+    Problems, 1974, ch. 23); None when the intersection is empty.
+
+    With unit normals a_i and u = z - x0 the problem is min ||u|| subject to
+    -A u >= A x0 - b.  NNLS on E = [-A^T; (A x0 - b)^T], f = e_{d+1} gives the
+    residual r = E w - f, and u = -r[:d] / r[d]; r = 0 certifies emptiness.
+    Cuts with the same unit normal are merged into the tightest first, since
+    scipy's NNLS can break down on repeated columns.  Needs scipy.
+    """
+    from scipy.optimize import nnls
+
+    rows = {}
+    for c in cuts:
+        scale = float(np.linalg.norm(c.normal))
+        a, b = c.normal / scale, c.offset / scale
+        key = tuple(np.round(a, 12))
+        if key not in rows or b < rows[key][1]:
+            rows[key] = (a, b)
+    normals = np.array([a for a, _ in rows.values()])
+    offsets = np.array([b for _, b in rows.values()])
+    x0 = np.asarray(x0, dtype=float)
+    E = np.vstack([-normals.T, normals @ x0 - offsets])
+    f = np.zeros(E.shape[0])
+    f[-1] = 1.0
+    w, _ = nnls(E, f, maxiter=50 * E.shape[1])
+    r = E @ w - f
+    if np.linalg.norm(r) < 1e-12:
+        return None
+    return x0 - r[:-1] / r[-1]
 
 
 def grid_minimize_1d(objective, lo, hi, tol=1e-6):

@@ -162,7 +162,7 @@ def test_criterion_01_projection_toolbox(rng):
         c2 = HalfspaceCut(a2, float(a2 @ p) + abs(rng.standard_normal()))
         x0 = rng.standard_normal(3) * 2.0
         closed = project_two_halfspaces(c1, c2, x0)
-        iterative = dykstra_halfspaces([c1, c2], x0, tol=1e-10, polish=False)
+        iterative = dykstra_halfspaces([c1, c2], x0, tol=1e-10)
         worst_pair = max(worst_pair, float(np.linalg.norm(closed - iterative)))
         pairs_checked += 1
 

@@ -1,0 +1,81 @@
+"""Property tests of the many-halfspace projector against an NNLS oracle.
+
+Random systems in d <= 6 with 3-12 cuts, including duplicated and rescaled
+normals: feasible systems (planted point, some offsets tight) must project
+to a feasible point that matches Lawson and Hanson's LDP/NNLS solution, and
+systems made empty by a Farkas combination must raise EmptyIntersection.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("scipy")
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from csepsolve import EmptyIntersection, HalfspaceCut, project_halfspace_intersection  # noqa: E402
+
+from oracles import project_ldp_nnls  # noqa: E402
+
+systems = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "d": st.integers(1, 6),
+    "m": st.integers(3, 12),
+    "duplicates": st.integers(0, 3),
+    "log_scale": st.floats(0.0, 3.0),
+})
+
+
+def random_normals(rng, d, m, duplicates, log_scale):
+    """m normals in R^d; the last ``duplicates`` repeat earlier ones, and
+    every row is rescaled by a factor within 10^(+-log_scale)."""
+    normals = rng.standard_normal((m, d))
+    duplicates = min(duplicates, m - 1)
+    for i in range(m - duplicates, m):
+        normals[i] = normals[rng.integers(0, m - duplicates)]
+    return normals * 10.0 ** rng.uniform(-log_scale, log_scale, (m, 1))
+
+
+def distance_violation(cuts, z):
+    return max(c.violation(z) / np.linalg.norm(c.normal) for c in cuts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems)
+def test_feasible_systems_match_nnls(params):
+    rng = np.random.default_rng(params["seed"])
+    d, m = params["d"], params["m"]
+    normals = random_normals(rng, d, m, params["duplicates"], params["log_scale"])
+    p = rng.standard_normal(d)
+    slack = np.where(rng.random(m) < 0.5, 0.0, rng.exponential(1.0, m))
+    offsets = normals @ p + slack * np.linalg.norm(normals, axis=1)
+    cuts = [HalfspaceCut(a, o) for a, o in zip(normals, offsets)]
+    x0 = p + 3.0 * rng.standard_normal(d)
+
+    z = project_halfspace_intersection(cuts, x0)
+    ref = project_ldp_nnls(cuts, x0)
+    assert ref is not None
+    assert distance_violation(cuts, z) <= 1e-10
+    assert np.linalg.norm(z - ref) <= 1e-8 * (1.0 + np.linalg.norm(x0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems)
+def test_empty_systems_raise(params):
+    # A cut -sum_i c_i a_i z <= -sum_i c_i b_i - gap with c >= 0 and gap > 0
+    # contradicts the cuts it combines, so the intersection is empty.
+    rng = np.random.default_rng(params["seed"])
+    d, m = params["d"], params["m"]
+    normals = random_normals(rng, d, m - 1, params["duplicates"], params["log_scale"])
+    offsets = normals @ rng.standard_normal(d) + rng.exponential(1.0, m - 1)
+    c = rng.exponential(1.0, m - 1) * (rng.random(m - 1) < 0.7)
+    c[0] += 0.5
+    gap = rng.uniform(0.1, 1.0) * (1.0 + float(np.abs(c @ offsets)))
+    normals = np.vstack([normals, -(c @ normals)])
+    offsets = np.append(offsets, -(c @ offsets) - gap)
+    cuts = [HalfspaceCut(a, o) for a, o in zip(normals, offsets)]
+    x0 = 3.0 * rng.standard_normal(d)
+
+    with pytest.raises(EmptyIntersection):
+        project_halfspace_intersection(cuts, x0)

@@ -44,6 +44,7 @@ from .outcome import (
     STOP_ERROR,
     STOP_MAX_OUTER,
     STOP_TOLERANCE,
+    InnerNonconvergence,
     IterationRecord,
     RunCounters,
     SolverOutcome,
@@ -65,7 +66,7 @@ from .problems import (
     spectral_norm_estimate,
     validate,
 )
-from .prox import ProxResult, certify_prox, solve_prox
+from .prox import ProxResult, ProxSystem, certify_prox, solve_prox
 from .hybrid import (
     RULE_RELAXED,
     RULE_STRICT,

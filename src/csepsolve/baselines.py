@@ -24,10 +24,10 @@ from .geometry import (
     project_halfspace,
     project_halfspace_intersection,
 )
-from .hybrid import Step, build_c_cut, build_q_cut, drive, probe_rng
+from .hybrid import Step, build_c_cut, build_q_cut, drive
 from .outcome import RunCounters, SolverOutcome
 from .problems import CsepInstance
-from .prox import solve_prox
+from .prox import probe_rng, solve_prox
 
 
 @dataclass

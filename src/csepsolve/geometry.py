@@ -47,6 +47,12 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return p
 
 
+def row_norms(D: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of D, bit for bit as ``np.linalg.norm(D[i])``
+    (the norm of a 1-D vector is the square root of its dot product)."""
+    return np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
+
+
 @dataclass
 class HalfspaceCut:
     """The halfspace {z : <normal, z> <= offset}.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -451,7 +451,8 @@ def run(spec: RunSpec) -> SolverOutcome:
 
 def summarize(spec: RunSpec, outcome: SolverOutcome, wall_ms: float) -> dict:
     """The run record: outcome, work counters, and the parameters in ``spec``
-    (``k`` and ``rule`` for the hybrid variants, ``eta`` for armijo)."""
+    (``k`` and ``rule`` for the hybrid variants, ``eta`` for armijo), and
+    the first unconverged inner solve when there was one."""
     summary = {
         "problem": spec.problem_path,
         "algorithm": spec.algorithm,
@@ -480,6 +481,8 @@ def summarize(spec: RunSpec, outcome: SolverOutcome, wall_ms: float) -> dict:
     dist = outcome.final_dist_to_known()
     if not np.isnan(dist):
         summary["dist_to_oracle"] = dist
+    if outcome.first_nonconverged is not None:
+        summary["first_prox_nonconverged"] = asdict(outcome.first_nonconverged)
     if outcome.error:
         summary["error"] = outcome.error
     return summary

@@ -40,17 +40,19 @@ from .geometry import (
     as_point,
     project_halfspace,
     project_halfspace_intersection,
+    row_norms,
 )
 from .outcome import (
     STOP_ERROR,
     STOP_MAX_OUTER,
     STOP_TOLERANCE,
+    InnerNonconvergence,
     IterationRecord,
     RunCounters,
     SolverOutcome,
 )
 from .problems import CsepInstance, LipschitzData
-from .prox import ProxResult, solve_prox
+from .prox import ProxResult, ProxSystem, probe_rng, solve_prox
 
 RULE_STRICT = "strict"
 RULE_RELAXED = "relaxed"
@@ -181,11 +183,6 @@ def require_one_worker(workers: int) -> None:
         )
 
 
-def probe_rng(certify_probes: int, seed: int, n: int, i: int):
-    """Certificate-probe generator for inner solve i of outer iteration n."""
-    return np.random.default_rng((seed, n, i)) if certify_probes > 0 else None
-
-
 def drive(
     algorithm: str,
     step: Callable[[int, np.ndarray], Step],
@@ -204,7 +201,9 @@ def drive(
     Per iteration: checks that x_n is the projection of x0 onto the Q-cut,
     that ||x_{n+1} - x0|| does not decrease, and, given ``known_point``,
     that every cut contains it and that ||y - p||^2 <= ||x_n - p||^2 + eps
-    for each (y, eps) in ``Step.near``.
+    for each (y, eps) in ``Step.near``.  The first unconverged inner solve
+    is recorded with its subproblem index: its position in ``Step.prox``,
+    or ``Step.selected`` when the step solved that one subproblem alone.
     """
     if known_point is not None:
         known_point = as_point(known_point, x0.size)
@@ -213,6 +212,7 @@ def drive(
     trace: list[IterationRecord] = []
     iterates: list[np.ndarray] = []
     min_cert = np.inf
+    first_nonconverged = None
     anchor_dist = 0.0
     x = x0.copy()
     stop_reason = STOP_MAX_OUTER
@@ -223,10 +223,13 @@ def drive(
             t0 = time.perf_counter()
             x_next, cuts, near, residual, results, selected = step(n, x)
             counters.prox_solves += len(results)
-            for r in results:
+            for j, r in enumerate(results):
                 counters.set_projections += r.inner_iterations
                 if not r.converged:
                     counters.prox_nonconverged += 1
+                    if first_nonconverged is None:
+                        i = selected if len(results) == 1 and selected is not None else j
+                        first_nonconverged = InnerNonconvergence(n, i, r.diagnostic)
                 if not math.isnan(r.certificate_gap):
                     min_cert = min(min_cert, r.certificate_gap)
 
@@ -292,6 +295,7 @@ def drive(
         min_prox_certificate=float(min_cert) if np.isfinite(min_cert) else float("nan"),
         error=error_msg,
         iterates=iterates if collect_iterates else None,
+        first_nonconverged=first_nonconverged,
     )
 
 
@@ -340,33 +344,32 @@ def _run(
     counters.set_projections += 1
 
     fs, set_, lam = instance.bifunctions, instance.set, params.lam
+    system = None if mode == "sequential" else ProxSystem(fs, lam, set_, certify_probes, seed)
 
     def prox(i, w, x, n):
         return solve_prox(fs[i], w, x, lam, set_, certify_probes=certify_probes,
                           rng=probe_rng(certify_probes, seed, n, i))
 
     if mode == "parallel":
-        step = _parallel_step(params, lips, x0, y_init, prox)
+        step = _parallel_step(params, lips, x0, y_init, system)
     else:
-        step = _shared_anchor_step(params, lips, x0, y_init, prox,
+        step = _shared_anchor_step(params, lips, x0, y_init, prox, system,
                                    cyclic=mode == "sequential")
     return drive(mode, step, x0, params.tol, params.max_outer, counters,
                  known_point=known_point, check_invariants=check_invariants,
                  collect_iterates=collect_iterates)
 
 
-def _parallel_step(params, lips, x0, y_init, prox):
+def _parallel_step(params, lips, x0, y_init, system):
     """Every subproblem from its own previous solution; one C-cut each."""
     n_problems = len(lips)
     x_prev = x0
-    y_prev = [y_init] * n_problems
-    y_cur = [y_init] * n_problems
+    y_prev = y_cur = np.tile(y_init, (n_problems, 1))
 
     def step(n, x):
         nonlocal x_prev, y_prev, y_cur
         dx2 = float((x - x_prev) @ (x - x_prev))
-        results = [prox(i, y_cur[i], x, n) for i in range(n_problems)]
-        y_next = [r.minimizer for r in results]
+        y_next, results = system.solve(y_cur, x, n)
         eps_list = [
             epsilon(
                 params,
@@ -380,20 +383,20 @@ def _parallel_step(params, lips, x0, y_init, prox):
         cuts = [build_c_cut(x, y_next[i], eps_list[i]) for i in range(n_problems)]
         cuts.append(build_q_cut(x0, x))
         x_next = project_halfspace_intersection(cuts, x0)
-        residual = max(float(np.linalg.norm(y - x)) for y in y_next)
+        residual = float(row_norms(y_next - x).max())
         x_prev, y_prev, y_cur = x, y_cur, y_next
         return Step(x_next, cuts, list(zip(y_next, eps_list)), residual, results)
 
     return step
 
 
-def _shared_anchor_step(params, lips, x0, y_init, prox, cyclic):
+def _shared_anchor_step(params, lips, x0, y_init, prox, system, cyclic):
     """Subproblems anchored at one shared sequence ybar; one C-cut.
 
-    ``maxsel`` (cyclic=False) solves every subproblem and cuts with the
-    solution farthest from x_n; ``sequential`` (cyclic=True) solves the one
-    chosen by ``cyclic_index`` and measures the residual over the latest
-    solution of each subproblem.
+    ``maxsel`` (cyclic=False) solves every subproblem in one ``system``
+    call and cuts with the solution farthest from x_n; ``sequential``
+    (cyclic=True) solves the one chosen by ``cyclic_index`` with ``prox``
+    and measures the residual over the latest solution of each subproblem.
     """
     n_problems = len(lips)
     lip = LipschitzData(max(d.c1 for d in lips), max(d.c2 for d in lips))
@@ -410,11 +413,11 @@ def _shared_anchor_step(params, lips, x0, y_init, prox, cyclic):
             y_next = last_y[selected] = results[0].minimizer
             residual = max(float(np.linalg.norm(y - x)) for y in last_y)
         else:
-            results = [prox(i, ybar, x, n) for i in range(n_problems)]
-            dists = [float(np.linalg.norm(r.minimizer - x)) for r in results]
+            Y, results = system.solve(ybar, x, n)
+            dists = row_norms(Y - x)
             selected = int(np.argmax(dists))
-            y_next = results[selected].minimizer
-            residual = max(dists)
+            y_next = Y[selected]
+            residual = float(dists[selected])
         eps = epsilon(
             params,
             lip,
@@ -424,7 +427,7 @@ def _shared_anchor_step(params, lips, x0, y_init, prox, cyclic):
         )
         cuts = [build_c_cut(x, y_next, eps), build_q_cut(x0, x)]
         x_next = project_halfspace_intersection(cuts, x0)
-        near = [(y_next, eps)] if cyclic else [(r.minimizer, eps) for r in results]
+        near = [(y_next, eps)] if cyclic else [(y, eps) for y in Y]
         x_prev, ybar_prev, ybar = x, ybar, y_next
         return Step(x_next, cuts, near, residual, results, selected)
 

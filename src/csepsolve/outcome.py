@@ -62,13 +62,25 @@ class RunCounters:
     prox_nonconverged: int = 0
 
 
+@dataclass(frozen=True)
+class InnerNonconvergence:
+    """An inner solve that stopped at its iteration cap: outer iteration
+    ``n``, subproblem index, and the inner solver's diagnostic text."""
+
+    n: int
+    subproblem: int
+    diagnostic: str | None
+
+
 @dataclass
 class SolverOutcome:
     """Result of one solver run.
 
     ``invariant_violations`` counts failed per-iteration checks (all zero on
     an accepted run); ``min_prox_certificate`` is the worst sampled
-    optimality gap over all inner solves (NaN when certification was off).
+    optimality gap over all inner solves (NaN when certification was off);
+    ``first_nonconverged`` is the first inner solve that stopped unconverged
+    (None when every one converged).
     """
 
     algorithm: str
@@ -81,6 +93,7 @@ class SolverOutcome:
     min_prox_certificate: float = float("nan")
     error: str | None = None
     iterates: list[np.ndarray] | None = None
+    first_nonconverged: InnerNonconvergence | None = None
 
     @property
     def total_violations(self) -> int:

@@ -110,3 +110,20 @@ def central_difference(fn, y, step=1e-5):
         e[j] = step
         g[j] = (fn(y + e) - fn(y - e)) / (2.0 * step)
     return g
+
+
+def projected_gradient_prox(f, w, x, lam, set_, tol, max_inner):
+    """One affine-quadratic subproblem by a plain per-row projected-gradient
+    loop with step 1/(1 + lam*||Q + Q^T||), stopping when a step moves by at
+    most ``tol``.  Returns (minimizer, counted steps, converged) with the
+    step count of ``ProxResult.inner_iterations``."""
+    step = 1.0 / (1.0 + lam * f.sym_norm())
+    shift = x - lam * (f.P @ w + f.q) + lam * (f.Q.T @ w)
+    sym = f.Q + f.Q.T
+    y = set_.project(x)
+    for it in range(1, max_inner + 1):
+        y_new = set_.project(y - step * (y + lam * (sym @ y) - shift))
+        if float(np.linalg.norm(y_new - y)) <= tol:
+            return y_new, it + 1, True
+        y = y_new
+    return y, max_inner, False

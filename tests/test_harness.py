@@ -206,6 +206,7 @@ class TestRun:
         assert summary["dist_to_oracle"] < 1e-5
         assert sum(summary["invariant_violations"].values()) == 0
         assert summary["counters"]["prox_nonconverged"] == 0
+        assert "first_prox_nonconverged" not in summary
         assert (summary["lam"], summary["k"], summary["rule"]) == (0.3, 4.0, "strict")
         assert (summary["tol"], summary["max_outer"]) == (1e-8, 100_000)
 

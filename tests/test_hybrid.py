@@ -7,6 +7,7 @@ from csepsolve import (
     CsepInstance,
     HybridParams,
     InfeasibleCut,
+    InnerNonconvergence,
     LipschitzData,
     ParameterViolation,
     RunSpec,
@@ -260,11 +261,45 @@ class TestRunners:
             res.converged = False
             return res
 
+        # run_sequential, because only its one-row solves go through
+        # hybrid.solve_prox; maxsel and parallel solve in one ProxSystem call
         monkeypatch.setattr(hybrid_module, "solve_prox", unconverged)
-        out = run_maxsel_hybrid(csep2_instance(),
-                                HybridParams(lam=0.2, k=6.0, max_outer=5, tol=0.0))
+        out = run_sequential(csep2_instance(),
+                             HybridParams(lam=0.2, k=6.0, max_outer=10, tol=0.0))
         assert out.counters.prox_solves == 10
         assert out.counters.prox_nonconverged == 10
+        # iteration 1 of the cyclic variant works on subproblem 1 of 0, 1
+        assert out.first_nonconverged == InnerNonconvergence(1, 1, None)
+
+    def test_first_unconverged_stacked_solve_reported(self, monkeypatch):
+        import csepsolve.prox as prox_module
+        from csepsolve import AffineQuadraticBifunction, solve_prox
+        from csepsolve.harness import summarize
+
+        rng = np.random.default_rng(3)
+        d = 4
+        C = rng.standard_normal((d, d))
+        dense_q = C @ C.T
+        # both Q are dense, so the two subproblems are solved in one stacked
+        # projected-gradient loop; the nearly zero Q_0 converges in 3 steps
+        fs = [AffineQuadraticBifunction(np.diag([1.0, 2.0, 1.5, 1.0]),
+                                        np.full((d, d), 1e-12), np.zeros(d)),
+              AffineQuadraticBifunction(dense_q + np.eye(d), dense_q, np.zeros(d))]
+        inst = CsepInstance(d, Box(-np.ones(d), np.ones(d)), fs, np.full(d, 0.5),
+                            SingletonSolution(np.zeros(d)))
+        params = HybridParams(lam=0.05, k=6.0, max_outer=4, tol=0.0)
+        monkeypatch.setattr(prox_module, "MAX_INNER", 3)
+        out = run_maxsel_hybrid(inst, params)
+        y_init = inst.set.project(inst.x0)
+        one_row = solve_prox(fs[1], y_init, inst.x0, params.lam, inst.set, max_inner=3)
+        assert not one_row.converged
+        assert out.first_nonconverged == InnerNonconvergence(1, 1, one_row.diagnostic)
+        assert out.counters.prox_nonconverged == 4
+        assert out.stop_reason == "max_outer"
+        summary = summarize(RunSpec(problem_path="x.json", algorithm="maxsel"), out, 0.0)
+        assert summary["first_prox_nonconverged"] == {
+            "n": 1, "subproblem": 1, "diagnostic": "projected gradient hit 3 iterations",
+        }
 
     def test_anchor_distance_monotone(self):
         inst = halfline_instance()

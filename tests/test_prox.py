@@ -4,17 +4,20 @@ import pytest
 from csepsolve import (
     AffineOperator,
     AffineQuadraticBifunction,
+    Ball,
     BlackBoxBifunction,
     Box,
+    CallableOperator,
     LipschitzData,
+    ProxSystem,
     ViInducedBifunction,
     WholeSpace,
     certify_prox,
     solve_prox,
 )
-from csepsolve.prox import objective
+from csepsolve.prox import objective, probe_rng
 
-from oracles import grid_minimize_1d
+from oracles import grid_minimize_1d, projected_gradient_prox
 
 
 def vi(M, q=None, L=None):
@@ -172,3 +175,136 @@ class TestCertify:
         f = vi(np.eye(1))
         with pytest.raises(ValueError):
             solve_prox(f, np.zeros(1), np.zeros(1), 0.0, Box([-1.0], [1.0]))
+
+
+def assert_same_result(a, b):
+    assert a.minimizer.tobytes() == b.minimizer.tobytes()
+    assert a.inner_iterations == b.inner_iterations
+    assert a.converged == b.converged
+    assert a.diagnostic == b.diagnostic
+    assert repr(a.certificate_gap) == repr(b.certificate_gap)
+
+
+def assert_stack_matches_rows(fs, W, x, lam, set_, certify_probes=0, seed=0, n=1):
+    """ProxSystem.solve equals a loop of one-row solve_prox calls bit for bit."""
+    Y, stacked = ProxSystem(fs, lam, set_, certify_probes, seed).solve(W, x, n)
+    rows = [
+        solve_prox(f, W if W.ndim == 1 else W[i], x, lam, set_,
+                   certify_probes=certify_probes,
+                   rng=probe_rng(certify_probes, seed, n, i))
+        for i, f in enumerate(fs)
+    ]
+    assert Y.shape == (len(fs), x.size)
+    assert len(stacked) == len(rows)
+    for y, a, b in zip(Y, stacked, rows):
+        assert y.tobytes() == a.minimizer.tobytes()
+        assert_same_result(a, b)
+    return stacked
+
+
+def monotone_matrix(rng, d):
+    B = rng.standard_normal((d, max(1, d // 2))) / np.sqrt(d)
+    K = rng.standard_normal((d, d)) / np.sqrt(d)
+    return B @ B.T + 0.1 * np.eye(d) + 0.5 * (K - K.T)
+
+
+def dense_aq(rng, d, scale=1.0):
+    C = rng.standard_normal((d, d)) / np.sqrt(d)
+    Q = scale * (C @ C.T)
+    return AffineQuadraticBifunction(Q + monotone_matrix(rng, d), Q, rng.standard_normal(d))
+
+
+class TestProxSystemParity:
+    @pytest.mark.parametrize("d", [1, 3, 100])
+    @pytest.mark.parametrize("n_rows", [1, 4, 16])
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_affine_vi_stack(self, rng, d, n_rows, per_row):
+        fs = [vi(monotone_matrix(rng, d), rng.standard_normal(d)) for _ in range(n_rows)]
+        box = Box(-np.ones(d), np.ones(d))
+        W = rng.uniform(-1, 1, (n_rows, d) if per_row else d)
+        x = rng.uniform(-1, 1, d)
+        results = assert_stack_matches_rows(fs, W, x, 0.3, box)
+        for i, (f, r) in enumerate(zip(fs, results)):
+            w = W if W.ndim == 1 else W[i]
+            direct = box.project(x - 0.3 * (f.operator.M @ w + f.operator.q))
+            assert r.minimizer.tobytes() == direct.tobytes()
+
+    def test_affine_vi_stack_whole_space(self, rng):
+        fs = [vi(monotone_matrix(rng, 5), rng.standard_normal(5)) for _ in range(3)]
+        assert_stack_matches_rows(fs, rng.standard_normal((3, 5)), rng.standard_normal(5),
+                                  0.2, WholeSpace(5))
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_dense_affine_quadratic_rows_stop_at_different_steps(self, rng, per_row):
+        d = 8
+        fs = [dense_aq(rng, d, scale) for scale in (0.1, 1.0, 5.0, 20.0)]
+        box = Box(-np.ones(d), np.ones(d))
+        W = rng.uniform(-1, 1, (4, d) if per_row else d)
+        x = rng.uniform(-1, 1, d)
+        results = assert_stack_matches_rows(fs, W, x, 0.2, box)
+        assert len({r.inner_iterations for r in results}) > 1
+        for i, (f, r) in enumerate(zip(fs, results)):
+            y, steps, converged = projected_gradient_prox(
+                f, W if W.ndim == 1 else W[i], x, 0.2, box, 1e-10, 100_000)
+            assert (r.minimizer.tobytes(), r.inner_iterations, r.converged) == (
+                y.tobytes(), steps, converged)
+            assert converged
+
+    def test_mixed_separable_and_dense_rows_go_row_by_row(self, rng):
+        d = 4
+        diagonal = AffineQuadraticBifunction(rng.standard_normal((d, d)),
+                                             np.diag(rng.uniform(0.1, 2.0, d)),
+                                             rng.standard_normal(d))
+        fs = [dense_aq(rng, d), diagonal, dense_aq(rng, d, 3.0)]
+        box = Box(-np.ones(d), np.ones(d))
+        results = assert_stack_matches_rows(fs, rng.uniform(-1, 1, (3, d)),
+                                            rng.uniform(-1, 1, d), 0.2, box)
+        assert results[1].inner_iterations == 1
+        assert results[0].inner_iterations > 1
+
+    def test_row_by_row_projection_on_ball(self, rng):
+        d = 5
+        ball = Ball(np.zeros(d), 0.8)
+        x = rng.uniform(-1, 1, d)
+        fs = [dense_aq(rng, d, scale) for scale in (0.5, 4.0)]
+        assert_stack_matches_rows(fs, rng.uniform(-1, 1, (2, d)), x, 0.2, ball)
+        fs = [vi(monotone_matrix(rng, d), rng.standard_normal(d)) for _ in range(3)]
+        assert_stack_matches_rows(fs, rng.uniform(-1, 1, d), x, 0.3, ball)
+
+    def test_row_by_row_fallback_on_callable_operator(self, rng):
+        d = 3
+        M = monotone_matrix(rng, d)
+        fs = [vi(monotone_matrix(rng, d)),
+              ViInducedBifunction(CallableOperator(lambda y: np.tanh(M @ y), 2.0, d))]
+        box = Box(-np.ones(d), np.ones(d))
+        assert_stack_matches_rows(fs, rng.uniform(-1, 1, (2, d)), rng.uniform(-1, 1, d),
+                                  0.2, box)
+
+    def test_certified_rows_use_their_own_probe_generator(self, rng):
+        d = 4
+        box = Box(-np.ones(d), np.ones(d))
+        x = rng.uniform(-1, 1, d)
+        fs = [vi(monotone_matrix(rng, d), rng.standard_normal(d)) for _ in range(3)]
+        results = assert_stack_matches_rows(fs, rng.uniform(-1, 1, d), x, 0.3, box,
+                                            certify_probes=2, seed=5, n=7)
+        assert not any(np.isnan(r.certificate_gap) for r in results)
+        fs = [dense_aq(rng, d, scale) for scale in (0.5, 4.0)]
+        assert_stack_matches_rows(fs, rng.uniform(-1, 1, (2, d)), x, 0.2, box,
+                                  certify_probes=2, seed=5, n=7)
+
+    def test_row_at_max_inner_reports_like_one_row_solve(self, rng, monkeypatch):
+        import csepsolve.prox as prox_module
+
+        d = 6
+        fs = [dense_aq(rng, d, scale) for scale in (0.5, 5.0)]
+        box = Box(-np.ones(d), np.ones(d))
+        w, x = rng.uniform(-1, 1, d), rng.uniform(-1, 1, d)
+        monkeypatch.setattr(prox_module, "MAX_INNER", 3)
+        _, stacked = ProxSystem(fs, 0.2, box).solve(w, x, 1)
+        for f, r in zip(fs, stacked):
+            one_row = solve_prox(f, w, x, 0.2, box, max_inner=3)
+            y, _, converged = projected_gradient_prox(f, w, x, 0.2, box, 1e-10, 3)
+            assert (r.minimizer.tobytes(), r.inner_iterations) == (y.tobytes(), 3)
+            assert not r.converged
+            assert r.diagnostic == "projected gradient hit 3 iterations"
+            assert_same_result(r, one_row)

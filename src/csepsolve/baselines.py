@@ -21,6 +21,7 @@ from .errors import LinesearchFailed, MaxInnerIterationsExceeded, ParameterViola
 from .geometry import (
     as_point,
     dykstra,
+    norm,
     project_halfspace,
     project_halfspace_intersection,
 )
@@ -168,8 +169,8 @@ def run_hybrid_extragradient(
         y, z = res_y.minimizer, res_z.minimizer
         cuts = [build_c_cut(x, z, 0.0), build_q_cut(x0, x)]
         x_next = _project_onto_set_and_cuts(set_, faces, cuts, x0, counters)
-        residual = max(float(np.linalg.norm(y - x)), float(np.linalg.norm(z - x)))
-        return Step(x_next, cuts, [(z, 0.0)], residual, [res_y, res_z])
+        residual = max(norm(y - x), norm(z - x))
+        return Step(x_next, cuts, z[None], 0.0, residual, [res_y, res_z])
 
     return drive("extragradient", step, x0, tol, max_outer, counters,
                  known_point=known_point, check_invariants=check_invariants,
@@ -207,16 +208,16 @@ def run_armijo_hybrid(
         res_y = solve_prox(f, x, x, params.lam, set_, certify_probes=certify_probes,
                            rng=probe_rng(certify_probes, seed, n, 0))
         y = res_y.minimizer
-        residual = float(np.linalg.norm(y - x))
+        residual = norm(y - x)
         if residual <= tol:
-            return Step(x, [], [], residual, [res_y])
+            return Step(x, [], np.empty((0, x.size)), 0.0, residual, [res_y])
         m, z = armijo_linesearch(f, x, y, params.lam, params)
         sigma, g = armijo_step_size(f, z, y, m, params.eta)
         u = set_.project(x - sigma * g)
         counters.set_projections += 1
         cuts = [build_c_cut(x, u, 0.0), build_q_cut(x0, x)]
         x_next = _project_onto_set_and_cuts(set_, faces, cuts, x0, counters)
-        return Step(x_next, cuts, [(u, 0.0)], residual, [res_y])
+        return Step(x_next, cuts, u[None], 0.0, residual, [res_y])
 
     return drive("armijo", step, x0, tol, max_outer, counters,
                  known_point=known_point, check_invariants=check_invariants,

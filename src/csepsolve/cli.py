@@ -2,7 +2,9 @@
 
 Exit codes: 0 when a solve stops by tolerance, 1 on the outer-iteration
 cap, 2 for validation errors (bad files, bad parameters), 3 for runtime
-failures inside a run.
+failures inside a run, 4 when a solve ran without error but some inner
+solve stopped at its iteration cap (``solve`` only; this takes precedence
+over 0 and 1).
 """
 
 from __future__ import annotations
@@ -30,6 +32,13 @@ EXIT_OK = 0
 EXIT_MAX_OUTER = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+EXIT_INNER_NONCONVERGED = 4
+
+SOLVE_EXIT_CODES = (
+    "exit codes: 0 stopped by tolerance, 1 hit --max-outer, 2 validation error, "
+    "3 runtime failure, 4 an inner solve stopped at its iteration cap "
+    "(takes precedence over 0 and 1)"
+)
 
 _VALIDATION_ERRORS = (
     ParameterViolation,
@@ -63,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="run one algorithm on a problem file")
+    p_solve = sub.add_parser("solve", help="run one algorithm on a problem file",
+                             epilog=SOLVE_EXIT_CODES)
     p_solve.add_argument("problem")
     p_solve.add_argument("--algorithm", choices=ALGORITHMS, required=True)
     _add_solver_options(p_solve)
@@ -118,6 +128,11 @@ def _cmd_solve(args) -> int:
     if outcome.error:
         print(f"error: {outcome.error}", file=sys.stderr)
         return EXIT_RUNTIME
+    if outcome.first_nonconverged is not None:
+        first = outcome.first_nonconverged
+        print(f"inner solve stopped at its iteration cap (iteration {first.n}, "
+              f"subproblem {first.subproblem}): {first.diagnostic}", file=sys.stderr)
+        return EXIT_INNER_NONCONVERGED
     if outcome.stop_reason == STOP_TOLERANCE:
         return EXIT_OK
     if outcome.stop_reason == STOP_MAX_OUTER:

@@ -40,17 +40,27 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     p = np.asarray(x, dtype=float)
     if p.ndim != 1:
         raise DimensionMismatch(f"expected a 1-D point, got array of shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("point has non-finite coordinates")
     if dim is not None and p.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")
     return p
 
 
+def norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D vector, bit for bit as ``np.linalg.norm(v)``
+    (which for a real vector is the square root of its dot product)."""
+    return math.sqrt(float(v.dot(v)))
+
+
+def row_dots(D: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of D, bit for bit as ``D[i] @ D[i]``."""
+    return np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0]
+
+
 def row_norms(D: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of D, bit for bit as ``np.linalg.norm(D[i])``
-    (the norm of a 1-D vector is the square root of its dot product)."""
-    return np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
+    """Euclidean norm of each row of D, bit for bit as ``np.linalg.norm(D[i])``."""
+    return np.sqrt(row_dots(D))
 
 
 @dataclass
@@ -59,21 +69,27 @@ class HalfspaceCut:
 
     A cut with a numerically zero normal stands for the whole space when the
     residual scalar inequality 0 <= offset holds (up to -1e-12); otherwise it
-    denotes the empty set and is rejected at construction.
+    denotes the empty set and is rejected at construction.  ``norm_sq`` is
+    <normal, normal>, computed once here for the projections.
     """
 
     normal: np.ndarray
     offset: float
     is_whole_space: bool = field(init=False)
+    norm_sq: float = field(init=False)
 
     def __post_init__(self):
-        self.normal = np.asarray(self.normal, dtype=float)
+        self.normal = normal = np.asarray(self.normal, dtype=float)
         self.offset = float(self.offset)
-        if self.normal.ndim != 1:
+        if normal.ndim != 1:
             raise DimensionMismatch("cut normal must be a 1-D vector")
-        if not (np.all(np.isfinite(self.normal)) and np.isfinite(self.offset)):
+        # A finite sum of squares means finite entries; an infinite one
+        # may still come from finite entries whose squares overflow.
+        self.norm_sq = norm_sq = float(normal.dot(normal))
+        if not (math.isfinite(self.offset)
+                and (math.isfinite(norm_sq) or np.isfinite(normal).all())):
             raise ValueError("cut has non-finite data")
-        self.is_whole_space = float(np.linalg.norm(self.normal)) < DEGENERACY_THRESHOLD
+        self.is_whole_space = math.sqrt(norm_sq) < DEGENERACY_THRESHOLD
         if self.is_whole_space and self.offset < WHOLE_SPACE_OFFSET_FLOOR:
             raise DegenerateCut(
                 f"zero-normal cut with offset {self.offset:g} denotes the empty set"
@@ -231,7 +247,7 @@ class Polyhedron(FeasibleSet):
         for c in self.cuts:
             if c.is_whole_space:
                 continue
-            if c.violation(x) > tol * float(np.linalg.norm(c.normal)):
+            if c.violation(x) > tol * math.sqrt(c.norm_sq):
                 return False
         return True
 
@@ -260,7 +276,7 @@ def project_halfspace(cut: HalfspaceCut, x) -> np.ndarray:
     v = float(cut.normal @ x) - cut.offset
     if v <= 0.0:
         return x.copy()
-    return x - (v / float(cut.normal @ cut.normal)) * cut.normal
+    return x - (v / cut.norm_sq) * cut.normal
 
 
 def project_two_halfspaces(cut1: HalfspaceCut, cut2: HalfspaceCut, x0) -> np.ndarray:
@@ -284,13 +300,13 @@ def project_two_halfspaces(cut1: HalfspaceCut, cut2: HalfspaceCut, x0) -> np.nda
     if a2.size != a1.size:
         raise DimensionMismatch("cut normals have different dimensions")
 
-    n1 = float(a1 @ a1)
-    n2 = float(a2 @ a2)
+    n1, n2 = live[0].norm_sq, live[1].norm_sq
     v1 = float(a1 @ x0) - b1
     v2 = float(a2 @ x0) - b2
     # Feasibility slack scaled to the distance induced by each normal.
-    tol1 = 1e-12 * np.sqrt(n1) * (1.0 + float(np.linalg.norm(x0))) + 1e-15
-    tol2 = 1e-12 * np.sqrt(n2) * (1.0 + float(np.linalg.norm(x0))) + 1e-15
+    scale = 1.0 + norm(x0)
+    tol1 = 1e-12 * math.sqrt(n1) * scale + 1e-15
+    tol2 = 1e-12 * math.sqrt(n2) * scale + 1e-15
 
     if v1 <= tol1 and v2 <= tol2:
         return x0.copy()
@@ -370,7 +386,7 @@ def _dual_active_set(cuts, x0, tol):
     scale = np.sqrt(np.einsum("ij,ij->i", A, A))
     A /= scale[:, None]
     b = np.array([c.offset for c in cuts]) / scale
-    feas_tol = tol * (1.0 + math.sqrt(float(x0 @ x0)))
+    feas_tol = tol * (1.0 + norm(x0))
     Q = np.empty_like(A)
     T = np.zeros((len(cuts), len(cuts)))
     active: list[int] = []
@@ -438,10 +454,10 @@ def _orthogonal_part(Q, T, k, a):
 
 def _append_basis(Q, T, k, dz, r):
     """Extend the basis Q, T of k active normals by one whose new part is dz."""
-    norm = math.sqrt(float(dz @ dz))
-    Q[k] = dz / norm
-    T[:k, k] = [-ri / norm for ri in r]
-    T[k, k] = 1.0 / norm
+    length = norm(dz)
+    Q[k] = dz / length
+    T[:k, k] = [-ri / length for ri in r]
+    T[k, k] = 1.0 / length
 
 
 def dykstra(
@@ -466,9 +482,8 @@ def dykstra(
             s = x + corrections[i]
             x = proj(s)
             corrections[i] = s - x
-        if float(np.linalg.norm(x - start)) <= tol:
-            worst = max((float(np.linalg.norm(proj(x) - x)) for proj in projectors),
-                        default=0.0)
+        if norm(x - start) <= tol:
+            worst = max((norm(proj(x) - x) for proj in projectors), default=0.0)
             if worst <= tol:
                 return x
     raise MaxInnerIterationsExceeded(

@@ -38,8 +38,10 @@ from .errors import InfeasibleCut, ParameterViolation, SolverError
 from .geometry import (
     HalfspaceCut,
     as_point,
+    norm,
     project_halfspace,
     project_halfspace_intersection,
+    row_dots,
     row_norms,
 )
 from .outcome import (
@@ -137,7 +139,7 @@ def build_c_cut(x_n: np.ndarray, y_next: np.ndarray, eps: float) -> HalfspaceCut
     """
     diff = x_n - y_next
     rhs = float((x_n + y_next) @ diff) + eps
-    if float(np.linalg.norm(diff)) < 1e-14:
+    if norm(diff) < 1e-14:
         if rhs < -1e-12:
             raise InfeasibleCut(
                 f"cut degenerated to the contradiction 0 <= {rhs:g}"
@@ -162,14 +164,16 @@ class Step(NamedTuple):
     """What one outer iteration of an algorithm hands ``drive``.
 
     ``cuts`` ends with the Q-cut; it is empty when the step stopped before
-    building any, and then ``drive`` runs no checks.  ``near`` holds the
-    (point, eps) pairs bounded by the solution-distance check, and ``prox``
-    the inner solves the step made.
+    building any, and then ``drive`` runs no checks.  ``near`` is the (k, d)
+    stack of points bounded by the solution-distance check and ``eps`` their
+    correction term: one float shared by every row, or an array of k;
+    ``prox`` holds the inner solves the step made.
     """
 
     x_next: np.ndarray
     cuts: list[HalfspaceCut]
-    near: list[tuple[np.ndarray, float]]
+    near: np.ndarray
+    eps: float | np.ndarray
     residual: float
     prox: list[ProxResult]
     selected: int | None = None
@@ -201,14 +205,17 @@ def drive(
     Per iteration: checks that x_n is the projection of x0 onto the Q-cut,
     that ||x_{n+1} - x0|| does not decrease, and, given ``known_point``,
     that every cut contains it and that ||y - p||^2 <= ||x_n - p||^2 + eps
-    for each (y, eps) in ``Step.near``.  The first unconverged inner solve
+    for each row y of ``Step.near`` and its eps.  The trace records the
+    least and greatest eps.  The first unconverged inner solve
     is recorded with its subproblem index: its position in ``Step.prox``,
     or ``Step.selected`` when the step solved that one subproblem alone.
     """
+    known_sq = math.nan  # ||x - known_point||^2 for the current x
     if known_point is not None:
         known_point = as_point(known_point, x0.size)
+        known_sq = float((x0 - known_point) @ (x0 - known_point))
     violations = dict.fromkeys(VIOLATION_KEYS, 0)
-    anchor_tol = ANCHOR_PROJECTION_TOL * (1.0 + float(np.linalg.norm(x0)))
+    anchor_tol = ANCHOR_PROJECTION_TOL * (1.0 + norm(x0))
     trace: list[IterationRecord] = []
     iterates: list[np.ndarray] = []
     min_cert = np.inf
@@ -221,7 +228,7 @@ def drive(
     try:
         for n in range(1, max_outer + 1):
             t0 = time.perf_counter()
-            x_next, cuts, near, residual, results, selected = step(n, x)
+            x_next, cuts, near, eps, residual, results, selected = step(n, x)
             counters.prox_solves += len(results)
             for j, r in enumerate(results):
                 counters.set_projections += r.inner_iterations
@@ -233,15 +240,15 @@ def drive(
                 if not math.isnan(r.certificate_gap):
                     min_cert = min(min_cert, r.certificate_gap)
 
-            step_norm = float(np.linalg.norm(x_next - x))
+            step_norm = norm(x_next - x)
 
             if check_invariants and cuts:
                 q_cut = cuts[-1]
                 if not q_cut.is_whole_space:
                     p = project_halfspace(q_cut, x0)
-                    if float(np.linalg.norm(p - x)) > anchor_tol:
+                    if norm(p - x) > anchor_tol:
                         violations["anchor_projection"] += 1
-                next_dist = float(np.linalg.norm(x_next - x0))
+                next_dist = norm(x_next - x0)
                 if next_dist < anchor_dist - MONOTONE_SLACK:
                     violations["anchor_monotonicity"] += 1
                 anchor_dist = next_dist
@@ -249,26 +256,24 @@ def drive(
                     for cut in cuts:
                         if cut.violation(known_point) > CONTAINMENT_SLACK:
                             violations["cut_containment"] += 1
-                    ref_sq = float((x - known_point) @ (x - known_point))
-                    for y_pt, eps_val in near:
-                        lhs = float((y_pt - known_point) @ (y_pt - known_point))
-                        if lhs > ref_sq + eps_val + DISTANCE_BOUND_SLACK:
-                            violations["solution_distance_bound"] += 1
+                    lhs = row_dots(near - known_point)
+                    violations["solution_distance_bound"] += int(np.count_nonzero(
+                        lhs > (known_sq + eps) + DISTANCE_BOUND_SLACK))
 
-            dist_known = (
-                float(np.linalg.norm(x_next - known_point))
-                if known_point is not None
-                else float("nan")
+            if known_point is not None:
+                to_known = x_next - known_point
+                known_sq = float(to_known @ to_known)
+            eps_min, eps_max = (
+                (eps, eps) if isinstance(eps, float) else (float(eps.min()), float(eps.max()))
             )
-            eps = [e for _, e in near] or [0.0]
             trace.append(
                 IterationRecord(
                     n=n,
                     step_norm=step_norm,
                     residual=residual,
-                    eps_min=min(eps),
-                    eps_max=max(eps),
-                    dist_to_known=dist_known,
+                    eps_min=eps_min,
+                    eps_max=eps_max,
+                    dist_to_known=math.sqrt(known_sq),
                     wall_ms=(time.perf_counter() - t0) * 1e3,
                     degenerate_cuts=sum(c.is_whole_space for c in cuts),
                     selected_index=selected,
@@ -364,28 +369,23 @@ def _parallel_step(params, lips, x0, y_init, system):
     """Every subproblem from its own previous solution; one C-cut each."""
     n_problems = len(lips)
     x_prev = x0
-    y_prev = y_cur = np.tile(y_init, (n_problems, 1))
+    y_cur = np.tile(y_init, (n_problems, 1))
+    dy_prev = [0.0] * n_problems  # ||y_cur[i] - y_prev[i]||^2, the previous dy
 
     def step(n, x):
-        nonlocal x_prev, y_prev, y_cur
-        dx2 = float((x - x_prev) @ (x - x_prev))
+        nonlocal x_prev, y_cur, dy_prev
+        dx = x - x_prev
+        dx2 = float(dx @ dx)
         y_next, results = system.solve(y_cur, x, n)
-        eps_list = [
-            epsilon(
-                params,
-                lips[i],
-                dx2,
-                float((y_cur[i] - y_prev[i]) @ (y_cur[i] - y_prev[i])),
-                float((y_next[i] - y_cur[i]) @ (y_next[i] - y_cur[i])),
-            )
-            for i in range(n_problems)
-        ]
+        dy = row_dots(y_next - y_cur).tolist()
+        eps_list = [epsilon(params, lips[i], dx2, dy_prev[i], dy[i])
+                    for i in range(n_problems)]
         cuts = [build_c_cut(x, y_next[i], eps_list[i]) for i in range(n_problems)]
         cuts.append(build_q_cut(x0, x))
         x_next = project_halfspace_intersection(cuts, x0)
         residual = float(row_norms(y_next - x).max())
-        x_prev, y_prev, y_cur = x, y_cur, y_next
-        return Step(x_next, cuts, list(zip(y_next, eps_list)), residual, results)
+        x_prev, y_cur, dy_prev = x, y_next, dy
+        return Step(x_next, cuts, y_next, np.array(eps_list), residual, results)
 
     return step
 
@@ -401,34 +401,32 @@ def _shared_anchor_step(params, lips, x0, y_init, prox, system, cyclic):
     n_problems = len(lips)
     lip = LipschitzData(max(d.c1 for d in lips), max(d.c2 for d in lips))
     x_prev = x0
-    ybar_prev = ybar = y_init
+    ybar = y_init
+    dy_prev = 0.0  # ||ybar - ybar_prev||^2, the previous step's dy
     last_y = [y_init] * n_problems
 
     def step(n, x):
-        nonlocal x_prev, ybar_prev, ybar
-        dx2 = float((x - x_prev) @ (x - x_prev))
+        nonlocal x_prev, ybar, dy_prev
+        dx = x - x_prev
+        dx2 = float(dx @ dx)
         if cyclic:
             selected = cyclic_index(n, n_problems)
             results = [prox(selected, ybar, x, n)]
             y_next = last_y[selected] = results[0].minimizer
-            residual = max(float(np.linalg.norm(y - x)) for y in last_y)
+            residual = max(norm(y - x) for y in last_y)
         else:
             Y, results = system.solve(ybar, x, n)
             dists = row_norms(Y - x)
             selected = int(np.argmax(dists))
             y_next = Y[selected]
             residual = float(dists[selected])
-        eps = epsilon(
-            params,
-            lip,
-            dx2,
-            float((ybar - ybar_prev) @ (ybar - ybar_prev)),
-            float((y_next - ybar) @ (y_next - ybar)),
-        )
+        dy = y_next - ybar
+        dy2 = float(dy @ dy)
+        eps = epsilon(params, lip, dx2, dy_prev, dy2)
         cuts = [build_c_cut(x, y_next, eps), build_q_cut(x0, x)]
         x_next = project_halfspace_intersection(cuts, x0)
-        near = [(y_next, eps)] if cyclic else [(y, eps) for y in Y]
-        x_prev, ybar_prev, ybar = x, ybar, y_next
-        return Step(x_next, cuts, near, residual, results, selected)
+        near = y_next[None] if cyclic else Y
+        x_prev, ybar, dy_prev = x, y_next, dy2
+        return Step(x_next, cuts, near, eps, residual, results, selected)
 
     return step

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteObjective
-from .geometry import Box, FeasibleSet, WholeSpace, row_norms
+from .geometry import Box, FeasibleSet, WholeSpace, norm, row_norms
 from .problems import (
     AffineOperator,
     AffineQuadraticBifunction,
@@ -296,7 +296,7 @@ def _solve_blackbox(f, w, x, lam, set_, tol, max_inner):
     for it in range(1, max_inner + 1):
         s = f.subgrad2(w, y)
         target = set_.project(x - lam * s)
-        residual = float(np.linalg.norm(target - y))
+        residual = norm(target - y)
         if residual < best_res:
             best_res, best = residual, target
         if residual <= tol:
@@ -310,7 +310,7 @@ def _solve_blackbox(f, w, x, lam, set_, tol, max_inner):
         if averaging_from is not None:
             beta = 2.0 / (it - averaging_from + 2.0)
         y = y + beta * (target - y)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise NonFiniteObjective("subgradient iteration diverged")
     return ProxResult(
         minimizer=best,

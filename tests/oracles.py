@@ -127,3 +127,54 @@ def projected_gradient_prox(f, w, x, lam, set_, tol, max_inner):
             return y_new, it + 1, True
         y = y_new
     return y, max_inner, False
+
+
+def project_two_halfspaces_reference(cut1, cut2, x0):
+    """The two-halfspace closed form as first written: each squared normal
+    and the anchor norm recomputed where used.  ``project_two_halfspaces``
+    must return the same bytes, or raise EmptyIntersection in the same
+    cases."""
+    from csepsolve import EmptyIntersection
+
+    def project_one(cut, x):
+        a = cut.normal
+        v = float(a @ x) - cut.offset
+        if v <= 0.0:
+            return x.copy()
+        return x - (v / float(a @ a)) * a
+
+    x0 = np.asarray(x0, dtype=float)
+    live = [c for c in (cut1, cut2) if not c.is_whole_space]
+    if not live:
+        return x0.copy()
+    if len(live) == 1:
+        return project_one(live[0], x0)
+
+    a1, b1 = live[0].normal, live[0].offset
+    a2, b2 = live[1].normal, live[1].offset
+    n1 = float(a1 @ a1)
+    n2 = float(a2 @ a2)
+    v1 = float(a1 @ x0) - b1
+    v2 = float(a2 @ x0) - b2
+    tol1 = 1e-12 * np.sqrt(n1) * (1.0 + float(np.linalg.norm(x0))) + 1e-15
+    tol2 = 1e-12 * np.sqrt(n2) * (1.0 + float(np.linalg.norm(x0))) + 1e-15
+
+    if v1 <= tol1 and v2 <= tol2:
+        return x0.copy()
+    if v1 > 0.0:
+        z = x0 - (v1 / n1) * a1
+        if float(a2 @ z) - b2 <= tol2:
+            return z
+    if v2 > 0.0:
+        z = x0 - (v2 / n2) * a2
+        if float(a1 @ z) - b1 <= tol1:
+            return z
+
+    g12 = float(a1 @ a2)
+    det = n1 * n2 - g12 * g12
+    if det > 1e-16 * n1 * n2:
+        mu1 = (n2 * v1 - g12 * v2) / det
+        mu2 = (n1 * v2 - g12 * v1) / det
+        if mu1 >= -1e-12 and mu2 >= -1e-12:
+            return x0 - max(mu1, 0.0) * a1 - max(mu2, 0.0) * a2
+    raise EmptyIntersection("two-halfspace projection found no feasible case")

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from csepsolve.cli import main
@@ -57,6 +58,47 @@ class TestSolve:
         code = main(["solve", SCALAR, "--algorithm", "single",
                      "--lambda", "0.8", "--k", "8", "--rule", "relaxed"])
         assert code == 0
+
+    def test_inner_nonconvergence_exit_four(self, capsys, tmp_path, monkeypatch):
+        import csepsolve.prox as prox_module
+
+        rng = np.random.default_rng(3)
+        d = 4
+        C = rng.standard_normal((d, d))
+        dense_q = C @ C.T
+        # both Q are dense, so the two subproblems are solved in one stacked
+        # projected-gradient loop; the nearly zero Q_0 converges in 3 steps
+        # and the row of Q_1 stops at the cap
+        bifunctions = [
+            {"type": "affine_quadratic", "P": np.diag([1.0, 2.0, 1.5, 1.0]).tolist(),
+             "Q": np.full((d, d), 1e-12).tolist(), "q": [0.0] * d},
+            {"type": "affine_quadratic", "P": (dense_q + np.eye(d)).tolist(),
+             "Q": dense_q.tolist(), "q": [0.0] * d},
+        ]
+        path = tmp_path / "dense_aq.json"
+        path.write_text(json.dumps({
+            "dimension": d,
+            "set": {"type": "box", "lower": [-1.0] * d, "upper": [1.0] * d},
+            "bifunctions": bifunctions,
+            "x0": [0.5] * d,
+            "known_solution": {"type": "singleton", "point": [0.0] * d},
+        }))
+        monkeypatch.setattr(prox_module, "MAX_INNER", 3)
+        code = main(["solve", str(path), "--algorithm", "maxsel", "--lambda", "0.05",
+                     "--k", "6", "--tol", "0", "--max-outer", "4"])
+        captured = capsys.readouterr()
+        # the run itself stopped at the outer cap (exit 1 without the
+        # unconverged inner solve)
+        assert "stop_reason: max_outer" in captured.out
+        assert code == 4
+        assert ("iteration 1, subproblem 1): projected gradient hit 3 iterations"
+                in captured.err)
+
+    def test_exit_codes_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "4 an inner solve stopped at its iteration cap" in help_text
 
     @pytest.mark.parametrize("algorithm", ["parallel", "maxsel", "sequential"])
     def test_multi_algorithms_on_system(self, capsys, algorithm):

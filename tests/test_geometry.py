@@ -18,6 +18,7 @@ from csepsolve import (
     project_halfspace_intersection,
     project_two_halfspaces,
 )
+from csepsolve.geometry import norm, row_dots, row_norms
 
 from oracles import project_ldp_nnls, project_polyhedron_enumerate
 
@@ -105,6 +106,52 @@ class TestHalfspace:
         c = cut([0.0, 0.0], 0.5)
         assert c.is_whole_space
         assert np.allclose(project_halfspace(c, [4.0, -1.0]), [4.0, -1.0])
+
+
+class TestBitwiseFastPaths:
+    """The one-dot forms give the bits of the numpy calls they replace."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 100, 257])
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_norm_matches_linalg_norm(self, d, scale, rng):
+        for _ in range(20):
+            v = rng.standard_normal(d) * scale
+            assert norm(v) == float(np.linalg.norm(v))
+
+    @pytest.mark.parametrize("d", [1, 3, 100])
+    def test_row_forms_match_each_row(self, d, rng):
+        D = rng.standard_normal((16, d))
+        dots, norms = row_dots(D), row_norms(D)
+        for i, row in enumerate(D):
+            assert dots[i] == float(row @ row)
+            assert norms[i] == float(np.linalg.norm(row))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_cut_rejects_non_finite_data(self, bad):
+        with pytest.raises(ValueError):
+            cut([1.0, bad], 0.0)
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            cut([1e200, bad], 0.0)
+        with pytest.raises(ValueError):
+            cut([1.0, 0.0], bad)
+
+    def test_zero_normal_below_floor_rejected(self):
+        with pytest.raises(DegenerateCut):
+            cut([0.0, 0.0, 0.0], -1.1e-12)
+        assert cut([0.0, 0.0, 0.0], -0.9e-12).is_whole_space
+
+    def test_overflowing_finite_normal_constructs(self):
+        with np.errstate(over="ignore"):
+            c = cut([1e200, 1e200], 1.0)
+        assert not c.is_whole_space
+        assert c.norm_sq == np.inf
+
+    def test_norm_sq_is_the_dot(self, rng):
+        for d in (1, 2, 3, 50):
+            a = rng.standard_normal(d)
+            c = cut(a, 0.5)
+            assert c.norm_sq == float(c.normal @ c.normal)
+            assert c.is_whole_space == (float(np.linalg.norm(a)) < 1e-14)
 
 
 class TestTwoHalfspaces:

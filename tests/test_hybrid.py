@@ -23,6 +23,8 @@ from csepsolve import (
     run_single,
     validate_params,
 )
+from csepsolve.hybrid import Step, drive
+from csepsolve.outcome import RunCounters
 
 from conftest import csep2_instance, csep3_plane_instance, halfline_instance, scalar_1d_instance
 
@@ -348,3 +350,41 @@ class TestRunners:
         assert out.error is None
         assert out.total_violations == 0
         assert np.linalg.norm(out.final_x) < 1e-2
+
+
+class TestDrive:
+    def test_solution_distance_check_counts_each_row(self):
+        p = np.zeros(2)
+        x0 = np.array([1.0, 0.0])
+        near = np.array([[0.5, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, 1.2]])
+        eps = np.array([0.0, 0.0, 0.5, 0.3])
+
+        # x stays at x0, where ||x - p||^2 = 1: rows 1 (4 > 1) and 3
+        # (1.44 > 1 + 0.3) break the bound, rows 0 and 2 do not
+        def step(n, x):
+            return Step(x, [build_q_cut(x0, x)], near, eps, 1.0, [])
+
+        out = drive("fixed", step, x0, 0.0, 3, RunCounters(), known_point=p)
+        assert out.invariant_violations["solution_distance_bound"] == 6
+        assert sum(out.invariant_violations.values()) == 6
+        assert [(r.eps_min, r.eps_max) for r in out.trace] == [(0.0, 0.5)] * 3
+
+    def test_shared_eps_bounds_every_row(self):
+        x0 = np.array([1.0, 0.0])
+        near = np.array([[0.5, 0.0], [2.0, 0.0], [0.0, 1.2]])
+
+        # one eps = 0.3 for all rows: rows 1 and 2 break the bound
+        def step(n, x):
+            return Step(x, [build_q_cut(x0, x)], near, 0.3, 1.0, [])
+
+        out = drive("fixed", step, x0, 0.0, 2, RunCounters(), known_point=np.zeros(2))
+        assert out.invariant_violations["solution_distance_bound"] == 4
+        assert [(r.eps_min, r.eps_max) for r in out.trace] == [(0.3, 0.3)] * 2
+
+    def test_step_without_cuts_runs_no_checks(self):
+        def step(n, x):
+            return Step(x, [], np.empty((0, x.size)), 0.0, 1.0, [])
+
+        out = drive("fixed", step, np.ones(2), 0.0, 2, RunCounters(), known_point=[5.0, 5.0])
+        assert sum(out.invariant_violations.values()) == 0
+        assert [(r.eps_min, r.eps_max) for r in out.trace] == [(0.0, 0.0)] * 2

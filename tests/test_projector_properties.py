@@ -1,9 +1,10 @@
-"""Property tests of the many-halfspace projector against an NNLS oracle.
+"""Property tests of the halfspace projectors.
 
 Random systems in d <= 6 with 3-12 cuts, including duplicated and rescaled
 normals: feasible systems (planted point, some offsets tight) must project
 to a feasible point that matches Lawson and Hanson's LDP/NNLS solution, and
 systems made empty by a Farkas combination must raise EmptyIntersection.
+Random pairs of cuts must project bit for bit as the reference closed form.
 """
 
 import numpy as np
@@ -14,9 +15,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from csepsolve import EmptyIntersection, HalfspaceCut, project_halfspace_intersection  # noqa: E402
+from csepsolve import (  # noqa: E402
+    EmptyIntersection,
+    HalfspaceCut,
+    project_halfspace_intersection,
+    project_two_halfspaces,
+)
 
-from oracles import project_ldp_nnls  # noqa: E402
+from oracles import project_ldp_nnls, project_two_halfspaces_reference  # noqa: E402
 
 systems = st.fixed_dictionaries({
     "seed": st.integers(0, 2**32 - 1),
@@ -79,3 +85,49 @@ def test_empty_systems_raise(params):
 
     with pytest.raises(EmptyIntersection):
         project_halfspace_intersection(cuts, x0)
+
+
+pairs = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "d": st.integers(1, 6),
+    "kind": st.sampled_from(["generic", "whole_first", "whole_second", "both_whole",
+                             "parallel", "antiparallel", "feasible_x0"]),
+    "log_scale": st.floats(0.0, 3.0),
+})
+
+
+def random_pair(rng, d, kind, log_scale):
+    """Two cuts and a starting point of the given kind; offsets are drawn
+    around the cut values at a random point, so each case is reached."""
+    x0 = 3.0 * rng.standard_normal(d)
+    a1, a2 = rng.standard_normal((2, d)) * 10.0 ** rng.uniform(-log_scale, log_scale, (2, 1))
+    if kind == "parallel":
+        a2 = rng.uniform(0.1, 10.0) * a1
+    elif kind == "antiparallel":
+        a2 = -rng.uniform(0.1, 10.0) * a1
+    p = rng.standard_normal(d)
+    b1, b2 = float(a1 @ p), float(a2 @ p)
+    b1 += float(rng.standard_normal()) * (rng.random() < 0.7)
+    b2 += float(rng.standard_normal()) * (rng.random() < 0.7)
+    if kind == "feasible_x0":
+        b1 = float(a1 @ x0) + abs(b1 - float(a1 @ p))
+        b2 = float(a2 @ x0) + abs(b2 - float(a2 @ p))
+    if kind in ("whole_first", "both_whole"):
+        a1, b1 = np.zeros(d), abs(b1)
+    if kind in ("whole_second", "both_whole"):
+        a2, b2 = np.zeros(d), abs(b2)
+    return HalfspaceCut(a1, b1), HalfspaceCut(a2, b2), x0
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs)
+def test_two_halfspaces_match_reference_bytes(params):
+    rng = np.random.default_rng(params["seed"])
+    cut1, cut2, x0 = random_pair(rng, params["d"], params["kind"], params["log_scale"])
+    try:
+        expected = project_two_halfspaces_reference(cut1, cut2, x0)
+    except EmptyIntersection:
+        with pytest.raises(EmptyIntersection):
+            project_two_halfspaces(cut1, cut2, x0)
+        return
+    assert project_two_halfspaces(cut1, cut2, x0).tobytes() == expected.tobytes()

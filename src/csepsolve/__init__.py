@@ -7,6 +7,9 @@ classical baselines for comparison, and a harness that certifies the
 per-iteration inequalities behind the convergence guarantees.
 """
 
+# Set before the submodules load: the harness records it in run summaries.
+__version__ = "0.1.0"
+
 from .errors import (
     ConstantsMissing,
     DegenerateCut,
@@ -99,5 +102,3 @@ from .harness import (
     register_blackbox,
     run,
 )
-
-__version__ = "0.1.0"

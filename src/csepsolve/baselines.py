@@ -25,7 +25,7 @@ from .geometry import (
     project_halfspace,
     project_halfspace_intersection,
 )
-from .hybrid import Step, build_c_cut, build_q_cut, drive
+from .hybrid import Step, build_c_cut, build_q_cut, drive, squared_step
 from .outcome import RunCounters, SolverOutcome
 from .problems import CsepInstance
 from .prox import probe_rng, solve_prox
@@ -170,7 +170,8 @@ def run_hybrid_extragradient(
         cuts = [build_c_cut(x, z, 0.0), build_q_cut(x0, x)]
         x_next = _project_onto_set_and_cuts(set_, faces, cuts, x0, counters)
         residual = max(norm(y - x), norm(z - x))
-        return Step(x_next, cuts, z[None], 0.0, residual, [res_y, res_z])
+        return Step(x_next, squared_step(x_next, x), cuts, z[None], 0.0, residual,
+                    [res_y, res_z])
 
     return drive("extragradient", step, x0, tol, max_outer, counters,
                  known_point=known_point, check_invariants=check_invariants,
@@ -210,14 +211,14 @@ def run_armijo_hybrid(
         y = res_y.minimizer
         residual = norm(y - x)
         if residual <= tol:
-            return Step(x, [], np.empty((0, x.size)), 0.0, residual, [res_y])
+            return Step(x, 0.0, [], np.empty((0, x.size)), 0.0, residual, [res_y])
         m, z = armijo_linesearch(f, x, y, params.lam, params)
         sigma, g = armijo_step_size(f, z, y, m, params.eta)
         u = set_.project(x - sigma * g)
         counters.set_projections += 1
         cuts = [build_c_cut(x, u, 0.0), build_q_cut(x0, x)]
         x_next = _project_onto_set_and_cuts(set_, faces, cuts, x0, counters)
-        return Step(x_next, cuts, u[None], 0.0, residual, [res_y])
+        return Step(x_next, squared_step(x_next, x), cuts, u[None], 0.0, residual, [res_y])
 
     return drive("armijo", step, x0, tol, max_outer, counters,
                  known_point=known_point, check_invariants=check_invariants,

@@ -20,6 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+try:  # the ufunc behind np.clip, without its Python wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 from .errors import (
     DegenerateCut,
     DimensionMismatch,
@@ -34,9 +39,19 @@ DEGENERACY_THRESHOLD = 1e-14
 # are contradictory and rejected.
 WHOLE_SPACE_OFFSET_FLOOR = -1e-12
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
-    """Coerce ``x`` to a finite 1-D float64 vector, optionally of dimension ``dim``."""
+    """Coerce ``x`` to a finite 1-D float64 vector, optionally of dimension ``dim``.
+
+    A float64 vector of the right size is returned as is when its sum of
+    squares is finite (then so is every entry); anything else, an overflowing
+    sum of finite squares included, takes the full check.
+    """
+    if (type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1
+            and (dim is None or x.size == dim) and math.isfinite(x.dot(x))):
+        return x
     p = np.asarray(x, dtype=float)
     if p.ndim != 1:
         raise DimensionMismatch(f"expected a 1-D point, got array of shape {p.shape}")
@@ -143,7 +158,7 @@ class Box(FeasibleSet):
         return self.lower.size
 
     def project(self, x):
-        return np.clip(x, self.lower, self.upper)
+        return _clip(x, self.lower, self.upper)
 
     def contains(self, x, tol=1e-10):
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from . import __version__
 from .baselines import ArmijoParams, run_armijo_hybrid, run_hybrid_extragradient
 from .errors import (
     ConstantsMissing,
@@ -450,9 +452,11 @@ def run(spec: RunSpec) -> SolverOutcome:
 
 
 def summarize(spec: RunSpec, outcome: SolverOutcome, wall_ms: float) -> dict:
-    """The run record: outcome, work counters, and the parameters in ``spec``
-    (``k`` and ``rule`` for the hybrid variants, ``eta`` for armijo), and
-    the first unconverged inner solve when there was one."""
+    """The run record: outcome, work counters, the parameters in ``spec``
+    (``k`` and ``rule`` for the hybrid variants, ``eta`` for armijo), the
+    versions of csepsolve, numpy and Python, and the first unconverged inner
+    solve when there was one.  A ``RunSpec`` built from these fields
+    reproduces ``final_x`` bit for bit on the same versions."""
     summary = {
         "problem": spec.problem_path,
         "algorithm": spec.algorithm,
@@ -470,6 +474,12 @@ def summarize(spec: RunSpec, outcome: SolverOutcome, wall_ms: float) -> dict:
         "seed": spec.seed,
         "tol": spec.tol,
         "max_outer": spec.max_outer,
+        "certify_probes": spec.certify_probes,
+        "versions": {
+            "csepsolve": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        },
     }
     if spec.algorithm in HYBRID_ALGORITHMS:
         summary["k"] = spec.k

@@ -163,20 +163,30 @@ def cyclic_index(n: int, n_problems: int) -> int:
 class Step(NamedTuple):
     """What one outer iteration of an algorithm hands ``drive``.
 
-    ``cuts`` ends with the Q-cut; it is empty when the step stopped before
-    building any, and then ``drive`` runs no checks.  ``near`` is the (k, d)
-    stack of points bounded by the solution-distance check and ``eps`` their
-    correction term: one float shared by every row, or an array of k;
-    ``prox`` holds the inner solves the step made.
+    ``step_sq`` is ||x_next - x||^2 (``squared_step``); ``drive`` takes its
+    square root as the step norm, and the step keeps it as the next
+    iteration's squared displacement.  ``cuts`` ends with the Q-cut; it is
+    empty when the step stopped before building any, and then ``drive`` runs
+    no checks.  ``near`` is the (k, d) stack of points bounded by the
+    solution-distance check and ``eps`` their correction term: one float
+    shared by every row, or an array of k; ``prox`` holds the inner solves
+    the step made.
     """
 
     x_next: np.ndarray
+    step_sq: float
     cuts: list[HalfspaceCut]
     near: np.ndarray
     eps: float | np.ndarray
     residual: float
     prox: list[ProxResult]
     selected: int | None = None
+
+
+def squared_step(x_next: np.ndarray, x: np.ndarray) -> float:
+    """||x_next - x||^2; its square root is ``norm(x_next - x)`` bit for bit."""
+    d = x_next - x
+    return float(d.dot(d))
 
 
 def require_one_worker(workers: int) -> None:
@@ -228,7 +238,7 @@ def drive(
     try:
         for n in range(1, max_outer + 1):
             t0 = time.perf_counter()
-            x_next, cuts, near, eps, residual, results, selected = step(n, x)
+            x_next, step_sq, cuts, near, eps, residual, results, selected = step(n, x)
             counters.prox_solves += len(results)
             for j, r in enumerate(results):
                 counters.set_projections += r.inner_iterations
@@ -240,7 +250,7 @@ def drive(
                 if not math.isnan(r.certificate_gap):
                     min_cert = min(min_cert, r.certificate_gap)
 
-            step_norm = norm(x_next - x)
+            step_norm = math.sqrt(step_sq)
 
             if check_invariants and cuts:
                 q_cut = cuts[-1]
@@ -368,14 +378,12 @@ def _run(
 def _parallel_step(params, lips, x0, y_init, system):
     """Every subproblem from its own previous solution; one C-cut each."""
     n_problems = len(lips)
-    x_prev = x0
+    dx2 = 0.0  # ||x_n - x_{n-1}||^2, the previous step's step_sq
     y_cur = np.tile(y_init, (n_problems, 1))
     dy_prev = [0.0] * n_problems  # ||y_cur[i] - y_prev[i]||^2, the previous dy
 
     def step(n, x):
-        nonlocal x_prev, y_cur, dy_prev
-        dx = x - x_prev
-        dx2 = float(dx @ dx)
+        nonlocal dx2, y_cur, dy_prev
         y_next, results = system.solve(y_cur, x, n)
         dy = row_dots(y_next - y_cur).tolist()
         eps_list = [epsilon(params, lips[i], dx2, dy_prev[i], dy[i])
@@ -384,8 +392,9 @@ def _parallel_step(params, lips, x0, y_init, system):
         cuts.append(build_q_cut(x0, x))
         x_next = project_halfspace_intersection(cuts, x0)
         residual = float(row_norms(y_next - x).max())
-        x_prev, y_cur, dy_prev = x, y_next, dy
-        return Step(x_next, cuts, y_next, np.array(eps_list), residual, results)
+        step_sq = squared_step(x_next, x)
+        dx2, y_cur, dy_prev = step_sq, y_next, dy
+        return Step(x_next, step_sq, cuts, y_next, np.array(eps_list), residual, results)
 
     return step
 
@@ -400,24 +409,22 @@ def _shared_anchor_step(params, lips, x0, y_init, prox, system, cyclic):
     """
     n_problems = len(lips)
     lip = LipschitzData(max(d.c1 for d in lips), max(d.c2 for d in lips))
-    x_prev = x0
+    dx2 = 0.0  # ||x_n - x_{n-1}||^2, the previous step's step_sq
     ybar = y_init
     dy_prev = 0.0  # ||ybar - ybar_prev||^2, the previous step's dy
-    last_y = [y_init] * n_problems
+    last_Y = np.tile(y_init, (n_problems, 1))  # latest solution of each subproblem
 
     def step(n, x):
-        nonlocal x_prev, ybar, dy_prev
-        dx = x - x_prev
-        dx2 = float(dx @ dx)
+        nonlocal dx2, ybar, dy_prev
         if cyclic:
             selected = cyclic_index(n, n_problems)
             results = [prox(selected, ybar, x, n)]
-            y_next = last_y[selected] = results[0].minimizer
-            residual = max(norm(y - x) for y in last_y)
+            y_next = last_Y[selected] = results[0].minimizer
+            residual = float(row_norms(last_Y - x).max())
         else:
             Y, results = system.solve(ybar, x, n)
             dists = row_norms(Y - x)
-            selected = int(np.argmax(dists))
+            selected = int(dists.argmax())
             y_next = Y[selected]
             residual = float(dists[selected])
         dy = y_next - ybar
@@ -426,7 +433,8 @@ def _shared_anchor_step(params, lips, x0, y_init, prox, system, cyclic):
         cuts = [build_c_cut(x, y_next, eps), build_q_cut(x0, x)]
         x_next = project_halfspace_intersection(cuts, x0)
         near = y_next[None] if cyclic else Y
-        x_prev, ybar, dy_prev = x, y_next, dy2
-        return Step(x_next, cuts, near, eps, residual, results, selected)
+        step_sq = squared_step(x_next, x)
+        dx2, ybar, dy_prev = step_sq, y_next, dy2
+        return Step(x_next, step_sq, cuts, near, eps, residual, results, selected)
 
     return step

@@ -158,13 +158,17 @@ class ViInducedBifunction(Bifunction):
 
 @dataclass
 class AffineQuadraticBifunction(Bifunction):
-    """f(x, y) = <P x + Q y + q, y - x>; convex in y when Q + Q^T is PSD."""
+    """f(x, y) = <P x + Q y + q, y - x>; convex in y when Q + Q^T is PSD.
+
+    ``diagonal`` is the diagonal of Q when Q is diagonal, else None.
+    """
 
     P: np.ndarray
     Q: np.ndarray
     q: np.ndarray
     lipschitz: LipschitzData | None = None
     _sym_norm: float | None = field(default=None, repr=False)
+    diagonal: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.P = np.asarray(self.P, dtype=float)
@@ -173,6 +177,8 @@ class AffineQuadraticBifunction(Bifunction):
         d = self.q.size
         if self.P.shape != (d, d) or self.Q.shape != (d, d):
             raise DimensionMismatch("P, Q must be d-by-d matching q")
+        diag = np.diagonal(self.Q)
+        self.diagonal = diag if np.count_nonzero(self.Q - np.diag(diag)) == 0 else None
 
     @property
     def dimension(self) -> int | None:

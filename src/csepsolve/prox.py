@@ -24,12 +24,13 @@ each row's result bit for bit, so both calls agree exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteObjective
-from .geometry import Box, FeasibleSet, WholeSpace, norm, row_norms
+from .geometry import Box, FeasibleSet, WholeSpace, norm, row_dots
 from .problems import (
     AffineOperator,
     AffineQuadraticBifunction,
@@ -101,7 +102,9 @@ def solve_prox(
         if diag is None:
             result = _ProjectedGradientStack([f], lam, set_).solve(w, x, tol, max_inner)[1][0]
         else:
-            y = _coordinatewise_rows(f.P[None], f.q[None], diag[None], w, x, lam, set_)[0]
+            diag = diag[None]
+            y = _coordinatewise_rows(f.P[None], f.q[None], diag, _denominator(diag, lam),
+                                     w, x, lam, set_)[0]
             result = ProxResult(minimizer=y)
     else:
         result = _solve_blackbox(f, w, x, lam, set_, tol, max_inner)
@@ -156,7 +159,9 @@ class ProxSystem:
 
 
 def _require_finite(Y: np.ndarray) -> None:
-    if not np.isfinite(Y).all():
+    # A finite sum means finite entries; an infinite one may still come from
+    # finite entries that overflow when added.
+    if not (math.isfinite(np.add.reduce(Y, axis=None)) or np.isfinite(Y).all()):
         raise NonFiniteObjective("inner subproblem produced non-finite iterate")
 
 
@@ -169,17 +174,17 @@ def _matvec(S: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.matmul(S, W) if W.ndim == 1 else np.matmul(S, W[..., None])[..., 0]
 
 
-def _project_rows(set_: FeasibleSet, Y: np.ndarray) -> np.ndarray:
-    """Projection of each row of Y onto the set."""
+def _row_projector(set_: FeasibleSet):
+    """The map projecting each row of a (k, d) stack onto the set."""
     if isinstance(set_, ROWWISE_SETS):
-        return set_.project(Y)
-    return np.array([set_.project(y) for y in Y])
+        return set_.project
+    return lambda Y: np.array([set_.project(y) for y in Y])
 
 
 def _vi_rows(A: np.ndarray, x, lam, set_) -> np.ndarray:
     """Exact operator-induced minimizers P_C(x - lam*A_i), one per row of
     the operator values A."""
-    Y = _project_rows(set_, x - lam * A)
+    Y = _row_projector(set_)(x - lam * A)
     _require_finite(Y)
     return Y
 
@@ -187,22 +192,42 @@ def _vi_rows(A: np.ndarray, x, lam, set_) -> np.ndarray:
 def _separable_diagonal(f: AffineQuadraticBifunction, set_: FeasibleSet):
     """The diagonal of Q when the subproblem separates by coordinates (Q
     diagonal, and the set a box or the whole space), else None."""
-    diag = np.diagonal(f.Q)
-    if isinstance(set_, ROWWISE_SETS) and np.count_nonzero(f.Q - np.diag(diag)) == 0:
-        return diag
-    return None
+    return f.diagonal if isinstance(set_, ROWWISE_SETS) else None
 
 
-def _coordinatewise_rows(P, q, diag, W, x, lam, set_) -> np.ndarray:
-    """Exact affine-quadratic minimizers for rows with diagonal Q_i (entries
-    ``diag``): a coordinatewise solve, then the projection."""
+def _denominator(diag, lam):
+    """1 + 2 lam diag for the coordinatewise solve, or None when an entry is
+    not positive (the subproblem is not strongly convex)."""
     denom = 1.0 + 2.0 * lam * diag
-    if np.any(denom <= 0.0):
+    return None if np.any(denom <= 0.0) else denom
+
+
+def _coordinatewise_rows(P, q, diag, denom, W, x, lam, set_) -> np.ndarray:
+    """Exact affine-quadratic minimizers for rows with diagonal Q_i (entries
+    ``diag``, ``denom`` from ``_denominator``): a coordinatewise solve, then
+    the projection."""
+    if denom is None:
         raise NonFiniteObjective("subproblem is not strongly convex (Q too negative)")
     c = _matvec(P, W) + q
-    Y = _project_rows(set_, (x - lam * c + lam * diag * W) / denom)
+    Y = _row_projector(set_)((x - lam * c + lam * diag * W) / denom)
     _require_finite(Y)
     return Y
+
+
+def _squared_bound(tol: float) -> float:
+    """The largest double s with sqrt(s) <= tol (-inf when there is none).
+
+    sqrt is correctly rounded and monotone, so ``row_dots(D) <= s`` decides
+    exactly as ``row_norms(D) <= tol`` for every row.
+    """
+    if not tol >= 0.0:
+        return -math.inf
+    s = tol * tol
+    while math.sqrt(s) > tol:
+        s = math.nextafter(s, 0.0)
+    while s < math.inf and math.sqrt(math.nextafter(s, math.inf)) <= tol:
+        s = math.nextafter(s, math.inf)
+    return s
 
 
 class _AffineViStack:
@@ -226,9 +251,11 @@ class _CoordinatewiseStack:
         self.P = np.stack([f.P for f in fs])
         self.q = np.stack([f.q for f in fs])
         self.diag = np.stack(diags)
+        self.denom = _denominator(self.diag, lam)
 
     def solve(self, W, x, tol, max_inner):
-        Y = _coordinatewise_rows(self.P, self.q, self.diag, W, x, self.lam, self.set_)
+        Y = _coordinatewise_rows(self.P, self.q, self.diag, self.denom, W, x,
+                                 self.lam, self.set_)
         return Y, [ProxResult(minimizer=y) for y in Y]
 
 
@@ -251,8 +278,9 @@ class _ProjectedGradientStack:
         """One loop over the stack.  A row stops at the first step whose
         displacement is within ``tol``; a row still moving after
         ``max_inner`` steps is returned unconverged."""
-        tol = TOL_PROJECTED_GRADIENT if tol is None else tol
+        bound = _squared_bound(TOL_PROJECTED_GRADIENT if tol is None else tol)
         lam, set_ = self.lam, self.set_
+        project, matmul = _row_projector(set_), np.matmul
         shift = x - lam * (_matvec(self.P, W) + self.q) + lam * _matvec(self.QT, W)
         out = np.empty_like(shift)
         steps: list[int | None] = [None] * shift.shape[0]
@@ -260,9 +288,9 @@ class _ProjectedGradientStack:
         sym, step = self.sym, self.step[:, None]
         Y = np.tile(set_.project(x), (live.size, 1))
         for it in range(1, max_inner + 1):
-            grad = Y + lam * _matvec(sym, Y) - shift
-            Y_new = _project_rows(set_, Y - step * grad)
-            done = row_norms(Y_new - Y) <= tol
+            grad = Y + lam * matmul(sym, Y[..., None])[..., 0] - shift
+            Y_new = project(Y - step * grad)
+            done = row_dots(Y_new - Y) <= bound
             if np.count_nonzero(done):
                 out[live[done]] = Y_new[done]
                 for i in live[done]:

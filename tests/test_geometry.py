@@ -18,7 +18,7 @@ from csepsolve import (
     project_halfspace_intersection,
     project_two_halfspaces,
 )
-from csepsolve.geometry import norm, row_dots, row_norms
+from csepsolve.geometry import as_point, norm, row_dots, row_norms
 
 from oracles import project_ldp_nnls, project_polyhedron_enumerate
 
@@ -152,6 +152,66 @@ class TestBitwiseFastPaths:
             c = cut(a, 0.5)
             assert c.norm_sq == float(c.normal @ c.normal)
             assert c.is_whole_space == (float(np.linalg.norm(a)) < 1e-14)
+
+
+class TestPointAndClipFastPaths:
+    """A valid float64 point is returned as is, and Box.project gives the
+    bits of np.clip; everything else behaves as the full paths do."""
+
+    @pytest.mark.parametrize("d", [1, 2, 50])
+    def test_valid_point_is_returned_unchanged(self, d, rng):
+        x = rng.standard_normal(d)
+        assert as_point(x) is x
+        assert as_point(x, d) is x
+        view = x[::2]
+        assert as_point(view, view.size) is view
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        for x in (np.array([1.0, bad]), [1.0, bad]):
+            with pytest.raises(ValueError, match="non-finite"):
+                as_point(x)
+            with pytest.raises(ValueError, match="non-finite"):
+                as_point(x, 2)
+
+    def test_wrong_shape_or_dimension_rejected(self):
+        with pytest.raises(DimensionMismatch, match="1-D"):
+            as_point(np.ones((2, 2)))
+        with pytest.raises(DimensionMismatch, match="1-D"):
+            as_point(np.ones((1, 2)), 2)
+        with pytest.raises(DimensionMismatch, match="expected dimension 3"):
+            as_point(np.ones(2), 3)
+        with pytest.raises(DimensionMismatch, match="expected dimension 3"):
+            as_point([1.0, 2.0], 3)
+
+    def test_lists_ints_and_overflowing_squares_accepted(self):
+        for x in ([1.0, 2.0], [1, 2], np.array([1, 2])):
+            p = as_point(x, 2)
+            assert p.dtype == np.float64 and p.tolist() == [1.0, 2.0]
+        assert as_point([1e200, 1e200]).tolist() == [1e200, 1e200]
+        big = np.array([1e200, 1e200])
+        with np.errstate(over="ignore"):
+            assert as_point(big, 2) is big
+
+    def test_box_project_matches_np_clip(self, rng):
+        box = Box(np.array([0.0, -1.0, -2.0]), np.array([0.0, 1.0, 0.0]))
+        points = [
+            rng.uniform(-3, 3, 3),
+            rng.uniform(-3, 3, (5, 3)),
+            np.array([np.nan, 0.5, np.nan]),
+            np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [np.nan, -np.nan, 5.0]]),
+        ]
+        for x in points:
+            assert box.project(x).tobytes() == np.clip(x, box.lower, box.upper).tobytes()
+
+    def test_box_project_with_infinite_bounds_matches_np_clip(self, rng):
+        # The constructor accepts only finite bounds; set infinite ones after.
+        box = Box(np.zeros(3), np.ones(3))
+        box.lower = np.array([-np.inf, 0.0, -np.inf])
+        box.upper = np.array([np.inf, np.inf, -0.0])
+        for x in (rng.uniform(-3, 3, 3), rng.uniform(-3, 3, (4, 3)),
+                  np.array([[np.inf, -np.inf, np.nan], [-0.0, -0.0, 0.0]])):
+            assert box.project(x).tobytes() == np.clip(x, box.lower, box.upper).tobytes()
 
 
 class TestTwoHalfspaces:

@@ -329,3 +329,25 @@ class TestReproducibility:
             assert ra.eps_max == rb.eps_max
             assert ra.dist_to_known == rb.dist_to_known
         assert a.min_prox_certificate == b.min_prox_certificate
+
+    @pytest.mark.parametrize("problem, algorithm, extra", [
+        ("csep2_zero_2d", "parallel", dict(certify_probes=3, seed=11)),
+        ("csep3_mixed_3d", "sequential", dict(rule="relaxed")),
+        ("ep_quadratic_2d", "maxsel", dict(certify_probes=2, seed=4)),
+        ("vi_halfline_2d", "armijo", dict(eta=0.7)),
+        ("vi_scalar_1d", "extragradient", dict(seed=3)),
+    ])
+    def test_summary_fields_reproduce_the_run(self, tmp_path, problem, algorithm, extra):
+        path = tmp_path / "summary.json"
+        first = run(RunSpec(problem_path=str(PROBLEM_DIR / f"{problem}.json"),
+                            algorithm=algorithm, max_outer=150, summary_path=str(path),
+                            **extra))
+        summary = json.loads(path.read_text())
+        assert set(summary["versions"]) == {"csepsolve", "numpy", "python"}
+        assert summary["versions"]["numpy"] == np.__version__
+        fields = ("lam", "k", "eta", "tol", "max_outer", "rule", "seed", "certify_probes")
+        again = run(RunSpec(problem_path=summary["problem"], algorithm=summary["algorithm"],
+                            **{f: summary[f] for f in fields if f in summary}))
+        assert again.final_x.tobytes() == first.final_x.tobytes()
+        assert np.array(summary["final_x"]).tobytes() == first.final_x.tobytes()
+        assert again.iterations == summary["iterations"]

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from csepsolve import (
+    STOP_ERROR,
     AffineOperator,
+    AffineQuadraticBifunction,
     Box,
     CsepInstance,
     HybridParams,
@@ -16,14 +18,16 @@ from csepsolve import (
     build_c_cut,
     build_q_cut,
     cyclic_index,
+    derive_default_params,
     epsilon,
     run_maxsel_hybrid,
     run_parallel_hybrid,
     run_sequential,
     run_single,
+    solve_prox,
     validate_params,
 )
-from csepsolve.hybrid import Step, drive
+from csepsolve.hybrid import Step, _shared_anchor_step, drive
 from csepsolve.outcome import RunCounters
 
 from conftest import csep2_instance, csep3_plane_instance, halfline_instance, scalar_1d_instance
@@ -362,7 +366,7 @@ class TestDrive:
         # x stays at x0, where ||x - p||^2 = 1: rows 1 (4 > 1) and 3
         # (1.44 > 1 + 0.3) break the bound, rows 0 and 2 do not
         def step(n, x):
-            return Step(x, [build_q_cut(x0, x)], near, eps, 1.0, [])
+            return Step(x, 0.0, [build_q_cut(x0, x)], near, eps, 1.0, [])
 
         out = drive("fixed", step, x0, 0.0, 3, RunCounters(), known_point=p)
         assert out.invariant_violations["solution_distance_bound"] == 6
@@ -375,7 +379,7 @@ class TestDrive:
 
         # one eps = 0.3 for all rows: rows 1 and 2 break the bound
         def step(n, x):
-            return Step(x, [build_q_cut(x0, x)], near, 0.3, 1.0, [])
+            return Step(x, 0.0, [build_q_cut(x0, x)], near, 0.3, 1.0, [])
 
         out = drive("fixed", step, x0, 0.0, 2, RunCounters(), known_point=np.zeros(2))
         assert out.invariant_violations["solution_distance_bound"] == 4
@@ -383,8 +387,45 @@ class TestDrive:
 
     def test_step_without_cuts_runs_no_checks(self):
         def step(n, x):
-            return Step(x, [], np.empty((0, x.size)), 0.0, 1.0, [])
+            return Step(x, 0.0, [], np.empty((0, x.size)), 0.0, 1.0, [])
 
         out = drive("fixed", step, np.ones(2), 0.0, 2, RunCounters(), known_point=[5.0, 5.0])
         assert sum(out.invariant_violations.values()) == 0
         assert [(r.eps_min, r.eps_max) for r in out.trace] == [(0.0, 0.0)] * 2
+
+
+class TestStepBookkeeping:
+    def test_sequential_residual_is_the_largest_row_norm(self):
+        inst = csep3_plane_instance()
+        lam, k = derive_default_params(inst)
+        params = HybridParams(lam=lam, k=k)
+        fs, set_ = inst.bifunctions, inst.set
+        y_init = set_.project(inst.x0)
+        latest = [y_init] * inst.n_problems
+
+        def prox(i, w, x, n):
+            result = solve_prox(fs[i], w, x, lam, set_)
+            latest[i] = result.minimizer
+            return result
+
+        step = _shared_anchor_step(params, inst.lipschitz_all(), inst.x0, y_init, prox,
+                                   None, cyclic=True)
+        x = inst.x0
+        for n in range(1, 40):
+            out = step(n, x)
+            assert out.residual == max(float(np.linalg.norm(y - x)) for y in latest)
+            assert out.step_sq == float((out.x_next - x) @ (out.x_next - x))
+            x = out.x_next
+
+    @pytest.mark.parametrize("runner", [run_maxsel_hybrid, run_parallel_hybrid,
+                                        run_sequential, run_single])
+    def test_coordinatewise_q_too_negative_ends_in_an_error_at_iteration_1(self, runner):
+        f = AffineQuadraticBifunction(np.zeros((2, 2)), np.diag([1.0, -5.0]), np.zeros(2),
+                                      lipschitz=LipschitzData(0.5, 0.5))
+        inst = CsepInstance(2, Box(-np.ones(2), np.ones(2)), [f], [0.5, 0.5])
+        # 1 + 2 lam Q_22 = 1 - 2 < 0
+        out = runner(inst, HybridParams(lam=0.2, k=6.0, max_outer=50))
+        assert out.stop_reason == STOP_ERROR
+        assert out.iterations == 0
+        assert "not strongly convex" in out.error
+        assert out.counters.prox_solves == 0

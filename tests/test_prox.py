@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,14 @@ from csepsolve import (
     Box,
     CallableOperator,
     LipschitzData,
+    NonFiniteObjective,
     ProxSystem,
     ViInducedBifunction,
     WholeSpace,
     certify_prox,
     solve_prox,
 )
-from csepsolve.prox import objective, probe_rng
+from csepsolve.prox import _require_finite, _squared_bound, objective, probe_rng
 
 from oracles import grid_minimize_1d, projected_gradient_prox
 
@@ -100,6 +103,66 @@ class TestAffineQuadraticRoute:
         Y = box.sample(rng, 2000)
         best_sampled = min(objective(f, w, x, 0.11, y) for y in Y)
         assert objective(f, w, x, 0.11, res.minimizer) <= best_sampled + 1e-9
+
+
+    def test_diagonal_q_is_found_once_per_bifunction(self, rng):
+        d = 3
+        diag = rng.uniform(-1.0, 2.0, d)
+        f = AffineQuadraticBifunction(rng.standard_normal((d, d)), np.diag(diag),
+                                      rng.standard_normal(d))
+        assert f.diagonal.tobytes() == diag.tobytes()
+        assert dense_aq(rng, d).diagonal is None
+        Q = np.diag(diag)
+        Q[0, 2] = 1e-300
+        assert AffineQuadraticBifunction(np.eye(d), Q, np.zeros(d)).diagonal is None
+
+    def test_q_too_negative_raises_from_the_first_stacked_solve(self):
+        f = AffineQuadraticBifunction(np.zeros((2, 2)), np.diag([1.0, -5.0]), np.zeros(2))
+        box = Box(-np.ones(2), np.ones(2))
+        system = ProxSystem([f, f], 0.2, box)  # 1 + 2 * 0.2 * (-5) < 0
+        for solve in (lambda: system.solve(np.zeros(2), np.zeros(2), 1),
+                      lambda: solve_prox(f, np.zeros(2), np.zeros(2), 0.2, box)):
+            with pytest.raises(NonFiniteObjective, match="not strongly convex"):
+                solve()
+
+
+class TestFiniteCheckAndStepBound:
+    """The summed finiteness test and the squared stopping bound decide
+    exactly as the elementwise test and the row norms did."""
+
+    @pytest.mark.parametrize("Y", [[[1.0, np.nan]], [[np.inf, 0.0], [1.0, 2.0]],
+                                   [[np.inf, -np.inf]], [[-np.inf]]])
+    def test_require_finite_raises(self, Y):
+        with pytest.raises(NonFiniteObjective), np.errstate(invalid="ignore"):
+            _require_finite(np.array(Y))
+
+    def test_require_finite_passes_a_finite_stack_whose_sum_overflows(self):
+        with np.errstate(over="ignore"):
+            _require_finite(np.array([[1e308, 1e308], [1e308, -1.0]]))
+        _require_finite(np.empty((0, 3)))
+
+    @pytest.mark.parametrize("tol", [0.0, 5e-324, 1e-300, 1e-160, 1e-10, 1e-8,
+                                     0.3, 1.0, 2.0, 1e154, 1e200, math.inf])
+    def test_squared_bound_is_the_largest_dot_within_tol(self, tol):
+        s = _squared_bound(tol)
+        assert math.sqrt(s) <= tol
+        assert s == math.inf or math.sqrt(math.nextafter(s, math.inf)) > tol
+        dots = [s, tol * tol, 0.0, math.inf]
+        for direction in (0.0, math.inf):
+            v = s
+            for _ in range(8):
+                v = math.nextafter(v, direction)
+                dots.append(v)
+        dots = np.array(dots)
+        with np.errstate(over="ignore"):
+            assert ((dots <= s) == (np.sqrt(dots) <= tol)).all()
+
+    @pytest.mark.parametrize("tol", [-1e-10, -math.inf, math.nan])
+    def test_squared_bound_admits_nothing_for_a_negative_tol(self, tol):
+        s = _squared_bound(tol)
+        dots = np.array([0.0, 5e-324, 1.0, math.inf])
+        assert not (dots <= s).any()
+        assert not (np.sqrt(dots) <= tol).any()
 
 
 class TestBlackBoxRoute:

@@ -28,7 +28,7 @@ from .geometry import (
 from .hybrid import Step, build_c_cut, build_q_cut, drive, squared_step
 from .outcome import RunCounters, SolverOutcome
 from .problems import CsepInstance
-from .prox import probe_rng, solve_prox
+from .prox import ProxSystem, solve_prox  # solve_prox: bench/spans.py wraps it
 
 
 @dataclass
@@ -140,7 +140,6 @@ def run_hybrid_extragradient(
     known_point=None,
     certify_probes: int = 0,
     seed: int = 0,
-    check_invariants: bool = True,
     collect_iterates: bool = False,
 ) -> SolverOutcome:
     """Two-subproblem hybrid: predictor anchored at x_n, corrector at the
@@ -159,13 +158,13 @@ def run_hybrid_extragradient(
     set_ = instance.set
     faces = set_.as_halfspaces() if hasattr(set_, "as_halfspaces") else None
     counters = RunCounters()
+    # predictor and corrector are subproblems 0 and 1, so their certificate
+    # probes come from the streams (seed, n, 0) and (seed, n, 1)
+    system = ProxSystem([f, f], lam, set_, certify_probes, seed)
 
     def step(n, x):
-        res_y = solve_prox(f, x, x, lam, set_, certify_probes=certify_probes,
-                           rng=probe_rng(certify_probes, seed, n, 0))
-        res_z = solve_prox(f, res_y.minimizer, x, lam, set_,
-                           certify_probes=certify_probes,
-                           rng=probe_rng(certify_probes, seed, n, 1))
+        res_y = system.solve_one(0, x, x, n)
+        res_z = system.solve_one(1, res_y.minimizer, x, n)
         y, z = res_y.minimizer, res_z.minimizer
         cuts = [build_c_cut(x, z, 0.0), build_q_cut(x0, x)]
         x_next = _project_onto_set_and_cuts(set_, faces, cuts, x0, counters)
@@ -174,8 +173,7 @@ def run_hybrid_extragradient(
                     [res_y, res_z])
 
     return drive("extragradient", step, x0, tol, max_outer, counters,
-                 known_point=known_point, check_invariants=check_invariants,
-                 collect_iterates=collect_iterates)
+                 known_point=known_point, collect_iterates=collect_iterates)
 
 
 def run_armijo_hybrid(
@@ -187,7 +185,6 @@ def run_armijo_hybrid(
     known_point=None,
     certify_probes: int = 0,
     seed: int = 0,
-    check_invariants: bool = True,
     collect_iterates: bool = False,
 ) -> SolverOutcome:
     """Linesearch hybrid: one subproblem, then a backtracking linesearch, a
@@ -204,10 +201,10 @@ def run_armijo_hybrid(
     set_ = instance.set
     faces = set_.as_halfspaces() if hasattr(set_, "as_halfspaces") else None
     counters = RunCounters()
+    system = ProxSystem([f], params.lam, set_, certify_probes, seed)
 
     def step(n, x):
-        res_y = solve_prox(f, x, x, params.lam, set_, certify_probes=certify_probes,
-                           rng=probe_rng(certify_probes, seed, n, 0))
+        res_y = system.solve_one(0, x, x, n)
         y = res_y.minimizer
         residual = norm(y - x)
         if residual <= tol:
@@ -221,5 +218,4 @@ def run_armijo_hybrid(
         return Step(x_next, squared_step(x_next, x), cuts, u[None], 0.0, residual, [res_y])
 
     return drive("armijo", step, x0, tol, max_outer, counters,
-                 known_point=known_point, check_invariants=check_invariants,
-                 collect_iterates=collect_iterates)
+                 known_point=known_point, collect_iterates=collect_iterates)

@@ -191,8 +191,8 @@ def load_problem(path: str) -> CsepInstance:
 
     if not isinstance(doc, dict):
         raise SchemaError("top level: expected an object")
-    dim = int(_require(doc, "dimension", "top level"))
-    if dim < 1:
+    dim = _require(doc, "dimension", "top level")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise SchemaError("dimension: must be a positive integer")
     set_ = _parse_set(_require(doc, "set", "top level"), dim)
     bif_docs = _require(doc, "bifunctions", "top level")
@@ -518,22 +518,7 @@ class ComparisonReport:
     rows: list[MethodRow] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "problem": self.problem_path,
-            "rows": [
-                {
-                    "algorithm": r.algorithm,
-                    "stop_reason": r.stop_reason,
-                    "iterations": r.iterations,
-                    "prox_solves": r.prox_solves,
-                    "prox_per_iteration": r.prox_per_iteration,
-                    "set_projections": r.set_projections,
-                    "wall_ms": r.wall_ms,
-                    "final_dist_to_oracle": r.final_dist_to_oracle,
-                }
-                for r in self.rows
-            ],
-        }
+        return {"problem": self.problem_path, "rows": [asdict(r) for r in self.rows]}
 
     def to_text(self) -> str:
         header = (

@@ -54,7 +54,7 @@ from .outcome import (
     SolverOutcome,
 )
 from .problems import CsepInstance, LipschitzData
-from .prox import ProxResult, ProxSystem, probe_rng, solve_prox
+from .prox import ProxResult, ProxSystem, solve_prox  # solve_prox: bench/spans.py wraps it
 
 RULE_STRICT = "strict"
 RULE_RELAXED = "relaxed"
@@ -206,7 +206,6 @@ def drive(
     counters: RunCounters,
     *,
     known_point: np.ndarray | None = None,
-    check_invariants: bool = True,
     collect_iterates: bool = False,
 ) -> SolverOutcome:
     """Run ``step(n, x)`` for n = 1, 2, ... from x = x0 until
@@ -252,7 +251,7 @@ def drive(
 
             step_norm = math.sqrt(step_sq)
 
-            if check_invariants and cuts:
+            if cuts:
                 q_cut = cuts[-1]
                 if not q_cut.is_whole_space:
                     p = project_halfspace(q_cut, x0)
@@ -347,7 +346,6 @@ def _run(
     known_point: np.ndarray | None = None,
     certify_probes: int = 0,
     seed: int = 0,
-    check_invariants: bool = True,
     collect_iterates: bool = False,
 ) -> SolverOutcome:
     require_one_worker(workers)
@@ -358,21 +356,14 @@ def _run(
     y_init = instance.set.project(x0)
     counters.set_projections += 1
 
-    fs, set_, lam = instance.bifunctions, instance.set, params.lam
-    system = None if mode == "sequential" else ProxSystem(fs, lam, set_, certify_probes, seed)
-
-    def prox(i, w, x, n):
-        return solve_prox(fs[i], w, x, lam, set_, certify_probes=certify_probes,
-                          rng=probe_rng(certify_probes, seed, n, i))
-
+    system = ProxSystem(instance.bifunctions, params.lam, instance.set, certify_probes, seed)
     if mode == "parallel":
         step = _parallel_step(params, lips, x0, y_init, system)
     else:
-        step = _shared_anchor_step(params, lips, x0, y_init, prox, system,
+        step = _shared_anchor_step(params, lips, x0, y_init, system,
                                    cyclic=mode == "sequential")
     return drive(mode, step, x0, params.tol, params.max_outer, counters,
-                 known_point=known_point, check_invariants=check_invariants,
-                 collect_iterates=collect_iterates)
+                 known_point=known_point, collect_iterates=collect_iterates)
 
 
 def _parallel_step(params, lips, x0, y_init, system):
@@ -399,13 +390,13 @@ def _parallel_step(params, lips, x0, y_init, system):
     return step
 
 
-def _shared_anchor_step(params, lips, x0, y_init, prox, system, cyclic):
+def _shared_anchor_step(params, lips, x0, y_init, system, cyclic):
     """Subproblems anchored at one shared sequence ybar; one C-cut.
 
     ``maxsel`` (cyclic=False) solves every subproblem in one ``system``
     call and cuts with the solution farthest from x_n; ``sequential``
-    (cyclic=True) solves the one chosen by ``cyclic_index`` with ``prox``
-    and measures the residual over the latest solution of each subproblem.
+    (cyclic=True) solves only the one chosen by ``cyclic_index`` and
+    measures the residual over the latest solution of each subproblem.
     """
     n_problems = len(lips)
     lip = LipschitzData(max(d.c1 for d in lips), max(d.c2 for d in lips))
@@ -418,7 +409,7 @@ def _shared_anchor_step(params, lips, x0, y_init, prox, system, cyclic):
         nonlocal dx2, ybar, dy_prev
         if cyclic:
             selected = cyclic_index(n, n_problems)
-            results = [prox(selected, ybar, x, n)]
+            results = [system.solve_one(selected, ybar, x, n)]
             y_next = last_Y[selected] = results[0].minimizer
             residual = float(row_norms(last_Y - x).max())
         else:

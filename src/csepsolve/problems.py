@@ -11,7 +11,7 @@ constants (c1, c2) satisfying
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -167,7 +167,7 @@ class AffineQuadraticBifunction(Bifunction):
     Q: np.ndarray
     q: np.ndarray
     lipschitz: LipschitzData | None = None
-    _sym_norm: float | None = field(default=None, repr=False)
+    _sym_norm: float | None = field(default=None, init=False, repr=False)
     diagonal: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -374,17 +374,7 @@ class ValidationReport:
             "samples": self.samples,
             "seed": self.seed,
             "total_violations": self.total_violations,
-            "bifunctions": [
-                {
-                    "index": r.index,
-                    "max_diag_abs": r.max_diag_abs,
-                    "convexity_violations": r.convexity_violations,
-                    "pseudomono_violations": r.pseudomono_violations,
-                    "subgrad_max_err": r.subgrad_max_err,
-                    "warnings": r.warnings,
-                }
-                for r in self.bifunctions
-            ],
+            "bifunctions": [asdict(r) for r in self.bifunctions],
         }
 
 

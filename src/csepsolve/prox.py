@@ -7,19 +7,21 @@ coordinate solve on boxes when Q is diagonal); black-box bifunctions fall
 back to a projected subgradient scheme in which the quadratic part is kept
 in closed form each step.
 
-The arithmetic of each affine family is written once, for a stack of rows:
-``solve_prox`` is the one-row call, and ``ProxSystem`` solves the N
-subproblems of one run in one call.  It stacks the data once per run: M_i
-and q_i when every bifunction is induced by an affine operator; P_i, q_i
-and the diagonals of Q_i when every subproblem separates by coordinates;
-P_i, q_i, Q_i^T, Q_i + Q_i^T and the projected-gradient steps when none
-does.  A call then makes one batched matrix product in place of N, and
-runs one projected-gradient loop over the stack in which each row stops at
-its own step.  Boxes and the whole space project the whole stack at once;
-other sets project row by row.  Systems with callable operators, black-box
-or mixed bifunctions, and certified solves go row by row through
-``solve_prox``.  The batched forms used (``np.matmul`` over stacks) give
-each row's result bit for bit, so both calls agree exactly.
+``_kernel`` is the one place a solver is chosen.  When every subproblem of
+a system belongs to one family it stacks the data once: M_i and q_i when
+every bifunction is induced by an affine operator; P_i, q_i and the
+diagonals of Q_i when every subproblem separates by coordinates; P_i, q_i,
+Q_i^T, Q_i + Q_i^T and the projected-gradient steps when none does.  A
+solve then makes one batched matrix product in place of N, and runs one
+projected-gradient loop over the stack in which each row stops at its own
+step.  Any other system (callable operators, black-box or mixed
+bifunctions) gets one kernel per row.  Boxes and the whole space project
+the whole stack at once; other sets project row by row.
+
+``ProxSystem`` builds the kernel once per run; ``solve`` solves all N
+subproblems and ``solve_one`` row i alone, on views of the same stack.  The
+batched forms used (``np.matmul`` over stacks) give each row's result bit
+for bit, so both agree exactly.  Certified solves certify each row after.
 """
 
 from __future__ import annotations
@@ -75,41 +77,15 @@ def probe_rng(certify_probes: int, seed: int, n: int, i: int):
     return np.random.default_rng((seed, n, i)) if certify_probes > 0 else None
 
 
-def solve_prox(
-    f: Bifunction,
-    w: np.ndarray,
-    x: np.ndarray,
-    lam: float,
-    set_: FeasibleSet,
-    tol: float | None = None,
-    max_inner: int = MAX_INNER,
-    certify_probes: int = 0,
-    rng: np.random.Generator | None = None,
-) -> ProxResult:
+def solve_prox(f: Bifunction, w: np.ndarray, x: np.ndarray, lam: float, set_: FeasibleSet,
+               certify_probes: int = 0, rng: np.random.Generator | None = None) -> ProxResult:
     """Minimize lam*f(w, .) + 0.5*||x - .||^2 over the feasible set.
 
-    ``tol`` is a displacement tolerance for the iterative routes (defaults
-    per route); exact routes ignore it.  When ``certify_probes`` > 0 the
-    result carries a sampled optimality certificate.
+    A one-off solve on the kernel ``ProxSystem`` would use.  When
+    ``certify_probes`` > 0 the result carries a sampled optimality
+    certificate.
     """
-    if not lam > 0.0:
-        raise ValueError("prox step lam must be positive")
-
-    if isinstance(f, ViInducedBifunction):
-        result = ProxResult(minimizer=_vi_rows(f.operator(w)[None], x, lam, set_)[0])
-    elif isinstance(f, AffineQuadraticBifunction):
-        diag = _separable_diagonal(f, set_)
-        if diag is None:
-            result = _ProjectedGradientStack([f], lam, set_).solve(w, x, tol, max_inner)[1][0]
-        else:
-            diag = diag[None]
-            y = _coordinatewise_rows(f.P[None], f.q[None], diag, _denominator(diag, lam),
-                                     w, x, lam, set_)[0]
-            result = ProxResult(minimizer=y)
-    else:
-        result = _solve_blackbox(f, w, x, lam, set_, tol, max_inner)
-        _require_finite(result.minimizer)
-
+    result = _kernel([f], lam, set_).solve(w, x)[1][0]
     if certify_probes > 0:
         result.certificate_gap = certify_prox(
             f, w, x, lam, set_, result.minimizer, certify_probes, rng=rng
@@ -120,42 +96,75 @@ def solve_prox(
 class ProxSystem:
     """The N subproblems of one run: bifunctions ``fs``, step ``lam`` and
     set ``set_`` fixed, anchors and centre given per call.
+
+    With ``certify_probes`` > 0 every result carries a sampled certificate
+    whose probes, for subproblem i at outer iteration n, come from
+    ``probe_rng(certify_probes, seed, n, i)``.
     """
 
     def __init__(self, fs: list[Bifunction], lam: float, set_: FeasibleSet,
                  certify_probes: int = 0, seed: int = 0):
         self.fs, self.lam, self.set_ = fs, lam, set_
         self.certify_probes, self.seed = certify_probes, seed
-        self._stack = None
-        if certify_probes > 0:
-            return
-        if all(isinstance(f, ViInducedBifunction)
-               and isinstance(f.operator, AffineOperator) for f in fs):
-            self._stack = _AffineViStack(fs, lam, set_)
-        elif all(isinstance(f, AffineQuadraticBifunction) for f in fs):
-            diags = [_separable_diagonal(f, set_) for f in fs]
-            if all(diag is not None for diag in diags):
-                self._stack = _CoordinatewiseStack(fs, lam, set_, diags)
-            elif all(diag is None for diag in diags):
-                self._stack = _ProjectedGradientStack(fs, lam, set_)
+        self._kernel = _kernel(fs, lam, set_)
+        self._rows = [self._kernel.row(i) for i in range(len(fs))]
 
     def solve(self, W: np.ndarray, x: np.ndarray, n: int) -> tuple[np.ndarray, list[ProxResult]]:
         """All N subproblems at outer iteration n, subproblem i anchored at W
         (one shared 1-D anchor) or at row W[i].
 
-        Returns the (N, d) stack of minimizers and the N results, each equal
-        bit for bit to ``solve_prox`` on its row, with the certificate
-        generator ``probe_rng(certify_probes, seed, n, i)``.
+        Returns the (N, d) stack of minimizers and the N results.
         """
-        if self._stack is not None:
-            return self._stack.solve(W, x, None, MAX_INNER)
-        results = [
-            solve_prox(f, W if W.ndim == 1 else W[i], x, self.lam, self.set_,
-                       certify_probes=self.certify_probes,
-                       rng=probe_rng(self.certify_probes, self.seed, n, i))
-            for i, f in enumerate(self.fs)
-        ]
-        return np.array([r.minimizer for r in results]), results
+        Y, results = self._kernel.solve(W, x)
+        if self.certify_probes > 0:
+            for i, result in enumerate(results):
+                self._certify(i, W if W.ndim == 1 else W[i], x, n, result)
+        return Y, results
+
+    def solve_one(self, i: int, w: np.ndarray, x: np.ndarray, n: int) -> ProxResult:
+        """Subproblem i alone at outer iteration n, anchored at w; equal bit
+        for bit to row i of ``solve``."""
+        result = self._rows[i].solve(w, x)[1][0]
+        if self.certify_probes > 0:
+            self._certify(i, w, x, n, result)
+        return result
+
+    def _certify(self, i, w, x, n, result):
+        result.certificate_gap = certify_prox(
+            self.fs[i], w, x, self.lam, self.set_, result.minimizer, self.certify_probes,
+            rng=probe_rng(self.certify_probes, self.seed, n, i),
+        )
+
+
+def _kernel(fs: list[Bifunction], lam: float, set_: FeasibleSet):
+    """The solver of the subproblems ``fs``: a stack when all belong to one
+    stacked family, else one kernel per row.  A kernel's ``solve(W, x)``
+    takes one shared 1-D anchor or one row per subproblem and returns the
+    (k, d) minimizers and k results; ``row(i)`` is subproblem i's kernel."""
+    if not lam > 0.0:
+        raise ValueError("prox step lam must be positive")
+
+    def stack(get):
+        return np.stack([get(f) for f in fs])
+
+    if all(isinstance(f, ViInducedBifunction)
+           and isinstance(f.operator, AffineOperator) for f in fs):
+        return _AffineViStack(lam, set_, stack(lambda f: f.operator.M),
+                              stack(lambda f: f.operator.q))
+    if all(isinstance(f, AffineQuadraticBifunction) for f in fs):
+        P, q = stack(lambda f: f.P), stack(lambda f: f.q)
+        separable = [isinstance(set_, ROWWISE_SETS) and f.diagonal is not None for f in fs]
+        if all(separable):
+            return _CoordinatewiseStack(lam, set_, P, q, stack(lambda f: f.diagonal))
+        if not any(separable):
+            Q = stack(lambda f: f.Q)
+            QT = Q.transpose(0, 2, 1)
+            step = 1.0 / (1.0 + lam * np.array([f.sym_norm() for f in fs]))
+            return _ProjectedGradientStack(lam, set_, P, q, QT, Q + QT, step)
+    if len(fs) > 1:
+        return _Rows([_kernel([f], lam, set_) for f in fs])
+    solve_1d = _solve_operator if isinstance(fs[0], ViInducedBifunction) else _solve_blackbox
+    return _Row(solve_1d, fs[0], lam, set_)
 
 
 def _require_finite(Y: np.ndarray) -> None:
@@ -189,31 +198,6 @@ def _vi_rows(A: np.ndarray, x, lam, set_) -> np.ndarray:
     return Y
 
 
-def _separable_diagonal(f: AffineQuadraticBifunction, set_: FeasibleSet):
-    """The diagonal of Q when the subproblem separates by coordinates (Q
-    diagonal, and the set a box or the whole space), else None."""
-    return f.diagonal if isinstance(set_, ROWWISE_SETS) else None
-
-
-def _denominator(diag, lam):
-    """1 + 2 lam diag for the coordinatewise solve, or None when an entry is
-    not positive (the subproblem is not strongly convex)."""
-    denom = 1.0 + 2.0 * lam * diag
-    return None if np.any(denom <= 0.0) else denom
-
-
-def _coordinatewise_rows(P, q, diag, denom, W, x, lam, set_) -> np.ndarray:
-    """Exact affine-quadratic minimizers for rows with diagonal Q_i (entries
-    ``diag``, ``denom`` from ``_denominator``): a coordinatewise solve, then
-    the projection."""
-    if denom is None:
-        raise NonFiniteObjective("subproblem is not strongly convex (Q too negative)")
-    c = _matvec(P, W) + q
-    Y = _row_projector(set_)((x - lam * c + lam * diag * W) / denom)
-    _require_finite(Y)
-    return Y
-
-
 def _squared_bound(tol: float) -> float:
     """The largest double s with sqrt(s) <= tol (-inf when there is none).
 
@@ -230,55 +214,66 @@ def _squared_bound(tol: float) -> float:
     return s
 
 
-class _AffineViStack:
-    """Operators M_i y + q_i stacked once per run."""
+class _Stack:
+    """Per-row arrays, named by ``ROWS`` and stacked along axis 0; ``row(i)``
+    is the kernel of row i on views of them."""
 
-    def __init__(self, fs, lam, set_):
+    ROWS: tuple[str, ...] = ()
+
+    def __init__(self, lam, set_, *arrays):
         self.lam, self.set_ = lam, set_
-        self.M = np.stack([f.operator.M for f in fs])
-        self.q = np.stack([f.operator.q for f in fs])
+        self.__dict__.update(zip(self.ROWS, arrays))
 
-    def solve(self, W, x, tol, max_inner):
+    def row(self, i):
+        return type(self)(self.lam, self.set_, *(getattr(self, a)[i:i + 1] for a in self.ROWS))
+
+
+class _AffineViStack(_Stack):
+    """Operators M_i y + q_i."""
+
+    ROWS = ("M", "q")
+
+    def solve(self, W, x):
         Y = _vi_rows(_matvec(self.M, W) + self.q, x, self.lam, self.set_)
         return Y, [ProxResult(minimizer=y) for y in Y]
 
 
-class _CoordinatewiseStack:
-    """Affine-quadratic bifunctions with diagonal Q_i stacked once per run."""
+class _CoordinatewiseStack(_Stack):
+    """Affine-quadratic bifunctions with diagonal Q_i (entries ``diag``):
+    a coordinatewise solve with the denominators 1 + 2 lam diag, then the
+    projection.  A stack with a denominator that is not positive (a
+    subproblem that is not strongly convex) raises when it is solved."""
 
-    def __init__(self, fs, lam, set_, diags):
-        self.lam, self.set_ = lam, set_
-        self.P = np.stack([f.P for f in fs])
-        self.q = np.stack([f.q for f in fs])
-        self.diag = np.stack(diags)
-        self.denom = _denominator(self.diag, lam)
+    ROWS = ("P", "q", "diag")
 
-    def solve(self, W, x, tol, max_inner):
-        Y = _coordinatewise_rows(self.P, self.q, self.diag, self.denom, W, x,
-                                 self.lam, self.set_)
+    def __init__(self, lam, set_, *arrays):
+        super().__init__(lam, set_, *arrays)
+        self.denom = 1.0 + 2.0 * lam * self.diag
+        self.convex = not np.any(self.denom <= 0.0)
+
+    def solve(self, W, x):
+        if not self.convex:
+            raise NonFiniteObjective("subproblem is not strongly convex (Q too negative)")
+        lam = self.lam
+        c = _matvec(self.P, W) + self.q
+        Y = _row_projector(self.set_)((x - lam * c + lam * self.diag * W) / self.denom)
+        _require_finite(Y)
         return Y, [ProxResult(minimizer=y) for y in Y]
 
 
-class _ProjectedGradientStack:
-    """Affine-quadratic bifunctions <P_i w + Q_i y + q_i, y - w> stacked once,
-    solved by projected gradient with the step 1/L for the gradient's
-    Lipschitz constant L = 1 + lam*||Q_i + Q_i^T|| (linear convergence from
+class _ProjectedGradientStack(_Stack):
+    """Affine-quadratic bifunctions <P_i w + Q_i y + q_i, y - w>, solved by
+    projected gradient with the step 1/L for the gradient's Lipschitz
+    constant L = 1 + lam*||Q_i + Q_i^T|| (linear convergence from
     1-strong convexity)."""
 
-    def __init__(self, fs, lam, set_):
-        self.lam, self.set_ = lam, set_
-        self.P = np.stack([f.P for f in fs])
-        self.q = np.stack([f.q for f in fs])
-        Q = np.stack([f.Q for f in fs])
-        self.QT = Q.transpose(0, 2, 1)
-        self.sym = Q + self.QT
-        self.step = 1.0 / (1.0 + lam * np.array([f.sym_norm() for f in fs]))
+    ROWS = ("P", "q", "QT", "sym", "step")
 
-    def solve(self, W, x, tol, max_inner):
+    def solve(self, W, x):
         """One loop over the stack.  A row stops at the first step whose
-        displacement is within ``tol``; a row still moving after
-        ``max_inner`` steps is returned unconverged."""
-        bound = _squared_bound(TOL_PROJECTED_GRADIENT if tol is None else tol)
+        displacement is within TOL_PROJECTED_GRADIENT; a row still moving
+        after MAX_INNER steps is returned unconverged."""
+        bound, max_inner = _squared_bound(TOL_PROJECTED_GRADIENT), MAX_INNER
         lam, set_ = self.lam, self.set_
         project, matmul = _row_projector(set_), np.matmul
         shift = x - lam * (_matvec(self.P, W) + self.q) + lam * _matvec(self.QT, W)
@@ -313,8 +308,47 @@ class _ProjectedGradientStack:
         ]
 
 
-def _solve_blackbox(f, w, x, lam, set_, tol, max_inner):
-    tol = TOL_SUBGRADIENT if tol is None else tol
+class _Rows:
+    """One kernel per row, for a system that no single stack covers."""
+
+    def __init__(self, kernels):
+        self.kernels = kernels
+
+    def row(self, i):
+        return self.kernels[i]
+
+    def solve(self, W, x):
+        results = [k.solve(W if W.ndim == 1 else W[i], x)[1][0]
+                   for i, k in enumerate(self.kernels)]
+        return np.array([r.minimizer for r in results]), results
+
+
+class _Row:
+    """One subproblem outside the stacked families, solved by
+    ``solve_1d(f, w, x, lam, set_)``; its anchor is a 1-D w or a one-row
+    stack."""
+
+    def __init__(self, solve_1d, f, lam, set_):
+        self.solve_1d, self.f, self.lam, self.set_ = solve_1d, f, lam, set_
+
+    def row(self, i):
+        return self
+
+    def solve(self, W, x):
+        result = self.solve_1d(self.f, W if W.ndim == 1 else W[0], x, self.lam, self.set_)
+        _require_finite(result.minimizer)
+        return result.minimizer[None], [result]
+
+
+def _solve_operator(f, w, x, lam, set_):
+    """The exact P_C(x - lam*A(w)) for a callable operator A."""
+    return ProxResult(minimizer=set_.project(x - lam * f.operator(w)))
+
+
+def _solve_blackbox(f, w, x, lam, set_):
+    """Projected subgradient scheme, damped toward a Cesaro-style average
+    once the residuals stop shrinking."""
+    tol, max_inner = TOL_SUBGRADIENT, MAX_INNER
     y = set_.project(x)
     best = y
     best_res = np.inf

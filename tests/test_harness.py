@@ -98,6 +98,13 @@ class TestLoadProblem:
         with pytest.raises(SchemaError, match="set.type"):
             load_problem(write_problem(tmp_path, doc))
 
+    @pytest.mark.parametrize("dimension", [2.7, 2.0, "2", True, 0, -1, None, [2]])
+    def test_dimension_must_be_a_positive_json_integer(self, tmp_path, dimension):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["dimension"] = dimension
+        with pytest.raises(SchemaError, match="dimension"):
+            load_problem(write_problem(tmp_path, doc))
+
     def test_missing_field_named(self, tmp_path):
         doc = json.loads(json.dumps(BASE_DOC))
         del doc["x0"]

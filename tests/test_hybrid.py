@@ -5,13 +5,16 @@ from csepsolve import (
     STOP_ERROR,
     AffineOperator,
     AffineQuadraticBifunction,
+    BlackBoxBifunction,
     Box,
+    CallableOperator,
     CsepInstance,
     HybridParams,
     InfeasibleCut,
     InnerNonconvergence,
     LipschitzData,
     ParameterViolation,
+    ProxSystem,
     RunSpec,
     SingletonSolution,
     ViInducedBifunction,
@@ -258,18 +261,16 @@ class TestRunners:
                                 workers=2)
 
     def test_unconverged_inner_solves_counted(self, monkeypatch):
-        import csepsolve.hybrid as hybrid_module
-
-        real = hybrid_module.solve_prox
+        real = ProxSystem.solve_one
 
         def unconverged(*args, **kwargs):
             res = real(*args, **kwargs)
             res.converged = False
             return res
 
-        # run_sequential, because only its one-row solves go through
-        # hybrid.solve_prox; maxsel and parallel solve in one ProxSystem call
-        monkeypatch.setattr(hybrid_module, "solve_prox", unconverged)
+        # run_sequential, because it solves one subproblem per iteration
+        # through ProxSystem.solve_one; maxsel and parallel call solve
+        monkeypatch.setattr(ProxSystem, "solve_one", unconverged)
         out = run_sequential(csep2_instance(),
                              HybridParams(lam=0.2, k=6.0, max_outer=10, tol=0.0))
         assert out.counters.prox_solves == 10
@@ -297,7 +298,7 @@ class TestRunners:
         monkeypatch.setattr(prox_module, "MAX_INNER", 3)
         out = run_maxsel_hybrid(inst, params)
         y_init = inst.set.project(inst.x0)
-        one_row = solve_prox(fs[1], y_init, inst.x0, params.lam, inst.set, max_inner=3)
+        one_row = solve_prox(fs[1], y_init, inst.x0, params.lam, inst.set)
         assert not one_row.converged
         assert out.first_nonconverged == InnerNonconvergence(1, 1, one_row.diagnostic)
         assert out.counters.prox_nonconverged == 4
@@ -399,17 +400,19 @@ class TestStepBookkeeping:
         inst = csep3_plane_instance()
         lam, k = derive_default_params(inst)
         params = HybridParams(lam=lam, k=k)
-        fs, set_ = inst.bifunctions, inst.set
-        y_init = set_.project(inst.x0)
+        y_init = inst.set.project(inst.x0)
         latest = [y_init] * inst.n_problems
+        system = ProxSystem(inst.bifunctions, lam, inst.set)
+        solve_one = system.solve_one
 
-        def prox(i, w, x, n):
-            result = solve_prox(fs[i], w, x, lam, set_)
+        def recording_solve_one(i, w, x, n):
+            result = solve_one(i, w, x, n)
             latest[i] = result.minimizer
             return result
 
-        step = _shared_anchor_step(params, inst.lipschitz_all(), inst.x0, y_init, prox,
-                                   None, cyclic=True)
+        system.solve_one = recording_solve_one
+        step = _shared_anchor_step(params, inst.lipschitz_all(), inst.x0, y_init, system,
+                                   cyclic=True)
         x = inst.x0
         for n in range(1, 40):
             out = step(n, x)
@@ -429,3 +432,48 @@ class TestStepBookkeeping:
         assert out.iterations == 0
         assert "not strongly convex" in out.error
         assert out.counters.prox_solves == 0
+
+    @pytest.mark.parametrize("runner, iterations", [(run_parallel_hybrid, 0),
+                                                     (run_maxsel_hybrid, 0),
+                                                     (run_sequential, 1)])
+    def test_q_too_negative_fails_when_its_own_row_is_first_solved(self, runner, iterations):
+        bad = AffineQuadraticBifunction(np.zeros((2, 2)), np.diag([1.0, -5.0]), np.zeros(2),
+                                        lipschitz=LipschitzData(0.5, 0.5))
+        good = AffineQuadraticBifunction(np.eye(2), np.eye(2), np.zeros(2),
+                                         lipschitz=LipschitzData(0.5, 0.5))
+        inst = CsepInstance(2, Box(-np.ones(2), np.ones(2)), [bad, good], [0.5, 0.5])
+        # sequential solves subproblem 1 at iteration 1 and the bad row 0 at 2
+        out = runner(inst, HybridParams(lam=0.2, k=6.0, max_outer=50))
+        assert out.stop_reason == STOP_ERROR
+        assert out.iterations == iterations
+        assert "not strongly convex" in out.error
+
+
+class TestOneRowSystems:
+    """Every hybrid variant on N = 1 with a callable operator or a black-box
+    bifunction, whose kernels solve one row outside the stacked families."""
+
+    M = np.array([[1.0, 0.5], [-0.5, 1.0]])
+
+    def instance(self, f):
+        return CsepInstance(2, Box(-np.ones(2), np.ones(2)), [f], [0.8, -0.6],
+                            SingletonSolution(np.zeros(2)))
+
+    @pytest.mark.parametrize("runner", [run_parallel_hybrid, run_maxsel_hybrid,
+                                        run_sequential, run_single])
+    @pytest.mark.parametrize("kind", ["callable", "blackbox"])
+    def test_matches_the_affine_operator(self, runner, kind):
+        affine = vi(self.M, L=1.2)
+        if kind == "callable":
+            f = ViInducedBifunction(CallableOperator(lambda y: self.M @ y, 1.2, 2))
+        else:
+            f = BlackBoxBifunction(affine.value, affine.subgrad2, LipschitzData(0.6, 0.6))
+        params = HybridParams(lam=0.2, k=6.0, max_outer=200, tol=0.0)
+        out = runner(self.instance(f), params, known_point=np.zeros(2), certify_probes=2)
+        ref = runner(self.instance(affine), params, known_point=np.zeros(2))
+        assert out.error is None
+        assert out.iterations == 200
+        assert out.total_violations == 0
+        assert out.counters.prox_solves == out.iterations
+        assert out.min_prox_certificate >= -1e-7
+        assert np.linalg.norm(out.final_x - ref.final_x) < 1e-6

@@ -125,6 +125,30 @@ class TestAffineQuadraticRoute:
             with pytest.raises(NonFiniteObjective, match="not strongly convex"):
                 solve()
 
+    def test_q_too_negative_raises_only_from_its_own_row(self):
+        bad = AffineQuadraticBifunction(np.zeros((2, 2)), np.diag([1.0, -5.0]), np.zeros(2))
+        good = AffineQuadraticBifunction(np.zeros((2, 2)), np.diag([1.0, 1.0]), np.zeros(2))
+        box = Box(-np.ones(2), np.ones(2))
+        system = ProxSystem([bad, good], 0.2, box)
+        w = x = np.array([0.5, 0.5])
+        assert system.solve_one(1, w, x, 1).minimizer.tobytes() == (
+            solve_prox(good, w, x, 0.2, box).minimizer.tobytes())
+        for solve in (lambda: system.solve_one(0, w, x, 1), lambda: system.solve(w, x, 1)):
+            with pytest.raises(NonFiniteObjective, match="not strongly convex"):
+                solve()
+
+    def test_one_row_kernels_take_a_one_row_anchor_stack(self, rng):
+        # parallel on N = 1 hands the system a (1, d) stack of anchors
+        d = 3
+        M = monotone_matrix(rng, d)
+        box = Box(-np.ones(d), np.ones(d))
+        W, x = rng.uniform(-1, 1, (1, d)), rng.uniform(-1, 1, d)
+        for f in (ViInducedBifunction(CallableOperator(lambda y: np.tanh(M @ y), 2.0, d)),
+                  as_blackbox(vi(M))):
+            Y, (result,) = ProxSystem([f], 0.2, box).solve(W, x, 1)
+            assert Y.shape == (1, d)
+            assert_same_result(result, solve_prox(f, W[0], x, 0.2, box))
+
 
 class TestFiniteCheckAndStepBound:
     """The summed finiteness test and the squared stopping bound decide
@@ -249,19 +273,23 @@ def assert_same_result(a, b):
 
 
 def assert_stack_matches_rows(fs, W, x, lam, set_, certify_probes=0, seed=0, n=1):
-    """ProxSystem.solve equals a loop of one-row solve_prox calls bit for bit."""
-    Y, stacked = ProxSystem(fs, lam, set_, certify_probes, seed).solve(W, x, n)
+    """ProxSystem.solve equals a loop of one-row solve_prox calls, and a loop
+    of ProxSystem.solve_one calls, bit for bit."""
+    system = ProxSystem(fs, lam, set_, certify_probes, seed)
+    Y, stacked = system.solve(W, x, n)
+    anchors = [W if W.ndim == 1 else W[i] for i in range(len(fs))]
     rows = [
-        solve_prox(f, W if W.ndim == 1 else W[i], x, lam, set_,
-                   certify_probes=certify_probes,
+        solve_prox(f, w, x, lam, set_, certify_probes=certify_probes,
                    rng=probe_rng(certify_probes, seed, n, i))
-        for i, f in enumerate(fs)
+        for i, (f, w) in enumerate(zip(fs, anchors))
     ]
+    ones = [system.solve_one(i, w, x, n) for i, w in enumerate(anchors)]
     assert Y.shape == (len(fs), x.size)
-    assert len(stacked) == len(rows)
-    for y, a, b in zip(Y, stacked, rows):
+    assert len(stacked) == len(rows) == len(ones)
+    for y, a, b, c in zip(Y, stacked, rows, ones):
         assert y.tobytes() == a.minimizer.tobytes()
         assert_same_result(a, b)
+        assert_same_result(a, c)
     return stacked
 
 
@@ -363,9 +391,11 @@ class TestProxSystemParity:
         box = Box(-np.ones(d), np.ones(d))
         w, x = rng.uniform(-1, 1, d), rng.uniform(-1, 1, d)
         monkeypatch.setattr(prox_module, "MAX_INNER", 3)
-        _, stacked = ProxSystem(fs, 0.2, box).solve(w, x, 1)
-        for f, r in zip(fs, stacked):
-            one_row = solve_prox(f, w, x, 0.2, box, max_inner=3)
+        system = ProxSystem(fs, 0.2, box)
+        _, stacked = system.solve(w, x, 1)
+        for i, (f, r) in enumerate(zip(fs, stacked)):
+            assert_same_result(r, system.solve_one(i, w, x, 1))
+            one_row = solve_prox(f, w, x, 0.2, box)
             y, _, converged = projected_gradient_prox(f, w, x, 0.2, box, 1e-10, 3)
             assert (r.minimizer.tobytes(), r.inner_iterations) == (y.tobytes(), 3)
             assert not r.converged

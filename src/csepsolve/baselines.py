@@ -4,16 +4,18 @@ Both methods pay per-iteration costs the cutting-halfspace solvers avoid:
 the extragradient hybrid solves a second (corrector) subproblem, and the
 Armijo hybrid runs a backtracking linesearch plus an extra projection onto
 the feasible set.  Their acceptance sets are subsets of C, so the anchor
-projection targets C intersected with two linearized cuts (alternating
-projections), not just the two halfspaces.  Each method is a step for the
-shared outer loop ``hybrid.drive``, which runs the same checks, trace and
-stop tests as for the cutting-halfspace solvers (with eps = 0 in the
-solution-distance check).
+projection targets C intersected with the C-cut and the Q-cut, not just
+the two halfspaces.  Each method is a step for the shared outer loop
+``hybrid.drive``, which builds the Q-cut, projects x0 with the projector
+onto C and the cuts that the method passes, and runs the same checks,
+trace and stop tests as for the cutting-halfspace solvers (with eps = 0 in
+the solution-distance check).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,27 +27,28 @@ from .geometry import (
     project_halfspace,
     project_halfspace_intersection,
 )
-from .hybrid import Step, build_c_cut, build_q_cut, drive, squared_step
+from .hybrid import Step, build_c_cut, build_q_cut, drive  # build_q_cut: bench/spans.py wraps it
 from .outcome import RunCounters, SolverOutcome
 from .problems import CsepInstance
 from .prox import ProxSystem, solve_prox  # solve_prox: bench/spans.py wraps it
 
 
+# Trial cap of the Armijo linesearch.
+MAX_LINESEARCH = 60
+
+
 @dataclass
 class ArmijoParams:
-    """Backtracking parameters: ratio eta in (0,1), prox step lam > 0, trial cap."""
+    """Backtracking parameters: ratio eta in (0,1) and prox step lam > 0."""
 
     eta: float
     lam: float
-    max_linesearch: int = 60
 
     def __post_init__(self):
         if not 0.0 < self.eta < 1.0:
             raise ParameterViolation("eta must lie strictly between 0 and 1")
         if not self.lam > 0.0:
             raise ParameterViolation("lam must be positive")
-        if self.max_linesearch < 1:
-            raise ParameterViolation("max_linesearch must be at least 1")
 
 
 def armijo_linesearch(f, x_n, y_n, lam, params: ArmijoParams):
@@ -63,14 +66,14 @@ def armijo_linesearch(f, x_n, y_n, lam, params: ArmijoParams):
         raise LinesearchFailed("linesearch requires x_n != y_n (already converged)")
     threshold = gap2 / (2.0 * lam)
     value = np.inf
-    for m in range(1, params.max_linesearch + 1):
+    for m in range(1, MAX_LINESEARCH + 1):
         t = params.eta**m
         z = (1.0 - t) * x_n + t * y_n
         value = f.value(z, y_n)
         if value + threshold <= 0.0:
             return m, z
     raise LinesearchFailed(
-        f"no admissible exponent within {params.max_linesearch} trials",
+        f"no admissible exponent within {MAX_LINESEARCH} trials",
         last_value=value,
     )
 
@@ -87,17 +90,18 @@ def armijo_step_size(f, z, y_n, m, eta):
     return -t * f.value(z, y_n) / ((1.0 - t) * g_sq), g
 
 
-def _project_onto_set_and_cuts(set_, faces, cuts, x0, counters, tol=1e-12):
+def _project_onto_set_and_cuts(set_, faces, counters, cuts, x0):
     """Projection of x0 onto C intersected with the given halfspace cuts.
 
-    Polyhedral sets pass their ``faces`` (built once per run), which fold
-    into a single exact halfspace projection; other sets (``faces`` None)
-    alternate projections, counting one set projection per cycle.
+    Polyhedral sets pass their ``faces`` (built once per run; none for
+    R^d), which fold into one exact halfspace projection, counted as one
+    set projection; other sets (``faces`` None) alternate projections,
+    counting one set projection per cycle.
     """
     live = [c for c in cuts if not c.is_whole_space]
     if faces is not None:
         counters.set_projections += 1
-        return project_halfspace_intersection(faces + live, x0, tol=tol)
+        return project_halfspace_intersection(faces + live, x0)
 
     def count_set_projection(v):
         counters.set_projections += 1
@@ -105,30 +109,29 @@ def _project_onto_set_and_cuts(set_, faces, cuts, x0, counters, tol=1e-12):
 
     if not live:
         return count_set_projection(x0)
-    projectors = [count_set_projection]
-    projectors.extend(
-        (lambda v, c=c: project_halfspace(c, v)) for c in live
-    )
+    projectors = [count_set_projection] + [lambda v, c=c: project_halfspace(c, v) for c in live]
     try:
-        return dykstra(projectors, x0, tol=max(tol, 1e-10))
+        return dykstra(projectors, x0)
     except MaxInnerIterationsExceeded as exc:
         raise MaxInnerIterationsExceeded(
             "anchor projection onto the feasible set with the acceptance cuts "
             f"stalled ({exc}); this inner problem is exactly the per-iteration "
             "cost the cut-only solvers avoid",
-            violations=exc.violations,
-            best=exc.best,
+            violations=exc.violations, best=exc.best,
         ) from exc
 
 
-def _single_problem_start(instance: CsepInstance, name: str):
-    """The one bifunction and the anchor x0, which must lie in C."""
+def _single_problem_start(instance: CsepInstance, name: str, counters: RunCounters):
+    """The one bifunction, the anchor x0, which must lie in C, and
+    ``project(cuts, x0)`` for ``drive``: x0 onto C and the cuts."""
     if instance.n_problems != 1:
         raise ParameterViolation(f"the {name} baseline requires N = 1")
     x0 = as_point(instance.x0, instance.dimension)
-    if not instance.set.contains(x0, 1e-9):
+    set_ = instance.set
+    if not set_.contains(x0, 1e-9):
         raise ParameterViolation("the baseline schemes require x0 in C")
-    return instance.bifunctions[0], x0
+    project = partial(_project_onto_set_and_cuts, set_, set_.as_halfspaces(), counters)
+    return instance.bifunctions[0], x0, project
 
 
 def run_hybrid_extragradient(
@@ -148,31 +151,26 @@ def run_hybrid_extragradient(
     Requires a single equilibrium problem, a starting point inside C, and
     lam below min(1/(2 c1), 1/(2 c2)).
     """
-    f, x0 = _single_problem_start(instance, "extragradient")
+    counters = RunCounters()
+    f, x0, project = _single_problem_start(instance, "extragradient", counters)
     lip = f.lipschitz_data()
     lam_cap = min(1.0 / (2.0 * lip.c1), 1.0 / (2.0 * lip.c2)) if min(lip.c1, lip.c2) > 0 else np.inf
     if not 0.0 < lam < lam_cap:
         raise ParameterViolation(
             f"lam={lam:g} outside (0, {lam_cap:g}) for c1={lip.c1:g}, c2={lip.c2:g}"
         )
-    set_ = instance.set
-    faces = set_.as_halfspaces() if hasattr(set_, "as_halfspaces") else None
-    counters = RunCounters()
     # predictor and corrector are subproblems 0 and 1, so their certificate
     # probes come from the streams (seed, n, 0) and (seed, n, 1)
-    system = ProxSystem([f, f], lam, set_, certify_probes, seed)
+    system = ProxSystem([f, f], lam, instance.set, certify_probes, seed)
 
-    def step(n, x):
+    def step(n, x, dx2):
         res_y = system.solve_one(0, x, x, n)
         res_z = system.solve_one(1, res_y.minimizer, x, n)
         y, z = res_y.minimizer, res_z.minimizer
-        cuts = [build_c_cut(x, z, 0.0), build_q_cut(x0, x)]
-        x_next = _project_onto_set_and_cuts(set_, faces, cuts, x0, counters)
         residual = max(norm(y - x), norm(z - x))
-        return Step(x_next, squared_step(x_next, x), cuts, z[None], 0.0, residual,
-                    [res_y, res_z])
+        return Step([build_c_cut(x, z, 0.0)], z[None], 0.0, residual, [res_y, res_z])
 
-    return drive("extragradient", step, x0, tol, max_outer, counters,
+    return drive("extragradient", step, x0, tol, max_outer, counters, project=project,
                  known_point=known_point, collect_iterates=collect_iterates)
 
 
@@ -197,25 +195,22 @@ def run_armijo_hybrid(
     A subproblem solution within ``tol`` of x_n ends the run at x_n before
     the linesearch, which needs x_n != y_n.
     """
-    f, x0 = _single_problem_start(instance, "Armijo")
-    set_ = instance.set
-    faces = set_.as_halfspaces() if hasattr(set_, "as_halfspaces") else None
     counters = RunCounters()
+    f, x0, project = _single_problem_start(instance, "Armijo", counters)
+    set_ = instance.set
     system = ProxSystem([f], params.lam, set_, certify_probes, seed)
 
-    def step(n, x):
+    def step(n, x, dx2):
         res_y = system.solve_one(0, x, x, n)
         y = res_y.minimizer
         residual = norm(y - x)
         if residual <= tol:
-            return Step(x, 0.0, [], np.empty((0, x.size)), 0.0, residual, [res_y])
+            return Step(None, np.empty((0, x.size)), 0.0, residual, [res_y])
         m, z = armijo_linesearch(f, x, y, params.lam, params)
         sigma, g = armijo_step_size(f, z, y, m, params.eta)
         u = set_.project(x - sigma * g)
         counters.set_projections += 1
-        cuts = [build_c_cut(x, u, 0.0), build_q_cut(x0, x)]
-        x_next = _project_onto_set_and_cuts(set_, faces, cuts, x0, counters)
-        return Step(x_next, squared_step(x_next, x), cuts, u[None], 0.0, residual, [res_y])
+        return Step([build_c_cut(x, u, 0.0)], u[None], 0.0, residual, [res_y])
 
-    return drive("armijo", step, x0, tol, max_outer, counters,
+    return drive("armijo", step, x0, tol, max_outer, counters, project=project,
                  known_point=known_point, collect_iterates=collect_iterates)

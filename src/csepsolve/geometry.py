@@ -7,7 +7,7 @@ float64 arrays.  All routines here are pure functions of their inputs.
 forms for one or two, and for more the Goldfarb-Idnani dual active-set
 method, which stops in finitely many steps and returns a point only with
 its KKT certificate (every cut satisfied and every active cut tight to
-``tol * (1 + ||x0||)`` in distance, multipliers nonnegative).  An empty
+``INTERSECTION_TOL * (1 + ||x0||)`` in distance, multipliers nonnegative).  An empty
 intersection raises EmptyIntersection.  ``dykstra`` handles intersections
 of general convex sets; ``dykstra_halfspaces`` is kept as an independent
 cross-check.
@@ -38,6 +38,8 @@ DEGENERACY_THRESHOLD = 1e-14
 # Zero-normal cuts with offset >= this denote the whole space; below it they
 # are contradictory and rejected.
 WHOLE_SPACE_OFFSET_FLOOR = -1e-12
+# Feasibility slack of the many-cut projection, relative to 1 + ||x0||.
+INTERSECTION_TOL = 1e-12
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -120,9 +122,6 @@ class HalfspaceCut:
             return 0.0
         return float(self.normal @ z) - self.offset
 
-    def satisfied(self, z: np.ndarray, tol: float = 0.0) -> bool:
-        return self.violation(z) <= tol
-
 
 class FeasibleSet:
     """Closed convex set with an exact metric projection."""
@@ -134,6 +133,10 @@ class FeasibleSet:
 
     def contains(self, x: np.ndarray, tol: float = 1e-10) -> bool:
         raise NotImplementedError
+
+    def as_halfspaces(self) -> list[HalfspaceCut] | None:
+        """The set as an intersection of halfspaces; None if not polyhedral."""
+        return None
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Random point(s) of the set; shape (d,) or (size, d)."""
@@ -168,15 +171,10 @@ class Box(FeasibleSet):
         return rng.uniform(self.lower, self.upper, size=shape)
 
     def as_halfspaces(self) -> list[HalfspaceCut]:
-        """The 2d face inequalities of the box."""
-        cuts = []
-        d = self.dimension
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = 1.0
-            cuts.append(HalfspaceCut(e, float(self.upper[j])))
-            cuts.append(HalfspaceCut(-e, float(-self.lower[j])))
-        return cuts
+        """The 2d face inequalities of the box, upper then lower per coordinate."""
+        return [HalfspaceCut(sign * e, sign * bound)
+                for e, lo, up in zip(np.eye(self.dimension), self.lower, self.upper)
+                for sign, bound in ((1.0, up), (-1.0, lo))]
 
 
 @dataclass
@@ -230,6 +228,9 @@ class WholeSpace(FeasibleSet):
     def contains(self, x, tol=1e-10):
         return True
 
+    def as_halfspaces(self) -> list[HalfspaceCut]:
+        return []
+
     def sample(self, rng, size=None):
         shape = self.dim if size is None else (size, self.dim)
         return rng.standard_normal(shape)
@@ -254,7 +255,7 @@ class Polyhedron(FeasibleSet):
 
     def project(self, x):
         try:
-            return project_halfspace_intersection(self.cuts, x, tol=1e-12)
+            return project_halfspace_intersection(self.cuts, x)
         except (EmptyIntersection, MaxInnerIterationsExceeded) as exc:
             raise InfeasibleSet(f"polyhedron appears empty: {exc}") from exc
 
@@ -364,12 +365,11 @@ def dykstra_halfspaces(
     return dykstra(projectors, x0, tol=tol, max_cycles=max_cycles)
 
 
-def project_halfspace_intersection(cuts: list[HalfspaceCut], x0,
-                                   tol: float = 1e-12) -> np.ndarray:
+def project_halfspace_intersection(cuts: list[HalfspaceCut], x0) -> np.ndarray:
     """Projection onto an intersection of halfspaces.
 
-    One or two live cuts use the closed forms, more ``_dual_active_set``;
-    ``tol`` is its feasibility slack in distance, relative to 1 + ||x0||.
+    One or two live cuts use the closed forms, more ``_dual_active_set``,
+    whose feasibility slack is ``INTERSECTION_TOL``.
     """
     live = [c for c in cuts if not c.is_whole_space]
     if not live:
@@ -378,10 +378,10 @@ def project_halfspace_intersection(cuts: list[HalfspaceCut], x0,
         return project_halfspace(live[0], x0)
     if len(live) == 2:
         return project_two_halfspaces(live[0], live[1], x0)
-    return _dual_active_set(live, x0, tol)
+    return _dual_active_set(live, x0)
 
 
-def _dual_active_set(cuts, x0, tol):
+def _dual_active_set(cuts, x0):
     """Goldfarb-Idnani dual active-set method with identity Hessian.
 
     With unit normals a_i, z = x0 - A^T mu, mu >= 0 supported on an active
@@ -401,7 +401,7 @@ def _dual_active_set(cuts, x0, tol):
     scale = np.sqrt(np.einsum("ij,ij->i", A, A))
     A /= scale[:, None]
     b = np.array([c.offset for c in cuts]) / scale
-    feas_tol = tol * (1.0 + norm(x0))
+    feas_tol = INTERSECTION_TOL * (1.0 + norm(x0))
     Q = np.empty_like(A)
     T = np.zeros((len(cuts), len(cuts)))
     active: list[int] = []

@@ -22,10 +22,10 @@ from .errors import (
 )
 from .geometry import Ball, Box, HalfspaceCut, Polyhedron, WholeSpace
 from .hybrid import (
-    RULE_RELAXED,
     RULE_STRICT,
     HybridParams,
     require_one_worker,
+    rule_factor,
     run_maxsel_hybrid,
     run_parallel_hybrid,
     run_sequential,
@@ -374,7 +374,7 @@ def derive_default_params(instance: CsepInstance, rule: str = RULE_STRICT):
     """Admissible (lam, k) derived from the instance's constants: lam at half
     the bound, k at twice its floor."""
     c1, c2 = instance.lipschitz_max()
-    factor = 2.0 if rule == RULE_STRICT else 1.0
+    factor = rule_factor(rule)
     lam = 1.0 / (2.0 * factor * (c1 + c2))
     k = 2.0 / (1.0 - factor * lam * (c1 + c2))
     return lam, k

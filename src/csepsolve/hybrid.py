@@ -17,11 +17,11 @@ the missing corrector step; it may be negative and is used unclamped.
 
 Every solver, the baselines in ``baselines`` included, shares one outer
 loop, ``drive``.  A solver supplies only a *step*: a callable
-``step(n, x) -> Step`` that keeps its own state (previous iterates and
-subproblem solutions) and computes the next iterate, its cuts and residual.
-``drive`` owns everything else: iteration count and timing, work counters,
-the four per-iteration invariant checks, trace records, the stop tests,
-turning a ``SolverError`` into an error outcome, and the outcome itself.
+``step(n, x, dx2) -> Step`` that keeps its own state (previous subproblem
+solutions) and returns its C-cuts and residual.  ``drive`` owns the rest:
+the anchor step x_{n+1} = P_{C_n ∩ Q_n}(x0), iteration count and timing,
+work counters, the four per-iteration invariant checks, trace records, the
+stop tests, turning a ``SolverError`` into an error outcome, and the outcome.
 """
 
 from __future__ import annotations
@@ -90,18 +90,21 @@ class HybridParams:
     rule: str = RULE_STRICT
 
     def __post_init__(self):
-        if self.rule not in (RULE_STRICT, RULE_RELAXED):
-            raise ParameterViolation(f"unknown rule {self.rule!r}")
-        if not self.tol >= 0.0:
-            raise ParameterViolation("tol must be nonnegative")
-        if self.max_outer < 1:
-            raise ParameterViolation("max_outer must be at least 1")
+        rule_factor(self.rule)
+
+
+def rule_factor(rule: str) -> float:
+    """The factor of the step bound lam < 1/(factor (c1 + c2)): 2 under the
+    strict rule, 1 under the relaxed one."""
+    if rule not in (RULE_STRICT, RULE_RELAXED):
+        raise ParameterViolation(f"unknown rule {rule!r}")
+    return 2.0 if rule == RULE_STRICT else 1.0
 
 
 def validate_params(params: HybridParams, c1: float, c2: float) -> None:
     """Check (lam, k) against the bound family selected by ``params.rule``."""
     s = c1 + c2
-    factor = 2.0 if params.rule == RULE_STRICT else 1.0
+    factor = rule_factor(params.rule)
     if not 0.0 < params.lam < 1.0 / (factor * s):
         raise ParameterViolation(
             f"lam={params.lam:g} outside (0, {1.0 / (factor * s):g}) "
@@ -109,9 +112,7 @@ def validate_params(params: HybridParams, c1: float, c2: float) -> None:
         )
     k_floor = 1.0 / (1.0 - factor * params.lam * s)
     if not params.k > k_floor:
-        raise ParameterViolation(
-            f"k={params.k:g} must exceed {k_floor:g} for rule={params.rule}"
-        )
+        raise ParameterViolation(f"k={params.k:g} must exceed {k_floor:g} for rule={params.rule}")
 
 
 def epsilon(
@@ -163,30 +164,21 @@ def cyclic_index(n: int, n_problems: int) -> int:
 class Step(NamedTuple):
     """What one outer iteration of an algorithm hands ``drive``.
 
-    ``step_sq`` is ||x_next - x||^2 (``squared_step``); ``drive`` takes its
-    square root as the step norm, and the step keeps it as the next
-    iteration's squared displacement.  ``cuts`` ends with the Q-cut; it is
-    empty when the step stopped before building any, and then ``drive`` runs
-    no checks.  ``near`` is the (k, d) stack of points bounded by the
-    solution-distance check and ``eps`` their correction term: one float
-    shared by every row, or an array of k; ``prox`` holds the inner solves
-    the step made.
+    ``c_cuts`` are the iteration's C-cuts, to which ``drive`` adds the
+    Q-cut; None when the step stopped at x without cutting, and then
+    ``drive`` keeps x and runs no checks.  ``near`` is the (k, d) stack of
+    points bounded by the solution-distance check and ``eps`` their
+    correction term: one float shared by every row, or an array of k;
+    ``prox`` holds the inner solves the step made and ``selected`` the
+    subproblem it chose, if any.
     """
 
-    x_next: np.ndarray
-    step_sq: float
-    cuts: list[HalfspaceCut]
+    c_cuts: list[HalfspaceCut] | None
     near: np.ndarray
     eps: float | np.ndarray
     residual: float
     prox: list[ProxResult]
     selected: int | None = None
-
-
-def squared_step(x_next: np.ndarray, x: np.ndarray) -> float:
-    """||x_next - x||^2; its square root is ``norm(x_next - x)`` bit for bit."""
-    d = x_next - x
-    return float(d.dot(d))
 
 
 def require_one_worker(workers: int) -> None:
@@ -199,19 +191,25 @@ def require_one_worker(workers: int) -> None:
 
 def drive(
     algorithm: str,
-    step: Callable[[int, np.ndarray], Step],
+    step: Callable[[int, np.ndarray, float], Step],
     x0: np.ndarray,
     tol: float,
     max_outer: int,
     counters: RunCounters,
     *,
+    project: Callable[[list[HalfspaceCut], np.ndarray], np.ndarray] | None = None,
     known_point: np.ndarray | None = None,
     collect_iterates: bool = False,
 ) -> SolverOutcome:
-    """Run ``step(n, x)`` for n = 1, 2, ... from x = x0 until
+    """Run the anchored iteration from x_1 = x0 until
     max(||x_{n+1} - x_n||, residual) <= tol or ``max_outer`` iterations.
 
-    Per iteration: checks that x_n is the projection of x0 onto the Q-cut,
+    Iteration n calls ``step(n, x_n, ||x_n - x_{n-1}||^2)`` and takes the
+    anchor step of the CQ method, x_{n+1} = ``project([*Step.c_cuts, Q_n], x0)``
+    with Q_n = ``build_q_cut(x0, x_n)``; ``project`` defaults to
+    ``project_halfspace_intersection``.
+
+    Per iteration: checks that x_n is the projection of x0 onto Q_n,
     that ||x_{n+1} - x0|| does not decrease, and, given ``known_point``,
     that every cut contains it and that ||y - p||^2 <= ||x_n - p||^2 + eps
     for each row y of ``Step.near`` and its eps.  The trace records the
@@ -219,6 +217,9 @@ def drive(
     is recorded with its subproblem index: its position in ``Step.prox``,
     or ``Step.selected`` when the step solved that one subproblem alone.
     """
+    if max_outer < 1 or not tol >= 0.0:
+        raise ParameterViolation(f"need max_outer >= 1 and tol >= 0, got {max_outer} and {tol}")
+    project = project or project_halfspace_intersection
     known_sq = math.nan  # ||x - known_point||^2 for the current x
     if known_point is not None:
         known_point = as_point(known_point, x0.size)
@@ -230,6 +231,7 @@ def drive(
     min_cert = np.inf
     first_nonconverged = None
     anchor_dist = 0.0
+    dx2 = 0.0  # ||x - x_prev||^2
     x = x0.copy()
     stop_reason = STOP_MAX_OUTER
     error_msg = None
@@ -237,26 +239,17 @@ def drive(
     try:
         for n in range(1, max_outer + 1):
             t0 = time.perf_counter()
-            x_next, step_sq, cuts, near, eps, residual, results, selected = step(n, x)
-            counters.prox_solves += len(results)
-            for j, r in enumerate(results):
-                counters.set_projections += r.inner_iterations
-                if not r.converged:
-                    counters.prox_nonconverged += 1
-                    if first_nonconverged is None:
-                        i = selected if len(results) == 1 and selected is not None else j
-                        first_nonconverged = InnerNonconvergence(n, i, r.diagnostic)
-                if not math.isnan(r.certificate_gap):
-                    min_cert = min(min_cert, r.certificate_gap)
-
-            step_norm = math.sqrt(step_sq)
-
-            if cuts:
-                q_cut = cuts[-1]
-                if not q_cut.is_whole_space:
-                    p = project_halfspace(q_cut, x0)
-                    if norm(p - x) > anchor_tol:
-                        violations["anchor_projection"] += 1
+            c_cuts, near, eps, residual, results, selected = step(n, x, dx2)
+            if c_cuts is None:
+                x_next, dx2, cuts = x, 0.0, []
+            else:
+                q_cut = build_q_cut(x0, x)
+                cuts = [*c_cuts, q_cut]
+                x_next = project(cuts, x0)
+                d = x_next - x
+                dx2 = float(d.dot(d))
+                if not q_cut.is_whole_space and norm(project_halfspace(q_cut, x0) - x) > anchor_tol:
+                    violations["anchor_projection"] += 1
                 next_dist = norm(x_next - x0)
                 if next_dist < anchor_dist - MONOTONE_SLACK:
                     violations["anchor_monotonicity"] += 1
@@ -268,7 +261,18 @@ def drive(
                     lhs = row_dots(near - known_point)
                     violations["solution_distance_bound"] += int(np.count_nonzero(
                         lhs > (known_sq + eps) + DISTANCE_BOUND_SLACK))
+            counters.prox_solves += len(results)
+            for j, r in enumerate(results):
+                counters.set_projections += r.inner_iterations
+                if not r.converged:
+                    counters.prox_nonconverged += 1
+                    if first_nonconverged is None:
+                        i = selected if len(results) == 1 and selected is not None else j
+                        first_nonconverged = InnerNonconvergence(n, i, r.diagnostic)
+                if not math.isnan(r.certificate_gap):
+                    min_cert = min(min_cert, r.certificate_gap)
 
+            step_norm = math.sqrt(dx2)
             if known_point is not None:
                 to_known = x_next - known_point
                 known_sq = float(to_known @ to_known)
@@ -350,7 +354,8 @@ def _run(
 ) -> SolverOutcome:
     require_one_worker(workers)
     lips = instance.lipschitz_all()
-    validate_params(params, max(d.c1 for d in lips), max(d.c2 for d in lips))
+    lip_max = LipschitzData.largest(lips)
+    validate_params(params, lip_max.c1, lip_max.c2)
     x0 = as_point(instance.x0, instance.dimension)
     counters = RunCounters()
     y_init = instance.set.project(x0)
@@ -358,39 +363,34 @@ def _run(
 
     system = ProxSystem(instance.bifunctions, params.lam, instance.set, certify_probes, seed)
     if mode == "parallel":
-        step = _parallel_step(params, lips, x0, y_init, system)
+        step = _parallel_step(params, lips, y_init, system)
     else:
-        step = _shared_anchor_step(params, lips, x0, y_init, system,
-                                   cyclic=mode == "sequential")
+        step = _shared_anchor_step(params, lip_max, y_init, system, cyclic=mode == "sequential")
     return drive(mode, step, x0, params.tol, params.max_outer, counters,
                  known_point=known_point, collect_iterates=collect_iterates)
 
 
-def _parallel_step(params, lips, x0, y_init, system):
+def _parallel_step(params, lips, y_init, system):
     """Every subproblem from its own previous solution; one C-cut each."""
     n_problems = len(lips)
-    dx2 = 0.0  # ||x_n - x_{n-1}||^2, the previous step's step_sq
     y_cur = np.tile(y_init, (n_problems, 1))
     dy_prev = [0.0] * n_problems  # ||y_cur[i] - y_prev[i]||^2, the previous dy
 
-    def step(n, x):
-        nonlocal dx2, y_cur, dy_prev
+    def step(n, x, dx2):
+        nonlocal y_cur, dy_prev
         y_next, results = system.solve(y_cur, x, n)
         dy = row_dots(y_next - y_cur).tolist()
         eps_list = [epsilon(params, lips[i], dx2, dy_prev[i], dy[i])
                     for i in range(n_problems)]
         cuts = [build_c_cut(x, y_next[i], eps_list[i]) for i in range(n_problems)]
-        cuts.append(build_q_cut(x0, x))
-        x_next = project_halfspace_intersection(cuts, x0)
         residual = float(row_norms(y_next - x).max())
-        step_sq = squared_step(x_next, x)
-        dx2, y_cur, dy_prev = step_sq, y_next, dy
-        return Step(x_next, step_sq, cuts, y_next, np.array(eps_list), residual, results)
+        y_cur, dy_prev = y_next, dy
+        return Step(cuts, y_next, np.array(eps_list), residual, results)
 
     return step
 
 
-def _shared_anchor_step(params, lips, x0, y_init, system, cyclic):
+def _shared_anchor_step(params, lip, y_init, system, cyclic):
     """Subproblems anchored at one shared sequence ybar; one C-cut.
 
     ``maxsel`` (cyclic=False) solves every subproblem in one ``system``
@@ -398,15 +398,13 @@ def _shared_anchor_step(params, lips, x0, y_init, system, cyclic):
     (cyclic=True) solves only the one chosen by ``cyclic_index`` and
     measures the residual over the latest solution of each subproblem.
     """
-    n_problems = len(lips)
-    lip = LipschitzData(max(d.c1 for d in lips), max(d.c2 for d in lips))
-    dx2 = 0.0  # ||x_n - x_{n-1}||^2, the previous step's step_sq
+    n_problems = len(system.fs)
     ybar = y_init
     dy_prev = 0.0  # ||ybar - ybar_prev||^2, the previous step's dy
     last_Y = np.tile(y_init, (n_problems, 1))  # latest solution of each subproblem
 
-    def step(n, x):
-        nonlocal dx2, ybar, dy_prev
+    def step(n, x, dx2):
+        nonlocal ybar, dy_prev
         if cyclic:
             selected = cyclic_index(n, n_problems)
             results = [system.solve_one(selected, ybar, x, n)]
@@ -421,11 +419,8 @@ def _shared_anchor_step(params, lips, x0, y_init, system, cyclic):
         dy = y_next - ybar
         dy2 = float(dy @ dy)
         eps = epsilon(params, lip, dx2, dy_prev, dy2)
-        cuts = [build_c_cut(x, y_next, eps), build_q_cut(x0, x)]
-        x_next = project_halfspace_intersection(cuts, x0)
-        near = y_next[None] if cyclic else Y
-        step_sq = squared_step(x_next, x)
-        dx2, ybar, dy_prev = step_sq, y_next, dy2
-        return Step(x_next, step_sq, cuts, near, eps, residual, results, selected)
+        ybar, dy_prev = y_next, dy2
+        return Step([build_c_cut(x, y_next, eps)], y_next[None] if cyclic else Y, eps,
+                    residual, results, selected)
 
     return step

@@ -11,7 +11,7 @@ constants (c1, c2) satisfying
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
@@ -19,7 +19,12 @@ from .errors import DimensionMismatch, UnknownConstants
 from .geometry import FeasibleSet, as_point
 
 
-def spectral_norm_estimate(M: np.ndarray, iters: int = 200, tol: float = 1e-13) -> float:
+# Power-iteration cap and relative stopping tolerance of spectral_norm_estimate.
+SPECTRAL_ITERS = 200
+SPECTRAL_TOL = 1e-13
+
+
+def spectral_norm_estimate(M: np.ndarray) -> float:
     """Largest singular value of ``M`` by power iteration on M^T M.
 
     Deterministic tilted start so repeated calls agree bitwise.
@@ -29,14 +34,14 @@ def spectral_norm_estimate(M: np.ndarray, iters: int = 200, tol: float = 1e-13) 
     v = 1.0 + 1e-3 * np.arange(d)
     v /= np.linalg.norm(v)
     sigma = 0.0
-    for _ in range(iters):
+    for _ in range(SPECTRAL_ITERS):
         w = M.T @ (M @ v)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             return 0.0
         v_new = w / norm_w
         sigma_new = float(np.sqrt(v_new @ (M.T @ (M @ v_new))))
-        if abs(sigma_new - sigma) <= tol * max(1.0, sigma_new):
+        if abs(sigma_new - sigma) <= SPECTRAL_TOL * max(1.0, sigma_new):
             return sigma_new
         sigma, v = sigma_new, v_new
     return sigma
@@ -54,6 +59,11 @@ class LipschitzData:
             raise ValueError("Lipschitz-type constants must be nonnegative")
         if not self.c1 + self.c2 > 0.0:
             raise ValueError("c1 + c2 must be positive for the step bound to exist")
+
+    @classmethod
+    def largest(cls, data: list[LipschitzData]) -> LipschitzData:
+        """(max c1, max c2) over ``data``: constants valid for all of them."""
+        return cls(max(d.c1 for d in data), max(d.c2 for d in data))
 
 
 @dataclass
@@ -317,8 +327,7 @@ class CsepInstance:
 
     def lipschitz_max(self) -> tuple[float, float]:
         """(max c1, max c2) over the instance's bifunctions."""
-        data = self.lipschitz_all()
-        return max(d.c1 for d in data), max(d.c2 for d in data)
+        return astuple(LipschitzData.largest(self.lipschitz_all()))
 
     def reference_point(self) -> np.ndarray | None:
         """Projection of x0 onto the known solution set, when described."""

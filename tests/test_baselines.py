@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from csepsolve import baselines
 from csepsolve import (
     AffineOperator,
     ArmijoParams,
@@ -14,6 +15,7 @@ from csepsolve import (
     ParameterViolation,
     SingletonSolution,
     ViInducedBifunction,
+    WholeSpace,
     armijo_linesearch,
     armijo_step_size,
     run_armijo_hybrid,
@@ -99,12 +101,13 @@ class TestLinesearch:
         assert m == 3
         assert np.allclose(z, [0.875 * 0.0 + 0.125 * 1.0])
 
-    def test_exhaustion_raises(self):
+    def test_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(baselines, "MAX_LINESEARCH", 10)
         f = BlackBoxBifunction(lambda x, y: 1.0, lambda x, y: np.zeros_like(x),
                                LipschitzData(1.0, 1.0))
         with pytest.raises(LinesearchFailed):
             armijo_linesearch(f, np.array([0.0]), np.array([1.0]), 0.5,
-                              ArmijoParams(eta=0.5, lam=0.5, max_linesearch=10))
+                              ArmijoParams(eta=0.5, lam=0.5))
 
     def test_eta_validated(self):
         with pytest.raises(ParameterViolation):
@@ -204,6 +207,50 @@ class TestBallSet:
         if out.stop_reason == "error":
             assert "anchor projection" in out.error
             assert out.trace[-1].dist_to_known < 1e-3
+
+
+class TestWholeSpace:
+    """On R^d the anchor projection is onto the cuts alone: one exact
+    halfspace projection, counted as one set projection."""
+
+    def instance(self, M, q, x0, point):
+        op = AffineOperator(np.array(M, dtype=float), np.array(q, dtype=float))
+        return CsepInstance(2, WholeSpace(2), [ViInducedBifunction(op)], x0,
+                            SingletonSolution(point))
+
+    def runs(self, inst):
+        known = inst.reference_point()
+        return (
+            run_hybrid_extragradient(inst, lam=0.3, max_outer=5000, known_point=known),
+            run_armijo_hybrid(inst, ArmijoParams(eta=0.5, lam=0.3), max_outer=5000,
+                              known_point=known),
+        )
+
+    def test_skew_operator_runs_without_an_anchor_projection_error(self):
+        # A(x) = M x + q with a skew part; zero at (0.5, 0).  Sent through
+        # Dykstra with the identity as the "projection onto C", both
+        # baselines stalled and ended in an error.
+        inst = self.instance([[2.0, 1.0], [-1.0, 1.0]], [-1.0, 0.5], [0.4, -0.7], [0.5, 0.0])
+        for out, reach in zip(self.runs(inst), (1e-4, 2e-3)):
+            assert out.error is None
+            assert (out.stop_reason, out.iterations) == ("max_outer", 5000)
+            assert out.total_violations == 0
+            assert np.linalg.norm(out.final_x - [0.5, 0.0]) < reach
+            # two prox solves (or one prox solve and the relaxation
+            # projection), plus one anchor projection
+            assert out.counters.set_projections == 3 * out.iterations
+
+    def test_degenerate_operator_counts_one_set_projection_per_anchor_projection(self):
+        # A(x) = (x1, 0); x0 = (0.5, 0.3) projects onto the solution line at (0, 0.3)
+        inst = self.instance([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0], [0.5, 0.3], [0.0, 0.3])
+        extragradient, armijo = self.runs(inst)
+        for out in (extragradient, armijo):
+            assert out.stop_reason == "tolerance"
+            assert out.total_violations == 0
+            assert np.linalg.norm(out.final_x - [0.0, 0.3]) < 1e-7
+        assert extragradient.counters.set_projections == 3 * extragradient.iterations
+        # armijo stops at x before the linesearch: one prox solve, no projection
+        assert armijo.counters.set_projections == 3 * armijo.iterations - 2
 
 
 class TestThreeMethodAgreement:

@@ -43,6 +43,13 @@ class TestSolve:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["single", "extragradient", "armijo"])
+    @pytest.mark.parametrize("flag", [["--max-outer", "0"], ["--tol", "-1"]])
+    def test_bad_tol_or_max_outer_exit_two_for_every_solver(self, capsys, algorithm, flag):
+        code = main(["solve", SCALAR, "--algorithm", algorithm, *flag])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
     def test_max_outer_exit_one(self, capsys):
         code = main(["solve", SCALAR, "--algorithm", "single",
                      "--lambda", "0.3", "--k", "4", "--max-outer", "2"])

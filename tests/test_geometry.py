@@ -264,7 +264,7 @@ class TestHalfspaceIntersection:
 
     def test_redundant_third_cut(self):
         cuts = [cut([1.0, 0.0], 0.0), cut([0.0, 1.0], 0.0), cut([1.0, 1.0], 1.0)]
-        z = project_halfspace_intersection(cuts, [1.0, 1.0], tol=1e-12)
+        z = project_halfspace_intersection(cuts, [1.0, 1.0])
         ref = project_polyhedron_enumerate(cuts, [1.0, 1.0])
         assert np.linalg.norm(z - ref) < 1e-10
         assert np.allclose(z, [0.0, 0.0], atol=1e-10)
@@ -282,7 +282,7 @@ class TestHalfspaceIntersection:
                 a = rng.standard_normal(3)
                 cuts.append(cut(a, float(a @ p) + abs(rng.standard_normal())))
             x0 = rng.standard_normal(3) * 2.0
-            z = project_halfspace_intersection(cuts, x0, tol=1e-12)
+            z = project_halfspace_intersection(cuts, x0)
             ref = project_polyhedron_enumerate(cuts, x0)
             assert np.linalg.norm(z - ref) < 1e-8
 

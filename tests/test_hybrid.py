@@ -364,10 +364,10 @@ class TestDrive:
         near = np.array([[0.5, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, 1.2]])
         eps = np.array([0.0, 0.0, 0.5, 0.3])
 
-        # x stays at x0, where ||x - p||^2 = 1: rows 1 (4 > 1) and 3
-        # (1.44 > 1 + 0.3) break the bound, rows 0 and 2 do not
-        def step(n, x):
-            return Step(x, 0.0, [build_q_cut(x0, x)], near, eps, 1.0, [])
+        # no C-cuts, so x stays at x0, where ||x - p||^2 = 1: rows 1 (4 > 1)
+        # and 3 (1.44 > 1 + 0.3) break the bound, rows 0 and 2 do not
+        def step(n, x, dx2):
+            return Step([], near, eps, 1.0, [])
 
         out = drive("fixed", step, x0, 0.0, 3, RunCounters(), known_point=p)
         assert out.invariant_violations["solution_distance_bound"] == 6
@@ -379,16 +379,16 @@ class TestDrive:
         near = np.array([[0.5, 0.0], [2.0, 0.0], [0.0, 1.2]])
 
         # one eps = 0.3 for all rows: rows 1 and 2 break the bound
-        def step(n, x):
-            return Step(x, 0.0, [build_q_cut(x0, x)], near, 0.3, 1.0, [])
+        def step(n, x, dx2):
+            return Step([], near, 0.3, 1.0, [])
 
         out = drive("fixed", step, x0, 0.0, 2, RunCounters(), known_point=np.zeros(2))
         assert out.invariant_violations["solution_distance_bound"] == 4
         assert [(r.eps_min, r.eps_max) for r in out.trace] == [(0.3, 0.3)] * 2
 
     def test_step_without_cuts_runs_no_checks(self):
-        def step(n, x):
-            return Step(x, 0.0, [], np.empty((0, x.size)), 0.0, 1.0, [])
+        def step(n, x, dx2):
+            return Step(None, np.empty((0, x.size)), 0.0, 1.0, [])
 
         out = drive("fixed", step, np.ones(2), 0.0, 2, RunCounters(), known_point=[5.0, 5.0])
         assert sum(out.invariant_violations.values()) == 0
@@ -411,14 +411,20 @@ class TestStepBookkeeping:
             return result
 
         system.solve_one = recording_solve_one
-        step = _shared_anchor_step(params, inst.lipschitz_all(), inst.x0, y_init, system,
-                                   cyclic=True)
-        x = inst.x0
-        for n in range(1, 40):
-            out = step(n, x)
+        step = _shared_anchor_step(params, LipschitzData.largest(inst.lipschitz_all()), y_init,
+                                   system, cyclic=True)
+
+        def checked_step(n, x, dx2):
+            out = step(n, x, dx2)
             assert out.residual == max(float(np.linalg.norm(y - x)) for y in latest)
-            assert out.step_sq == float((out.x_next - x) @ (out.x_next - x))
-            x = out.x_next
+            return out
+
+        out = drive("sequential", checked_step, inst.x0, 0.0, 39, RunCounters(),
+                    collect_iterates=True)
+        assert out.iterations == 39
+        xs = [inst.x0, *out.iterates]
+        for n, record in enumerate(out.trace):
+            assert record.step_norm == float(np.linalg.norm(xs[n + 1] - xs[n]))
 
     @pytest.mark.parametrize("runner", [run_maxsel_hybrid, run_parallel_hybrid,
                                         run_sequential, run_single])

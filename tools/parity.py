@@ -1,0 +1,201 @@
+"""Bitwise parity of two source trees over a fixed list of solves.
+
+    python3 tools/parity.py dump SRC OUT [--only NAME[,NAME...]]
+    python3 tools/parity.py compare A B
+
+``dump`` imports csepsolve from ``SRC/src`` and runs every solve of the
+list below through ``harness.run``: the bundled problem files of ``SRC``
+under every applicable algorithm with 0 and 3 certificate probes, seeded
+``vi_system``/``aq_system`` files from ``SRC/bench/gen.py`` at N = 1, 3, 4
+and 8, a ball instance, and two whole-space instances under all six
+solvers.  It writes, per run, the stop reason, iterations, ``final_x`` as
+hex bytes, every trace field except ``wall_ms``, the counters, the
+invariant violations, ``min_prox_certificate``, the first unconverged
+inner solve and the error, with every float as its ``repr`` (so NaN equals
+NaN).  ``--only`` restricts the dump to the named runs.
+
+``compare`` prints how many runs of A are identical in B and the first
+differing field of every other run, and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import importlib.util
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+TOL = 1e-8
+BUNDLED_BUDGET = 2000
+SEEDED_BUDGET = 300
+BALL_BUDGET = 100
+WHOLE_SPACE_BUDGET = 3000
+PROBES = (0, 3)
+SEEDED = [(family, seed, 10, n) for family in ("vi_system", "aq_system")
+          for seed, n in ((1, 1), (2, 3), (3, 4), (4, 8))]
+ALL_ALGORITHMS = ("parallel", "maxsel", "single", "sequential", "extragradient", "armijo")
+MULTI_ALGORITHMS = ("parallel", "maxsel", "sequential")
+
+
+def _vi_document(set_doc, M, q, x0, point):
+    return {
+        "dimension": len(x0),
+        "set": set_doc,
+        "bifunctions": [{"type": "vi_affine", "M": M, "q": q}],
+        "x0": x0,
+        "known_solution": {"type": "singleton", "point": point},
+    }
+
+
+# A(x) = x - (2, 0) on the unit ball: the solution sits on the boundary at (1, 0).
+BALL = _vi_document({"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                    [[1.0, 0.0], [0.0, 1.0]], [-2.0, 0.0], [0.2, 0.6], [1.0, 0.0])
+# Monotone operators on R^2 with a skew part (zero at (0.5, 0)) and with a
+# line of zeros (x0 projects onto it at (0, 0.3)).
+WHOLE_SPACE = {
+    "whole_skew": _vi_document({"type": "whole_space"}, [[2.0, 1.0], [-1.0, 1.0]],
+                               [-1.0, 0.5], [0.4, -0.7], [0.5, 0.0]),
+    "whole_line": _vi_document({"type": "whole_space"}, [[1.0, 0.0], [0.0, 0.0]],
+                               [0.0, 0.0], [0.5, 0.3], [0.0, 0.3]),
+}
+
+
+def run_list(src: Path, scratch: Path):
+    """(name, problem path, algorithm, certify_probes, max_outer) per run."""
+    spec = importlib.util.spec_from_file_location("parity_gen", src / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    runs = []
+    for path in sorted((src / "problems").glob("*.json")):
+        n = len(json.loads(path.read_text())["bifunctions"])
+        for algorithm in ALL_ALGORITHMS if n == 1 else MULTI_ALGORITHMS:
+            for probes in PROBES:
+                runs.append((f"{path.stem}/{algorithm}/probes{probes}", path, algorithm,
+                             probes, BUNDLED_BUDGET))
+    for family, seed, d, n in SEEDED:
+        path = scratch / f"{family}_s{seed}_d{d}_n{n}.json"
+        gen.write(str(path), getattr(gen, family)(seed, d, n))
+        for algorithm in ALL_ALGORITHMS if n == 1 else MULTI_ALGORITHMS:
+            runs.append((f"{path.stem}/{algorithm}", path, algorithm, 0, SEEDED_BUDGET))
+    documents = [("ball", BALL, ("single", "extragradient", "armijo"), BALL_BUDGET)]
+    documents += [(name, doc, ALL_ALGORITHMS, WHOLE_SPACE_BUDGET)
+                  for name, doc in WHOLE_SPACE.items()]
+    for name, doc, algorithms, budget in documents:
+        path = scratch / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        runs.extend((f"{name}/{algorithm}", path, algorithm, 0, budget)
+                    for algorithm in algorithms)
+    return runs
+
+
+def _text(v) -> str:
+    """``repr``, with numpy floats written as plain floats."""
+    return repr(float(v)) if isinstance(v, float) else repr(v)
+
+
+def record(outcome, trace_fields) -> dict:
+    """Every compared field of one outcome, as strings and lists of strings."""
+    fields = {
+        "stop_reason": outcome.stop_reason,
+        "iterations": _text(outcome.iterations),
+        "final_x": outcome.final_x.tobytes().hex(),
+    }
+    for name in trace_fields:
+        fields[f"trace.{name}"] = [_text(getattr(r, name)) for r in outcome.trace]
+    for name, value in vars(outcome.counters).items():
+        fields[f"counters.{name}"] = _text(value)
+    for name, count in sorted(outcome.invariant_violations.items()):
+        fields[f"violations.{name}"] = _text(count)
+    fields["min_prox_certificate"] = _text(outcome.min_prox_certificate)
+    fields["first_nonconverged"] = _text(outcome.first_nonconverged)
+    fields["error"] = _text(outcome.error)
+    return fields
+
+
+def dump(src: Path, out: Path, only: set[str] | None = None) -> dict:
+    src = src.resolve()
+    sys.path.insert(0, str(src / "src"))
+    import csepsolve
+    from csepsolve import harness
+    from csepsolve.outcome import IterationRecord
+
+    if not Path(csepsolve.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"csepsolve was imported from {csepsolve.__file__}, not from {src}")
+    trace_fields = [f.name for f in dataclasses.fields(IterationRecord) if f.name != "wall_ms"]
+    results = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, path, algorithm, probes, budget in run_list(src, Path(scratch)):
+            if only is not None and name not in only:
+                continue
+            spec = harness.RunSpec(problem_path=str(path), algorithm=algorithm, tol=TOL,
+                                   max_outer=budget, certify_probes=probes)
+            try:
+                results[name] = record(harness.run(spec), trace_fields)
+            except Exception as exc:  # a run that raises is compared by its exception
+                results[name] = {"raised": f"{type(exc).__name__}: {exc}"}
+    if only is not None and set(results) != only:
+        raise SystemExit(f"no such runs: {sorted(only - set(results))}")
+    out.write_text(json.dumps(results, indent=1) + "\n")
+    return results
+
+
+def _union(a, b) -> list:
+    """The keys of ``a``, then those only in ``b``."""
+    return list(a) + [k for k in b if k not in a]
+
+
+def first_difference(a: dict, b: dict) -> str | None:
+    """The first field of run ``a`` whose value differs in ``b``, or None;
+    a differing list is named with its first differing index."""
+    for field in _union(a, b):
+        va, vb = a.get(field), b.get(field)
+        if va == vb:
+            continue
+        if isinstance(va, list) and isinstance(vb, list):
+            i = next((i for i, pair in enumerate(zip(va, vb)) if pair[0] != pair[1]),
+                     min(len(va), len(vb)))
+            va, vb = va[i] if i < len(va) else "-", vb[i] if i < len(vb) else "-"
+            field = f"{field}[{i}]"
+        return f"{field}: {va} != {vb}"
+    return None
+
+
+def compare(a_path: Path, b_path: Path) -> int:
+    a = json.loads(a_path.read_text())
+    b = json.loads(b_path.read_text())
+    differing = []
+    for name in _union(a, b):
+        if name not in a or name not in b:
+            differing.append((name, f"only in {a_path if name in a else b_path}"))
+        elif (diff := first_difference(a[name], b[name])) is not None:
+            differing.append((name, diff))
+    runs = len(_union(a, b))
+    print(f"{runs - len(differing)} of {runs} runs identical")
+    for name, diff in differing:
+        print(f"{name}: {diff}")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_dump = sub.add_parser("dump", help="run the list from source tree SRC into OUT")
+    p_dump.add_argument("src", type=Path)
+    p_dump.add_argument("out", type=Path)
+    p_dump.add_argument("--only", help="comma-separated run names")
+    p_compare = sub.add_parser("compare", help="compare two dumps; exit 1 on any difference")
+    p_compare.add_argument("a", type=Path)
+    p_compare.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        results = dump(args.src, args.out, set(args.only.split(",")) if args.only else None)
+        print(f"{len(results)} runs written to {args.out}")
+        return 0
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -129,6 +129,8 @@ class FeasibleSet:
     dimension: int
 
     def project(self, x: np.ndarray) -> np.ndarray:
+        """The nearest point of the set to the point x, or to each row of a
+        (k, d) stack x, bit for bit as the rows projected one by one."""
         raise NotImplementedError
 
     def contains(self, x: np.ndarray, tol: float = 1e-10) -> bool:
@@ -255,6 +257,8 @@ class Polyhedron(FeasibleSet):
 
     def project(self, x):
         try:
+            if np.ndim(x) == 2:
+                return np.array([project_halfspace_intersection(self.cuts, y) for y in x])
             return project_halfspace_intersection(self.cuts, x)
         except (EmptyIntersection, MaxInnerIterationsExceeded) as exc:
             raise InfeasibleSet(f"polyhedron appears empty: {exc}") from exc
@@ -424,8 +428,12 @@ def _dual_active_set(cuts, x0):
             for i, (ri, mi) in enumerate(zip(r, mu)):
                 if ri > r_floor and mi < t_part * ri:
                     t_part, drop = mi / ri, i
-            # Rounding leaves |dz| of about 1e-16 when a_j is in the span.
-            dependent = rho <= 1e-20
+            # When a_j is in the span, rounding leaves |dz| of up to about
+            # 1e-10 once the basis holds nearly dependent rows.  Admitting a
+            # part below 1e-8 (about the square root of the unit roundoff)
+            # would move z by v_j/|dz| >= 1e8 v_j, whose rounding already
+            # exceeds the INTERSECTION_TOL slack of the certificate.
+            dependent = rho <= 1e-16
             if dependent and drop < 0:
                 raise EmptyIntersection(
                     f"cut {j} is violated by {vj:.3e} at every point of the "

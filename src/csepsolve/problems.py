@@ -12,6 +12,7 @@ constants (c1, c2) satisfying
 from __future__ import annotations
 
 from dataclasses import asdict, astuple, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -177,7 +178,6 @@ class AffineQuadraticBifunction(Bifunction):
     Q: np.ndarray
     q: np.ndarray
     lipschitz: LipschitzData | None = None
-    _sym_norm: float | None = field(default=None, init=False, repr=False)
     diagonal: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -205,10 +205,18 @@ class AffineQuadraticBifunction(Bifunction):
         return self.Q.T @ (y - x) + self.P @ x + self.Q @ y + self.q
 
     def sym_norm(self) -> float:
-        """Spectral norm of Q + Q^T (cached); Lipschitz constant of grad_y f."""
-        if self._sym_norm is None:
-            self._sym_norm = spectral_norm_estimate(self.Q + self.Q.T)
+        """Spectral norm of Q + Q^T; Lipschitz constant of grad_y f."""
         return self._sym_norm
+
+    # Each spectral norm is estimated once, on first use.
+    @cached_property
+    def _sym_norm(self) -> float:
+        return spectral_norm_estimate(self.Q + self.Q.T)
+
+    @cached_property
+    def _cross_norm(self) -> float:
+        """Spectral norm of P - Q^T, twice the default c1 = c2."""
+        return spectral_norm_estimate(self.P - self.Q.T)
 
 
 @dataclass
@@ -237,7 +245,7 @@ def default_lipschitz(f: Bifunction) -> LipschitzData:
         half = 0.5 * f.operator.lipschitz_L
         return LipschitzData(half, half)
     if isinstance(f, AffineQuadraticBifunction):
-        half = 0.5 * spectral_norm_estimate(f.P - f.Q.T)
+        half = 0.5 * f._cross_norm
         if half <= 0.0:
             raise UnknownConstants(
                 "derived constants are c1 = c2 = 0 (P equals Q^T); supply "

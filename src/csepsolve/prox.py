@@ -15,13 +15,15 @@ Q_i^T, Q_i + Q_i^T and the projected-gradient steps when none does.  A
 solve then makes one batched matrix product in place of N, and runs one
 projected-gradient loop over the stack in which each row stops at its own
 step.  Any other system (callable operators, black-box or mixed
-bifunctions) gets one kernel per row.  Boxes and the whole space project
-the whole stack at once; other sets project row by row.
+bifunctions) has no stack.  Every feasible set projects a (k, d) stack as
+it would each row.
 
-``ProxSystem`` builds the kernel once per run; ``solve`` solves all N
-subproblems and ``solve_one`` row i alone, on views of the same stack.  The
-batched forms used (``np.matmul`` over stacks) give each row's result bit
-for bit, so both agree exactly.  Certified solves certify each row after.
+``ProxSystem`` builds, once per run, each subproblem's one-row kernel
+``_kernel([f], lam, set_)`` and the stack of all N when there is one;
+``solve`` solves all N subproblems on the stack, or row by row without it,
+and ``solve_one`` row i alone on its one-row kernel.  The batched forms
+used (``np.matmul`` over stacks) give each row's result bit for bit, so
+both agree exactly.  Certified solves certify each row after.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ from .problems import (
 TOL_PROJECTED_GRADIENT = 1e-10
 TOL_SUBGRADIENT = 1e-8
 MAX_INNER = 100_000
-
-# Sets whose projection acts on each row of a (k, d) stack independently.
-ROWWISE_SETS = (Box, WholeSpace)
 
 
 @dataclass
@@ -106,8 +105,8 @@ class ProxSystem:
                  certify_probes: int = 0, seed: int = 0):
         self.fs, self.lam, self.set_ = fs, lam, set_
         self.certify_probes, self.seed = certify_probes, seed
-        self._kernel = _kernel(fs, lam, set_)
-        self._rows = [self._kernel.row(i) for i in range(len(fs))]
+        self._rows = [_kernel([f], lam, set_) for f in fs]
+        self._stack = _kernel(fs, lam, set_)
 
     def solve(self, W: np.ndarray, x: np.ndarray, n: int) -> tuple[np.ndarray, list[ProxResult]]:
         """All N subproblems at outer iteration n, subproblem i anchored at W
@@ -115,7 +114,12 @@ class ProxSystem:
 
         Returns the (N, d) stack of minimizers and the N results.
         """
-        Y, results = self._kernel.solve(W, x)
+        if self._stack is not None:
+            Y, results = self._stack.solve(W, x)
+        else:
+            results = [k.solve(W if W.ndim == 1 else W[i], x)[1][0]
+                       for i, k in enumerate(self._rows)]
+            Y = np.array([r.minimizer for r in results])
         if self.certify_probes > 0:
             for i, result in enumerate(results):
                 self._certify(i, W if W.ndim == 1 else W[i], x, n, result)
@@ -138,9 +142,9 @@ class ProxSystem:
 
 def _kernel(fs: list[Bifunction], lam: float, set_: FeasibleSet):
     """The solver of the subproblems ``fs``: a stack when all belong to one
-    stacked family, else one kernel per row.  A kernel's ``solve(W, x)``
-    takes one shared 1-D anchor or one row per subproblem and returns the
-    (k, d) minimizers and k results; ``row(i)`` is subproblem i's kernel."""
+    stacked family, else for one subproblem its own kernel, and for more
+    None.  A kernel's ``solve(W, x)`` takes one shared 1-D anchor or one row
+    per subproblem and returns the (k, d) minimizers and k results."""
     if not lam > 0.0:
         raise ValueError("prox step lam must be positive")
 
@@ -153,7 +157,7 @@ def _kernel(fs: list[Bifunction], lam: float, set_: FeasibleSet):
                               stack(lambda f: f.operator.q))
     if all(isinstance(f, AffineQuadraticBifunction) for f in fs):
         P, q = stack(lambda f: f.P), stack(lambda f: f.q)
-        separable = [isinstance(set_, ROWWISE_SETS) and f.diagonal is not None for f in fs]
+        separable = [isinstance(set_, (Box, WholeSpace)) and f.diagonal is not None for f in fs]
         if all(separable):
             return _CoordinatewiseStack(lam, set_, P, q, stack(lambda f: f.diagonal))
         if not any(separable):
@@ -162,7 +166,7 @@ def _kernel(fs: list[Bifunction], lam: float, set_: FeasibleSet):
             step = 1.0 / (1.0 + lam * np.array([f.sym_norm() for f in fs]))
             return _ProjectedGradientStack(lam, set_, P, q, QT, Q + QT, step)
     if len(fs) > 1:
-        return _Rows([_kernel([f], lam, set_) for f in fs])
+        return None
     solve_1d = _solve_operator if isinstance(fs[0], ViInducedBifunction) else _solve_blackbox
     return _Row(solve_1d, fs[0], lam, set_)
 
@@ -183,21 +187,6 @@ def _matvec(S: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.matmul(S, W) if W.ndim == 1 else np.matmul(S, W[..., None])[..., 0]
 
 
-def _row_projector(set_: FeasibleSet):
-    """The map projecting each row of a (k, d) stack onto the set."""
-    if isinstance(set_, ROWWISE_SETS):
-        return set_.project
-    return lambda Y: np.array([set_.project(y) for y in Y])
-
-
-def _vi_rows(A: np.ndarray, x, lam, set_) -> np.ndarray:
-    """Exact operator-induced minimizers P_C(x - lam*A_i), one per row of
-    the operator values A."""
-    Y = _row_projector(set_)(x - lam * A)
-    _require_finite(Y)
-    return Y
-
-
 def _squared_bound(tol: float) -> float:
     """The largest double s with sqrt(s) <= tol (-inf when there is none).
 
@@ -215,8 +204,7 @@ def _squared_bound(tol: float) -> float:
 
 
 class _Stack:
-    """Per-row arrays, named by ``ROWS`` and stacked along axis 0; ``row(i)``
-    is the kernel of row i on views of them."""
+    """Per-row arrays, named by ``ROWS`` and stacked along axis 0."""
 
     ROWS: tuple[str, ...] = ()
 
@@ -224,17 +212,15 @@ class _Stack:
         self.lam, self.set_ = lam, set_
         self.__dict__.update(zip(self.ROWS, arrays))
 
-    def row(self, i):
-        return type(self)(self.lam, self.set_, *(getattr(self, a)[i:i + 1] for a in self.ROWS))
-
 
 class _AffineViStack(_Stack):
-    """Operators M_i y + q_i."""
+    """Operators M_i y + q_i: the exact minimizers P_C(x - lam*(M_i w_i + q_i))."""
 
     ROWS = ("M", "q")
 
     def solve(self, W, x):
-        Y = _vi_rows(_matvec(self.M, W) + self.q, x, self.lam, self.set_)
+        Y = self.set_.project(x - self.lam * (_matvec(self.M, W) + self.q))
+        _require_finite(Y)
         return Y, [ProxResult(minimizer=y) for y in Y]
 
 
@@ -256,7 +242,7 @@ class _CoordinatewiseStack(_Stack):
             raise NonFiniteObjective("subproblem is not strongly convex (Q too negative)")
         lam = self.lam
         c = _matvec(self.P, W) + self.q
-        Y = _row_projector(self.set_)((x - lam * c + lam * self.diag * W) / self.denom)
+        Y = self.set_.project((x - lam * c + lam * self.diag * W) / self.denom)
         _require_finite(Y)
         return Y, [ProxResult(minimizer=y) for y in Y]
 
@@ -275,7 +261,7 @@ class _ProjectedGradientStack(_Stack):
         after MAX_INNER steps is returned unconverged."""
         bound, max_inner = _squared_bound(TOL_PROJECTED_GRADIENT), MAX_INNER
         lam, set_ = self.lam, self.set_
-        project, matmul = _row_projector(set_), np.matmul
+        project, matmul = set_.project, np.matmul
         shift = x - lam * (_matvec(self.P, W) + self.q) + lam * _matvec(self.QT, W)
         out = np.empty_like(shift)
         steps: list[int | None] = [None] * shift.shape[0]
@@ -308,21 +294,6 @@ class _ProjectedGradientStack(_Stack):
         ]
 
 
-class _Rows:
-    """One kernel per row, for a system that no single stack covers."""
-
-    def __init__(self, kernels):
-        self.kernels = kernels
-
-    def row(self, i):
-        return self.kernels[i]
-
-    def solve(self, W, x):
-        results = [k.solve(W if W.ndim == 1 else W[i], x)[1][0]
-                   for i, k in enumerate(self.kernels)]
-        return np.array([r.minimizer for r in results]), results
-
-
 class _Row:
     """One subproblem outside the stacked families, solved by
     ``solve_1d(f, w, x, lam, set_)``; its anchor is a 1-D w or a one-row
@@ -330,9 +301,6 @@ class _Row:
 
     def __init__(self, solve_1d, f, lam, set_):
         self.solve_1d, self.f, self.lam, self.set_ = solve_1d, f, lam, set_
-
-    def row(self, i):
-        return self
 
     def solve(self, W, x):
         result = self.solve_1d(self.f, W if W.ndim == 1 else W[0], x, self.lam, self.set_)

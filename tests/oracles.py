@@ -61,7 +61,10 @@ def project_ldp_nnls(cuts, x0):
     -A u >= A x0 - b.  NNLS on E = [-A^T; (A x0 - b)^T], f = e_{d+1} gives the
     residual r = E w - f, and u = -r[:d] / r[d]; r = 0 certifies emptiness.
     Cuts with the same unit normal are merged into the tightest first, since
-    scipy's NNLS can break down on repeated columns.  Needs scipy.
+    scipy's NNLS can break down on repeated columns.  scipy's NNLS can also
+    stop at a point that violates a cut by whole units; such an answer is
+    replaced by ``project_polyhedron_enumerate`` (exponential in the number
+    of cuts, so meant for the dozen or fewer of the tests).  Needs scipy.
     """
     from scipy.optimize import nnls
 
@@ -82,7 +85,10 @@ def project_ldp_nnls(cuts, x0):
     r = E @ w - f
     if np.linalg.norm(r) < 1e-12:
         return None
-    return x0 - r[:-1] / r[-1]
+    z = x0 - r[:-1] / r[-1]
+    if np.max(normals @ z - offsets) > 1e-9 * (1.0 + np.linalg.norm(x0)):
+        return project_polyhedron_enumerate(cuts, x0)
+    return z
 
 
 def grid_minimize_1d(objective, lo, hi, tol=1e-6):

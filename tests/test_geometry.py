@@ -79,6 +79,34 @@ class TestProject:
             project(poly, [0.0])
 
 
+def stack_sets(rng, d):
+    """One set of each kind in R^d."""
+    normals = rng.standard_normal((5, d))
+    return [
+        Box(-np.ones(d), rng.uniform(0.0, 2.0, d)),
+        Ball(rng.standard_normal(d), 0.7),
+        WholeSpace(d),
+        Polyhedron([cut(a, o) for a, o in zip(normals, rng.uniform(0.1, 1.0, 5))]),
+    ]
+
+
+class TestStackProjection:
+    @pytest.mark.parametrize("d", [1, 3, 100])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_stack_projects_as_its_rows(self, rng, d, k):
+        for set_ in stack_sets(rng, d):
+            Y = 3.0 * rng.standard_normal((k, d))
+            stacked = set_.project(Y)
+            rows = np.array([set_.project(y) for y in Y])
+            assert stacked.shape == (k, d), type(set_).__name__
+            assert stacked.tobytes() == rows.tobytes(), type(set_).__name__
+
+    def test_empty_polyhedron_stack_raises(self):
+        poly = Polyhedron([cut([1.0], -1.0), cut([-1.0], -2.0), cut([1.0], -1.5)])
+        with pytest.raises(InfeasibleSet):
+            poly.project(np.zeros((3, 1)))
+
+
 class TestHalfspace:
     def test_orthogonal_drop(self):
         assert np.allclose(project_halfspace(cut([1.0, 0.0], 0.0), [2.0, 3.0]), [0.0, 3.0])

@@ -120,6 +120,27 @@ class TestLipschitz:
         with pytest.raises(UnknownConstants):
             default_lipschitz(f)
 
+    def test_affine_quadratic_constants_are_estimated_once(self, rng, monkeypatch):
+        import csepsolve.problems as problems_module
+
+        calls = []
+
+        def counting(M):
+            calls.append(M)
+            return spectral_norm_estimate(M)
+
+        monkeypatch.setattr(problems_module, "spectral_norm_estimate", counting)
+        P, Q = rng.standard_normal((2, 3, 3))
+        f = AffineQuadraticBifunction(P, Q, np.zeros(3))
+        assert f.lipschitz_data() == f.lipschitz_data()
+        assert len(calls) == 1
+        assert f.sym_norm() == f.sym_norm() == spectral_norm_estimate(Q + Q.T)
+        assert len(calls) == 2
+        same = AffineQuadraticBifunction(P, P.T, np.zeros(3))
+        for _ in range(2):
+            with pytest.raises(UnknownConstants):
+                same.lipschitz_data()
+
     def test_blackbox_needs_constants(self):
         f = BlackBoxBifunction(lambda x, y: 0.0, lambda x, y: np.zeros_like(x))
         with pytest.raises(UnknownConstants):

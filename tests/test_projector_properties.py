@@ -12,7 +12,7 @@ import pytest
 
 pytest.importorskip("scipy")
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from csepsolve import (  # noqa: E402
@@ -49,6 +49,12 @@ def distance_violation(cuts, z):
 
 @settings(max_examples=80, deadline=None)
 @given(systems)
+# Two systems on which scipy's NNLS alone returns a point 3.58 and 4.82
+# outside a cut; the oracle then falls back to enumeration.
+@example({"seed": 3458037490, "d": 3, "m": 11, "duplicates": 3,
+          "log_scale": 0.527047037290315})
+@example({"seed": 2829157643, "d": 3, "m": 6, "duplicates": 0,
+          "log_scale": 2.730628875548544})
 def test_feasible_systems_match_nnls(params):
     rng = np.random.default_rng(params["seed"])
     d, m = params["d"], params["m"]
@@ -68,6 +74,11 @@ def test_feasible_systems_match_nnls(params):
 
 @settings(max_examples=60, deadline=None)
 @given(systems)
+# Two systems whose Farkas cut leaves a rounding residual of about 2e-10
+# when a dependent normal is orthogonalised against the active ones.
+@example({"seed": 1201420, "d": 6, "m": 10, "duplicates": 2, "log_scale": 3.0})
+@example({"seed": 2528877490, "d": 5, "m": 3, "duplicates": 0,
+          "log_scale": 2.2839610620627537})
 def test_empty_systems_raise(params):
     # A cut -sum_i c_i a_i z <= -sum_i c_i b_i - gap with c >= 0 and gap > 0
     # contradicts the cuts it combines, so the intersection is empty.

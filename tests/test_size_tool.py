@@ -1,0 +1,48 @@
+"""``tools/size.py``: lines and settable values of a synthetic package."""
+
+import subprocess
+import sys
+
+from conftest import REPO_ROOT
+
+TOOL = REPO_ROOT / "tools" / "size.py"
+
+MODULE = '''\
+from dataclasses import dataclass, field
+
+
+def solve(x, tol=1e-8, *, max_iter=10, verbose):
+    return (lambda y, scale=2.0: y * scale)(x)
+
+
+class Plain:
+    rows: tuple = ()
+    size: int
+
+
+@dataclass
+class Params:
+    step: float = 0.5
+    cache: dict = field(default_factory=dict)
+    derived: float = field(init=False, repr=False)
+    hidden: float = field(default=0.0, init=False)
+'''
+
+
+def test_counts_lines_and_settable_values(tmp_path):
+    package = tmp_path / "src" / "csepsolve"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(MODULE)
+    done = subprocess.run([sys.executable, str(TOOL), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    # tol, max_iter, scale; rows, step, cache (derived and hidden are init=False).
+    assert done.stdout == f"lines {MODULE.count(chr(10))}\nsettable values 6\n"
+
+
+def test_missing_package_is_an_error(tmp_path):
+    done = subprocess.run([sys.executable, str(TOOL), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "no package" in done.stderr

@@ -31,6 +31,7 @@ from .errors import (
 from .geometry import (
     Ball,
     Box,
+    CutStack,
     FeasibleSet,
     HalfspaceCut,
     Polyhedron,
@@ -69,12 +70,13 @@ from .problems import (
     spectral_norm_estimate,
     validate,
 )
-from .prox import ProxResult, ProxSystem, certify_prox, solve_prox
+from .prox import ProxRecord, ProxResult, ProxSystem, certify_prox, solve_prox
 from .hybrid import (
     RULE_RELAXED,
     RULE_STRICT,
     HybridParams,
     build_c_cut,
+    build_c_cuts,
     build_q_cut,
     cyclic_index,
     epsilon,

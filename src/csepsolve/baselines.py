@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import LinesearchFailed, MaxInnerIterationsExceeded, ParameterViolation
 from .geometry import (
+    CutStack,
     as_point,
     dykstra,
     norm,
@@ -30,7 +31,7 @@ from .geometry import (
 from .hybrid import Step, build_c_cut, build_q_cut, drive  # build_q_cut: bench/spans.py wraps it
 from .outcome import RunCounters, SolverOutcome
 from .problems import CsepInstance
-from .prox import ProxSystem, solve_prox  # solve_prox: bench/spans.py wraps it
+from .prox import ProxRecord, ProxSystem, solve_prox  # solve_prox: bench/spans.py wraps it
 
 
 # Trial cap of the Armijo linesearch.
@@ -91,17 +92,17 @@ def armijo_step_size(f, z, y_n, m, eta):
 
 
 def _project_onto_set_and_cuts(set_, faces, counters, cuts, x0):
-    """Projection of x0 onto C intersected with the given halfspace cuts.
+    """Projection of x0 onto C intersected with the stack of cuts ``cuts``.
 
-    Polyhedral sets pass their ``faces`` (built once per run; none for
-    R^d), which fold into one exact halfspace projection, counted as one
-    set projection; other sets (``faces`` None) alternate projections,
-    counting one set projection per cycle.
+    Polyhedral sets pass the stack of their ``faces`` (built once per run;
+    empty for R^d), followed by the cuts in one exact halfspace projection,
+    counted as one set projection; other sets (``faces`` None) alternate
+    projections, counting one set projection per cycle.
     """
-    live = [c for c in cuts if not c.is_whole_space]
     if faces is not None:
         counters.set_projections += 1
-        return project_halfspace_intersection(faces + live, x0)
+        return project_halfspace_intersection(faces.join(cuts), x0)
+    live = [cuts[i] for i in cuts.live]
 
     def count_set_projection(v):
         counters.set_projections += 1
@@ -130,7 +131,11 @@ def _single_problem_start(instance: CsepInstance, name: str, counters: RunCounte
     set_ = instance.set
     if not set_.contains(x0, 1e-9):
         raise ParameterViolation("the baseline schemes require x0 in C")
-    project = partial(_project_onto_set_and_cuts, set_, set_.as_halfspaces(), counters)
+    faces = set_.as_halfspaces()
+    if faces is not None:
+        faces = CutStack.of(faces)
+        faces.arrays()  # stacked once here, not on each projection
+    project = partial(_project_onto_set_and_cuts, set_, faces, counters)
     return instance.bifunctions[0], x0, project
 
 
@@ -168,7 +173,8 @@ def run_hybrid_extragradient(
         res_z = system.solve_one(1, res_y.minimizer, x, n)
         y, z = res_y.minimizer, res_z.minimizer
         residual = max(norm(y - x), norm(z - x))
-        return Step([build_c_cut(x, z, 0.0)], z[None], 0.0, residual, [res_y, res_z])
+        return Step(CutStack.of([build_c_cut(x, z, 0.0)]), z[None], 0.0, residual,
+                    ProxRecord.of([res_y, res_z]))
 
     return drive("extragradient", step, x0, tol, max_outer, counters, project=project,
                  known_point=known_point, collect_iterates=collect_iterates)
@@ -204,13 +210,14 @@ def run_armijo_hybrid(
         res_y = system.solve_one(0, x, x, n)
         y = res_y.minimizer
         residual = norm(y - x)
+        record = ProxRecord.of([res_y])
         if residual <= tol:
-            return Step(None, np.empty((0, x.size)), 0.0, residual, [res_y])
+            return Step(None, np.empty((0, x.size)), 0.0, residual, record)
         m, z = armijo_linesearch(f, x, y, params.lam, params)
         sigma, g = armijo_step_size(f, z, y, m, params.eta)
         u = set_.project(x - sigma * g)
         counters.set_projections += 1
-        return Step([build_c_cut(x, u, 0.0)], u[None], 0.0, residual, [res_y])
+        return Step(CutStack.of([build_c_cut(x, u, 0.0)]), u[None], 0.0, residual, record)
 
     return drive("armijo", step, x0, tol, max_outer, counters, project=project,
                  known_point=known_point, collect_iterates=collect_iterates)

@@ -3,6 +3,9 @@
 The ambient space is R^d with the standard dot product; points are 1-D
 float64 arrays.  All routines here are pure functions of their inputs.
 
+A ``CutStack`` carries the cuts of one iteration: rows that are
+``HalfspaceCut``s, kept as arrays when they come from arrays (one
+validation for the stack) and as the cuts themselves when there are a few.
 ``project_halfspace_intersection`` is exact for any number of cuts: closed
 forms for one or two, and for more the Goldfarb-Idnani dual active-set
 method, which stops in finitely many steps and returns a point only with
@@ -75,6 +78,12 @@ def row_dots(D: np.ndarray) -> np.ndarray:
     return np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0]
 
 
+def row_dot(D: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """The dot product of each row of D with row i of E, or with a 1-D E,
+    bit for bit as ``D[i] @ E[i]`` or ``D[i] @ E``."""
+    return np.matmul(D[:, None, :], E[..., None] if E.ndim == 2 else E[:, None])[:, 0, 0]
+
+
 def row_norms(D: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of D, bit for bit as ``np.linalg.norm(D[i])``."""
     return np.sqrt(row_dots(D))
@@ -112,6 +121,14 @@ class HalfspaceCut:
                 f"zero-normal cut with offset {self.offset:g} denotes the empty set"
             )
 
+    @classmethod
+    def _valid(cls, normal, offset, norm_sq, is_whole_space) -> HalfspaceCut:
+        """A cut from data already validated (a row of a ``CutStack``)."""
+        cut = cls.__new__(cls)
+        cut.normal, cut.offset = normal, offset
+        cut.norm_sq, cut.is_whole_space = norm_sq, is_whole_space
+        return cut
+
     @property
     def dimension(self) -> int:
         return self.normal.size
@@ -121,6 +138,128 @@ class HalfspaceCut:
         if self.is_whole_space:
             return 0.0
         return float(self.normal @ z) - self.offset
+
+
+class CutStack:
+    """The k halfspaces {z : <normals[i], z> <= offsets[i]} of one R^d.
+
+    A stack is a sequence of its rows, each a ``HalfspaceCut``, and holds
+    them as arrays: ``normals`` (k, d), and ``offsets``, ``norm_sq`` and
+    ``whole`` (k,), the last two as ``HalfspaceCut.norm_sq`` and
+    ``is_whole_space``.  ``CutStack(normals, offsets)`` validates the arrays
+    once, as ``HalfspaceCut`` validates one cut; ``CutStack.of(cuts)`` keeps
+    cuts that are valid already.  Either form makes the other only when it
+    is asked for, so a few cuts are used one by one and a stack built from
+    arrays as arrays, with the same results bit for bit.
+    """
+
+    __slots__ = ("_rows", "_arrays", "_live")
+
+    def __init__(self, normals, offsets):
+        normals = np.asarray(normals, dtype=float)
+        offsets = np.asarray(offsets, dtype=float)
+        if normals.ndim != 2 or offsets.shape != normals.shape[:1]:
+            raise DimensionMismatch("a cut stack needs (k, d) normals and k offsets")
+        norm_sq = row_dots(normals)
+        # finite sums mean finite entries; otherwise each entry is tested
+        if not ((math.isfinite(np.add.reduce(offsets)) or np.isfinite(offsets).all())
+                and (math.isfinite(np.add.reduce(norm_sq)) or np.isfinite(normals).all())):
+            raise ValueError("cut has non-finite data")
+        whole = np.sqrt(norm_sq) < DEGENERACY_THRESHOLD
+        if np.count_nonzero(whole):
+            empty = np.flatnonzero(whole & (offsets < WHOLE_SPACE_OFFSET_FLOOR))
+            if empty.size:
+                raise DegenerateCut(
+                    f"zero-normal cut with offset {offsets[empty[0]]:g} denotes the empty set"
+                )
+        self._rows, self._arrays, self._live = None, (normals, offsets, norm_sq, whole), None
+
+    @classmethod
+    def of(cls, cuts) -> CutStack:
+        """The stack of the valid cuts ``cuts``, in order."""
+        stack = cls.__new__(cls)
+        stack._rows = cuts if type(cuts) is list else list(cuts)
+        stack._arrays, stack._live = None, None
+        return stack
+
+    def __len__(self) -> int:
+        return len(self._rows) if self._rows is not None else self._arrays[1].size
+
+    def __getitem__(self, i) -> HalfspaceCut:
+        if self._rows is not None:
+            return self._rows[i]
+        normals, offsets, norm_sq, whole = self._arrays
+        return HalfspaceCut._valid(normals[i], float(offsets[i]), float(norm_sq[i]),
+                                   bool(whole[i]))
+
+    @property
+    def dimension(self) -> int:
+        return self._rows[0].dimension if self._arrays is None else self._arrays[0].shape[1]
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(normals, offsets, norm_sq, whole), stacked from the rows once."""
+        if self._arrays is None:
+            rows = self._rows
+            self._arrays = (
+                np.array([c.normal for c in rows]).reshape(len(rows), -1 if rows else 0),
+                np.array([c.offset for c in rows], dtype=float),
+                np.array([c.norm_sq for c in rows], dtype=float),
+                np.array([c.is_whole_space for c in rows], dtype=bool),
+            )
+        return self._arrays
+
+    def _fill(self, arrays, start: int) -> None:
+        """Write the rows into ``arrays`` from row ``start`` on."""
+        if self._arrays is not None:
+            for out, a in zip(arrays, self._arrays):
+                out[start:start + len(a)] = a
+            return
+        normals, offsets, norm_sq, whole = arrays
+        for i, c in enumerate(self._rows, start):
+            normals[i], offsets[i], norm_sq[i], whole[i] = (
+                c.normal, c.offset, c.norm_sq, c.is_whole_space)
+
+    @property
+    def live(self) -> list[int]:
+        """Indices of the rows that are not the whole space."""
+        if self._live is None:
+            if self._arrays is None:
+                self._live = [i for i, c in enumerate(self._rows) if not c.is_whole_space]
+            else:
+                self._live = [i for i, w in enumerate(self._arrays[3].tolist()) if not w]
+        return self._live
+
+    def violated(self, z: np.ndarray, slack: float) -> int:
+        """How many rows have ``violation(z) > slack``."""
+        if self._arrays is None:
+            count = 0
+            for c in self._rows:
+                if c.violation(z) > slack:
+                    count += 1
+            return count
+        normals, offsets, _, whole = self._arrays
+        v = row_dot(normals, z) - offsets
+        if len(self.live) < len(v):
+            v[whole] = 0.0
+        return int(np.count_nonzero(v > slack))
+
+    def join(self, other: CutStack) -> CutStack:
+        """The rows of this stack followed by those of ``other``: rows when
+        both are rows, else arrays."""
+        if self._arrays is None and other._arrays is None:
+            return CutStack.of(self._rows + other._rows)
+        k, m = len(self), len(other)
+        if not m:
+            return self
+        if not k:
+            return other
+        stack = CutStack.__new__(CutStack)
+        stack._rows, stack._live = None, None
+        stack._arrays = arrays = (np.empty((k + m, self.dimension)), np.empty(k + m),
+                                  np.empty(k + m), np.empty(k + m, dtype=bool))
+        self._fill(arrays, 0)
+        other._fill(arrays, k)
+        return stack
 
 
 class FeasibleSet:
@@ -369,23 +508,29 @@ def dykstra_halfspaces(
     return dykstra(projectors, x0, tol=tol, max_cycles=max_cycles)
 
 
-def project_halfspace_intersection(cuts: list[HalfspaceCut], x0) -> np.ndarray:
-    """Projection onto an intersection of halfspaces.
+def project_halfspace_intersection(cuts: CutStack | list[HalfspaceCut], x0) -> np.ndarray:
+    """Projection onto an intersection of halfspaces, a stack or a list.
 
-    One or two live cuts use the closed forms, more ``_dual_active_set``,
-    whose feasibility slack is ``INTERSECTION_TOL``.
+    One or two live cuts use the closed forms, more ``_dual_active_set``
+    on the live rows of the stack, whose feasibility slack is
+    ``INTERSECTION_TOL``.
     """
-    live = [c for c in cuts if not c.is_whole_space]
+    if not isinstance(cuts, CutStack):
+        cuts = CutStack.of(cuts)
+    live = cuts.live
     if not live:
         return as_point(x0).copy()
     if len(live) == 1:
-        return project_halfspace(live[0], x0)
+        return project_halfspace(cuts[live[0]], x0)
     if len(live) == 2:
-        return project_two_halfspaces(live[0], live[1], x0)
-    return _dual_active_set(live, x0)
+        return project_two_halfspaces(cuts[live[0]], cuts[live[1]], x0)
+    normals, offsets, _, _ = cuts.arrays()
+    if len(live) < len(cuts):
+        normals, offsets = normals[live], offsets[live]
+    return _dual_active_set(normals, offsets, x0)
 
 
-def _dual_active_set(cuts, x0):
+def _dual_active_set(A, b, x0):
     """Goldfarb-Idnani dual active-set method with identity Hessian.
 
     With unit normals a_i, z = x0 - A^T mu, mu >= 0 supported on an active
@@ -398,20 +543,21 @@ def _dual_active_set(cuts, x0):
     offset: the intersection is empty (Farkas).  Each completed addition
     raises the dual objective, so the method is finite.  P is kept as
     A_P^T = Q^T R with orthonormal rows Q and T = R^-1, which makes
-    r = (A_P A_P^T)^-1 A_P a_j equal to T Q a_j.
+    r = (A_P A_P^T)^-1 A_P a_j equal to T Q a_j.  The cuts are the rows
+    of the normals A and the offsets b.
     """
-    x0 = as_point(x0, cuts[0].dimension)
-    A = np.array([c.normal for c in cuts])
+    m = len(b)
+    x0 = as_point(x0, A.shape[1])
     scale = np.sqrt(np.einsum("ij,ij->i", A, A))
-    A /= scale[:, None]
-    b = np.array([c.offset for c in cuts]) / scale
+    A = A / scale[:, None]
+    b = b / scale
     feas_tol = INTERSECTION_TOL * (1.0 + norm(x0))
     Q = np.empty_like(A)
-    T = np.zeros((len(cuts), len(cuts)))
+    T = np.zeros((m, m))
     active: list[int] = []
     mu: list[float] = []
     z = x0.copy()
-    for _ in range(10 * len(cuts)):
+    for _ in range(10 * m):
         v = A @ z - b
         j = int(v.argmax())
         vj, mu_j = float(v[j]), 0.0
@@ -455,7 +601,7 @@ def _dual_active_set(cuts, x0):
             for i in range(drop, k - 1):
                 _append_basis(Q, T, i, *_orthogonal_part(Q, T, i, A[active[i]]))
     raise MaxInnerIterationsExceeded(
-        f"dual active-set projection onto {len(cuts)} halfspaces did not certify "
+        f"dual active-set projection onto {m} halfspaces did not certify "
         f"a point (max violation {float(np.max(v)):.3e})", violations=v, best=z)
 
 

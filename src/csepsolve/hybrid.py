@@ -4,7 +4,10 @@ Each outer iteration solves one proximal subproblem per equilibrium problem
 (anchored at the previous subproblem solution, not at the current iterate,
 which is what removes the extragradient corrector step), builds halfspace
 cuts certified to contain the solution set, and projects the fixed anchor
-x0 onto their intersection.  Four variants:
+x0 onto their intersection.  An iteration's subproblems travel as arrays:
+the (N, d) minimizers with one ``ProxRecord`` of their inner solves, and
+its cuts as one ``CutStack``; ``parallel`` builds its N C-cuts with
+``build_c_cuts`` in one pass over the stack.  Four variants:
 
 * ``run_parallel_hybrid`` - one cut per subproblem, N+1 halfspaces total;
 * ``run_maxsel_hybrid``   - shared anchor sequence, the farthest subproblem
@@ -18,7 +21,8 @@ the missing corrector step; it may be negative and is used unclamped.
 Every solver, the baselines in ``baselines`` included, shares one outer
 loop, ``drive``.  A solver supplies only a *step*: a callable
 ``step(n, x, dx2) -> Step`` that keeps its own state (previous subproblem
-solutions) and returns its C-cuts and residual.  ``drive`` owns the rest:
+solutions) and returns its C-cuts, residual and ``ProxRecord``.  ``drive``
+owns the rest:
 the anchor step x_{n+1} = P_{C_n ∩ Q_n}(x0), iteration count and timing,
 work counters, the four per-iteration invariant checks, trace records, the
 stop tests, turning a ``SolverError`` into an error outcome, and the outcome.
@@ -36,11 +40,15 @@ import numpy as np
 
 from .errors import InfeasibleCut, ParameterViolation, SolverError
 from .geometry import (
+    DEGENERACY_THRESHOLD,
+    WHOLE_SPACE_OFFSET_FLOOR,
+    CutStack,
     HalfspaceCut,
     as_point,
     norm,
     project_halfspace,
     project_halfspace_intersection,
+    row_dot,
     row_dots,
     row_norms,
 )
@@ -54,7 +62,7 @@ from .outcome import (
     SolverOutcome,
 )
 from .problems import CsepInstance, LipschitzData
-from .prox import ProxResult, ProxSystem, solve_prox  # solve_prox: bench/spans.py wraps it
+from .prox import ProxRecord, ProxSystem, solve_prox  # solve_prox: bench/spans.py wraps it
 
 RULE_STRICT = "strict"
 RULE_RELAXED = "relaxed"
@@ -140,13 +148,37 @@ def build_c_cut(x_n: np.ndarray, y_next: np.ndarray, eps: float) -> HalfspaceCut
     """
     diff = x_n - y_next
     rhs = float((x_n + y_next) @ diff) + eps
-    if norm(diff) < 1e-14:
-        if rhs < -1e-12:
+    if norm(diff) < DEGENERACY_THRESHOLD:
+        if rhs < WHOLE_SPACE_OFFSET_FLOOR:
             raise InfeasibleCut(
                 f"cut degenerated to the contradiction 0 <= {rhs:g}"
             )
         return HalfspaceCut(np.zeros_like(x_n), rhs)
     return HalfspaceCut(2.0 * diff, rhs)
+
+
+def build_c_cuts(x_n: np.ndarray, Y: np.ndarray, eps: np.ndarray) -> CutStack:
+    """The cuts ``build_c_cut(x_n, Y[i], eps[i])`` of the rows of Y, as one
+    stack validated once, bit for bit as built one by one: normals
+    2(x_n - Y), offsets <x_n + Y, x_n - Y> + eps, and a zero normal where a
+    row is within ``DEGENERACY_THRESHOLD`` of x_n, whose contradiction
+    raises ``InfeasibleCut`` after any error of an earlier row.  One row is
+    built by ``build_c_cut`` itself, which is cheaper than a stack.
+    """
+    if len(Y) == 1:
+        return CutStack.of([build_c_cut(x_n, Y[0], float(eps[0]))])
+    diff = x_n - Y
+    offsets = row_dot(x_n + Y, diff) + eps
+    degenerate = row_norms(diff) < DEGENERACY_THRESHOLD
+    normals = 2.0 * diff
+    if np.count_nonzero(degenerate):
+        normals[degenerate] = 0.0
+        bad = np.flatnonzero(degenerate & (offsets < WHOLE_SPACE_OFFSET_FLOOR))
+        if bad.size:
+            i = bad[0]
+            CutStack(normals[:i], offsets[:i])  # the rows before i raise first
+            raise InfeasibleCut(f"cut degenerated to the contradiction 0 <= {offsets[i]:g}")
+    return CutStack(normals, offsets)
 
 
 def build_q_cut(x0: np.ndarray, x_n: np.ndarray) -> HalfspaceCut:
@@ -169,15 +201,15 @@ class Step(NamedTuple):
     ``drive`` keeps x and runs no checks.  ``near`` is the (k, d) stack of
     points bounded by the solution-distance check and ``eps`` their
     correction term: one float shared by every row, or an array of k;
-    ``prox`` holds the inner solves the step made and ``selected`` the
+    ``prox`` records the inner solves the step made and ``selected`` is the
     subproblem it chose, if any.
     """
 
-    c_cuts: list[HalfspaceCut] | None
+    c_cuts: CutStack | None
     near: np.ndarray
     eps: float | np.ndarray
     residual: float
-    prox: list[ProxResult]
+    prox: ProxRecord
     selected: int | None = None
 
 
@@ -197,7 +229,7 @@ def drive(
     max_outer: int,
     counters: RunCounters,
     *,
-    project: Callable[[list[HalfspaceCut], np.ndarray], np.ndarray] | None = None,
+    project: Callable[[CutStack, np.ndarray], np.ndarray] | None = None,
     known_point: np.ndarray | None = None,
     collect_iterates: bool = False,
 ) -> SolverOutcome:
@@ -205,17 +237,17 @@ def drive(
     max(||x_{n+1} - x_n||, residual) <= tol or ``max_outer`` iterations.
 
     Iteration n calls ``step(n, x_n, ||x_n - x_{n-1}||^2)`` and takes the
-    anchor step of the CQ method, x_{n+1} = ``project([*Step.c_cuts, Q_n], x0)``
-    with Q_n = ``build_q_cut(x0, x_n)``; ``project`` defaults to
-    ``project_halfspace_intersection``.
+    anchor step of the CQ method, x_{n+1} = ``project(cuts, x0)`` for the
+    stack ``cuts`` of ``Step.c_cuts`` and Q_n = ``build_q_cut(x0, x_n)``;
+    ``project`` defaults to ``project_halfspace_intersection``.
 
     Per iteration: checks that x_n is the projection of x0 onto Q_n,
     that ||x_{n+1} - x0|| does not decrease, and, given ``known_point``,
     that every cut contains it and that ||y - p||^2 <= ||x_n - p||^2 + eps
     for each row y of ``Step.near`` and its eps.  The trace records the
-    least and greatest eps.  The first unconverged inner solve
-    is recorded with its subproblem index: its position in ``Step.prox``,
-    or ``Step.selected`` when the step solved that one subproblem alone.
+    least and greatest eps.  The work counters, the least certificate gap
+    and the first unconverged inner solve, with its subproblem index, come
+    from ``Step.prox``.
     """
     if max_outer < 1 or not tol >= 0.0:
         raise ParameterViolation(f"need max_outer >= 1 and tol >= 0, got {max_outer} and {tol}")
@@ -239,13 +271,14 @@ def drive(
     try:
         for n in range(1, max_outer + 1):
             t0 = time.perf_counter()
-            c_cuts, near, eps, residual, results, selected = step(n, x, dx2)
+            c_cuts, near, eps, residual, record, selected = step(n, x, dx2)
             if c_cuts is None:
-                x_next, dx2, cuts = x, 0.0, []
+                x_next, dx2, degenerate = x, 0.0, 0
             else:
                 q_cut = build_q_cut(x0, x)
-                cuts = [*c_cuts, q_cut]
+                cuts = c_cuts.join(CutStack.of([q_cut]))
                 x_next = project(cuts, x0)
+                degenerate = len(cuts) - len(cuts.live)
                 d = x_next - x
                 dx2 = float(d.dot(d))
                 if not q_cut.is_whole_space and norm(project_halfspace(q_cut, x0) - x) > anchor_tol:
@@ -255,22 +288,19 @@ def drive(
                     violations["anchor_monotonicity"] += 1
                 anchor_dist = next_dist
                 if known_point is not None:
-                    for cut in cuts:
-                        if cut.violation(known_point) > CONTAINMENT_SLACK:
-                            violations["cut_containment"] += 1
+                    violations["cut_containment"] += cuts.violated(known_point,
+                                                                   CONTAINMENT_SLACK)
                     lhs = row_dots(near - known_point)
                     violations["solution_distance_bound"] += int(np.count_nonzero(
                         lhs > (known_sq + eps) + DISTANCE_BOUND_SLACK))
-            counters.prox_solves += len(results)
-            for j, r in enumerate(results):
-                counters.set_projections += r.inner_iterations
-                if not r.converged:
-                    counters.prox_nonconverged += 1
-                    if first_nonconverged is None:
-                        i = selected if len(results) == 1 and selected is not None else j
-                        first_nonconverged = InnerNonconvergence(n, i, r.diagnostic)
-                if not math.isnan(r.certificate_gap):
-                    min_cert = min(min_cert, r.certificate_gap)
+            counters.prox_solves += record.solves
+            counters.set_projections += record.inner_iterations
+            if record.nonconverged:
+                counters.prox_nonconverged += len(record.nonconverged)
+                if first_nonconverged is None:
+                    first_nonconverged = InnerNonconvergence(n, *record.nonconverged[0])
+            if record.min_certificate < min_cert:
+                min_cert = record.min_certificate
 
             step_norm = math.sqrt(dx2)
             if known_point is not None:
@@ -288,7 +318,7 @@ def drive(
                     eps_max=eps_max,
                     dist_to_known=math.sqrt(known_sq),
                     wall_ms=(time.perf_counter() - t0) * 1e3,
-                    degenerate_cuts=sum(c.is_whole_space for c in cuts),
+                    degenerate_cuts=degenerate,
                     selected_index=selected,
                 )
             )
@@ -371,21 +401,27 @@ def _run(
 
 
 def _parallel_step(params, lips, y_init, system):
-    """Every subproblem from its own previous solution; one C-cut each."""
+    """Every subproblem from its own previous solution; one C-cut each.
+
+    The eps of all subproblems are k dx + a dy_prev - b dy with the arrays
+    a = 2 lam c1 and b = 1 - 1/k - 2 lam c2 formed once: the operations of
+    ``epsilon`` in its order, so each row equals it bit for bit.
+    """
     n_problems = len(lips)
+    k = params.k
+    a = 2.0 * params.lam * np.array([lip.c1 for lip in lips])
+    b = 1.0 - 1.0 / params.k - 2.0 * params.lam * np.array([lip.c2 for lip in lips])
     y_cur = np.tile(y_init, (n_problems, 1))
-    dy_prev = [0.0] * n_problems  # ||y_cur[i] - y_prev[i]||^2, the previous dy
+    dy_prev = np.zeros(n_problems)  # ||y_cur[i] - y_prev[i]||^2, the previous dy
 
     def step(n, x, dx2):
         nonlocal y_cur, dy_prev
-        y_next, results = system.solve(y_cur, x, n)
-        dy = row_dots(y_next - y_cur).tolist()
-        eps_list = [epsilon(params, lips[i], dx2, dy_prev[i], dy[i])
-                    for i in range(n_problems)]
-        cuts = [build_c_cut(x, y_next[i], eps_list[i]) for i in range(n_problems)]
+        y_next, record = system.solve(y_cur, x, n)
+        dy = row_dots(y_next - y_cur)
+        eps = k * dx2 + a * dy_prev - b * dy
         residual = float(row_norms(y_next - x).max())
         y_cur, dy_prev = y_next, dy
-        return Step(cuts, y_next, np.array(eps_list), residual, results)
+        return Step(build_c_cuts(x, y_next, eps), y_next, eps, residual, record)
 
     return step
 
@@ -407,11 +443,11 @@ def _shared_anchor_step(params, lip, y_init, system, cyclic):
         nonlocal ybar, dy_prev
         if cyclic:
             selected = cyclic_index(n, n_problems)
-            results = [system.solve_one(selected, ybar, x, n)]
-            y_next = last_Y[selected] = results[0].minimizer
+            Y, record = system.solve_row(selected, ybar, x, n)
+            y_next = last_Y[selected] = Y[0]
             residual = float(row_norms(last_Y - x).max())
         else:
-            Y, results = system.solve(ybar, x, n)
+            Y, record = system.solve(ybar, x, n)
             dists = row_norms(Y - x)
             selected = int(dists.argmax())
             y_next = Y[selected]
@@ -420,7 +456,7 @@ def _shared_anchor_step(params, lip, y_init, system, cyclic):
         dy2 = float(dy @ dy)
         eps = epsilon(params, lip, dx2, dy_prev, dy2)
         ybar, dy_prev = y_next, dy2
-        return Step([build_c_cut(x, y_next, eps)], y_next[None] if cyclic else Y, eps,
-                    residual, results, selected)
+        return Step(CutStack.of([build_c_cut(x, y_next, eps)]), y_next[None] if cyclic else Y,
+                    eps, residual, record, selected)
 
     return step

@@ -11,13 +11,14 @@ constants (c1, c2) satisfying
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, astuple, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, UnknownConstants
-from .geometry import FeasibleSet, as_point
+from .geometry import FeasibleSet, as_point, norm
 
 
 # Power-iteration cap and relative stopping tolerance of spectral_norm_estimate.
@@ -33,18 +34,20 @@ def spectral_norm_estimate(M: np.ndarray) -> float:
     M = np.asarray(M, dtype=float)
     d = M.shape[1]
     v = 1.0 + 1e-3 * np.arange(d)
-    v /= np.linalg.norm(v)
+    v /= norm(v)
     sigma = 0.0
+    w = M.T @ (M @ v)
     for _ in range(SPECTRAL_ITERS):
-        w = M.T @ (M @ v)
-        norm_w = float(np.linalg.norm(w))
+        norm_w = norm(w)
         if norm_w == 0.0:
             return 0.0
         v_new = w / norm_w
-        sigma_new = float(np.sqrt(v_new @ (M.T @ (M @ v_new))))
+        w = M.T @ (M @ v_new)  # the next step's product too
+        sq = float(v_new @ w)
+        sigma_new = math.sqrt(sq) if sq >= 0.0 else math.nan
         if abs(sigma_new - sigma) <= SPECTRAL_TOL * max(1.0, sigma_new):
             return sigma_new
-        sigma, v = sigma_new, v_new
+        sigma = sigma_new
     return sigma
 
 

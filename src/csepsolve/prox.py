@@ -21,15 +21,23 @@ it would each row.
 ``ProxSystem`` builds, once per run, each subproblem's one-row kernel
 ``_kernel([f], lam, set_)`` and the stack of all N when there is one;
 ``solve`` solves all N subproblems on the stack, or row by row without it,
-and ``solve_one`` row i alone on its one-row kernel.  The batched forms
-used (``np.matmul`` over stacks) give each row's result bit for bit, so
-both agree exactly.  Certified solves certify each row after.
+and ``solve_row`` and ``solve_one`` row i alone on its one-row kernel.
+The batched forms used (``np.matmul`` over stacks) give each row's result
+bit for bit, so both agree exactly.  Certified solves certify each row
+after.
+
+A kernel returns the (k, d) minimizers and one ``ProxRecord`` of the call:
+the total inner iterations, the unconverged rows with their diagnostics,
+and, once certified, the least certificate gap; no kernel builds an object
+per row.  ``solve`` and ``solve_row`` return the record, ``solve_one``
+and ``solve_prox`` one ``ProxResult``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +74,39 @@ class ProxResult:
     diagnostic: str | None = None
 
 
+class ProxRecord(NamedTuple):
+    """The inner solves of one call: ``solves`` subproblems taking
+    ``inner_iterations`` inner steps in all (each one projection onto the
+    feasible set), the ``(subproblem, diagnostic)`` of each unconverged
+    solve in subproblem order, and the least certificate gap that is not
+    NaN (inf when none is certified)."""
+
+    solves: int
+    inner_iterations: int
+    nonconverged: tuple[tuple[int, str | None], ...]
+    min_certificate: float
+
+    @classmethod
+    def of(cls, results: list[ProxResult]) -> ProxRecord:
+        """The record of ``results``, the solves of subproblems 0, 1, ..."""
+        inner, nonconverged, least = 0, [], math.inf
+        for j, r in enumerate(results):
+            inner += r.inner_iterations
+            if not r.converged:
+                nonconverged.append((j, r.diagnostic))
+            if r.certificate_gap < least:  # False for NaN
+                least = r.certificate_gap
+        return cls(len(results), inner, tuple(nonconverged), least)
+
+
+def _result(Y: np.ndarray, record: ProxRecord) -> ProxResult:
+    """The one solve of a one-row kernel call."""
+    if record.nonconverged:
+        return ProxResult(Y[0], math.nan, record.inner_iterations, False,
+                          record.nonconverged[0][1])
+    return ProxResult(Y[0], math.nan, record.inner_iterations)
+
+
 def objective(f: Bifunction, w, x, lam: float, y) -> float:
     """The subproblem objective lam*f(w, y) + 0.5*||x - y||^2."""
     return lam * f.value(w, y) + 0.5 * float((x - y) @ (x - y))
@@ -84,7 +125,7 @@ def solve_prox(f: Bifunction, w: np.ndarray, x: np.ndarray, lam: float, set_: Fe
     ``certify_probes`` > 0 the result carries a sampled optimality
     certificate.
     """
-    result = _kernel([f], lam, set_).solve(w, x)[1][0]
+    result = _result(*_kernel([f], lam, set_).solve(w, x))
     if certify_probes > 0:
         result.certificate_gap = certify_prox(
             f, w, x, lam, set_, result.minimizer, certify_probes, rng=rng
@@ -108,34 +149,53 @@ class ProxSystem:
         self._rows = [_kernel([f], lam, set_) for f in fs]
         self._stack = _kernel(fs, lam, set_)
 
-    def solve(self, W: np.ndarray, x: np.ndarray, n: int) -> tuple[np.ndarray, list[ProxResult]]:
+    def solve(self, W: np.ndarray, x: np.ndarray, n: int) -> tuple[np.ndarray, ProxRecord]:
         """All N subproblems at outer iteration n, subproblem i anchored at W
         (one shared 1-D anchor) or at row W[i].
 
-        Returns the (N, d) stack of minimizers and the N results.
+        Returns the (N, d) stack of minimizers and the record of the call.
         """
         if self._stack is not None:
-            Y, results = self._stack.solve(W, x)
+            Y, record = self._stack.solve(W, x)
         else:
-            results = [k.solve(W if W.ndim == 1 else W[i], x)[1][0]
+            results = [_result(*k.solve(W if W.ndim == 1 else W[i], x))
                        for i, k in enumerate(self._rows)]
             Y = np.array([r.minimizer for r in results])
+            record = ProxRecord.of(results)
         if self.certify_probes > 0:
-            for i, result in enumerate(results):
-                self._certify(i, W if W.ndim == 1 else W[i], x, n, result)
-        return Y, results
+            least = math.inf
+            for i, y in enumerate(Y):
+                gap = self._certify(i, W if W.ndim == 1 else W[i], x, n, y)
+                if gap < least:  # False for NaN
+                    least = gap
+            record = record._replace(min_certificate=least)
+        return Y, record
+
+    def solve_row(self, i: int, w: np.ndarray, x: np.ndarray, n: int
+                  ) -> tuple[np.ndarray, ProxRecord]:
+        """Subproblem i alone at outer iteration n, anchored at w, returned as
+        ``solve`` returns all N: its (1, d) minimizer, equal bit for bit to
+        row i of ``solve``, and the record of its solve as subproblem i."""
+        Y, record = self._rows[i].solve(w, x)
+        if record.nonconverged:
+            record = record._replace(nonconverged=((i, record.nonconverged[0][1]),))
+        if self.certify_probes > 0:
+            gap = self._certify(i, w, x, n, Y[0])
+            if gap < record.min_certificate:  # False for NaN
+                record = record._replace(min_certificate=gap)
+        return Y, record
 
     def solve_one(self, i: int, w: np.ndarray, x: np.ndarray, n: int) -> ProxResult:
         """Subproblem i alone at outer iteration n, anchored at w; equal bit
         for bit to row i of ``solve``."""
-        result = self._rows[i].solve(w, x)[1][0]
+        result = _result(*self._rows[i].solve(w, x))
         if self.certify_probes > 0:
-            self._certify(i, w, x, n, result)
+            result.certificate_gap = self._certify(i, w, x, n, result.minimizer)
         return result
 
-    def _certify(self, i, w, x, n, result):
-        result.certificate_gap = certify_prox(
-            self.fs[i], w, x, self.lam, self.set_, result.minimizer, self.certify_probes,
+    def _certify(self, i, w, x, n, y) -> float:
+        return certify_prox(
+            self.fs[i], w, x, self.lam, self.set_, y, self.certify_probes,
             rng=probe_rng(self.certify_probes, self.seed, n, i),
         )
 
@@ -144,7 +204,7 @@ def _kernel(fs: list[Bifunction], lam: float, set_: FeasibleSet):
     """The solver of the subproblems ``fs``: a stack when all belong to one
     stacked family, else for one subproblem its own kernel, and for more
     None.  A kernel's ``solve(W, x)`` takes one shared 1-D anchor or one row
-    per subproblem and returns the (k, d) minimizers and k results."""
+    per subproblem and returns the (k, d) minimizers and their record."""
     if not lam > 0.0:
         raise ValueError("prox step lam must be positive")
 
@@ -221,7 +281,7 @@ class _AffineViStack(_Stack):
     def solve(self, W, x):
         Y = self.set_.project(x - self.lam * (_matvec(self.M, W) + self.q))
         _require_finite(Y)
-        return Y, [ProxResult(minimizer=y) for y in Y]
+        return Y, ProxRecord(len(Y), len(Y), (), math.inf)
 
 
 class _CoordinatewiseStack(_Stack):
@@ -244,7 +304,7 @@ class _CoordinatewiseStack(_Stack):
         c = _matvec(self.P, W) + self.q
         Y = self.set_.project((x - lam * c + lam * self.diag * W) / self.denom)
         _require_finite(Y)
-        return Y, [ProxResult(minimizer=y) for y in Y]
+        return Y, ProxRecord(len(Y), len(Y), (), math.inf)
 
 
 class _ProjectedGradientStack(_Stack):
@@ -264,18 +324,18 @@ class _ProjectedGradientStack(_Stack):
         project, matmul = set_.project, np.matmul
         shift = x - lam * (_matvec(self.P, W) + self.q) + lam * _matvec(self.QT, W)
         out = np.empty_like(shift)
-        steps: list[int | None] = [None] * shift.shape[0]
         live = np.arange(shift.shape[0])
+        inner = max_inner * live.size  # a row done at step it takes it + 1, not max_inner
         sym, step = self.sym, self.step[:, None]
         Y = np.tile(set_.project(x), (live.size, 1))
         for it in range(1, max_inner + 1):
             grad = Y + lam * matmul(sym, Y[..., None])[..., 0] - shift
             Y_new = project(Y - step * grad)
             done = row_dots(Y_new - Y) <= bound
-            if np.count_nonzero(done):
+            n_done = int(np.count_nonzero(done))
+            if n_done:
                 out[live[done]] = Y_new[done]
-                for i in live[done]:
-                    steps[i] = it + 1
+                inner -= n_done * (max_inner - it - 1)
                 keep = ~done
                 live, sym, step, shift, Y_new = (
                     live[keep], sym[keep], step[keep], shift[keep], Y_new[keep]
@@ -286,12 +346,9 @@ class _ProjectedGradientStack(_Stack):
         else:
             out[live] = Y
         _require_finite(out)
-        return out, [
-            ProxResult(minimizer=y, inner_iterations=s) if s is not None else
-            ProxResult(minimizer=y, inner_iterations=max_inner, converged=False,
-                       diagnostic=f"projected gradient hit {max_inner} iterations")
-            for y, s in zip(out, steps)
-        ]
+        diagnostic = f"projected gradient hit {max_inner} iterations"
+        return out, ProxRecord(len(out), inner,
+                               tuple((i, diagnostic) for i in live.tolist()), math.inf)
 
 
 class _Row:
@@ -305,7 +362,7 @@ class _Row:
     def solve(self, W, x):
         result = self.solve_1d(self.f, W if W.ndim == 1 else W[0], x, self.lam, self.set_)
         _require_finite(result.minimizer)
-        return result.minimizer[None], [result]
+        return result.minimizer[None], ProxRecord.of([result])
 
 
 def _solve_operator(f, w, x, lam, set_):

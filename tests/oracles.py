@@ -184,3 +184,26 @@ def project_two_halfspaces_reference(cut1, cut2, x0):
         if mu1 >= -1e-12 and mu2 >= -1e-12:
             return x0 - max(mu1, 0.0) * a1 - max(mu2, 0.0) * a2
     raise EmptyIntersection("two-halfspace projection found no feasible case")
+
+
+def spectral_norm_reference(M, iters=200, tol=1e-13):
+    """``spectral_norm_estimate`` as first written: power iteration on M^T M
+    that forms M^T M v twice per step, once for the next iterate and once
+    for the Rayleigh quotient."""
+    M = np.asarray(M, dtype=float)
+    d = M.shape[1]
+    v = 1.0 + 1e-3 * np.arange(d)
+    v /= np.linalg.norm(v)
+    sigma = 0.0
+    for _ in range(iters):
+        w = M.T @ (M @ v)
+        norm_w = float(np.linalg.norm(w))
+        if norm_w == 0.0:
+            return 0.0
+        v_new = w / norm_w
+        with np.errstate(invalid="ignore"):
+            sigma_new = float(np.sqrt(v_new @ (M.T @ (M @ v_new))))
+        if abs(sigma_new - sigma) <= tol * max(1.0, sigma_new):
+            return sigma_new
+        sigma, v = sigma_new, v_new
+    return sigma

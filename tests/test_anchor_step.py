@@ -25,7 +25,9 @@ from csepsolve import (
     run_sequential,
     run_single,
 )
+from csepsolve.geometry import CutStack
 from csepsolve.hybrid import Step, drive
+from csepsolve.prox import ProxRecord
 from csepsolve.outcome import RunCounters
 
 from conftest import csep2_instance, halfline_instance
@@ -92,7 +94,7 @@ def test_drive_projects_x0_onto_the_step_cuts_and_its_q_cut(monkeypatch, name):
 def test_a_step_without_cuts_keeps_x_and_skips_the_checks():
     def step(n, x, dx2):
         assert dx2 == 0.0
-        return Step(None, np.array([[9.0, 9.0]]), -1.0, 0.5, [])
+        return Step(None, np.array([[9.0, 9.0]]), -1.0, 0.5, ProxRecord.of([]))
 
     def project(cuts, x0):
         raise AssertionError("nothing to project")
@@ -112,7 +114,7 @@ def test_a_projection_error_counts_no_work_of_its_iteration():
     def step(n, x, dx2):
         results = [ProxResult(x, inner_iterations=5),
                    ProxResult(x, inner_iterations=7, converged=False)]
-        return Step([], np.empty((0, x.size)), 0.0, 1.0, results)
+        return Step(CutStack.of([]), np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of(results))
 
     def project(cuts, x0):
         calls.append(cuts)

@@ -30,7 +30,9 @@ from csepsolve import (
     solve_prox,
     validate_params,
 )
+from csepsolve.geometry import CutStack
 from csepsolve.hybrid import Step, _shared_anchor_step, drive
+from csepsolve.prox import ProxRecord
 from csepsolve.outcome import RunCounters
 
 from conftest import csep2_instance, csep3_plane_instance, halfline_instance, scalar_1d_instance
@@ -261,16 +263,15 @@ class TestRunners:
                                 workers=2)
 
     def test_unconverged_inner_solves_counted(self, monkeypatch):
-        real = ProxSystem.solve_one
+        real = ProxSystem.solve_row
 
-        def unconverged(*args, **kwargs):
-            res = real(*args, **kwargs)
-            res.converged = False
-            return res
+        def unconverged(self, i, *args):
+            Y, record = real(self, i, *args)
+            return Y, record._replace(nonconverged=((i, None),))
 
         # run_sequential, because it solves one subproblem per iteration
-        # through ProxSystem.solve_one; maxsel and parallel call solve
-        monkeypatch.setattr(ProxSystem, "solve_one", unconverged)
+        # through ProxSystem.solve_row; maxsel and parallel call solve
+        monkeypatch.setattr(ProxSystem, "solve_row", unconverged)
         out = run_sequential(csep2_instance(),
                              HybridParams(lam=0.2, k=6.0, max_outer=10, tol=0.0))
         assert out.counters.prox_solves == 10
@@ -367,7 +368,7 @@ class TestDrive:
         # no C-cuts, so x stays at x0, where ||x - p||^2 = 1: rows 1 (4 > 1)
         # and 3 (1.44 > 1 + 0.3) break the bound, rows 0 and 2 do not
         def step(n, x, dx2):
-            return Step([], near, eps, 1.0, [])
+            return Step(CutStack.of([]), near, eps, 1.0, ProxRecord.of([]))
 
         out = drive("fixed", step, x0, 0.0, 3, RunCounters(), known_point=p)
         assert out.invariant_violations["solution_distance_bound"] == 6
@@ -380,7 +381,7 @@ class TestDrive:
 
         # one eps = 0.3 for all rows: rows 1 and 2 break the bound
         def step(n, x, dx2):
-            return Step([], near, 0.3, 1.0, [])
+            return Step(CutStack.of([]), near, 0.3, 1.0, ProxRecord.of([]))
 
         out = drive("fixed", step, x0, 0.0, 2, RunCounters(), known_point=np.zeros(2))
         assert out.invariant_violations["solution_distance_bound"] == 4
@@ -388,7 +389,7 @@ class TestDrive:
 
     def test_step_without_cuts_runs_no_checks(self):
         def step(n, x, dx2):
-            return Step(None, np.empty((0, x.size)), 0.0, 1.0, [])
+            return Step(None, np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of([]))
 
         out = drive("fixed", step, np.ones(2), 0.0, 2, RunCounters(), known_point=[5.0, 5.0])
         assert sum(out.invariant_violations.values()) == 0
@@ -403,14 +404,14 @@ class TestStepBookkeeping:
         y_init = inst.set.project(inst.x0)
         latest = [y_init] * inst.n_problems
         system = ProxSystem(inst.bifunctions, lam, inst.set)
-        solve_one = system.solve_one
+        solve_row = system.solve_row
 
-        def recording_solve_one(i, w, x, n):
-            result = solve_one(i, w, x, n)
-            latest[i] = result.minimizer
-            return result
+        def recording_solve_row(i, w, x, n):
+            Y, record = solve_row(i, w, x, n)
+            latest[i] = Y[0]
+            return Y, record
 
-        system.solve_one = recording_solve_one
+        system.solve_row = recording_solve_row
         step = _shared_anchor_step(params, LipschitzData.largest(inst.lipschitz_all()), y_init,
                                    system, cyclic=True)
 

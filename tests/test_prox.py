@@ -18,7 +18,7 @@ from csepsolve import (
     certify_prox,
     solve_prox,
 )
-from csepsolve.prox import _require_finite, _squared_bound, objective, probe_rng
+from csepsolve.prox import ProxRecord, _require_finite, _squared_bound, objective, probe_rng
 
 from oracles import grid_minimize_1d, projected_gradient_prox
 
@@ -145,9 +145,11 @@ class TestAffineQuadraticRoute:
         W, x = rng.uniform(-1, 1, (1, d)), rng.uniform(-1, 1, d)
         for f in (ViInducedBifunction(CallableOperator(lambda y: np.tanh(M @ y), 2.0, d)),
                   as_blackbox(vi(M))):
-            Y, (result,) = ProxSystem([f], 0.2, box).solve(W, x, 1)
+            Y, record = ProxSystem([f], 0.2, box).solve(W, x, 1)
+            one_row = solve_prox(f, W[0], x, 0.2, box)
             assert Y.shape == (1, d)
-            assert_same_result(result, solve_prox(f, W[0], x, 0.2, box))
+            assert Y[0].tobytes() == one_row.minimizer.tobytes()
+            assert_same_record(record, ProxRecord.of([one_row]))
 
 
 class TestFiniteCheckAndStepBound:
@@ -272,11 +274,19 @@ def assert_same_result(a, b):
     assert repr(a.certificate_gap) == repr(b.certificate_gap)
 
 
+def assert_same_record(a, b):
+    """Equal records of Python ints, floats compared by repr (NaN equals NaN)."""
+    assert repr(a) == repr(b)
+    assert all(type(v) is int for v in (a.solves, a.inner_iterations))
+
+
 def assert_stack_matches_rows(fs, W, x, lam, set_, certify_probes=0, seed=0, n=1):
-    """ProxSystem.solve equals a loop of one-row solve_prox calls, and a loop
-    of ProxSystem.solve_one calls, bit for bit."""
+    """ProxSystem.solve equals a loop of one-row solve_prox calls, and loops
+    of ProxSystem.solve_one and solve_row calls, bit for bit: each row of its
+    minimizers, and its record that of the rows.  Returns the one-row
+    results."""
     system = ProxSystem(fs, lam, set_, certify_probes, seed)
-    Y, stacked = system.solve(W, x, n)
+    Y, record = system.solve(W, x, n)
     anchors = [W if W.ndim == 1 else W[i] for i in range(len(fs))]
     rows = [
         solve_prox(f, w, x, lam, set_, certify_probes=certify_probes,
@@ -285,12 +295,17 @@ def assert_stack_matches_rows(fs, W, x, lam, set_, certify_probes=0, seed=0, n=1
     ]
     ones = [system.solve_one(i, w, x, n) for i, w in enumerate(anchors)]
     assert Y.shape == (len(fs), x.size)
-    assert len(stacked) == len(rows) == len(ones)
-    for y, a, b, c in zip(Y, stacked, rows, ones):
-        assert y.tobytes() == a.minimizer.tobytes()
-        assert_same_result(a, b)
-        assert_same_result(a, c)
-    return stacked
+    assert len(rows) == len(ones) == len(fs)
+    for i, (y, b, c) in enumerate(zip(Y, rows, ones)):
+        assert y.tobytes() == b.minimizer.tobytes()
+        assert_same_result(b, c)
+        Y_i, record_i = system.solve_row(i, anchors[i], x, n)
+        assert Y_i.shape == (1, x.size) and Y_i[0].tobytes() == y.tobytes()
+        expected = ProxRecord.of([b])
+        assert_same_record(record_i, expected._replace(
+            nonconverged=tuple((i, d) for _, d in expected.nonconverged)))
+    assert_same_record(record, ProxRecord.of(rows))
+    return rows
 
 
 def monotone_matrix(rng, d):
@@ -392,12 +407,17 @@ class TestProxSystemParity:
         w, x = rng.uniform(-1, 1, d), rng.uniform(-1, 1, d)
         monkeypatch.setattr(prox_module, "MAX_INNER", 3)
         system = ProxSystem(fs, 0.2, box)
-        _, stacked = system.solve(w, x, 1)
-        for i, (f, r) in enumerate(zip(fs, stacked)):
-            assert_same_result(r, system.solve_one(i, w, x, 1))
+        Y, record = system.solve(w, x, 1)
+        diagnostic = "projected gradient hit 3 iterations"
+        assert_same_record(record, ProxRecord(2, 6, ((0, diagnostic), (1, diagnostic)), math.inf))
+        for i, (f, y_stacked) in enumerate(zip(fs, Y)):
+            r = system.solve_one(i, w, x, 1)
             one_row = solve_prox(f, w, x, 0.2, box)
             y, _, converged = projected_gradient_prox(f, w, x, 0.2, box, 1e-10, 3)
             assert (r.minimizer.tobytes(), r.inner_iterations) == (y.tobytes(), 3)
+            assert y_stacked.tobytes() == y.tobytes()
             assert not r.converged
-            assert r.diagnostic == "projected gradient hit 3 iterations"
+            assert r.diagnostic == diagnostic
             assert_same_result(r, one_row)
+            assert_same_record(system.solve_row(i, w, x, 1)[1],
+                               ProxRecord(1, 3, ((i, diagnostic),), math.inf))

@@ -1,0 +1,292 @@
+"""An iteration's subproblems as arrays: the cut stack of ``parallel``, the
+projection of a stack, the containment check over it, and the prox record.
+
+Each is held bit for bit to the per-row form it replaces: ``build_c_cut``
+for every row, the same projection of a list of ``HalfspaceCut``s, one
+``violation`` per cut, and the counters that per-row ``ProxResult``s gave.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import csepsolve.prox as prox_module  # noqa: E402
+from csepsolve import (  # noqa: E402
+    AffineOperator,
+    AffineQuadraticBifunction,
+    Box,
+    CsepInstance,
+    DegenerateCut,
+    EmptyIntersection,
+    HalfspaceCut,
+    HybridParams,
+    InfeasibleCut,
+    ProxSystem,
+    SingletonSolution,
+    ViInducedBifunction,
+    WholeSpace,
+    build_c_cut,
+    build_q_cut,
+    epsilon,
+    project_halfspace_intersection,
+    run_maxsel_hybrid,
+    run_parallel_hybrid,
+    run_sequential,
+)
+from csepsolve.geometry import CutStack  # noqa: E402
+from csepsolve.hybrid import _parallel_step, build_c_cuts  # noqa: E402
+from csepsolve.prox import ProxRecord  # noqa: E402
+
+
+def outcome_of(build):
+    """(value, None) from ``build()``, or (None, (type, message)) if it raised."""
+    try:
+        return build(), None
+    except (ValueError, InfeasibleCut, DegenerateCut) as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_same_cut(a, b):
+    assert a.normal.tobytes() == b.normal.tobytes()
+    assert repr(a.offset) == repr(b.offset)
+    assert repr(a.norm_sq) == repr(b.norm_sq)
+    assert a.is_whole_space is b.is_whole_space
+
+
+stacks = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "d": st.integers(1, 8),
+    "k": st.integers(1, 8),
+    # per row: 0 generic, 1 y == x, 2 y within 1e-15 of x, 3 y == x with a
+    # contradictory eps, 4 non-finite eps
+    "kinds": st.lists(st.sampled_from([0, 0, 0, 1, 2, 3, 4]), min_size=8, max_size=8),
+    "log_scale": st.floats(-3.0, 3.0),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks)
+def test_c_cut_stack_equals_build_c_cut_row_by_row(params):
+    rng = np.random.default_rng(params["seed"])
+    d, k = params["d"], params["k"]
+    x = rng.standard_normal(d) * 10.0 ** params["log_scale"]
+    Y = x + rng.standard_normal((k, d)) * 10.0 ** params["log_scale"]
+    eps = rng.standard_normal(k)
+    for i, kind in enumerate(params["kinds"][:k]):
+        if kind in (1, 3):
+            Y[i] = x
+        elif kind == 2:
+            Y[i] = x + 1e-15 * rng.standard_normal(d) / math.sqrt(d)
+        if kind == 3:
+            eps[i] = -1.0
+        elif kind == 4:
+            eps[i] = rng.choice([np.inf, -np.inf, np.nan])
+
+    stack, stack_error = outcome_of(lambda: build_c_cuts(x, Y, eps))
+    rows, row_error = outcome_of(lambda: [build_c_cut(x, Y[i], float(eps[i]))
+                                          for i in range(k)])
+    assert stack_error == row_error
+    if row_error is None:
+        assert len(stack) == k
+        for i in range(k):
+            assert_same_cut(stack[i], rows[i])
+        assert stack.live == [i for i, c in enumerate(rows) if not c.is_whole_space]
+
+
+def test_degenerate_and_contradictory_rows():
+    x = np.array([0.5, -0.25])
+    Y = np.array([[0.0, 0.0], x, [1.0, 1.0]])
+    stack = build_c_cuts(x, Y, np.array([0.0, 0.5, 0.1]))
+    assert [c.is_whole_space for c in stack] == [False, True, False]
+    assert stack[1].normal.tobytes() == np.zeros(2).tobytes()
+    assert stack.live == [0, 2]
+    with pytest.raises(InfeasibleCut, match=r"contradiction 0 <= -1"):
+        build_c_cuts(x, Y, np.array([0.0, -1.0, 0.1]))
+    # a non-finite row before the contradictory one raises first, as row by row
+    with pytest.raises(ValueError, match="non-finite"):
+        build_c_cuts(x, Y, np.array([np.nan, -1.0, 0.1]))
+    with pytest.raises(InfeasibleCut):
+        build_c_cuts(x, Y, np.array([0.0, -1.0, np.inf]))
+
+
+def test_a_stack_from_arrays_validates_once_as_each_cut_would():
+    normals = np.array([[1.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
+    offsets = np.array([0.5, 0.0, -2.0])
+    stack = CutStack(normals, offsets)
+    for i, (a, b) in enumerate(zip(normals, offsets)):
+        assert_same_cut(stack[i], HalfspaceCut(a, b))
+    assert [c.is_whole_space for c in stack] == [False, True, False]
+    with pytest.raises(DegenerateCut):
+        CutStack(normals, np.array([0.5, -1.0, 0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        CutStack(normals, np.array([0.5, 0.0, np.inf]))
+    with pytest.raises(ValueError, match="non-finite"):
+        CutStack(np.array([[1e200, 1e200], [np.nan, 0.0]]), np.zeros(2))
+    # finite rows whose squares overflow pass, as in HalfspaceCut
+    assert not CutStack(np.array([[1e200, 1e200]]), np.zeros(1))[0].is_whole_space
+
+
+systems = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "d": st.integers(1, 6),
+    "m": st.integers(0, 10),
+    "whole": st.integers(0, 3),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems)
+def test_a_stack_projects_and_counts_as_its_list_of_cuts(params):
+    rng = np.random.default_rng(params["seed"])
+    d, m = params["d"], params["m"]
+    p = rng.standard_normal(d)
+    normals = rng.standard_normal((m, d))
+    normals[rng.permutation(m)[:params["whole"]]] = 0.0
+    offsets = normals @ p + rng.exponential(1.0, m)
+    cuts = [HalfspaceCut(a, b) for a, b in zip(normals, offsets)]
+    x0 = p + 3.0 * rng.standard_normal(d)
+    z = rng.standard_normal(d)
+    h = m // 2
+    first, second = CutStack.of(cuts[:h]), CutStack(normals[h:], offsets[h:])
+    for stack, listed in ((CutStack(normals, offsets), cuts), (CutStack.of(cuts), cuts),
+                          (first.join(second), cuts),
+                          (second.join(first), cuts[h:] + cuts[:h])):
+        assert project_halfspace_intersection(stack, x0).tobytes() == (
+            project_halfspace_intersection(listed, x0).tobytes())
+        for slack in (1e-8, 0.0, -1.0):
+            assert stack.violated(z, slack) == sum(c.violation(z) > slack for c in listed)
+        assert stack.live == [i for i, c in enumerate(listed) if not c.is_whole_space]
+        for i, c in enumerate(listed):
+            assert_same_cut(stack[i], c)
+
+
+def test_an_empty_stack_intersection_raises():
+    stack = CutStack(np.array([[1.0], [-1.0], [2.0]]), np.array([-1.0, -2.0, 0.0]))
+    with pytest.raises(EmptyIntersection):
+        project_halfspace_intersection(stack, np.zeros(1))
+
+
+def affine_vi(M, q):
+    return ViInducedBifunction(AffineOperator(np.asarray(M, float), np.asarray(q, float)))
+
+
+def test_the_containment_check_counts_the_one_cut_that_excludes_the_known_point():
+    # On R^2 from x0 = 0 with A_i(y) = y + q_i, iteration 1 solves
+    # y_i = -lam q_i and cuts with <y_i, z> >= (||y_i||^2 - eps_i) / 2; the
+    # Q-cut is the whole space.  p = (1, 1) lies in the cuts of y_0 = (lam, 0)
+    # and y_1 = (0, lam) and outside that of y_2 = (0, 10 lam).
+    fs = [affine_vi(np.eye(2), q) for q in ([-1.0, 0.0], [0.0, -1.0], [0.0, -10.0])]
+    inst = CsepInstance(2, WholeSpace(2), fs, [0.0, 0.0])
+    p = np.array([1.0, 1.0])
+    out = run_parallel_hybrid(inst, HybridParams(lam=0.2, k=6.0, tol=0.0, max_outer=1),
+                              known_point=p)
+    assert out.iterations == 1
+    assert out.invariant_violations["cut_containment"] == 1
+    params = HybridParams(lam=0.2, k=6.0)
+    x0 = np.zeros(2)
+    Y, _ = ProxSystem(fs, params.lam, inst.set).solve(np.zeros((3, 2)), x0, 1)
+    cuts = [build_c_cut(x0, y, epsilon(params, f.lipschitz_data(), 0.0, 0.0, float(y @ y)))
+            for f, y in zip(fs, Y)]
+    assert [c.violation(p) > 1e-8 for c in cuts] == [False, False, True]
+    assert build_q_cut(x0, x0).is_whole_space
+
+
+def test_parallel_eps_are_epsilon_row_by_row():
+    rng = np.random.default_rng(5)
+    fs = [affine_vi(np.diag(rng.uniform(0.5, 3.0, 3)), rng.standard_normal(3))
+          for _ in range(4)]
+    lips = [f.lipschitz_data() for f in fs]
+    assert len({lip.c2 for lip in lips}) == 4
+    params = HybridParams(lam=0.05, k=6.0)
+    system = ProxSystem(fs, params.lam, Box(-np.ones(3), np.ones(3)))
+    step = _parallel_step(params, lips, np.zeros(3), system)
+    y_cur, dy_prev, x = np.zeros((4, 3)), [0.0] * 4, np.full(3, 0.4)
+    for n, dx2 in ((1, 0.0), (2, 0.3), (3, 0.01)):
+        out = step(n, x, dx2)
+        dy = [float((a - b) @ (a - b)) for a, b in zip(out.near, y_cur)]
+        expected = [epsilon(params, lip, dx2, p, q) for lip, p, q in zip(lips, dy_prev, dy)]
+        assert [repr(e) for e in out.eps.tolist()] == [repr(e) for e in expected]
+        y_cur, dy_prev = out.near, dy
+
+
+def per_row_solve(system, W, x, n):
+    """``ProxSystem.solve`` as one ``solve_one`` per subproblem, its record
+    summed as ``drive`` once summed per-row results: every inner iteration,
+    every unconverged row in order, and the least certificate gap not NaN."""
+    results = [system.solve_one(i, W if W.ndim == 1 else W[i], x, n)
+               for i in range(len(system.fs))]
+    least = math.inf
+    for r in results:
+        if not math.isnan(r.certificate_gap):
+            least = min(least, r.certificate_gap)
+    record = ProxRecord(len(results), sum(r.inner_iterations for r in results),
+                        tuple((i, r.diagnostic) for i, r in enumerate(results)
+                              if not r.converged), least)
+    return np.array([r.minimizer for r in results]), record
+
+
+def per_row_solve_row(system, i, w, x, n):
+    """``ProxSystem.solve_row`` as ``solve_one`` and the record that
+    ``drive`` once summed from its result."""
+    r = system.solve_one(i, w, x, n)
+    least = math.inf if math.isnan(r.certificate_gap) else r.certificate_gap
+    return r.minimizer[None], ProxRecord(1, r.inner_iterations,
+                                         () if r.converged else ((i, r.diagnostic),), least)
+
+
+def dense_aq(rng, d, scale):
+    C = rng.standard_normal((d, d)) / np.sqrt(d)
+    Q = scale * (C @ C.T)
+    B = rng.standard_normal((d, d)) / np.sqrt(d)
+    return AffineQuadraticBifunction(Q + B @ B.T + 0.1 * np.eye(d), Q, rng.standard_normal(d))
+
+
+def diagonal_aq(rng, d):
+    return AffineQuadraticBifunction(np.diag(rng.uniform(0.5, 2.0, d)),
+                                     np.diag(rng.uniform(0.1, 1.0, d)), rng.standard_normal(d))
+
+
+def record_systems():
+    rng = np.random.default_rng(11)
+    d = 4
+    return {
+        "affine_vi": [affine_vi(np.eye(d) + 0.3 * np.triu(rng.standard_normal((d, d)), 1)
+                                - 0.3 * np.triu(rng.standard_normal((d, d)), 1).T,
+                                rng.standard_normal(d)) for _ in range(3)],
+        "coordinatewise": [diagonal_aq(rng, d) for _ in range(3)],
+        "projected_gradient": [dense_aq(rng, d, s) for s in (0.05, 1.0, 4.0)],
+        "mixed": [dense_aq(rng, d, 1.0), diagonal_aq(rng, d), dense_aq(rng, d, 3.0)],
+    }
+
+
+@pytest.mark.parametrize("family", ["affine_vi", "coordinatewise", "projected_gradient",
+                                    "mixed"])
+@pytest.mark.parametrize("runner", [run_parallel_hybrid, run_maxsel_hybrid, run_sequential])
+def test_the_prox_record_counts_as_per_row_results(monkeypatch, family, runner):
+    fs = record_systems()[family]
+    inst = CsepInstance(4, Box(-np.ones(4), np.ones(4)), fs, np.full(4, 0.6),
+                        SingletonSolution(np.zeros(4)))
+    params = HybridParams(lam=0.05, k=6.0, tol=0.0, max_outer=25)
+    # few enough inner steps that the dense rows stop unconverged
+    monkeypatch.setattr(prox_module, "MAX_INNER", 4)
+    stacked = runner(inst, params, certify_probes=3, seed=2)
+    monkeypatch.setattr(ProxSystem, "solve", per_row_solve)
+    monkeypatch.setattr(ProxSystem, "solve_row", per_row_solve_row)
+    rows = runner(inst, params, certify_probes=3, seed=2)
+    assert stacked.iterations == rows.iterations == 25
+    assert stacked.final_x.tobytes() == rows.final_x.tobytes()
+    assert stacked.counters == rows.counters
+    assert stacked.counters.prox_solves == (25 if runner is run_sequential else 75)
+    assert stacked.first_nonconverged == rows.first_nonconverged
+    assert repr(stacked.min_prox_certificate) == repr(rows.min_prox_certificate)
+    assert not math.isnan(stacked.min_prox_certificate)
+    if family in ("projected_gradient", "mixed"):
+        assert stacked.counters.prox_nonconverged > 0
+        assert stacked.first_nonconverged is not None
+    else:
+        assert stacked.first_nonconverged is None

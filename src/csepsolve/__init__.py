@@ -76,7 +76,7 @@ from .hybrid import (
     RULE_STRICT,
     HybridParams,
     build_c_cut,
-    build_c_cuts,
+    build_cuts,
     build_q_cut,
     cyclic_index,
     epsilon,

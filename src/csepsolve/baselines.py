@@ -6,10 +6,11 @@ Armijo hybrid runs a backtracking linesearch plus an extra projection onto
 the feasible set.  Their acceptance sets are subsets of C, so the anchor
 projection targets C intersected with the C-cut and the Q-cut, not just
 the two halfspaces.  Each method is a step for the shared outer loop
-``hybrid.drive``, which builds the Q-cut, projects x0 with the projector
-onto C and the cuts that the method passes, and runs the same checks,
-trace and stop tests as for the cutting-halfspace solvers (with eps = 0 in
-the solution-distance check).
+``hybrid.drive``: it passes the one point it cuts with (eps = 0), and
+``drive`` builds the C-cut and the Q-cut with ``hybrid.build_cuts``,
+projects x0 with the projector onto C and those cuts, and runs the same
+checks, trace and stop tests as for the cutting-halfspace solvers.  The
+steps solve their subproblems with ``ProxSystem.solve_row``.
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ from .geometry import (
     project_halfspace,
     project_halfspace_intersection,
 )
-from .hybrid import Step, build_c_cut, build_q_cut, drive  # build_q_cut: bench/spans.py wraps it
+# build_c_cut, build_q_cut and solve_prox are not called here; they are
+# imported because bench/spans.py wraps them by name in this module
+from .hybrid import Step, build_c_cut, build_q_cut, drive
 from .outcome import RunCounters, SolverOutcome
 from .problems import CsepInstance
-from .prox import ProxRecord, ProxSystem, solve_prox  # solve_prox: bench/spans.py wraps it
+from .prox import ProxRecord, ProxSystem, solve_prox
 
 
 # Trial cap of the Armijo linesearch.
@@ -169,12 +172,10 @@ def run_hybrid_extragradient(
     system = ProxSystem([f, f], lam, instance.set, certify_probes, seed)
 
     def step(n, x, dx2):
-        res_y = system.solve_one(0, x, x, n)
-        res_z = system.solve_one(1, res_y.minimizer, x, n)
-        y, z = res_y.minimizer, res_z.minimizer
-        residual = max(norm(y - x), norm(z - x))
-        return Step(CutStack.of([build_c_cut(x, z, 0.0)]), z[None], 0.0, residual,
-                    ProxRecord.of([res_y, res_z]))
+        Y, record_y = system.solve_row(0, x, x, n)
+        Z, record_z = system.solve_row(1, Y[0], x, n)
+        residual = max(norm(Y[0] - x), norm(Z[0] - x))
+        return Step(Z, Z, 0.0, residual, ProxRecord.of([record_y, record_z]))
 
     return drive("extragradient", step, x0, tol, max_outer, counters, project=project,
                  known_point=known_point, collect_iterates=collect_iterates)
@@ -207,17 +208,16 @@ def run_armijo_hybrid(
     system = ProxSystem([f], params.lam, set_, certify_probes, seed)
 
     def step(n, x, dx2):
-        res_y = system.solve_one(0, x, x, n)
-        y = res_y.minimizer
+        Y, record = system.solve_row(0, x, x, n)
+        y = Y[0]
         residual = norm(y - x)
-        record = ProxRecord.of([res_y])
         if residual <= tol:
             return Step(None, np.empty((0, x.size)), 0.0, residual, record)
         m, z = armijo_linesearch(f, x, y, params.lam, params)
         sigma, g = armijo_step_size(f, z, y, m, params.eta)
-        u = set_.project(x - sigma * g)
+        u = set_.project(x - sigma * g)[None]
         counters.set_projections += 1
-        return Step(CutStack.of([build_c_cut(x, u, 0.0)]), u[None], 0.0, residual, record)
+        return Step(u, u, 0.0, residual, record)
 
     return drive("armijo", step, x0, tol, max_outer, counters, project=project,
                  known_point=known_point, collect_iterates=collect_iterates)

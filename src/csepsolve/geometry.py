@@ -5,7 +5,8 @@ float64 arrays.  All routines here are pure functions of their inputs.
 
 A ``CutStack`` carries the cuts of one iteration: rows that are
 ``HalfspaceCut``s, kept as arrays when they come from arrays (one
-validation for the stack) and as the cuts themselves when there are a few.
+validation for the stack) and as the cuts themselves when there are a few
+(a one-point iteration's C-cut and Q-cut).
 ``project_halfspace_intersection`` is exact for any number of cuts: closed
 forms for one or two, and for more the Goldfarb-Idnani dual active-set
 method, which stops in finitely many steps and returns a point only with
@@ -244,10 +245,8 @@ class CutStack:
         return int(np.count_nonzero(v > slack))
 
     def join(self, other: CutStack) -> CutStack:
-        """The rows of this stack followed by those of ``other``: rows when
-        both are rows, else arrays."""
-        if self._arrays is None and other._arrays is None:
-            return CutStack.of(self._rows + other._rows)
+        """The rows of this stack followed by those of ``other``, as one
+        preallocated array stack unless either is empty."""
         k, m = len(self), len(other)
         if not m:
             return self

@@ -14,6 +14,7 @@ from . import __version__
 from .baselines import ArmijoParams, run_armijo_hybrid, run_hybrid_extragradient
 from .errors import (
     ConstantsMissing,
+    DegenerateCut,
     EmptyF,
     OracleUnavailable,
     ParameterViolation,
@@ -98,13 +99,13 @@ def _parse_set(doc, dim):
     if kind == "polyhedron":
         cuts = []
         for i, c in enumerate(_require(doc, "cuts", "set")):
-            cuts.append(
-                HalfspaceCut(
-                    _as_vector(_require(c, "normal", f"set.cuts[{i}]"), dim,
-                               f"set.cuts[{i}].normal"),
-                    float(_require(c, "offset", f"set.cuts[{i}]")),
-                )
-            )
+            path = f"set.cuts[{i}]"
+            normal = _as_vector(_require(c, "normal", path), dim, f"{path}.normal")
+            offset = float(_require(c, "offset", path))
+            try:
+                cuts.append(HalfspaceCut(normal, offset))
+            except (DegenerateCut, ValueError) as exc:
+                raise SchemaError(f"{path}: {exc}") from exc
         return Polyhedron(cuts)
     if kind == "whole_space":
         return WholeSpace(dim)
@@ -368,6 +369,8 @@ class RunSpec:
                 f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
             )
         require_one_worker(self.workers)
+        if self.certify_probes < 0:
+            raise ParameterViolation(f"certify_probes={self.certify_probes} must be >= 0")
 
 
 def derive_default_params(instance: CsepInstance, rule: str = RULE_STRICT):

@@ -6,8 +6,7 @@ which is what removes the extragradient corrector step), builds halfspace
 cuts certified to contain the solution set, and projects the fixed anchor
 x0 onto their intersection.  An iteration's subproblems travel as arrays:
 the (N, d) minimizers with one ``ProxRecord`` of their inner solves, and
-its cuts as one ``CutStack``; ``parallel`` builds its N C-cuts with
-``build_c_cuts`` in one pass over the stack.  Four variants:
+its cuts as one ``CutStack`` from ``build_cuts``.  Four variants:
 
 * ``run_parallel_hybrid`` - one cut per subproblem, N+1 halfspaces total;
 * ``run_maxsel_hybrid``   - shared anchor sequence, the farthest subproblem
@@ -21,11 +20,12 @@ the missing corrector step; it may be negative and is used unclamped.
 Every solver, the baselines in ``baselines`` included, shares one outer
 loop, ``drive``.  A solver supplies only a *step*: a callable
 ``step(n, x, dx2) -> Step`` that keeps its own state (previous subproblem
-solutions) and returns its C-cuts, residual and ``ProxRecord``.  ``drive``
-owns the rest:
-the anchor step x_{n+1} = P_{C_n ∩ Q_n}(x0), iteration count and timing,
-work counters, the four per-iteration invariant checks, trace records, the
-stop tests, turning a ``SolverError`` into an error outcome, and the outcome.
+solutions) and returns the points it cuts with, their correction terms,
+its residual and ``ProxRecord``.  ``drive`` owns the rest: the cuts C_n
+and Q_n (``build_cuts``), the anchor step x_{n+1} = P_{C_n ∩ Q_n}(x0),
+iteration count and timing, work counters, the four per-iteration
+invariant checks, trace records, the stop tests, turning a
+``SolverError`` into an error outcome, and the outcome.
 """
 
 from __future__ import annotations
@@ -157,34 +157,46 @@ def build_c_cut(x_n: np.ndarray, y_next: np.ndarray, eps: float) -> HalfspaceCut
     return HalfspaceCut(2.0 * diff, rhs)
 
 
-def build_c_cuts(x_n: np.ndarray, Y: np.ndarray, eps: np.ndarray) -> CutStack:
-    """The cuts ``build_c_cut(x_n, Y[i], eps[i])`` of the rows of Y, as one
-    stack validated once, bit for bit as built one by one: normals
-    2(x_n - Y), offsets <x_n + Y, x_n - Y> + eps, and a zero normal where a
-    row is within ``DEGENERACY_THRESHOLD`` of x_n, whose contradiction
-    raises ``InfeasibleCut`` after any error of an earlier row.  One row is
-    built by ``build_c_cut`` itself, which is cheaper than a stack.
+def build_q_cut(x0: np.ndarray, x_n: np.ndarray) -> HalfspaceCut:
+    """Anchor cut {z : <x0 - x_n, z - x_n> <= 0}; the whole space when x_n == x0."""
+    normal = x0 - x_n
+    return HalfspaceCut(normal, float(normal @ x_n))
+
+
+def build_cuts(x0: np.ndarray, x_n: np.ndarray, Y: np.ndarray,
+               eps: float | np.ndarray) -> CutStack:
+    """The cuts of iteration n: ``build_c_cut(x_n, Y[i], eps_i)`` for each of
+    the k rows of Y, then Q_n = ``build_q_cut(x0, x_n)``, bit for bit and
+    with the errors of building them one by one in that order.  ``eps`` is
+    one float shared by every row or an array of k (unused when k = 0).
+
+    One row gives the stack of those two cuts, and none the stack of Q_n
+    alone.  More give one stack of k + 1 rows validated once: normals
+    2(x_n - Y), offsets <x_n + Y, x_n - Y> + eps, and a zero normal where
+    a row is within ``DEGENERACY_THRESHOLD`` of x_n, whose contradiction
+    raises ``InfeasibleCut`` after any error of an earlier row.
     """
-    if len(Y) == 1:
-        return CutStack.of([build_c_cut(x_n, Y[0], float(eps[0]))])
+    k = len(Y)
+    if k == 1:
+        eps_0 = eps if isinstance(eps, float) else float(eps[0])
+        return CutStack.of([build_c_cut(x_n, Y[0], eps_0), build_q_cut(x0, x_n)])
+    if k == 0:
+        return CutStack.of([build_q_cut(x0, x_n)])
+    normals, offsets = np.empty((k + 1, x_n.size)), np.empty(k + 1)
     diff = x_n - Y
-    offsets = row_dot(x_n + Y, diff) + eps
+    np.multiply(diff, 2.0, out=normals[:k])
+    offsets[:k] = row_dot(x_n + Y, diff) + eps
+    normals[k] = q = x0 - x_n
+    offsets[k] = q @ x_n
     degenerate = row_norms(diff) < DEGENERACY_THRESHOLD
-    normals = 2.0 * diff
     if np.count_nonzero(degenerate):
-        normals[degenerate] = 0.0
-        bad = np.flatnonzero(degenerate & (offsets < WHOLE_SPACE_OFFSET_FLOOR))
+        normals[:k][degenerate] = 0.0
+        bad = np.flatnonzero(degenerate & (offsets[:k] < WHOLE_SPACE_OFFSET_FLOOR))
         if bad.size:
             i = bad[0]
             CutStack(normals[:i], offsets[:i])  # the rows before i raise first
             raise InfeasibleCut(f"cut degenerated to the contradiction 0 <= {offsets[i]:g}")
     return CutStack(normals, offsets)
-
-
-def build_q_cut(x0: np.ndarray, x_n: np.ndarray) -> HalfspaceCut:
-    """Anchor cut {z : <x0 - x_n, z - x_n> <= 0}; the whole space when x_n == x0."""
-    normal = x0 - x_n
-    return HalfspaceCut(normal, float(normal @ x_n))
 
 
 def cyclic_index(n: int, n_problems: int) -> int:
@@ -196,16 +208,18 @@ def cyclic_index(n: int, n_problems: int) -> int:
 class Step(NamedTuple):
     """What one outer iteration of an algorithm hands ``drive``.
 
-    ``c_cuts`` are the iteration's C-cuts, to which ``drive`` adds the
-    Q-cut; None when the step stopped at x without cutting, and then
-    ``drive`` keeps x and runs no checks.  ``near`` is the (k, d) stack of
-    points bounded by the solution-distance check and ``eps`` their
-    correction term: one float shared by every row, or an array of k;
+    ``points`` is the (k, d) stack of the points y that the iteration cuts
+    with, for which ``drive`` builds the C-cuts and Q_n with ``build_cuts``;
+    None when the step stopped at x without cutting, and then ``drive``
+    keeps x and runs no checks.  ``near`` is the (m, d) stack of points
+    bounded by the solution-distance check and ``eps`` the correction term
+    of both: one float shared by every row, or an array of m, the rows of
+    ``near``, which are then the points too (or there are none).
     ``prox`` records the inner solves the step made and ``selected`` is the
     subproblem it chose, if any.
     """
 
-    c_cuts: CutStack | None
+    points: np.ndarray | None
     near: np.ndarray
     eps: float | np.ndarray
     residual: float
@@ -237,9 +251,10 @@ def drive(
     max(||x_{n+1} - x_n||, residual) <= tol or ``max_outer`` iterations.
 
     Iteration n calls ``step(n, x_n, ||x_n - x_{n-1}||^2)`` and takes the
-    anchor step of the CQ method, x_{n+1} = ``project(cuts, x0)`` for the
-    stack ``cuts`` of ``Step.c_cuts`` and Q_n = ``build_q_cut(x0, x_n)``;
-    ``project`` defaults to ``project_halfspace_intersection``.
+    anchor step of the CQ method, x_{n+1} = ``project(cuts, x0)`` for
+    ``cuts = build_cuts(x0, x_n, Step.points, Step.eps)``, the C-cuts
+    followed by Q_n; ``project`` defaults to
+    ``project_halfspace_intersection``.
 
     Per iteration: checks that x_n is the projection of x0 onto Q_n,
     that ||x_{n+1} - x0|| does not decrease, and, given ``known_point``,
@@ -271,12 +286,12 @@ def drive(
     try:
         for n in range(1, max_outer + 1):
             t0 = time.perf_counter()
-            c_cuts, near, eps, residual, record, selected = step(n, x, dx2)
-            if c_cuts is None:
+            points, near, eps, residual, record, selected = step(n, x, dx2)
+            if points is None:
                 x_next, dx2, degenerate = x, 0.0, 0
             else:
-                q_cut = build_q_cut(x0, x)
-                cuts = c_cuts.join(CutStack.of([q_cut]))
+                cuts = build_cuts(x0, x, points, eps)
+                q_cut = cuts[-1]
                 x_next = project(cuts, x0)
                 degenerate = len(cuts) - len(cuts.live)
                 d = x_next - x
@@ -421,13 +436,13 @@ def _parallel_step(params, lips, y_init, system):
         eps = k * dx2 + a * dy_prev - b * dy
         residual = float(row_norms(y_next - x).max())
         y_cur, dy_prev = y_next, dy
-        return Step(build_c_cuts(x, y_next, eps), y_next, eps, residual, record)
+        return Step(y_next, y_next, eps, residual, record)
 
     return step
 
 
 def _shared_anchor_step(params, lip, y_init, system, cyclic):
-    """Subproblems anchored at one shared sequence ybar; one C-cut.
+    """Subproblems anchored at one shared sequence ybar; one C-cut point.
 
     ``maxsel`` (cyclic=False) solves every subproblem in one ``system``
     call and cuts with the solution farthest from x_n; ``sequential``
@@ -456,7 +471,6 @@ def _shared_anchor_step(params, lip, y_init, system, cyclic):
         dy2 = float(dy @ dy)
         eps = epsilon(params, lip, dx2, dy_prev, dy2)
         ybar, dy_prev = y_next, dy2
-        return Step(CutStack.of([build_c_cut(x, y_next, eps)]), y_next[None] if cyclic else Y,
-                    eps, residual, record, selected)
+        return Step(Y if cyclic else y_next[None], Y, eps, residual, record, selected)
 
     return step

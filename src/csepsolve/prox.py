@@ -21,16 +21,15 @@ it would each row.
 ``ProxSystem`` builds, once per run, each subproblem's one-row kernel
 ``_kernel([f], lam, set_)`` and the stack of all N when there is one;
 ``solve`` solves all N subproblems on the stack, or row by row without it,
-and ``solve_row`` and ``solve_one`` row i alone on its one-row kernel.
-The batched forms used (``np.matmul`` over stacks) give each row's result
-bit for bit, so both agree exactly.  Certified solves certify each row
-after.
+and ``solve_row`` row i alone on its one-row kernel.  The batched forms
+used (``np.matmul`` over stacks) give each row's result bit for bit, so
+both agree exactly.  Certified solves certify each row after.
 
 A kernel returns the (k, d) minimizers and one ``ProxRecord`` of the call:
 the total inner iterations, the unconverged rows with their diagnostics,
 and, once certified, the least certificate gap; no kernel builds an object
-per row.  ``solve`` and ``solve_row`` return the record, ``solve_one``
-and ``solve_prox`` one ``ProxResult``.
+per row.  ``ProxRecord`` is the one result the solvers see; only the
+public one-off ``solve_prox`` returns a ``ProxResult``.
 """
 
 from __future__ import annotations
@@ -59,7 +58,8 @@ MAX_INNER = 100_000
 
 @dataclass
 class ProxResult:
-    """Solution of one inner subproblem.
+    """Solution of one inner subproblem, as the one-off ``solve_prox``
+    returns it.
 
     ``certificate_gap`` is the worst sampled slack of the variational
     optimality inequality (NaN unless certification was requested);
@@ -87,24 +87,17 @@ class ProxRecord(NamedTuple):
     min_certificate: float
 
     @classmethod
-    def of(cls, results: list[ProxResult]) -> ProxRecord:
-        """The record of ``results``, the solves of subproblems 0, 1, ..."""
+    def of(cls, records: list[ProxRecord]) -> ProxRecord:
+        """The record of the one-row ``records``, the solves of subproblems
+        0, 1, ... in order (whatever subproblem each names)."""
         inner, nonconverged, least = 0, [], math.inf
-        for j, r in enumerate(results):
+        for j, r in enumerate(records):
             inner += r.inner_iterations
-            if not r.converged:
-                nonconverged.append((j, r.diagnostic))
-            if r.certificate_gap < least:  # False for NaN
-                least = r.certificate_gap
-        return cls(len(results), inner, tuple(nonconverged), least)
-
-
-def _result(Y: np.ndarray, record: ProxRecord) -> ProxResult:
-    """The one solve of a one-row kernel call."""
-    if record.nonconverged:
-        return ProxResult(Y[0], math.nan, record.inner_iterations, False,
-                          record.nonconverged[0][1])
-    return ProxResult(Y[0], math.nan, record.inner_iterations)
+            if r.nonconverged:
+                nonconverged.append((j, r.nonconverged[0][1]))
+            if r.min_certificate < least:
+                least = r.min_certificate
+        return cls(len(records), inner, tuple(nonconverged), least)
 
 
 def objective(f: Bifunction, w, x, lam: float, y) -> float:
@@ -125,7 +118,10 @@ def solve_prox(f: Bifunction, w: np.ndarray, x: np.ndarray, lam: float, set_: Fe
     ``certify_probes`` > 0 the result carries a sampled optimality
     certificate.
     """
-    result = _result(*_kernel([f], lam, set_).solve(w, x))
+    Y, record = _kernel([f], lam, set_).solve(w, x)
+    result = ProxResult(Y[0], inner_iterations=record.inner_iterations)
+    if record.nonconverged:
+        result.converged, result.diagnostic = False, record.nonconverged[0][1]
     if certify_probes > 0:
         result.certificate_gap = certify_prox(
             f, w, x, lam, set_, result.minimizer, certify_probes, rng=rng
@@ -158,10 +154,9 @@ class ProxSystem:
         if self._stack is not None:
             Y, record = self._stack.solve(W, x)
         else:
-            results = [_result(*k.solve(W if W.ndim == 1 else W[i], x))
-                       for i, k in enumerate(self._rows)]
-            Y = np.array([r.minimizer for r in results])
-            record = ProxRecord.of(results)
+            rows = [k.solve(W if W.ndim == 1 else W[i], x) for i, k in enumerate(self._rows)]
+            Y = np.concatenate([y for y, _ in rows])
+            record = ProxRecord.of([r for _, r in rows])
         if self.certify_probes > 0:
             least = math.inf
             for i, y in enumerate(Y):
@@ -184,14 +179,6 @@ class ProxSystem:
             if gap < record.min_certificate:  # False for NaN
                 record = record._replace(min_certificate=gap)
         return Y, record
-
-    def solve_one(self, i: int, w: np.ndarray, x: np.ndarray, n: int) -> ProxResult:
-        """Subproblem i alone at outer iteration n, anchored at w; equal bit
-        for bit to row i of ``solve``."""
-        result = _result(*self._rows[i].solve(w, x))
-        if self.certify_probes > 0:
-            result.certificate_gap = self._certify(i, w, x, n, result.minimizer)
-        return result
 
     def _certify(self, i, w, x, n, y) -> float:
         return certify_prox(
@@ -353,21 +340,21 @@ class _ProjectedGradientStack(_Stack):
 
 class _Row:
     """One subproblem outside the stacked families, solved by
-    ``solve_1d(f, w, x, lam, set_)``; its anchor is a 1-D w or a one-row
-    stack."""
+    ``solve_1d(f, w, x, lam, set_)``, which returns the minimizer and the
+    record of its solve; its anchor is a 1-D w or a one-row stack."""
 
     def __init__(self, solve_1d, f, lam, set_):
         self.solve_1d, self.f, self.lam, self.set_ = solve_1d, f, lam, set_
 
     def solve(self, W, x):
-        result = self.solve_1d(self.f, W if W.ndim == 1 else W[0], x, self.lam, self.set_)
-        _require_finite(result.minimizer)
-        return result.minimizer[None], ProxRecord.of([result])
+        y, record = self.solve_1d(self.f, W if W.ndim == 1 else W[0], x, self.lam, self.set_)
+        _require_finite(y)
+        return y[None], record
 
 
 def _solve_operator(f, w, x, lam, set_):
     """The exact P_C(x - lam*A(w)) for a callable operator A."""
-    return ProxResult(minimizer=set_.project(x - lam * f.operator(w)))
+    return set_.project(x - lam * f.operator(w)), ProxRecord(1, 1, (), math.inf)
 
 
 def _solve_blackbox(f, w, x, lam, set_):
@@ -387,7 +374,7 @@ def _solve_blackbox(f, w, x, lam, set_):
         if residual < best_res:
             best_res, best = residual, target
         if residual <= tol:
-            return ProxResult(minimizer=target, inner_iterations=it + 1)
+            return target, ProxRecord(1, it + 1, (), math.inf)
         if averaging_from is None:
             window.append(residual)
             if len(window) >= 25 and window[-1] > 0.95 * window[0]:
@@ -399,13 +386,8 @@ def _solve_blackbox(f, w, x, lam, set_):
         y = y + beta * (target - y)
         if not np.isfinite(y).all():
             raise NonFiniteObjective("subgradient iteration diverged")
-    return ProxResult(
-        minimizer=best,
-        inner_iterations=max_inner,
-        converged=False,
-        diagnostic=f"subgradient scheme hit {max_inner} iterations "
-        f"(best residual {best_res:.3e})",
-    )
+    diagnostic = f"subgradient scheme hit {max_inner} iterations (best residual {best_res:.3e})"
+    return best, ProxRecord(1, max_inner, ((0, diagnostic),), math.inf)
 
 
 def certify_prox(

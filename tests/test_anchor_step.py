@@ -1,9 +1,12 @@
 """The anchor step that ``hybrid.drive`` takes for all six solvers.
 
-A solver's step hands ``drive`` only its C-cuts; ``drive`` builds the Q-cut
-from x0 and x_n, projects x0 with the solver's projector, takes the step
-length and checks ``tol`` and ``max_outer`` for every solver alike.
+A solver's step hands ``drive`` only the points it cuts with; ``drive``
+builds the C-cuts and the Q-cut from x0 and x_n, projects x0 with the
+solver's projector, takes the step length and checks ``tol`` and
+``max_outer`` for every solver alike.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ from csepsolve import (
     EmptyIntersection,
     HybridParams,
     ParameterViolation,
-    ProxResult,
     baselines,
     build_q_cut,
     hybrid,
@@ -25,7 +27,6 @@ from csepsolve import (
     run_sequential,
     run_single,
 )
-from csepsolve.geometry import CutStack
 from csepsolve.hybrid import Step, drive
 from csepsolve.prox import ProxRecord
 from csepsolve.outcome import RunCounters
@@ -112,9 +113,9 @@ def test_a_projection_error_counts_no_work_of_its_iteration():
     calls = []
 
     def step(n, x, dx2):
-        results = [ProxResult(x, inner_iterations=5),
-                   ProxResult(x, inner_iterations=7, converged=False)]
-        return Step(CutStack.of([]), np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of(results))
+        records = [ProxRecord(1, 5, (), math.inf), ProxRecord(1, 7, ((0, None),), math.inf)]
+        return Step(np.empty((0, x.size)), np.empty((0, x.size)), 0.0, 1.0,
+                    ProxRecord.of(records))
 
     def project(cuts, x0):
         calls.append(cuts)

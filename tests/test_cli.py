@@ -61,6 +61,33 @@ class TestSolve:
         code = main(["solve", str(bad), "--algorithm", "single"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["solve", "--algorithm", "single"], ["validate"]])
+    def test_a_face_that_denotes_the_empty_set_exit_two_naming_it(self, capsys, tmp_path,
+                                                                    command):
+        path = tmp_path / "empty_face.json"
+        path.write_text(json.dumps({
+            "dimension": 2,
+            "set": {"type": "polyhedron", "cuts": [
+                {"normal": [1.0, 0.0], "offset": 1.0},
+                {"normal": [0, 0], "offset": -1},
+            ]},
+            "bifunctions": [{"type": "vi_affine", "M": [[1.0, 0.0], [0.0, 1.0]],
+                             "q": [0.0, 0.0]}],
+            "x0": [0.0, 0.0],
+        }))
+        code = main([command[0], str(path), *command[1:]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "set.cuts[1]:" in err and "denotes the empty set" in err
+
+    def test_negative_certify_exit_two(self, capsys, tmp_path):
+        summary = tmp_path / "s.json"
+        code = main(["solve", SCALAR, "--algorithm", "single", "--certify", "-3",
+                     "--summary", str(summary)])
+        assert code == 2
+        assert "certify_probes=-3" in capsys.readouterr().err
+        assert not summary.exists()
+
     def test_relaxed_rule_accepts_wider_lambda(self, capsys):
         code = main(["solve", SCALAR, "--algorithm", "single",
                      "--lambda", "0.8", "--k", "8", "--rule", "relaxed"])

@@ -30,7 +30,6 @@ from csepsolve import (
     solve_prox,
     validate_params,
 )
-from csepsolve.geometry import CutStack
 from csepsolve.hybrid import Step, _shared_anchor_step, drive
 from csepsolve.prox import ProxRecord
 from csepsolve.outcome import RunCounters
@@ -368,7 +367,7 @@ class TestDrive:
         # no C-cuts, so x stays at x0, where ||x - p||^2 = 1: rows 1 (4 > 1)
         # and 3 (1.44 > 1 + 0.3) break the bound, rows 0 and 2 do not
         def step(n, x, dx2):
-            return Step(CutStack.of([]), near, eps, 1.0, ProxRecord.of([]))
+            return Step(np.empty((0, x.size)), near, eps, 1.0, ProxRecord.of([]))
 
         out = drive("fixed", step, x0, 0.0, 3, RunCounters(), known_point=p)
         assert out.invariant_violations["solution_distance_bound"] == 6
@@ -381,7 +380,7 @@ class TestDrive:
 
         # one eps = 0.3 for all rows: rows 1 and 2 break the bound
         def step(n, x, dx2):
-            return Step(CutStack.of([]), near, 0.3, 1.0, ProxRecord.of([]))
+            return Step(np.empty((0, x.size)), near, 0.3, 1.0, ProxRecord.of([]))
 
         out = drive("fixed", step, x0, 0.0, 2, RunCounters(), known_point=np.zeros(2))
         assert out.invariant_violations["solution_distance_bound"] == 4

@@ -131,9 +131,9 @@ class TestAffineQuadraticRoute:
         box = Box(-np.ones(2), np.ones(2))
         system = ProxSystem([bad, good], 0.2, box)
         w = x = np.array([0.5, 0.5])
-        assert system.solve_one(1, w, x, 1).minimizer.tobytes() == (
+        assert system.solve_row(1, w, x, 1)[0][0].tobytes() == (
             solve_prox(good, w, x, 0.2, box).minimizer.tobytes())
-        for solve in (lambda: system.solve_one(0, w, x, 1), lambda: system.solve(w, x, 1)):
+        for solve in (lambda: system.solve_row(0, w, x, 1), lambda: system.solve(w, x, 1)):
             with pytest.raises(NonFiniteObjective, match="not strongly convex"):
                 solve()
 
@@ -149,7 +149,7 @@ class TestAffineQuadraticRoute:
             one_row = solve_prox(f, W[0], x, 0.2, box)
             assert Y.shape == (1, d)
             assert Y[0].tobytes() == one_row.minimizer.tobytes()
-            assert_same_record(record, ProxRecord.of([one_row]))
+            assert_same_record(record, result_record(one_row))
 
 
 class TestFiniteCheckAndStepBound:
@@ -266,12 +266,12 @@ class TestCertify:
             solve_prox(f, np.zeros(1), np.zeros(1), 0.0, Box([-1.0], [1.0]))
 
 
-def assert_same_result(a, b):
-    assert a.minimizer.tobytes() == b.minimizer.tobytes()
-    assert a.inner_iterations == b.inner_iterations
-    assert a.converged == b.converged
-    assert a.diagnostic == b.diagnostic
-    assert repr(a.certificate_gap) == repr(b.certificate_gap)
+def result_record(r, i=0):
+    """The record of the one solve ``r`` (a ``ProxResult``) as subproblem i:
+    its certificate gap unless NaN, else inf."""
+    least = math.inf if math.isnan(r.certificate_gap) else r.certificate_gap
+    return ProxRecord(1, r.inner_iterations, () if r.converged else ((i, r.diagnostic),),
+                      least)
 
 
 def assert_same_record(a, b):
@@ -281,8 +281,8 @@ def assert_same_record(a, b):
 
 
 def assert_stack_matches_rows(fs, W, x, lam, set_, certify_probes=0, seed=0, n=1):
-    """ProxSystem.solve equals a loop of one-row solve_prox calls, and loops
-    of ProxSystem.solve_one and solve_row calls, bit for bit: each row of its
+    """ProxSystem.solve equals a loop of one-row solve_prox calls, and a
+    loop of ProxSystem.solve_row calls, bit for bit: each row of its
     minimizers, and its record that of the rows.  Returns the one-row
     results."""
     system = ProxSystem(fs, lam, set_, certify_probes, seed)
@@ -293,18 +293,15 @@ def assert_stack_matches_rows(fs, W, x, lam, set_, certify_probes=0, seed=0, n=1
                    rng=probe_rng(certify_probes, seed, n, i))
         for i, (f, w) in enumerate(zip(fs, anchors))
     ]
-    ones = [system.solve_one(i, w, x, n) for i, w in enumerate(anchors)]
+    ones = [system.solve_row(i, w, x, n) for i, w in enumerate(anchors)]
     assert Y.shape == (len(fs), x.size)
     assert len(rows) == len(ones) == len(fs)
-    for i, (y, b, c) in enumerate(zip(Y, rows, ones)):
+    for i, (y, b, (Y_i, record_i)) in enumerate(zip(Y, rows, ones)):
         assert y.tobytes() == b.minimizer.tobytes()
-        assert_same_result(b, c)
-        Y_i, record_i = system.solve_row(i, anchors[i], x, n)
         assert Y_i.shape == (1, x.size) and Y_i[0].tobytes() == y.tobytes()
-        expected = ProxRecord.of([b])
-        assert_same_record(record_i, expected._replace(
-            nonconverged=tuple((i, d) for _, d in expected.nonconverged)))
-    assert_same_record(record, ProxRecord.of(rows))
+        assert_same_record(record_i, result_record(b, i))
+    assert_same_record(record, ProxRecord.of([result_record(b) for b in rows]))
+    assert_same_record(record, ProxRecord.of([r for _, r in ones]))
     return rows
 
 
@@ -411,13 +408,13 @@ class TestProxSystemParity:
         diagnostic = "projected gradient hit 3 iterations"
         assert_same_record(record, ProxRecord(2, 6, ((0, diagnostic), (1, diagnostic)), math.inf))
         for i, (f, y_stacked) in enumerate(zip(fs, Y)):
-            r = system.solve_one(i, w, x, 1)
+            Y_i, record_i = system.solve_row(i, w, x, 1)
             one_row = solve_prox(f, w, x, 0.2, box)
             y, _, converged = projected_gradient_prox(f, w, x, 0.2, box, 1e-10, 3)
-            assert (r.minimizer.tobytes(), r.inner_iterations) == (y.tobytes(), 3)
+            assert (Y_i[0].tobytes(), record_i.inner_iterations) == (y.tobytes(), 3)
             assert y_stacked.tobytes() == y.tobytes()
-            assert not r.converged
-            assert r.diagnostic == diagnostic
-            assert_same_result(r, one_row)
-            assert_same_record(system.solve_row(i, w, x, 1)[1],
-                               ProxRecord(1, 3, ((i, diagnostic),), math.inf))
+            assert not one_row.converged
+            assert one_row.diagnostic == diagnostic
+            assert Y_i[0].tobytes() == one_row.minimizer.tobytes()
+            assert_same_record(record_i, result_record(one_row, i))
+            assert_same_record(record_i, ProxRecord(1, 3, ((i, diagnostic),), math.inf))

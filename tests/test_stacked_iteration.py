@@ -1,9 +1,11 @@
-"""An iteration's subproblems as arrays: the cut stack of ``parallel``, the
-projection of a stack, the containment check over it, and the prox record.
+"""An iteration's subproblems as arrays: the cuts ``drive`` builds from the
+points of a step, the projection of a stack, the containment check over
+it, and the prox record.
 
 Each is held bit for bit to the per-row form it replaces: ``build_c_cut``
-for every row, the same projection of a list of ``HalfspaceCut``s, one
-``violation`` per cut, and the counters that per-row ``ProxResult``s gave.
+for every point and ``build_q_cut``, the same projection of a list of
+``HalfspaceCut``s, one ``violation`` per cut, and the counters that
+per-row ``ProxResult``s gave.
 """
 
 import math
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import csepsolve.prox as prox_module  # noqa: E402
@@ -20,6 +22,7 @@ from csepsolve import (  # noqa: E402
     AffineOperator,
     AffineQuadraticBifunction,
     Box,
+    CallableOperator,
     CsepInstance,
     DegenerateCut,
     EmptyIntersection,
@@ -31,16 +34,18 @@ from csepsolve import (  # noqa: E402
     ViInducedBifunction,
     WholeSpace,
     build_c_cut,
+    build_cuts,
     build_q_cut,
     epsilon,
     project_halfspace_intersection,
     run_maxsel_hybrid,
     run_parallel_hybrid,
     run_sequential,
+    solve_prox,
 )
 from csepsolve.geometry import CutStack  # noqa: E402
-from csepsolve.hybrid import _parallel_step, build_c_cuts  # noqa: E402
-from csepsolve.prox import ProxRecord  # noqa: E402
+from csepsolve.hybrid import _parallel_step  # noqa: E402
+from csepsolve.prox import ProxRecord, probe_rng  # noqa: E402
 
 
 def outcome_of(build):
@@ -61,21 +66,33 @@ def assert_same_cut(a, b):
 stacks = st.fixed_dictionaries({
     "seed": st.integers(0, 2**32 - 1),
     "d": st.integers(1, 8),
-    "k": st.integers(1, 8),
+    "k": st.integers(0, 8),
     # per row: 0 generic, 1 y == x, 2 y within 1e-15 of x, 3 y == x with a
     # contradictory eps, 4 non-finite eps
     "kinds": st.lists(st.sampled_from([0, 0, 0, 1, 2, 3, 4]), min_size=8, max_size=8),
+    # the anchor x0: 0 generic, 1 x0 == x (Q_n is the whole space), 2 so far
+    # from x that <x0 - x, x> may overflow
+    "anchor": st.sampled_from([0, 0, 1, 2]),
+    "shared_eps": st.booleans(),
     "log_scale": st.floats(-3.0, 3.0),
 })
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(stacks)
-def test_c_cut_stack_equals_build_c_cut_row_by_row(params):
+@example({"seed": 0, "d": 2, "k": 0, "kinds": [0] * 8, "anchor": 0, "shared_eps": False,
+          "log_scale": 0.0})
+@example({"seed": 1, "d": 3, "k": 1, "kinds": [3] + [0] * 7, "anchor": 1, "shared_eps": True,
+          "log_scale": 0.0})
+@example({"seed": 2, "d": 3, "k": 4, "kinds": [1, 4, 3, 0] + [0] * 4, "anchor": 2,
+          "shared_eps": False, "log_scale": 2.0})
+def test_build_cuts_equals_build_c_cut_row_by_row_then_build_q_cut(params):
     rng = np.random.default_rng(params["seed"])
     d, k = params["d"], params["k"]
     x = rng.standard_normal(d) * 10.0 ** params["log_scale"]
     Y = x + rng.standard_normal((k, d)) * 10.0 ** params["log_scale"]
+    x0 = {0: x + rng.standard_normal(d), 1: x.copy(),
+          2: x + np.sign(x) * 1e307}[params["anchor"]]
     eps = rng.standard_normal(k)
     for i, kind in enumerate(params["kinds"][:k]):
         if kind in (1, 3):
@@ -86,32 +103,43 @@ def test_c_cut_stack_equals_build_c_cut_row_by_row(params):
             eps[i] = -1.0
         elif kind == 4:
             eps[i] = rng.choice([np.inf, -np.inf, np.nan])
+    if params["shared_eps"]:  # one float for every row, as maxsel and the baselines give
+        eps = float(eps[0]) if k else 0.0
+        row_eps = [eps] * k
+    else:
+        row_eps = [float(e) for e in eps]
 
-    stack, stack_error = outcome_of(lambda: build_c_cuts(x, Y, eps))
-    rows, row_error = outcome_of(lambda: [build_c_cut(x, Y[i], float(eps[i]))
-                                          for i in range(k)])
+    stack, stack_error = outcome_of(lambda: build_cuts(x0, x, Y, eps))
+    rows, row_error = outcome_of(lambda: [build_c_cut(x, Y[i], row_eps[i]) for i in range(k)]
+                                 + [build_q_cut(x0, x)])
     assert stack_error == row_error
     if row_error is None:
-        assert len(stack) == k
-        for i in range(k):
+        assert len(stack) == k + 1
+        for i in range(k + 1):
             assert_same_cut(stack[i], rows[i])
+        assert_same_cut(stack[-1], rows[-1])  # drive reads Q_n as cuts[-1]
         assert stack.live == [i for i, c in enumerate(rows) if not c.is_whole_space]
+        # zero or one point: the cuts themselves, the other form validated once
+        assert (stack[0] is stack[0]) == (k <= 1)
 
 
 def test_degenerate_and_contradictory_rows():
     x = np.array([0.5, -0.25])
     Y = np.array([[0.0, 0.0], x, [1.0, 1.0]])
-    stack = build_c_cuts(x, Y, np.array([0.0, 0.5, 0.1]))
-    assert [c.is_whole_space for c in stack] == [False, True, False]
+    stack = build_cuts(x, x, Y, np.array([0.0, 0.5, 0.1]))
+    assert [c.is_whole_space for c in stack] == [False, True, False, True]
     assert stack[1].normal.tobytes() == np.zeros(2).tobytes()
     assert stack.live == [0, 2]
+    assert build_cuts(np.zeros(2), x, Y, 0.5).live == [0, 2, 3]
     with pytest.raises(InfeasibleCut, match=r"contradiction 0 <= -1"):
-        build_c_cuts(x, Y, np.array([0.0, -1.0, 0.1]))
+        build_cuts(x, x, Y, np.array([0.0, -1.0, 0.1]))
+    with pytest.raises(InfeasibleCut, match=r"contradiction 0 <= -1"):
+        build_cuts(x, x, Y[1:2], -1.0)
     # a non-finite row before the contradictory one raises first, as row by row
     with pytest.raises(ValueError, match="non-finite"):
-        build_c_cuts(x, Y, np.array([np.nan, -1.0, 0.1]))
+        build_cuts(x, x, Y, np.array([np.nan, -1.0, 0.1]))
     with pytest.raises(InfeasibleCut):
-        build_c_cuts(x, Y, np.array([0.0, -1.0, np.inf]))
+        build_cuts(x, x, Y, np.array([0.0, -1.0, np.inf]))
 
 
 def test_a_stack_from_arrays_validates_once_as_each_cut_would():
@@ -214,11 +242,19 @@ def test_parallel_eps_are_epsilon_row_by_row():
         y_cur, dy_prev = out.near, dy
 
 
+def one_off_solve(system, i, w, x, n):
+    """Subproblem i of ``system`` at outer iteration n as the one-off
+    ``solve_prox``, with the probes ``ProxSystem`` gives it."""
+    probes = system.certify_probes
+    return solve_prox(system.fs[i], w, x, system.lam, system.set_, probes,
+                      rng=probe_rng(probes, system.seed, n, i))
+
+
 def per_row_solve(system, W, x, n):
-    """``ProxSystem.solve`` as one ``solve_one`` per subproblem, its record
+    """``ProxSystem.solve`` as one ``solve_prox`` per subproblem, its record
     summed as ``drive`` once summed per-row results: every inner iteration,
     every unconverged row in order, and the least certificate gap not NaN."""
-    results = [system.solve_one(i, W if W.ndim == 1 else W[i], x, n)
+    results = [one_off_solve(system, i, W if W.ndim == 1 else W[i], x, n)
                for i in range(len(system.fs))]
     least = math.inf
     for r in results:
@@ -231,9 +267,9 @@ def per_row_solve(system, W, x, n):
 
 
 def per_row_solve_row(system, i, w, x, n):
-    """``ProxSystem.solve_row`` as ``solve_one`` and the record that
+    """``ProxSystem.solve_row`` as ``solve_prox`` and the record that
     ``drive`` once summed from its result."""
-    r = system.solve_one(i, w, x, n)
+    r = one_off_solve(system, i, w, x, n)
     least = math.inf if math.isnan(r.certificate_gap) else r.certificate_gap
     return r.minimizer[None], ProxRecord(1, r.inner_iterations,
                                          () if r.converged else ((i, r.diagnostic),), least)
@@ -290,3 +326,36 @@ def test_the_prox_record_counts_as_per_row_results(monkeypatch, family, runner):
         assert stacked.first_nonconverged is not None
     else:
         assert stacked.first_nonconverged is None
+
+
+def test_the_record_of_one_row_records_relabels_them_by_position():
+    records = [ProxRecord(1, 3, (), 0.5), ProxRecord(1, 7, ((4, "stalled"),), math.inf),
+               ProxRecord(1, 1, ((0, None),), -0.25), ProxRecord(1, 2, (), math.inf)]
+    assert repr(ProxRecord.of(records)) == repr(
+        ProxRecord(4, 13, ((1, "stalled"), (2, None)), -0.25))
+    assert repr(ProxRecord.of([])) == repr(ProxRecord(0, 0, (), math.inf))
+    assert ProxRecord.of(records[3:]) == records[3]
+
+
+@pytest.mark.parametrize("certify_probes", [0, 2])
+@pytest.mark.parametrize("shared_anchor", [False, True])
+def test_a_mixed_system_solves_as_its_rows(monkeypatch, certify_probes, shared_anchor):
+    # no stacked family holds all three, so solve goes row by row; with
+    # MAX_INNER = 4 the dense rows stop unconverged
+    rng = np.random.default_rng(8)
+    d = 4
+    fs = [dense_aq(rng, d, 1.0), diagonal_aq(rng, d),
+          ViInducedBifunction(CallableOperator(np.tanh, 1.0, d)), dense_aq(rng, d, 3.0)]
+    monkeypatch.setattr(prox_module, "MAX_INNER", 4)
+    system = ProxSystem(fs, 0.1, Box(-np.ones(d), np.ones(d)), certify_probes, seed=3)
+    W = rng.uniform(-1, 1, d if shared_anchor else (4, d))
+    x = rng.uniform(-1, 1, d)
+    Y, record = system.solve(W, x, 5)
+    rows = [system.solve_row(i, W if shared_anchor else W[i], x, 5) for i in range(4)]
+    assert Y.tobytes() == np.concatenate([Y_i for Y_i, _ in rows]).tobytes()
+    assert repr(record) == repr(ProxRecord.of([r for _, r in rows]))
+    diagnostic = "projected gradient hit 4 iterations"
+    assert record.nonconverged == ((0, diagnostic), (3, diagnostic))
+    assert [r.nonconverged for _, r in rows] == [((0, diagnostic),), (), (),
+                                                 ((3, diagnostic),)]
+    assert math.isinf(record.min_certificate) == (certify_probes == 0)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import LinesearchFailed, MaxInnerIterationsExceeded, ParameterViolation
 from .geometry import (
-    CutStack,
     as_point,
     dykstra,
     norm,
@@ -97,14 +96,14 @@ def armijo_step_size(f, z, y_n, m, eta):
 def _project_onto_set_and_cuts(set_, faces, counters, cuts, x0):
     """Projection of x0 onto C intersected with the stack of cuts ``cuts``.
 
-    Polyhedral sets pass the stack of their ``faces`` (built once per run;
-    empty for R^d), followed by the cuts in one exact halfspace projection,
-    counted as one set projection; other sets (``faces`` None) alternate
-    projections, counting one set projection per cycle.
+    Polyhedral sets pass the list of their ``faces`` (empty for R^d)
+    followed by the cuts to one exact halfspace projection, counted as one
+    set projection; other sets (``faces`` None) alternate projections,
+    counting one set projection per cycle.
     """
     if faces is not None:
         counters.set_projections += 1
-        return project_halfspace_intersection(faces.join(cuts), x0)
+        return project_halfspace_intersection([*faces, *cuts], x0)
     live = [cuts[i] for i in cuts.live]
 
     def count_set_projection(v):
@@ -134,11 +133,7 @@ def _single_problem_start(instance: CsepInstance, name: str, counters: RunCounte
     set_ = instance.set
     if not set_.contains(x0, 1e-9):
         raise ParameterViolation("the baseline schemes require x0 in C")
-    faces = set_.as_halfspaces()
-    if faces is not None:
-        faces = CutStack.of(faces)
-        faces.arrays()  # stacked once here, not on each projection
-    project = partial(_project_onto_set_and_cuts, set_, faces, counters)
+    project = partial(_project_onto_set_and_cuts, set_, set_.as_halfspaces(), counters)
     return instance.bifunctions[0], x0, project
 
 

@@ -4,9 +4,9 @@ The ambient space is R^d with the standard dot product; points are 1-D
 float64 arrays.  All routines here are pure functions of their inputs.
 
 A ``CutStack`` carries the cuts of one iteration: rows that are
-``HalfspaceCut``s, kept as arrays when they come from arrays (one
-validation for the stack) and as the cuts themselves when there are a few
-(a one-point iteration's C-cut and Q-cut).
+``HalfspaceCut``s, kept as the cuts themselves when there are at most two
+(a one-point iteration's C-cut and Q-cut) and as arrays otherwise, a form
+chosen once when the stack is built.
 ``project_halfspace_intersection`` is exact for any number of cuts: closed
 forms for one or two, and for more the Goldfarb-Idnani dual active-set
 method, which stops in finitely many steps and returns a point only with
@@ -144,14 +144,14 @@ class HalfspaceCut:
 class CutStack:
     """The k halfspaces {z : <normals[i], z> <= offsets[i]} of one R^d.
 
-    A stack is a sequence of its rows, each a ``HalfspaceCut``, and holds
-    them as arrays: ``normals`` (k, d), and ``offsets``, ``norm_sq`` and
-    ``whole`` (k,), the last two as ``HalfspaceCut.norm_sq`` and
-    ``is_whole_space``.  ``CutStack(normals, offsets)`` validates the arrays
-    once, as ``HalfspaceCut`` validates one cut; ``CutStack.of(cuts)`` keeps
-    cuts that are valid already.  Either form makes the other only when it
-    is asked for, so a few cuts are used one by one and a stack built from
-    arrays as arrays, with the same results bit for bit.
+    A stack is a sequence of its rows, each a ``HalfspaceCut``.  It takes
+    one of two forms when it is built and keeps it: the cuts themselves, or
+    arrays ``normals`` (k, d), and ``offsets``, ``norm_sq`` and ``whole``
+    (k,), the last two as ``HalfspaceCut.norm_sq`` and ``is_whole_space``.
+    ``CutStack(normals, offsets)`` validates the arrays once, as
+    ``HalfspaceCut`` validates one cut.  ``CutStack.of(cuts)`` keeps at
+    most two valid cuts as they are, to be used one by one, and stacks
+    three or more into arrays, with the same results bit for bit.
     """
 
     __slots__ = ("_rows", "_arrays", "_live")
@@ -177,10 +177,18 @@ class CutStack:
 
     @classmethod
     def of(cls, cuts) -> CutStack:
-        """The stack of the valid cuts ``cuts``, in order."""
+        """The stack of the valid cuts ``cuts``, in order: the cuts
+        themselves when there are at most two, else their arrays."""
         stack = cls.__new__(cls)
-        stack._rows = cuts if type(cuts) is list else list(cuts)
-        stack._arrays, stack._live = None, None
+        rows = cuts if type(cuts) is list else list(cuts)
+        stack._rows, stack._arrays, stack._live = rows, None, None
+        if len(rows) > 2:
+            stack._rows, stack._arrays = None, (
+                np.array([c.normal for c in rows]),
+                np.array([c.offset for c in rows], dtype=float),
+                np.array([c.norm_sq for c in rows], dtype=float),
+                np.array([c.is_whole_space for c in rows], dtype=bool),
+            )
         return stack
 
     def __len__(self) -> int:
@@ -192,33 +200,6 @@ class CutStack:
         normals, offsets, norm_sq, whole = self._arrays
         return HalfspaceCut._valid(normals[i], float(offsets[i]), float(norm_sq[i]),
                                    bool(whole[i]))
-
-    @property
-    def dimension(self) -> int:
-        return self._rows[0].dimension if self._arrays is None else self._arrays[0].shape[1]
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(normals, offsets, norm_sq, whole), stacked from the rows once."""
-        if self._arrays is None:
-            rows = self._rows
-            self._arrays = (
-                np.array([c.normal for c in rows]).reshape(len(rows), -1 if rows else 0),
-                np.array([c.offset for c in rows], dtype=float),
-                np.array([c.norm_sq for c in rows], dtype=float),
-                np.array([c.is_whole_space for c in rows], dtype=bool),
-            )
-        return self._arrays
-
-    def _fill(self, arrays, start: int) -> None:
-        """Write the rows into ``arrays`` from row ``start`` on."""
-        if self._arrays is not None:
-            for out, a in zip(arrays, self._arrays):
-                out[start:start + len(a)] = a
-            return
-        normals, offsets, norm_sq, whole = arrays
-        for i, c in enumerate(self._rows, start):
-            normals[i], offsets[i], norm_sq[i], whole[i] = (
-                c.normal, c.offset, c.norm_sq, c.is_whole_space)
 
     @property
     def live(self) -> list[int]:
@@ -243,22 +224,6 @@ class CutStack:
         if len(self.live) < len(v):
             v[whole] = 0.0
         return int(np.count_nonzero(v > slack))
-
-    def join(self, other: CutStack) -> CutStack:
-        """The rows of this stack followed by those of ``other``, as one
-        preallocated array stack unless either is empty."""
-        k, m = len(self), len(other)
-        if not m:
-            return self
-        if not k:
-            return other
-        stack = CutStack.__new__(CutStack)
-        stack._rows, stack._live = None, None
-        stack._arrays = arrays = (np.empty((k + m, self.dimension)), np.empty(k + m),
-                                  np.empty(k + m), np.empty(k + m, dtype=bool))
-        self._fill(arrays, 0)
-        other._fill(arrays, k)
-        return stack
 
 
 class FeasibleSet:
@@ -511,8 +476,8 @@ def project_halfspace_intersection(cuts: CutStack | list[HalfspaceCut], x0) -> n
     """Projection onto an intersection of halfspaces, a stack or a list.
 
     One or two live cuts use the closed forms, more ``_dual_active_set``
-    on the live rows of the stack, whose feasibility slack is
-    ``INTERSECTION_TOL``.
+    on the live rows of the stack's arrays (a stack of three or more rows
+    holds its arrays), whose feasibility slack is ``INTERSECTION_TOL``.
     """
     if not isinstance(cuts, CutStack):
         cuts = CutStack.of(cuts)
@@ -523,7 +488,7 @@ def project_halfspace_intersection(cuts: CutStack | list[HalfspaceCut], x0) -> n
         return project_halfspace(cuts[live[0]], x0)
     if len(live) == 2:
         return project_two_halfspaces(cuts[live[0]], cuts[live[1]], x0)
-    normals, offsets, _, _ = cuts.arrays()
+    normals, offsets, _, _ = cuts._arrays
     if len(live) < len(cuts):
         normals, offsets = normals[live], offsets[live]
     return _dual_active_set(normals, offsets, x0)

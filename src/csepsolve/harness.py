@@ -61,9 +61,18 @@ register_blackbox("zero", lambda x, y: 0.0, lambda x, y: np.zeros_like(x))
 
 
 def _require(mapping, key, path):
+    if not isinstance(mapping, dict):
+        raise SchemaError(f"{path}: expected an object")
     if key not in mapping:
         raise SchemaError(f"{path}: missing required field {key!r}")
     return mapping[key]
+
+
+def _as_number(value, path):
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{path}: expected a number, got {value!r}") from None
 
 
 def _as_vector(value, dim, path):
@@ -94,14 +103,14 @@ def _parse_set(doc, dim):
     if kind == "ball":
         return Ball(
             _as_vector(_require(doc, "center", "set"), dim, "set.center"),
-            float(_require(doc, "radius", "set")),
+            _as_number(_require(doc, "radius", "set"), "set.radius"),
         )
     if kind == "polyhedron":
         cuts = []
         for i, c in enumerate(_require(doc, "cuts", "set")):
             path = f"set.cuts[{i}]"
             normal = _as_vector(_require(c, "normal", path), dim, f"{path}.normal")
-            offset = float(_require(c, "offset", path))
+            offset = _as_number(_require(c, "offset", path), f"{path}.offset")
             try:
                 cuts.append(HalfspaceCut(normal, offset))
             except (DegenerateCut, ValueError) as exc:
@@ -119,7 +128,8 @@ def _parse_lipschitz(doc, path):
         raise SchemaError(f"{path}: c1 and c2 must be given together")
     if has_c1:
         try:
-            return LipschitzData(float(doc["c1"]), float(doc["c2"]))
+            return LipschitzData(_as_number(doc["c1"], f"{path}.c1"),
+                                 _as_number(doc["c2"], f"{path}.c2"))
         except ValueError as exc:
             raise SchemaError(f"{path}: {exc}") from exc
     return None
@@ -132,7 +142,7 @@ def _parse_bifunction(doc, dim, index):
     if kind == "vi_affine":
         M = _as_matrix(_require(doc, "M", path), dim, f"{path}.M")
         q = _as_vector(doc.get("q", np.zeros(dim)), dim, f"{path}.q")
-        L = float(doc["L"]) if "L" in doc else None
+        L = _as_number(doc["L"], f"{path}.L") if "L" in doc else None
         return ViInducedBifunction(AffineOperator(M, q, L), lipschitz)
     if kind == "affine_quadratic":
         P = _as_matrix(_require(doc, "P", path), dim, f"{path}.P")
@@ -160,10 +170,10 @@ def _parse_known_solution(doc, dim):
                        "known_solution.point")
         )
     if kind == "affine_segment_box":
-        fixed = {
-            int(j): float(v)
-            for j, v in _require(doc, "fixed", "known_solution").items()
-        }
+        fixed_doc = _require(doc, "fixed", "known_solution")
+        if not isinstance(fixed_doc, dict):
+            raise SchemaError("known_solution.fixed: expected an object")
+        fixed = {int(j): _as_number(v, f"known_solution.fixed.{j}") for j, v in fixed_doc.items()}
         return AffineSegmentBoxSolution(
             fixed,
             _as_vector(_require(doc, "lower", "known_solution"), dim,

@@ -170,18 +170,20 @@ def build_cuts(x0: np.ndarray, x_n: np.ndarray, Y: np.ndarray,
     with the errors of building them one by one in that order.  ``eps`` is
     one float shared by every row or an array of k (unused when k = 0).
 
-    One row gives the stack of those two cuts, and none the stack of Q_n
-    alone.  More give one stack of k + 1 rows validated once: normals
-    2(x_n - Y), offsets <x_n + Y, x_n - Y> + eps, and a zero normal where
-    a row is within ``DEGENERACY_THRESHOLD`` of x_n, whose contradiction
-    raises ``InfeasibleCut`` after any error of an earlier row.
+    At most one row gives ``CutStack.of`` those cuts.  More give one stack
+    of k + 1 rows validated once: normals 2(x_n - Y), offsets
+    <x_n + Y, x_n - Y> + eps, and a zero normal where a row is within
+    ``DEGENERACY_THRESHOLD`` of x_n, whose contradiction raises
+    ``InfeasibleCut`` after any error of an earlier row.
     """
     k = len(Y)
-    if k == 1:
-        eps_0 = eps if isinstance(eps, float) else float(eps[0])
-        return CutStack.of([build_c_cut(x_n, Y[0], eps_0), build_q_cut(x0, x_n)])
-    if k == 0:
-        return CutStack.of([build_q_cut(x0, x_n)])
+    if k <= 1:
+        cuts = []
+        if k:
+            eps_0 = eps if isinstance(eps, float) else float(eps[0])
+            cuts.append(build_c_cut(x_n, Y[0], eps_0))
+        cuts.append(build_q_cut(x0, x_n))
+        return CutStack.of(cuts)
     normals, offsets = np.empty((k + 1, x_n.size)), np.empty(k + 1)
     diff = x_n - Y
     np.multiply(diff, 2.0, out=normals[:k])

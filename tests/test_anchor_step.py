@@ -109,6 +109,22 @@ def test_a_step_without_cuts_keeps_x_and_skips_the_checks():
     assert sum(out.invariant_violations.values()) == 0
 
 
+def test_a_projection_closer_to_x0_than_the_last_counts_a_monotonicity_violation():
+    # x_{n+1} = x0 + r_n e_1 with r = 3, 2, 2, 1: the distance to x0 drops
+    # at iterations 2 and 4 only
+    radii = iter([3.0, 2.0, 2.0, 1.0])
+
+    def step(n, x, dx2):
+        return Step(x[None] + 1.0, np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of([]))
+
+    def project(cuts, x0):
+        return x0 + next(radii) * np.array([1.0, 0.0])
+
+    out = drive("fixed", step, np.zeros(2), 0.0, 4, RunCounters(), project=project)
+    assert out.iterations == 4
+    assert out.invariant_violations["anchor_monotonicity"] == 2
+
+
 def test_a_projection_error_counts_no_work_of_its_iteration():
     calls = []
 

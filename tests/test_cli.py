@@ -165,6 +165,22 @@ class TestCompare:
         assert rows["single"]["prox_per_iteration"] == 1.0
 
 
+IDENTITY = {"type": "vi_affine", "M": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, 0.0]}
+# (the field named in the error, the top-level entries that replace a valid file's)
+MALFORMED = [
+    ("set.cuts[1].offset", {"set": {"type": "polyhedron", "cuts": [
+        {"normal": [1.0, 0.0], "offset": 1.0}, {"normal": [0.0, 1.0], "offset": [1]}]}}),
+    ("set.radius", {"set": {"type": "ball", "center": [0.0, 0.0], "radius": [1]}}),
+    ("set.radius", {"set": {"type": "ball", "center": [0.0, 0.0], "radius": "abc"}}),
+    ("bifunctions[0].L", {"bifunctions": [{**IDENTITY, "L": [2]}]}),
+    ("bifunctions[0].c1", {"bifunctions": [{**IDENTITY, "c1": [1], "c2": 1.0}]}),
+    ("bifunctions[1]", {"bifunctions": [IDENTITY, 5]}),
+    ("known_solution.fixed", {"known_solution": {
+        "type": "affine_segment_box", "fixed": [1], "lower": [-1.0, -1.0],
+        "upper": [1.0, 1.0]}}),
+]
+
+
 class TestValidate:
     def test_report_json(self, capsys):
         code = main(["validate", SCALAR, "--samples", "50"])
@@ -172,6 +188,20 @@ class TestValidate:
         data = json.loads(capsys.readouterr().out)
         assert data["samples"] == 50
         assert data["total_violations"] == 0
+
+    @pytest.mark.parametrize("field, entries", MALFORMED)
+    def test_a_malformed_field_exit_two_naming_it(self, capsys, tmp_path, field, entries):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({
+            "dimension": 2,
+            "set": {"type": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+            "bifunctions": [IDENTITY],
+            "x0": [0.5, 0.5],
+            **entries,
+        }))
+        code = main(["validate", str(path)])
+        assert code == 2
+        assert f"error: {field}: " in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -180,10 +180,10 @@ def test_a_stack_projects_and_counts_as_its_list_of_cuts(params):
     x0 = p + 3.0 * rng.standard_normal(d)
     z = rng.standard_normal(d)
     h = m // 2
-    first, second = CutStack.of(cuts[:h]), CutStack(normals[h:], offsets[h:])
+    first, second = cuts[:h], list(CutStack(normals[h:], offsets[h:]))
     for stack, listed in ((CutStack(normals, offsets), cuts), (CutStack.of(cuts), cuts),
-                          (first.join(second), cuts),
-                          (second.join(first), cuts[h:] + cuts[:h])):
+                          (CutStack.of([*first, *second]), cuts),
+                          (CutStack.of([*second, *first]), cuts[h:] + cuts[:h])):
         assert project_halfspace_intersection(stack, x0).tobytes() == (
             project_halfspace_intersection(listed, x0).tobytes())
         for slack in (1e-8, 0.0, -1.0):
@@ -191,6 +191,9 @@ def test_a_stack_projects_and_counts_as_its_list_of_cuts(params):
         assert stack.live == [i for i, c in enumerate(listed) if not c.is_whole_space]
         for i, c in enumerate(listed):
             assert_same_cut(stack[i], c)
+    # ``of`` keeps at most two cuts as themselves and stacks more into arrays
+    stack = CutStack.of(cuts)
+    assert all(stack[i] is c for i, c in enumerate(cuts)) == (m <= 2)
 
 
 def test_an_empty_stack_intersection_raises():

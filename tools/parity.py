@@ -7,12 +7,12 @@
 list below through ``harness.run``: the bundled problem files of ``SRC``
 under every applicable algorithm with 0 and 3 certificate probes, seeded
 ``vi_system``/``aq_system`` files from ``SRC/bench/gen.py`` at N = 1, 3, 4
-and 8, a ball instance, and two whole-space instances under all six
-solvers.  It writes, per run, the stop reason, iterations, ``final_x`` as
-hex bytes, every trace field except ``wall_ms``, the counters, the
-invariant violations, ``min_prox_certificate``, the first unconverged
-inner solve and the error, with every float as its ``repr`` (so NaN equals
-NaN).  ``--only`` restricts the dump to the named runs.
+and 8, a ball instance, and a polygon and two whole-space instances under
+all six solvers.  It writes, per run, the stop reason, iterations,
+``final_x`` as hex bytes, every trace field except ``wall_ms``, the
+counters, the invariant violations, ``min_prox_certificate``, the first
+unconverged inner solve and the error, with every float as its ``repr``
+(so NaN equals NaN).  ``--only`` restricts the dump to the named runs.
 
 ``compare`` prints how many runs of A are identical in B and the first
 differing field of every other run, and exits 1 on any difference.
@@ -32,6 +32,7 @@ TOL = 1e-8
 BUNDLED_BUDGET = 2000
 SEEDED_BUDGET = 300
 BALL_BUDGET = 100
+POLYGON_BUDGET = 2000
 WHOLE_SPACE_BUDGET = 3000
 PROBES = (0, 3)
 SEEDED = [(family, seed, 10, n) for family in ("vi_system", "aq_system")
@@ -53,6 +54,15 @@ def _vi_document(set_doc, M, q, x0, point):
 # A(x) = x - (2, 0) on the unit ball: the solution sits on the boundary at (1, 0).
 BALL = _vi_document({"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
                     [[1.0, 0.0], [0.0, 1.0]], [-2.0, 0.0], [0.2, 0.6], [1.0, 0.0])
+# A(x) = x - (2, 2) on the hexagon [-1, 1]^2 cut by |x1 + x2| <= 1.5: the
+# solution is the projection of (2, 2), the midpoint (0.75, 0.75) of the
+# edge x1 + x2 = 1.5.
+POLYGON = _vi_document(
+    {"type": "polyhedron", "cuts": [
+        {"normal": normal, "offset": offset}
+        for normal, offset in (([1.0, 0.0], 1.0), ([-1.0, 0.0], 1.0), ([0.0, 1.0], 1.0),
+                               ([0.0, -1.0], 1.0), ([1.0, 1.0], 1.5), ([-1.0, -1.0], 1.5))]},
+    [[1.0, 0.0], [0.0, 1.0]], [-2.0, -2.0], [-0.5, 0.25], [0.75, 0.75])
 # Monotone operators on R^2 with a skew part (zero at (0.5, 0)) and with a
 # line of zeros (x0 projects onto it at (0, 0.3)).
 WHOLE_SPACE = {
@@ -80,7 +90,8 @@ def run_list(src: Path, scratch: Path):
         gen.write(str(path), getattr(gen, family)(seed, d, n))
         for algorithm in ALL_ALGORITHMS if n == 1 else MULTI_ALGORITHMS:
             runs.append((f"{path.stem}/{algorithm}", path, algorithm, 0, SEEDED_BUDGET))
-    documents = [("ball", BALL, ("single", "extragradient", "armijo"), BALL_BUDGET)]
+    documents = [("ball", BALL, ("single", "extragradient", "armijo"), BALL_BUDGET),
+                 ("polygon", POLYGON, ALL_ALGORITHMS, POLYGON_BUDGET)]
     documents += [(name, doc, ALL_ALGORITHMS, WHOLE_SPACE_BUDGET)
                   for name, doc in WHOLE_SPACE.items()]
     for name, doc, algorithms, budget in documents:

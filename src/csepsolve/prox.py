@@ -1,22 +1,29 @@
 """Inner subproblem: argmin over C of  lam*f(w, y) + 0.5*||x - y||^2.
 
-The objective is 1-strongly convex, so the minimizer is unique.  Operator-
-induced bifunctions admit the exact solution P_C(x - lam*A(w)); the
-affine-quadratic family is solved by projected gradient (or an exact
-coordinate solve on boxes when Q is diagonal); black-box bifunctions fall
-back to a projected subgradient scheme in which the quadratic part is kept
-in closed form each step.
+The objective is strongly convex when f(w, .) is convex, so the minimizer
+is unique.  Operator-induced bifunctions admit the exact solution
+P_C(x - lam*A(w)); the affine-quadratic family is solved by projected
+gradient (or an exact coordinate solve on boxes when Q is diagonal);
+black-box bifunctions fall back to a projected subgradient scheme in which
+the quadratic part is kept in closed form each step.
+
+Projected gradient starts each row at the projection of its unconstrained
+minimizer H^{-1} shift, H = I + lam*(Q + Q^T) inverted once per kernel.
+When that minimizer lies in C it is the answer, so the first step moves it
+by rounding only and the row stops there (two inner iterations counted:
+the start and that step); a row with active constraints goes on from the
+clipped point as before.
 
 ``_kernel`` is the one place a solver is chosen.  When every subproblem of
 a system belongs to one family it stacks the data once: M_i and q_i when
 every bifunction is induced by an affine operator; P_i, q_i and the
 diagonals of Q_i when every subproblem separates by coordinates; P_i, q_i,
-Q_i^T, Q_i + Q_i^T and the projected-gradient steps when none does.  A
-solve then makes one batched matrix product in place of N, and runs one
-projected-gradient loop over the stack in which each row stops at its own
-step.  Any other system (callable operators, black-box or mixed
-bifunctions) has no stack.  Every feasible set projects a (k, d) stack as
-it would each row.
+Q_i^T, Q_i + Q_i^T, the projected-gradient steps and the inverses of
+I + lam*(Q_i + Q_i^T) when none does.  A solve then makes one batched
+matrix product in place of N, and runs one projected-gradient loop over the
+stack in which each row stops at its own step.  Any other system (callable
+operators, black-box or mixed bifunctions) has no stack.  Every feasible
+set projects a (k, d) stack as it would each row.
 
 ``ProxSystem`` builds, once per run, each subproblem's one-row kernel
 ``_kernel([f], lam, set_)`` and the stack of all N when there is one;
@@ -297,15 +304,42 @@ class _CoordinatewiseStack(_Stack):
 class _ProjectedGradientStack(_Stack):
     """Affine-quadratic bifunctions <P_i w + Q_i y + q_i, y - w>, solved by
     projected gradient with the step 1/L for the gradient's Lipschitz
-    constant L = 1 + lam*||Q_i + Q_i^T|| (linear convergence from
-    1-strong convexity)."""
+    constant L = 1 + lam*||Q_i + Q_i^T|| (linear convergence from strong
+    convexity).
+
+    The objective of row i is 0.5 y^T H_i y - <shift_i, y> + const with
+    H_i = I + lam*(Q_i + Q_i^T), so its unconstrained minimizer is
+    H_i^{-1} shift_i.  The inverses are computed once, when the stack is
+    built, and each row starts at the projection of its unconstrained
+    minimizer: when that minimizer lies in C it is the answer, and the
+    first step moves it by rounding only.  A stack with an H_i that is not
+    positive definite to working precision (a subproblem that is not
+    strongly convex) raises when it is solved."""
 
     ROWS = ("P", "q", "QT", "sym", "step")
+
+    def __init__(self, lam, set_, *arrays):
+        super().__init__(lam, set_, *arrays)
+        eye = np.eye(self.sym.shape[-1])
+        H = eye + lam * self.sym
+        finite = np.isfinite(H).all(axis=(1, 2))
+        H = np.where(finite[:, None, None], H, eye)
+        eig = np.linalg.eigvalsh(H)
+        # definite: the smallest eigenvalue clears the rank tolerance of
+        # np.linalg.matrix_rank (d * eps * the largest), so that inv meets
+        # no row that is singular in floating point
+        definite = finite & (eig[:, 0] > H.shape[-1] * np.finfo(float).eps * eig[:, -1])
+        self.convex = bool(definite.all())
+        self.Hinv = np.linalg.inv(np.where(definite[:, None, None], H, eye))
 
     def solve(self, W, x):
         """One loop over the stack.  A row stops at the first step whose
         displacement is within TOL_PROJECTED_GRADIENT; a row still moving
-        after MAX_INNER steps is returned unconverged."""
+        after MAX_INNER steps is returned unconverged.  Each step, the
+        first from the projected unconstrained minimizer included, counts
+        one inner iteration, and the start one more."""
+        if not self.convex:
+            raise NonFiniteObjective("subproblem is not strongly convex (Q + Q^T too negative)")
         bound, max_inner = _squared_bound(TOL_PROJECTED_GRADIENT), MAX_INNER
         lam, set_ = self.lam, self.set_
         project, matmul = set_.project, np.matmul
@@ -314,7 +348,7 @@ class _ProjectedGradientStack(_Stack):
         live = np.arange(shift.shape[0])
         inner = max_inner * live.size  # a row done at step it takes it + 1, not max_inner
         sym, step = self.sym, self.step[:, None]
-        Y = np.tile(set_.project(x), (live.size, 1))
+        Y = project(_matvec(self.Hinv, shift))
         for it in range(1, max_inner + 1):
             grad = Y + lam * matmul(sym, Y[..., None])[..., 0] - shift
             Y_new = project(Y - step * grad)

@@ -120,13 +120,14 @@ def central_difference(fn, y, step=1e-5):
 
 def projected_gradient_prox(f, w, x, lam, set_, tol, max_inner):
     """One affine-quadratic subproblem by a plain per-row projected-gradient
-    loop with step 1/(1 + lam*||Q + Q^T||), stopping when a step moves by at
-    most ``tol``.  Returns (minimizer, counted steps, converged) with the
-    step count of ``ProxResult.inner_iterations``."""
+    loop with step 1/(1 + lam*||Q + Q^T||), started at the projection of the
+    unconstrained minimizer (I + lam*(Q + Q^T))^{-1} shift and stopping when
+    a step moves by at most ``tol``.  Returns (minimizer, counted steps,
+    converged) with the step count of ``ProxResult.inner_iterations``."""
     step = 1.0 / (1.0 + lam * f.sym_norm())
     shift = x - lam * (f.P @ w + f.q) + lam * (f.Q.T @ w)
     sym = f.Q + f.Q.T
-    y = set_.project(x)
+    y = set_.project(np.linalg.inv(np.eye(shift.size) + lam * sym) @ shift)
     for it in range(1, max_inner + 1):
         y_new = set_.project(y - step * (y + lam * (sym @ y) - shift))
         if float(np.linalg.norm(y_new - y)) <= tol:

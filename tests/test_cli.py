@@ -101,13 +101,14 @@ class TestSolve:
         C = rng.standard_normal((d, d))
         dense_q = C @ C.T
         # both Q are dense, so the two subproblems are solved in one stacked
-        # projected-gradient loop; the nearly zero Q_0 converges in 3 steps
-        # and the row of Q_1 stops at the cap
+        # projected-gradient loop; the nearly zero Q_0 starts at its interior
+        # minimizer and converges at once, while q_1 puts the minimizer of
+        # row 1 on the face y_0 = -1, so that row stops at the cap
         bifunctions = [
             {"type": "affine_quadratic", "P": np.diag([1.0, 2.0, 1.5, 1.0]).tolist(),
              "Q": np.full((d, d), 1e-12).tolist(), "q": [0.0] * d},
             {"type": "affine_quadratic", "P": (dense_q + np.eye(d)).tolist(),
-             "Q": dense_q.tolist(), "q": [0.0] * d},
+             "Q": dense_q.tolist(), "q": [100.0, 0.0, 0.0, 0.0]},
         ]
         path = tmp_path / "dense_aq.json"
         path.write_text(json.dumps({

@@ -288,10 +288,13 @@ class TestRunners:
         C = rng.standard_normal((d, d))
         dense_q = C @ C.T
         # both Q are dense, so the two subproblems are solved in one stacked
-        # projected-gradient loop; the nearly zero Q_0 converges in 3 steps
+        # projected-gradient loop; the nearly zero Q_0 starts at its interior
+        # minimizer and converges at once, while q_1 puts the minimizer of
+        # row 1 on the face y_0 = -1, where it stops at the cap
         fs = [AffineQuadraticBifunction(np.diag([1.0, 2.0, 1.5, 1.0]),
                                         np.full((d, d), 1e-12), np.zeros(d)),
-              AffineQuadraticBifunction(dense_q + np.eye(d), dense_q, np.zeros(d))]
+              AffineQuadraticBifunction(dense_q + np.eye(d), dense_q,
+                                        np.array([100.0, 0.0, 0.0, 0.0]))]
         inst = CsepInstance(d, Box(-np.ones(d), np.ones(d)), fs, np.full(d, 0.5),
                             SingletonSolution(np.zeros(d)))
         params = HybridParams(lam=0.05, k=6.0, max_outer=4, tol=0.0)
@@ -449,6 +452,36 @@ class TestStepBookkeeping:
                                          lipschitz=LipschitzData(0.5, 0.5))
         inst = CsepInstance(2, Box(-np.ones(2), np.ones(2)), [bad, good], [0.5, 0.5])
         # sequential solves subproblem 1 at iteration 1 and the bad row 0 at 2
+        out = runner(inst, HybridParams(lam=0.2, k=6.0, max_outer=50))
+        assert out.stop_reason == STOP_ERROR
+        assert out.iterations == iterations
+        assert "not strongly convex" in out.error
+
+    @pytest.mark.parametrize("runner", [run_maxsel_hybrid, run_parallel_hybrid,
+                                        run_sequential, run_single])
+    def test_dense_q_too_negative_ends_in_an_error_at_iteration_1(self, runner):
+        f = AffineQuadraticBifunction(np.zeros((2, 2)), np.array([[1.0, 0.5], [0.5, -5.0]]),
+                                      np.zeros(2), lipschitz=LipschitzData(0.5, 0.5))
+        inst = CsepInstance(2, Box(-np.ones(2), np.ones(2)), [f], [0.5, 0.5])
+        # I + lam (Q + Q^T) = [[1.4, 0.2], [0.2, -1]] is not positive definite
+        out = runner(inst, HybridParams(lam=0.2, k=6.0, max_outer=50))
+        assert out.stop_reason == STOP_ERROR
+        assert out.iterations == 0
+        assert "not strongly convex" in out.error
+        assert out.counters.prox_solves == 0
+
+    @pytest.mark.parametrize("runner, iterations", [(run_parallel_hybrid, 0),
+                                                     (run_maxsel_hybrid, 0),
+                                                     (run_sequential, 1)])
+    def test_dense_q_too_negative_fails_when_its_own_row_is_first_solved(self, runner,
+                                                                         iterations):
+        bad = AffineQuadraticBifunction(np.zeros((2, 2)), np.array([[1.0, 0.5], [0.5, -5.0]]),
+                                        np.zeros(2), lipschitz=LipschitzData(0.5, 0.5))
+        good = AffineQuadraticBifunction(np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]]),
+                                         np.zeros(2), lipschitz=LipschitzData(0.5, 0.5))
+        inst = CsepInstance(2, Box(-np.ones(2), np.ones(2)), [bad, good], [0.5, 0.5])
+        # both Q are dense, so parallel and maxsel solve one stack; sequential
+        # solves subproblem 1 at iteration 1 and the bad row 0 at 2
         out = runner(inst, HybridParams(lam=0.2, k=6.0, max_outer=50))
         assert out.stop_reason == STOP_ERROR
         assert out.iterations == iterations

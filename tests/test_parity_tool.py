@@ -25,8 +25,12 @@ def test_dumps_agree_and_a_planted_difference_is_named(tmp_path):
     assert (same.returncode, same.stdout) == (0, "2 of 2 runs identical\n")
 
     runs = json.loads(b.read_text())
-    assert runs["whole_line/armijo"]["stop_reason"] == "tolerance"
-    runs["whole_line/armijo"]["trace.step_norm"][3] = "0.5"
+    run = runs["whole_line/armijo"]
+    assert run["stop_reason"] == "tolerance"
+    # a trajectory that parts at trace index 3 and ends elsewhere
+    run["trace.step_norm"][3] = "0.5"
+    run["trace.dist_to_known"][-1] = "0.25"
+    run["final_x"] = "00" * (len(run["final_x"]) // 2)
     b.write_text(json.dumps(runs))
     planted = parity("compare", a, b)
     assert planted.returncode == 1
@@ -34,3 +38,30 @@ def test_dumps_agree_and_a_planted_difference_is_named(tmp_path):
     assert lines[0] == "1 of 2 runs identical"
     assert lines[1].startswith("whole_line/armijo: trace.step_norm[3]: ")
     assert lines[1].endswith(" != 0.5")
+    original = json.loads(a.read_text())["whole_line/armijo"]
+    iterations = original["iterations"]
+    assert lines[2:] == [
+        f"  first differing outer iteration: n = {original['trace.n'][3]}",
+        f"  A: tolerance after {iterations} iterations, "
+        f"last dist_to_known {original['trace.dist_to_known'][-1]}",
+        f"  B: tolerance after {iterations} iterations, last dist_to_known 0.25",
+    ]
+    assert all(original["final_x"] not in line for line in lines)
+
+
+def test_a_run_that_differs_only_in_final_x_is_named_without_its_bytes(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    done = parity("dump", REPO_ROOT, a, "--only", "vi_scalar_1d/single/probes3")
+    assert done.returncode == 0, done.stderr
+    runs = json.loads(a.read_text())
+    run = runs["vi_scalar_1d/single/probes3"]
+    run["final_x"] = "ff" + run["final_x"][2:]
+    b.write_text(json.dumps(runs))
+    planted = parity("compare", a, b)
+    assert planted.returncode == 1
+    lines = planted.stdout.splitlines()
+    assert lines[:3] == ["0 of 1 runs identical",
+                         "vi_scalar_1d/single/probes3: final_x differs",
+                         "  traces identical"]
+    assert lines[3].startswith(f"  A: {run['stop_reason']} after {run['iterations']} ")
+    assert len(lines) == 5

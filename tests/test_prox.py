@@ -137,6 +137,53 @@ class TestAffineQuadraticRoute:
             with pytest.raises(NonFiniteObjective, match="not strongly convex"):
                 solve()
 
+    # dense Q with I + lam*(Q + Q^T) not positive definite at lam = 0.2
+    DENSE_TOO_NEGATIVE = np.array([[1.0, 0.5], [0.5, -5.0]])
+
+    def test_dense_q_too_negative_raises_from_the_first_stacked_solve(self):
+        f = AffineQuadraticBifunction(np.zeros((2, 2)), self.DENSE_TOO_NEGATIVE, np.zeros(2))
+        assert f.diagonal is None
+        box = Box(-np.ones(2), np.ones(2))
+        system = ProxSystem([f, f], 0.2, box)  # I + 0.2 (Q + Q^T) has an eigenvalue < 0
+        for solve in (lambda: system.solve(np.zeros(2), np.zeros(2), 1),
+                      lambda: system.solve_row(1, np.zeros(2), np.zeros(2), 1),
+                      lambda: solve_prox(f, np.zeros(2), np.zeros(2), 0.2, box)):
+            with pytest.raises(NonFiniteObjective, match="not strongly convex"):
+                solve()
+
+    def test_dense_q_too_negative_raises_only_from_its_own_row(self):
+        bad = AffineQuadraticBifunction(np.zeros((2, 2)), self.DENSE_TOO_NEGATIVE, np.zeros(2))
+        good = AffineQuadraticBifunction(np.zeros((2, 2)), np.array([[1.0, 0.5], [0.5, 1.0]]),
+                                         np.zeros(2))
+        box = Box(-np.ones(2), np.ones(2))
+        system = ProxSystem([bad, good], 0.2, box)
+        w = x = np.array([0.5, 0.5])
+        assert system.solve_row(1, w, x, 1)[0][0].tobytes() == (
+            solve_prox(good, w, x, 0.2, box).minimizer.tobytes())
+        for solve in (lambda: system.solve_row(0, w, x, 1), lambda: system.solve(w, x, 1)):
+            with pytest.raises(NonFiniteObjective, match="not strongly convex"):
+                solve()
+
+    @pytest.mark.parametrize("Q", [
+        [[0.0, 1.0], [1.0, 0.0]],  # I + 0.5 (Q + Q^T) = ones
+        # I + Q = 9 ones + (2, 2, 0)(2, 2, 0)^T is singular, and LU meets an
+        # exact zero pivot, while eigvalsh finds a smallest eigenvalue of +6e-16
+        [[12.0, 13.0, 9.0], [13.0, 12.0, 9.0], [9.0, 9.0, 8.0]],
+        [[0.0, 1e308], [1e308, 0.0]],  # Q + Q^T overflows
+    ])
+    def test_a_singular_or_overflowing_row_raises_when_solved_not_when_built(self, Q):
+        d = len(Q)
+        f = AffineQuadraticBifunction(np.zeros((d, d)), np.array(Q), np.zeros(d))
+        good = AffineQuadraticBifunction(np.zeros((d, d)), np.eye(d) + 0.5, np.zeros(d))
+        box = Box(-np.ones(d), np.ones(d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            system = ProxSystem([good, f], 0.5, box)
+        assert system.solve_row(0, np.zeros(d), np.zeros(d), 1)[1].nonconverged == ()
+        for solve in (lambda: system.solve_row(1, np.zeros(d), np.zeros(d), 1),
+                      lambda: system.solve(np.zeros(d), np.zeros(d), 1)):
+            with pytest.raises(NonFiniteObjective, match="not strongly convex"):
+                solve()
+
     def test_one_row_kernels_take_a_one_row_anchor_stack(self, rng):
         # parallel on N = 1 hands the system a (1, d) stack of anchors
         d = 3
@@ -311,10 +358,15 @@ def monotone_matrix(rng, d):
     return B @ B.T + 0.1 * np.eye(d) + 0.5 * (K - K.T)
 
 
-def dense_aq(rng, d, scale=1.0):
+def dense_aq(rng, d, scale=1.0, face=False):
+    """A dense-Q subproblem; with ``face``, q_0 is so large that on a box
+    its minimizer lies on the face y_0 = lower_0 and projected gradient
+    takes more than a few steps from the clipped unconstrained minimizer."""
     C = rng.standard_normal((d, d)) / np.sqrt(d)
     Q = scale * (C @ C.T)
-    return AffineQuadraticBifunction(Q + monotone_matrix(rng, d), Q, rng.standard_normal(d))
+    q = rng.standard_normal(d)
+    q[0] += 200.0 if face else 0.0
+    return AffineQuadraticBifunction(Q + monotone_matrix(rng, d), Q, q)
 
 
 class TestProxSystemParity:
@@ -399,7 +451,8 @@ class TestProxSystemParity:
         import csepsolve.prox as prox_module
 
         d = 6
-        fs = [dense_aq(rng, d, scale) for scale in (0.5, 5.0)]
+        # both minimizers lie on a face, so neither start is the answer
+        fs = [dense_aq(rng, d, scale, face=True) for scale in (0.5, 5.0)]
         box = Box(-np.ones(d), np.ones(d))
         w, x = rng.uniform(-1, 1, d), rng.uniform(-1, 1, d)
         monkeypatch.setattr(prox_module, "MAX_INNER", 3)

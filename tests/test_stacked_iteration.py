@@ -278,11 +278,16 @@ def per_row_solve_row(system, i, w, x, n):
                                          () if r.converged else ((i, r.diagnostic),), least)
 
 
-def dense_aq(rng, d, scale):
+def dense_aq(rng, d, scale, face=False):
+    """A dense-Q subproblem; with ``face``, q_0 is so large that on a box
+    its minimizer lies on the face y_0 = lower_0 and projected gradient
+    takes more than a few steps from the clipped unconstrained minimizer."""
     C = rng.standard_normal((d, d)) / np.sqrt(d)
     Q = scale * (C @ C.T)
     B = rng.standard_normal((d, d)) / np.sqrt(d)
-    return AffineQuadraticBifunction(Q + B @ B.T + 0.1 * np.eye(d), Q, rng.standard_normal(d))
+    q = rng.standard_normal(d)
+    q[0] += 200.0 if face else 0.0
+    return AffineQuadraticBifunction(Q + B @ B.T + 0.1 * np.eye(d), Q, q)
 
 
 def diagonal_aq(rng, d):
@@ -298,8 +303,8 @@ def record_systems():
                                 - 0.3 * np.triu(rng.standard_normal((d, d)), 1).T,
                                 rng.standard_normal(d)) for _ in range(3)],
         "coordinatewise": [diagonal_aq(rng, d) for _ in range(3)],
-        "projected_gradient": [dense_aq(rng, d, s) for s in (0.05, 1.0, 4.0)],
-        "mixed": [dense_aq(rng, d, 1.0), diagonal_aq(rng, d), dense_aq(rng, d, 3.0)],
+        "projected_gradient": [dense_aq(rng, d, s, face=s == 4.0) for s in (0.05, 1.0, 4.0)],
+        "mixed": [dense_aq(rng, d, 1.0), diagonal_aq(rng, d), dense_aq(rng, d, 3.0, face=True)],
     }
 
 
@@ -311,7 +316,8 @@ def test_the_prox_record_counts_as_per_row_results(monkeypatch, family, runner):
     inst = CsepInstance(4, Box(-np.ones(4), np.ones(4)), fs, np.full(4, 0.6),
                         SingletonSolution(np.zeros(4)))
     params = HybridParams(lam=0.05, k=6.0, tol=0.0, max_outer=25)
-    # few enough inner steps that the dense rows stop unconverged
+    # few enough inner steps that the dense rows whose minimizer lies on a
+    # face stop unconverged
     monkeypatch.setattr(prox_module, "MAX_INNER", 4)
     stacked = runner(inst, params, certify_probes=3, seed=2)
     monkeypatch.setattr(ProxSystem, "solve", per_row_solve)
@@ -344,11 +350,13 @@ def test_the_record_of_one_row_records_relabels_them_by_position():
 @pytest.mark.parametrize("shared_anchor", [False, True])
 def test_a_mixed_system_solves_as_its_rows(monkeypatch, certify_probes, shared_anchor):
     # no stacked family holds all three, so solve goes row by row; with
-    # MAX_INNER = 4 the dense rows stop unconverged
+    # MAX_INNER = 4 the dense rows, whose minimizers lie on a face, stop
+    # unconverged
     rng = np.random.default_rng(8)
     d = 4
-    fs = [dense_aq(rng, d, 1.0), diagonal_aq(rng, d),
-          ViInducedBifunction(CallableOperator(np.tanh, 1.0, d)), dense_aq(rng, d, 3.0)]
+    fs = [dense_aq(rng, d, 1.0, face=True), diagonal_aq(rng, d),
+          ViInducedBifunction(CallableOperator(np.tanh, 1.0, d)),
+          dense_aq(rng, d, 3.0, face=True)]
     monkeypatch.setattr(prox_module, "MAX_INNER", 4)
     system = ProxSystem(fs, 0.1, Box(-np.ones(d), np.ones(d)), certify_probes, seed=3)
     W = rng.uniform(-1, 1, d if shared_anchor else (4, d))

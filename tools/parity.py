@@ -14,8 +14,11 @@ counters, the invariant violations, ``min_prox_certificate``, the first
 unconverged inner solve and the error, with every float as its ``repr``
 (so NaN equals NaN).  ``--only`` restricts the dump to the named runs.
 
-``compare`` prints how many runs of A are identical in B and the first
-differing field of every other run, and exits 1 on any difference.
+``compare`` prints how many runs of A are identical in B and, for every
+other run, its first differing field (``final_x`` last, and by name only),
+the first outer iteration n whose trace record differs, and each side's
+stop reason, iterations and last ``dist_to_known``; it exits 1 on any
+difference.
 """
 
 from __future__ import annotations
@@ -158,20 +161,53 @@ def _union(a, b) -> list:
     return list(a) + [k for k in b if k not in a]
 
 
+def _first_index(va: list, vb: list) -> int | None:
+    """The first index at which two lists differ, a missing entry included."""
+    if va == vb:
+        return None
+    return next((i for i, pair in enumerate(zip(va, vb)) if pair[0] != pair[1]),
+                min(len(va), len(vb)))
+
+
 def first_difference(a: dict, b: dict) -> str | None:
     """The first field of run ``a`` whose value differs in ``b``, or None;
-    a differing list is named with its first differing index."""
-    for field in _union(a, b):
+    a differing list is named with its first differing index, and
+    ``final_x``, searched last, by name only."""
+    fields = [f for f in _union(a, b) if f != "final_x"] + ["final_x"]
+    for field in fields:
         va, vb = a.get(field), b.get(field)
         if va == vb:
             continue
+        if field == "final_x":
+            return "final_x differs"
         if isinstance(va, list) and isinstance(vb, list):
-            i = next((i for i, pair in enumerate(zip(va, vb)) if pair[0] != pair[1]),
-                     min(len(va), len(vb)))
+            i = _first_index(va, vb)
             va, vb = va[i] if i < len(va) else "-", vb[i] if i < len(vb) else "-"
             field = f"{field}[{i}]"
         return f"{field}: {va} != {vb}"
     return None
+
+
+def first_trace_difference(a: dict, b: dict) -> str | None:
+    """The n of the first outer iteration whose trace record differs
+    between runs ``a`` and ``b`` ("-" past both traces), or None."""
+    indices = [_first_index(a.get(f, []), b.get(f, []))
+               for f in _union(a, b) if f.startswith("trace.")]
+    indices = [i for i in indices if i is not None]
+    if not indices:
+        return None
+    i = min(indices)
+    ns = max(a.get("trace.n", []), b.get("trace.n", []), key=len)
+    return ns[i] if i < len(ns) else "-"
+
+
+def outcome_line(run: dict) -> str:
+    """A run's stop reason, iterations and last ``dist_to_known``."""
+    if "raised" in run:
+        return f"raised {run['raised']}"
+    dist = run.get("trace.dist_to_known") or ["-"]
+    return (f"{run['stop_reason']} after {run['iterations']} iterations, "
+            f"last dist_to_known {dist[-1]}")
 
 
 def compare(a_path: Path, b_path: Path) -> int:
@@ -182,7 +218,10 @@ def compare(a_path: Path, b_path: Path) -> int:
         if name not in a or name not in b:
             differing.append((name, f"only in {a_path if name in a else b_path}"))
         elif (diff := first_difference(a[name], b[name])) is not None:
-            differing.append((name, diff))
+            n = first_trace_difference(a[name], b[name])
+            where = "traces identical" if n is None else f"first differing outer iteration: n = {n}"
+            differing.append((name, "\n  ".join(
+                [diff, where, f"A: {outcome_line(a[name])}", f"B: {outcome_line(b[name])}"])))
     runs = len(_union(a, b))
     print(f"{runs - len(differing)} of {runs} runs identical")
     for name, diff in differing:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import LinesearchFailed, MaxInnerIterationsExceeded, ParameterViolation
 from .geometry import (
+    CutStack,
     as_point,
     dykstra,
     norm,
@@ -93,17 +94,37 @@ def armijo_step_size(f, z, y_n, m, eta):
     return -t * f.value(z, y_n) / ((1.0 - t) * g_sq), g
 
 
-def _project_onto_set_and_cuts(set_, faces, counters, cuts, x0):
-    """Projection of x0 onto C intersected with the stack of cuts ``cuts``.
+def _face_rows(faces, dim):
+    """The arrays of a ``CutStack`` of the cuts ``faces`` followed by two
+    rows left for an iteration's C-cut and Q-cut."""
+    m = len(faces)
+    normals, offsets = np.empty((m + 2, dim)), np.empty(m + 2)
+    norm_sq, whole = np.empty(m + 2), np.empty(m + 2, dtype=bool)
+    for i, c in enumerate(faces):
+        normals[i], offsets[i], norm_sq[i], whole[i] = (c.normal, c.offset, c.norm_sq,
+                                                        c.is_whole_space)
+    return normals, offsets, norm_sq, whole
 
-    Polyhedral sets pass the list of their ``faces`` (empty for R^d)
-    followed by the cuts to one exact halfspace projection, counted as one
-    set projection; other sets (``faces`` None) alternate projections,
-    counting one set projection per cycle.
+
+def _project_onto_set_and_cuts(set_, rows, counters, cuts, x0):
+    """Projection of x0 onto C intersected with the two cuts ``cuts``.
+
+    A polyhedral set gives the ``rows`` of ``_face_rows`` for its faces,
+    stacked once per run; each call writes its cuts into the last two rows
+    and projects onto that stack (onto the cuts alone when C is R^d) with
+    one exact halfspace projection, counted as one set projection.  Other
+    sets (``rows`` None) alternate projections, counting one set
+    projection per cycle.
     """
-    if faces is not None:
+    if rows is not None:
         counters.set_projections += 1
-        return project_halfspace_intersection([*faces, *cuts], x0)
+        normals, offsets, norm_sq, whole = rows
+        if len(offsets) > 2:
+            for i, c in enumerate(cuts, len(offsets) - 2):
+                normals[i], offsets[i], norm_sq[i], whole[i] = (
+                    c.normal, c.offset, c.norm_sq, c.is_whole_space)
+            cuts = CutStack._valid(*rows)
+        return project_halfspace_intersection(cuts, x0)
     live = [cuts[i] for i in cuts.live]
 
     def count_set_projection(v):
@@ -133,7 +154,9 @@ def _single_problem_start(instance: CsepInstance, name: str, counters: RunCounte
     set_ = instance.set
     if not set_.contains(x0, 1e-9):
         raise ParameterViolation("the baseline schemes require x0 in C")
-    project = partial(_project_onto_set_and_cuts, set_, set_.as_halfspaces(), counters)
+    faces = set_.as_halfspaces()
+    rows = None if faces is None else _face_rows(faces, x0.size)
+    project = partial(_project_onto_set_and_cuts, set_, rows, counters)
     return instance.bifunctions[0], x0, project
 
 
@@ -170,7 +193,7 @@ def run_hybrid_extragradient(
         Y, record_y = system.solve_row(0, x, x, n)
         Z, record_z = system.solve_row(1, Y[0], x, n)
         residual = max(norm(Y[0] - x), norm(Z[0] - x))
-        return Step(Z, Z, 0.0, residual, ProxRecord.of([record_y, record_z]))
+        return Step(Z, None, Z, 0.0, residual, ProxRecord.of([record_y, record_z]))
 
     return drive("extragradient", step, x0, tol, max_outer, counters, project=project,
                  known_point=known_point, collect_iterates=collect_iterates)
@@ -207,12 +230,12 @@ def run_armijo_hybrid(
         y = Y[0]
         residual = norm(y - x)
         if residual <= tol:
-            return Step(None, np.empty((0, x.size)), 0.0, residual, record)
+            return Step(None, None, np.empty((0, x.size)), 0.0, residual, record)
         m, z = armijo_linesearch(f, x, y, params.lam, params)
         sigma, g = armijo_step_size(f, z, y, m, params.eta)
         u = set_.project(x - sigma * g)[None]
         counters.set_projections += 1
-        return Step(u, u, 0.0, residual, record)
+        return Step(u, None, u, 0.0, residual, record)
 
     return drive("armijo", step, x0, tol, max_outer, counters, project=project,
                  known_point=known_point, collect_iterates=collect_iterates)

@@ -14,7 +14,9 @@ its KKT certificate (every cut satisfied and every active cut tight to
 ``INTERSECTION_TOL * (1 + ||x0||)`` in distance, multipliers nonnegative).  An empty
 intersection raises EmptyIntersection.  ``dykstra`` handles intersections
 of general convex sets; ``dykstra_halfspaces`` is kept as an independent
-cross-check.
+cross-check.  ``CutStack.outside`` counts the rows a point lies outside of
+by more than a distance, which is how ``hybrid.drive`` checks that a
+projector's output lies in C_n ∩ Q_n (its ``anchor_projection`` count).
 """
 
 from __future__ import annotations
@@ -66,6 +68,25 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and p.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")
     return p
+
+
+def _point_sq(x, dim: int) -> tuple[np.ndarray, float]:
+    """``as_point(x, dim)`` and its squared norm, both from one dot product
+    when the fast path of ``as_point`` applies."""
+    if (type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1 and x.size == dim):
+        sq = float(x.dot(x))
+        if math.isfinite(sq):
+            return x, sq
+    x = as_point(x, dim)
+    return x, float(x.dot(x))
+
+
+def dot(a: np.ndarray, b) -> float:
+    """<a, b> for a 1-D float64 ``a``, bit for bit as ``float(a @ b)`` but
+    without matmul's overhead.  ``ndarray.dot`` returns the bare product
+    for one entry, where matmul adds it to 0.0; adding 0.0 changes only a
+    -0.0, so both agree for every size."""
+    return float(a.dot(b)) + 0.0
 
 
 def norm(v: np.ndarray) -> float:
@@ -130,6 +151,18 @@ class HalfspaceCut:
         cut.norm_sq, cut.is_whole_space = norm_sq, is_whole_space
         return cut
 
+    @classmethod
+    def _of(cls, normal, offset: float, norm_sq: float) -> HalfspaceCut:
+        """``HalfspaceCut(normal, offset)`` for a vector ``normal`` whose
+        ``normal.dot(normal)`` is ``norm_sq``: built without a second dot
+        when the data are finite, else by the constructor, which raises."""
+        if (math.isfinite(norm_sq) and math.isfinite(offset)
+                and normal.dtype is _FLOAT64 and normal.ndim == 1):
+            whole = math.sqrt(norm_sq) < DEGENERACY_THRESHOLD
+            if not (whole and offset < WHOLE_SPACE_OFFSET_FLOOR):
+                return cls._valid(normal, offset, norm_sq, whole)
+        return cls(normal, offset)
+
     @property
     def dimension(self) -> int:
         return self.normal.size
@@ -138,7 +171,7 @@ class HalfspaceCut:
         """Signed constraint value <normal, z> - offset (<= 0 means satisfied)."""
         if self.is_whole_space:
             return 0.0
-        return float(self.normal @ z) - self.offset
+        return dot(self.normal, z) - self.offset
 
 
 class CutStack:
@@ -191,6 +224,14 @@ class CutStack:
             )
         return stack
 
+    @classmethod
+    def _valid(cls, normals, offsets, norm_sq, whole) -> CutStack:
+        """The array stack of data already validated, as ``CutStack.of``
+        stacks valid cuts."""
+        stack = cls.__new__(cls)
+        stack._rows, stack._arrays, stack._live = None, (normals, offsets, norm_sq, whole), None
+        return stack
+
     def __len__(self) -> int:
         return len(self._rows) if self._rows is not None else self._arrays[1].size
 
@@ -224,6 +265,21 @@ class CutStack:
         if len(self.live) < len(v):
             v[whole] = 0.0
         return int(np.count_nonzero(v > slack))
+
+    def outside(self, z: np.ndarray, tol: float) -> int:
+        """How many live rows ``z`` lies outside of by more than ``tol`` in
+        distance: ``violation(z) > tol * ||normal||``."""
+        if self._arrays is None:
+            count = 0
+            for c in self._rows:
+                if c.violation(z) > tol * math.sqrt(c.norm_sq):
+                    count += 1
+            return count
+        normals, offsets, norm_sq, whole = self._arrays
+        out = row_dot(normals, z) - offsets > tol * np.sqrt(norm_sq)
+        if len(self.live) < len(out):
+            out[whole] = False
+        return int(np.count_nonzero(out))
 
 
 class FeasibleSet:
@@ -396,7 +452,7 @@ def project_halfspace(cut: HalfspaceCut, x) -> np.ndarray:
     if cut.is_whole_space:
         return as_point(x).copy()
     x = as_point(x, cut.dimension)
-    v = float(cut.normal @ x) - cut.offset
+    v = dot(cut.normal, x) - cut.offset
     if v <= 0.0:
         return x.copy()
     return x - (v / cut.norm_sq) * cut.normal
@@ -411,23 +467,23 @@ def project_two_halfspaces(cut1: HalfspaceCut, cut2: HalfspaceCut, x0) -> np.nda
     Raises EmptyIntersection when no case applies (empty intersection, which
     the calling algorithms rule out by construction).
     """
-    live = [c for c in (cut1, cut2) if not c.is_whole_space]
-    if not live:
-        return as_point(x0).copy()
-    if len(live) == 1:
+    if cut1.is_whole_space or cut2.is_whole_space:
+        live = [c for c in (cut1, cut2) if not c.is_whole_space]
+        if not live:
+            return as_point(x0).copy()
         return project_halfspace(live[0], x0)
 
-    a1, b1 = live[0].normal, live[0].offset
-    a2, b2 = live[1].normal, live[1].offset
-    x0 = as_point(x0, a1.size)
+    a1, b1 = cut1.normal, cut1.offset
+    a2, b2 = cut2.normal, cut2.offset
+    x0, x0_sq = _point_sq(x0, a1.size)
     if a2.size != a1.size:
         raise DimensionMismatch("cut normals have different dimensions")
 
-    n1, n2 = live[0].norm_sq, live[1].norm_sq
-    v1 = float(a1 @ x0) - b1
-    v2 = float(a2 @ x0) - b2
+    n1, n2 = cut1.norm_sq, cut2.norm_sq
+    v1 = dot(a1, x0) - b1
+    v2 = dot(a2, x0) - b2
     # Feasibility slack scaled to the distance induced by each normal.
-    scale = 1.0 + norm(x0)
+    scale = 1.0 + math.sqrt(x0_sq)
     tol1 = 1e-12 * math.sqrt(n1) * scale + 1e-15
     tol2 = 1e-12 * math.sqrt(n2) * scale + 1e-15
 
@@ -435,14 +491,14 @@ def project_two_halfspaces(cut1: HalfspaceCut, cut2: HalfspaceCut, x0) -> np.nda
         return x0.copy()
     if v1 > 0.0:
         z = x0 - (v1 / n1) * a1
-        if float(a2 @ z) - b2 <= tol2:
+        if dot(a2, z) - b2 <= tol2:
             return z
     if v2 > 0.0:
         z = x0 - (v2 / n2) * a2
-        if float(a1 @ z) - b1 <= tol1:
+        if dot(a1, z) - b1 <= tol1:
             return z
 
-    g12 = float(a1 @ a2)
+    g12 = dot(a1, a2)
     det = n1 * n2 - g12 * g12
     if det > 1e-16 * n1 * n2:
         mu1 = (n2 * v1 - g12 * v2) / det
@@ -511,11 +567,11 @@ def _dual_active_set(A, b, x0):
     of the normals A and the offsets b.
     """
     m = len(b)
-    x0 = as_point(x0, A.shape[1])
+    x0, x0_sq = _point_sq(x0, A.shape[1])
     scale = np.sqrt(np.einsum("ij,ij->i", A, A))
     A = A / scale[:, None]
     b = b / scale
-    feas_tol = INTERSECTION_TOL * (1.0 + norm(x0))
+    feas_tol = INTERSECTION_TOL * (1.0 + math.sqrt(x0_sq))
     Q = np.empty_like(A)
     T = np.zeros((m, m))
     active: list[int] = []

@@ -45,8 +45,9 @@ from .geometry import (
     CutStack,
     HalfspaceCut,
     as_point,
+    dot,
     norm,
-    project_halfspace,
+    project_halfspace,  # not called here; bench/spans.py wraps it by name in this module
     project_halfspace_intersection,
     row_dot,
     row_dots,
@@ -145,22 +146,27 @@ def build_c_cut(x_n: np.ndarray, y_next: np.ndarray, eps: float) -> HalfspaceCut
     Expands to 2<x_n - y_next, z> <= <x_n + y_next, x_n - y_next> + eps.
     Collapses to the whole space when y_next == x_n and the residual scalar
     inequality 0 <= eps holds; a contradictory collapse raises.
+
+    The normal 2(x_n - y_next) is twice x_n - y_next exactly, so its one
+    dot product also gives ||x_n - y_next|| = sqrt(<normal, normal>) / 2.
     """
     diff = x_n - y_next
-    rhs = float((x_n + y_next) @ diff) + eps
-    if norm(diff) < DEGENERACY_THRESHOLD:
+    rhs = dot(x_n + y_next, diff) + eps
+    normal = 2.0 * diff
+    norm_sq = float(normal.dot(normal))
+    if math.sqrt(norm_sq) < 2.0 * DEGENERACY_THRESHOLD:  # norm(diff) < DEGENERACY_THRESHOLD
         if rhs < WHOLE_SPACE_OFFSET_FLOOR:
             raise InfeasibleCut(
                 f"cut degenerated to the contradiction 0 <= {rhs:g}"
             )
         return HalfspaceCut(np.zeros_like(x_n), rhs)
-    return HalfspaceCut(2.0 * diff, rhs)
+    return HalfspaceCut._of(normal, rhs, norm_sq)
 
 
 def build_q_cut(x0: np.ndarray, x_n: np.ndarray) -> HalfspaceCut:
     """Anchor cut {z : <x0 - x_n, z - x_n> <= 0}; the whole space when x_n == x0."""
     normal = x0 - x_n
-    return HalfspaceCut(normal, float(normal @ x_n))
+    return HalfspaceCut._of(normal, dot(normal, x_n), float(normal.dot(normal)))
 
 
 def build_cuts(x0: np.ndarray, x_n: np.ndarray, Y: np.ndarray,
@@ -176,21 +182,28 @@ def build_cuts(x0: np.ndarray, x_n: np.ndarray, Y: np.ndarray,
     ``DEGENERACY_THRESHOLD`` of x_n, whose contradiction raises
     ``InfeasibleCut`` after any error of an earlier row.
     """
+    q = x0 - x_n
+    return _cuts(x_n, Y, None, eps, q, float(q.dot(q)))
+
+
+def _cuts(x_n, Y, dist2, eps, q, q_sq) -> CutStack:
+    """``build_cuts`` given Q_n's normal q = x0 - x_n and q_sq = <q, q>,
+    and dist2 = row_dots(Y - x_n) or None."""
     k = len(Y)
     if k <= 1:
         cuts = []
         if k:
             eps_0 = eps if isinstance(eps, float) else float(eps[0])
             cuts.append(build_c_cut(x_n, Y[0], eps_0))
-        cuts.append(build_q_cut(x0, x_n))
+        cuts.append(HalfspaceCut._of(q, dot(q, x_n), q_sq))
         return CutStack.of(cuts)
     normals, offsets = np.empty((k + 1, x_n.size)), np.empty(k + 1)
     diff = x_n - Y
     np.multiply(diff, 2.0, out=normals[:k])
     offsets[:k] = row_dot(x_n + Y, diff) + eps
-    normals[k] = q = x0 - x_n
+    normals[k] = q
     offsets[k] = q @ x_n
-    degenerate = row_norms(diff) < DEGENERACY_THRESHOLD
+    degenerate = np.sqrt(row_dots(diff) if dist2 is None else dist2) < DEGENERACY_THRESHOLD
     if np.count_nonzero(degenerate):
         normals[:k][degenerate] = 0.0
         bad = np.flatnonzero(degenerate & (offsets[:k] < WHOLE_SPACE_OFFSET_FLOOR))
@@ -213,7 +226,9 @@ class Step(NamedTuple):
     ``points`` is the (k, d) stack of the points y that the iteration cuts
     with, for which ``drive`` builds the C-cuts and Q_n with ``build_cuts``;
     None when the step stopped at x without cutting, and then ``drive``
-    keeps x and runs no checks.  ``near`` is the (m, d) stack of points
+    keeps x and runs no checks.  ``dist2`` is row_dots(points - x_n) when
+    the step has it, which then spares ``build_cuts`` taking it, else None.
+    ``near`` is the (m, d) stack of points
     bounded by the solution-distance check and ``eps`` the correction term
     of both: one float shared by every row, or an array of m, the rows of
     ``near``, which are then the points too (or there are none).
@@ -222,6 +237,7 @@ class Step(NamedTuple):
     """
 
     points: np.ndarray | None
+    dist2: np.ndarray | None
     near: np.ndarray
     eps: float | np.ndarray
     residual: float
@@ -256,10 +272,14 @@ def drive(
     anchor step of the CQ method, x_{n+1} = ``project(cuts, x0)`` for
     ``cuts = build_cuts(x0, x_n, Step.points, Step.eps)``, the C-cuts
     followed by Q_n; ``project`` defaults to
-    ``project_halfspace_intersection``.
+    ``project_halfspace_intersection``.  Q_n is built from the normal
+    x0 - x_n and its squared norm that the previous iteration's
+    monotonicity check formed, bit for bit as ``build_q_cut``.
 
-    Per iteration: checks that x_n is the projection of x0 onto Q_n,
-    that ||x_{n+1} - x0|| does not decrease, and, given ``known_point``,
+    Per iteration: counts the live cuts that x_{n+1} lies outside of by
+    more than ``ANCHOR_PROJECTION_TOL * (1 + ||x0||)`` in distance (a
+    projector that misses C_n ∩ Q_n), checks that ||x_{n+1} - x0|| does
+    not decrease, and, given ``known_point``,
     that every cut contains it and that ||y - p||^2 <= ||x_n - p||^2 + eps
     for each row y of ``Step.near`` and its eps.  The trace records the
     least and greatest eps.  The work counters, the least certificate gap
@@ -282,25 +302,27 @@ def drive(
     anchor_dist = 0.0
     dx2 = 0.0  # ||x - x_prev||^2
     x = x0.copy()
+    q = x0 - x  # the normal x0 - x of Q_n, then its squared norm
+    q_sq = float(q.dot(q))
     stop_reason = STOP_MAX_OUTER
     error_msg = None
 
     try:
         for n in range(1, max_outer + 1):
             t0 = time.perf_counter()
-            points, near, eps, residual, record, selected = step(n, x, dx2)
+            points, dist2, near, eps, residual, record, selected = step(n, x, dx2)
             if points is None:
                 x_next, dx2, degenerate = x, 0.0, 0
             else:
-                cuts = build_cuts(x0, x, points, eps)
-                q_cut = cuts[-1]
+                cuts = _cuts(x, points, dist2, eps, q, q_sq)
                 x_next = project(cuts, x0)
                 degenerate = len(cuts) - len(cuts.live)
                 d = x_next - x
                 dx2 = float(d.dot(d))
-                if not q_cut.is_whole_space and norm(project_halfspace(q_cut, x0) - x) > anchor_tol:
-                    violations["anchor_projection"] += 1
-                next_dist = norm(x_next - x0)
+                violations["anchor_projection"] += cuts.outside(x_next, anchor_tol)
+                q = x0 - x_next
+                q_sq = float(q.dot(q))
+                next_dist = math.sqrt(q_sq)  # ||x_{n+1} - x0||, bit for bit
                 if next_dist < anchor_dist - MONOTONE_SLACK:
                     violations["anchor_monotonicity"] += 1
                 anchor_dist = next_dist
@@ -308,8 +330,13 @@ def drive(
                     violations["cut_containment"] += cuts.violated(known_point,
                                                                    CONTAINMENT_SLACK)
                     lhs = row_dots(near - known_point)
-                    violations["solution_distance_bound"] += int(np.count_nonzero(
-                        lhs > (known_sq + eps) + DISTANCE_BOUND_SLACK))
+                    if isinstance(eps, float):
+                        bound = (known_sq + eps) + DISTANCE_BOUND_SLACK
+                        violations["solution_distance_bound"] += sum(
+                            v > bound for v in lhs.tolist())
+                    else:
+                        violations["solution_distance_bound"] += int(np.count_nonzero(
+                            lhs > (known_sq + eps) + DISTANCE_BOUND_SLACK))
             counters.prox_solves += record.solves
             counters.set_projections += record.inner_iterations
             if record.nonconverged:
@@ -322,7 +349,7 @@ def drive(
             step_norm = math.sqrt(dx2)
             if known_point is not None:
                 to_known = x_next - known_point
-                known_sq = float(to_known @ to_known)
+                known_sq = float(to_known.dot(to_known))
             eps_min, eps_max = (
                 (eps, eps) if isinstance(eps, float) else (float(eps.min()), float(eps.max()))
             )
@@ -436,9 +463,10 @@ def _parallel_step(params, lips, y_init, system):
         y_next, record = system.solve(y_cur, x, n)
         dy = row_dots(y_next - y_cur)
         eps = k * dx2 + a * dy_prev - b * dy
-        residual = float(row_norms(y_next - x).max())
+        dist2 = row_dots(y_next - x)
+        residual = float(np.sqrt(dist2).max())
         y_cur, dy_prev = y_next, dy
-        return Step(y_next, y_next, eps, residual, record)
+        return Step(y_next, dist2, y_next, eps, residual, record)
 
     return step
 
@@ -450,8 +478,13 @@ def _shared_anchor_step(params, lip, y_init, system, cyclic):
     call and cuts with the solution farthest from x_n; ``sequential``
     (cyclic=True) solves only the one chosen by ``cyclic_index`` and
     measures the residual over the latest solution of each subproblem.
+    The coefficients 2 lam c1 and 1 - 1/k - 2 lam c2 of ``epsilon`` are
+    formed once, so eps equals it bit for bit.
     """
     n_problems = len(system.fs)
+    k = params.k
+    a = 2.0 * params.lam * lip.c1
+    b = 1.0 - 1.0 / params.k - 2.0 * params.lam * lip.c2
     ybar = y_init
     dy_prev = 0.0  # ||ybar - ybar_prev||^2, the previous step's dy
     last_Y = np.tile(y_init, (n_problems, 1))  # latest solution of each subproblem
@@ -470,9 +503,9 @@ def _shared_anchor_step(params, lip, y_init, system, cyclic):
             y_next = Y[selected]
             residual = float(dists[selected])
         dy = y_next - ybar
-        dy2 = float(dy @ dy)
-        eps = epsilon(params, lip, dx2, dy_prev, dy2)
+        dy2 = float(dy.dot(dy))
+        eps = k * dx2 + a * dy_prev - b * dy2
         ybar, dy_prev = y_next, dy2
-        return Step(Y if cyclic else y_next[None], Y, eps, residual, record, selected)
+        return Step(Y if cyclic else y_next[None], None, Y, eps, residual, record, selected)
 
     return step

@@ -25,10 +25,11 @@ stack in which each row stops at its own step.  Any other system (callable
 operators, black-box or mixed bifunctions) has no stack.  Every feasible
 set projects a (k, d) stack as it would each row.
 
-``ProxSystem`` builds, once per run, each subproblem's one-row kernel
-``_kernel([f], lam, set_)`` and the stack of all N when there is one;
-``solve`` solves all N subproblems on the stack, or row by row without it,
-and ``solve_row`` row i alone on its one-row kernel.  The batched forms
+``ProxSystem`` builds, once per run, the stack of all N subproblems when
+there is one, and subproblem i's one-row kernel ``_kernel([f], lam, set_)``
+when row i is first solved alone (the stack itself when N = 1); ``solve``
+solves all N subproblems on the stack, or row by row without it, and
+``solve_row`` row i alone on its one-row kernel.  The batched forms
 used (``np.matmul`` over stacks) give each row's result bit for bit, so
 both agree exactly.  Certified solves certify each row after.
 
@@ -149,8 +150,8 @@ class ProxSystem:
                  certify_probes: int = 0, seed: int = 0):
         self.fs, self.lam, self.set_ = fs, lam, set_
         self.certify_probes, self.seed = certify_probes, seed
-        self._rows = [_kernel([f], lam, set_) for f in fs]
         self._stack = _kernel(fs, lam, set_)
+        self._rows = [self._stack] if len(fs) == 1 else [None] * len(fs)
 
     def solve(self, W: np.ndarray, x: np.ndarray, n: int) -> tuple[np.ndarray, ProxRecord]:
         """All N subproblems at outer iteration n, subproblem i anchored at W
@@ -161,7 +162,8 @@ class ProxSystem:
         if self._stack is not None:
             Y, record = self._stack.solve(W, x)
         else:
-            rows = [k.solve(W if W.ndim == 1 else W[i], x) for i, k in enumerate(self._rows)]
+            rows = [self._row(i).solve(W if W.ndim == 1 else W[i], x)
+                    for i in range(len(self.fs))]
             Y = np.concatenate([y for y, _ in rows])
             record = ProxRecord.of([r for _, r in rows])
         if self.certify_probes > 0:
@@ -178,7 +180,7 @@ class ProxSystem:
         """Subproblem i alone at outer iteration n, anchored at w, returned as
         ``solve`` returns all N: its (1, d) minimizer, equal bit for bit to
         row i of ``solve``, and the record of its solve as subproblem i."""
-        Y, record = self._rows[i].solve(w, x)
+        Y, record = self._row(i).solve(w, x)
         if record.nonconverged:
             record = record._replace(nonconverged=((i, record.nonconverged[0][1]),))
         if self.certify_probes > 0:
@@ -186,6 +188,13 @@ class ProxSystem:
             if gap < record.min_certificate:  # False for NaN
                 record = record._replace(min_certificate=gap)
         return Y, record
+
+    def _row(self, i: int):
+        """Subproblem i's one-row kernel, built at its first use."""
+        kernel = self._rows[i]
+        if kernel is None:
+            kernel = self._rows[i] = _kernel([self.fs[i]], self.lam, self.set_)
+        return kernel
 
     def _certify(self, i, w, x, n, y) -> float:
         return certify_prox(
@@ -268,14 +277,19 @@ class _Stack:
 
 
 class _AffineViStack(_Stack):
-    """Operators M_i y + q_i: the exact minimizers P_C(x - lam*(M_i w_i + q_i))."""
+    """Operators M_i y + q_i: the exact minimizers P_C(x - lam*(M_i w_i + q_i)),
+    one inner iteration each, so every solve has the same record."""
 
     ROWS = ("M", "q")
+
+    def __init__(self, lam, set_, *arrays):
+        super().__init__(lam, set_, *arrays)
+        self.record = ProxRecord(len(self.M), len(self.M), (), math.inf)
 
     def solve(self, W, x):
         Y = self.set_.project(x - self.lam * (_matvec(self.M, W) + self.q))
         _require_finite(Y)
-        return Y, ProxRecord(len(Y), len(Y), (), math.inf)
+        return Y, self.record
 
 
 class _CoordinatewiseStack(_Stack):

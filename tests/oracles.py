@@ -187,6 +187,29 @@ def project_two_halfspaces_reference(cut1, cut2, x0):
     raise EmptyIntersection("two-halfspace projection found no feasible case")
 
 
+def c_cut_by_constructor(x_n, y, eps):
+    """``hybrid.build_c_cut`` through the ``HalfspaceCut`` constructor: the
+    degeneracy test on ||x_n - y|| and a normal validated by its own dot."""
+    from csepsolve import HalfspaceCut, InfeasibleCut
+    from csepsolve.geometry import DEGENERACY_THRESHOLD, WHOLE_SPACE_OFFSET_FLOOR
+
+    diff = x_n - y
+    rhs = float((x_n + y) @ diff) + eps
+    if np.linalg.norm(diff) < DEGENERACY_THRESHOLD:
+        if rhs < WHOLE_SPACE_OFFSET_FLOOR:
+            raise InfeasibleCut(f"cut degenerated to the contradiction 0 <= {rhs:g}")
+        return HalfspaceCut(np.zeros_like(x_n), rhs)
+    return HalfspaceCut(2.0 * diff, rhs)
+
+
+def q_cut_by_constructor(x0, x_n):
+    """``hybrid.build_q_cut`` through the ``HalfspaceCut`` constructor."""
+    from csepsolve import HalfspaceCut
+
+    normal = x0 - x_n
+    return HalfspaceCut(normal, float(normal @ x_n))
+
+
 def spectral_norm_reference(M, iters=200, tol=1e-13):
     """``spectral_norm_estimate`` as first written: power iteration on M^T M
     that forms M^T M v twice per step, once for the next iterate and once

@@ -95,7 +95,7 @@ def test_drive_projects_x0_onto_the_step_cuts_and_its_q_cut(monkeypatch, name):
 def test_a_step_without_cuts_keeps_x_and_skips_the_checks():
     def step(n, x, dx2):
         assert dx2 == 0.0
-        return Step(None, np.array([[9.0, 9.0]]), -1.0, 0.5, ProxRecord.of([]))
+        return Step(None, None, np.array([[9.0, 9.0]]), -1.0, 0.5, ProxRecord.of([]))
 
     def project(cuts, x0):
         raise AssertionError("nothing to project")
@@ -115,7 +115,7 @@ def test_a_projection_closer_to_x0_than_the_last_counts_a_monotonicity_violation
     radii = iter([3.0, 2.0, 2.0, 1.0])
 
     def step(n, x, dx2):
-        return Step(x[None] + 1.0, np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of([]))
+        return Step(x[None] + 1.0, None, np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of([]))
 
     def project(cuts, x0):
         return x0 + next(radii) * np.array([1.0, 0.0])
@@ -125,12 +125,35 @@ def test_a_projection_closer_to_x0_than_the_last_counts_a_monotonicity_violation
     assert out.invariant_violations["anchor_monotonicity"] == 2
 
 
+@pytest.mark.parametrize("shift, count", [(0.3, 2), (1e-13, 0)])
+def test_a_projection_outside_a_cut_counts_an_anchor_projection_violation(shift, count):
+    # x0 = 0 and y = x + e_1 give C_n = {z_1 >= x_1 + 1/2} and Q_n =
+    # {z_1 >= x_1}; the projector moves x_{n+1} back by ``shift`` along e_1
+    # at iterations 2 and 4, which leaves it in Q_n and outside C_n by
+    # ``shift`` in distance: counted beyond ANCHOR_PROJECTION_TOL only
+    shifts = iter([0.0, shift, 0.0, shift])
+    e1 = np.array([1.0, 0.0])
+
+    def step(n, x, dx2):
+        return Step(x[None] + e1, None, np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of([]))
+
+    def project(cuts, x0):
+        return hybrid.project_halfspace_intersection(cuts, x0) - next(shifts) * e1
+
+    out = drive("fixed", step, np.zeros(2), 0.0, 4, RunCounters(), project=project,
+                collect_iterates=True)
+    assert [x[0] for x in out.iterates] == pytest.approx(
+        [0.5, 1.0 - shift, 1.5 - shift, 2.0 - 2 * shift])
+    assert out.invariant_violations["anchor_projection"] == count
+    assert out.invariant_violations["anchor_monotonicity"] == 0
+
+
 def test_a_projection_error_counts_no_work_of_its_iteration():
     calls = []
 
     def step(n, x, dx2):
         records = [ProxRecord(1, 5, (), math.inf), ProxRecord(1, 7, ((0, None),), math.inf)]
-        return Step(np.empty((0, x.size)), np.empty((0, x.size)), 0.0, 1.0,
+        return Step(np.empty((0, x.size)), None, np.empty((0, x.size)), 0.0, 1.0,
                     ProxRecord.of(records))
 
     def project(cuts, x0):

@@ -281,3 +281,32 @@ class TestBaselineChecks:
         for out in runs:
             assert out.invariant_violations["cut_containment"] > 0
             assert out.invariant_violations["solution_distance_bound"] > 0
+
+
+class TestFaceRows:
+    """The baselines stack C's faces once per run and write each
+    iteration's two cuts into the last rows: the projection is the one of
+    the list of faces followed by the cuts, bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_projection_equals_that_of_the_faces_and_cuts_listed(self, d, rng):
+        from csepsolve import HalfspaceCut, Polyhedron, project_halfspace_intersection
+        from csepsolve.geometry import CutStack
+        from csepsolve.outcome import RunCounters
+
+        box = Box(-np.ones(d), np.ones(d))
+        slab = Polyhedron([HalfspaceCut(np.ones(d), 0.5), HalfspaceCut(np.zeros(d), 0.0),
+                           HalfspaceCut(-np.ones(d), 2.0)])
+        for set_ in (box, slab, WholeSpace(d)):
+            faces = set_.as_halfspaces()
+            rows, counters = baselines._face_rows(faces, d), RunCounters()
+            for i in range(30):
+                x0 = rng.uniform(-0.5, 0.5, d)
+                # both cuts hold at 0, a point of each set
+                c = HalfspaceCut(rng.standard_normal(d), float(rng.uniform(0.0, 0.5)))
+                q = HalfspaceCut(np.zeros(d) if i % 7 == 0 else rng.standard_normal(d), 0.1)
+                cuts = CutStack.of([c, q])
+                z = baselines._project_onto_set_and_cuts(set_, rows, counters, cuts, x0)
+                listed = project_halfspace_intersection([*faces, c, q], x0)
+                assert z.tobytes() == listed.tobytes()
+            assert counters.set_projections == 30

@@ -18,7 +18,7 @@ from csepsolve import (
     project_halfspace_intersection,
     project_two_halfspaces,
 )
-from csepsolve.geometry import as_point, norm, row_dots, row_norms
+from csepsolve.geometry import as_point, dot, norm, row_dots, row_norms
 
 from oracles import project_ldp_nnls, project_polyhedron_enumerate
 
@@ -174,6 +174,15 @@ class TestBitwiseFastPaths:
         assert not c.is_whole_space
         assert c.norm_sq == np.inf
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 100])
+    def test_dot_matches_matmul_with_the_sign_of_zero(self, d, rng):
+        pairs = [(rng.standard_normal(d), rng.standard_normal(d)) for _ in range(20)]
+        pairs += [(np.zeros(d), -np.ones(d)), (-np.zeros(d), np.ones(d)),
+                  (np.zeros(d), np.ones(d)), (np.full(d, 1e200), np.full(d, 1e200))]
+        for a, b in pairs:
+            with np.errstate(over="ignore"):
+                assert repr(dot(a, b)) == repr(float(a @ b))
+
     def test_norm_sq_is_the_dot(self, rng):
         for d in (1, 2, 3, 50):
             a = rng.standard_normal(d)
@@ -263,6 +272,33 @@ class TestTwoHalfspaces:
         z = project_two_halfspaces(c1, c2, [0.99, 0.5])
         ref = project_polyhedron_enumerate([c1, c2], [0.99, 0.5])
         assert np.allclose(z, ref, atol=1e-9)
+
+    @pytest.mark.parametrize("project", ["two", "many"])
+    def test_the_anchor_is_validated_as_before(self, project):
+        # each x0 gives what as_point(x0, 2) gives: a list or ints are taken
+        # as floats, finite entries whose squares overflow are accepted (the
+        # feasibility slack is then infinite and x0 comes back), and the
+        # rest raises
+        cuts = [cut([1.0, 0.0], 0.0), cut([0.0, 1.0], 0.0), cut([1.0, 1.0], 5.0)]
+
+        def proj(x0):
+            if project == "two":
+                return project_two_halfspaces(cuts[0], cuts[1], x0)
+            return project_halfspace_intersection(cuts, x0)
+
+        for x0 in ([1.0, 1.0], [1, 1], np.array([1, 1])):
+            assert proj(x0).tolist() == [0.0, 0.0]
+        with np.errstate(over="ignore"):
+            assert proj(np.array([1e200, -1e200])).tolist() == [1e200, -1e200]
+        with pytest.raises(DimensionMismatch, match="1-D"):
+            proj(np.ones((1, 2)))
+        with pytest.raises(DimensionMismatch, match="expected dimension 2, got 3"):
+            proj(np.ones(3))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                proj(np.array([1.0, bad]))
+            with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+                proj(np.array([1e200, bad]))
 
     def test_empty_slab(self):
         with pytest.raises(EmptyIntersection):

@@ -370,7 +370,7 @@ class TestDrive:
         # no C-cuts, so x stays at x0, where ||x - p||^2 = 1: rows 1 (4 > 1)
         # and 3 (1.44 > 1 + 0.3) break the bound, rows 0 and 2 do not
         def step(n, x, dx2):
-            return Step(np.empty((0, x.size)), near, eps, 1.0, ProxRecord.of([]))
+            return Step(np.empty((0, x.size)), None, near, eps, 1.0, ProxRecord.of([]))
 
         out = drive("fixed", step, x0, 0.0, 3, RunCounters(), known_point=p)
         assert out.invariant_violations["solution_distance_bound"] == 6
@@ -383,7 +383,7 @@ class TestDrive:
 
         # one eps = 0.3 for all rows: rows 1 and 2 break the bound
         def step(n, x, dx2):
-            return Step(np.empty((0, x.size)), near, 0.3, 1.0, ProxRecord.of([]))
+            return Step(np.empty((0, x.size)), None, near, 0.3, 1.0, ProxRecord.of([]))
 
         out = drive("fixed", step, x0, 0.0, 2, RunCounters(), known_point=np.zeros(2))
         assert out.invariant_violations["solution_distance_bound"] == 4
@@ -391,7 +391,7 @@ class TestDrive:
 
     def test_step_without_cuts_runs_no_checks(self):
         def step(n, x, dx2):
-            return Step(None, np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of([]))
+            return Step(None, None, np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of([]))
 
         out = drive("fixed", step, np.ones(2), 0.0, 2, RunCounters(), known_point=[5.0, 5.0])
         assert sum(out.invariant_violations.values()) == 0

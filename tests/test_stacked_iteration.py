@@ -44,8 +44,9 @@ from csepsolve import (  # noqa: E402
     solve_prox,
 )
 from csepsolve.geometry import CutStack  # noqa: E402
-from csepsolve.hybrid import _parallel_step  # noqa: E402
+from csepsolve.hybrid import _cuts, _parallel_step  # noqa: E402
 from csepsolve.prox import ProxRecord, probe_rng  # noqa: E402
+from oracles import c_cut_by_constructor, q_cut_by_constructor  # noqa: E402
 
 
 def outcome_of(build):
@@ -123,6 +124,66 @@ def test_build_cuts_equals_build_c_cut_row_by_row_then_build_q_cut(params):
         assert (stack[0] is stack[0]) == (k <= 1)
 
 
+one_dot_cuts = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "d": st.integers(1, 8),
+    "log_scale": st.floats(-3.0, 3.0),
+    # y: 0 generic, 1 y == x_n, 2 y about 1e-14 from x_n (either side of
+    # the degeneracy threshold), 3 y == x_n with a contradictory eps, 4
+    # non-finite eps, 5 x_n and y so large that the squares, 2(x_n - y) or
+    # x_n + y overflow
+    "point": st.sampled_from([0, 0, 1, 2, 3, 4, 5]),
+    # x0: 0 generic, 1 x0 == x_n (Q_n is the whole space), 2 about 1e-14
+    # from x_n, 3 so far from x_n that <x0 - x_n, x_n> or <q, q> overflow
+    "anchor": st.sampled_from([0, 0, 1, 2, 3]),
+})
+
+
+@settings(max_examples=400, deadline=None)
+@given(one_dot_cuts)
+@example({"seed": 3, "d": 2, "log_scale": 0.0, "point": 5, "anchor": 3})
+@example({"seed": 4, "d": 3, "log_scale": 0.0, "point": 2, "anchor": 2})
+def test_one_dot_cuts_equal_the_constructor_built_cuts(params):
+    rng = np.random.default_rng(params["seed"])
+    d, point, anchor = params["d"], params["point"], params["anchor"]
+    x = rng.standard_normal(d) * 10.0 ** params["log_scale"]
+    y = x + rng.standard_normal(d) * 10.0 ** params["log_scale"]
+    eps = float(rng.standard_normal())
+    tiny = lambda: rng.uniform(0.25, 4.0) * 1e-14 * rng.standard_normal(d) / math.sqrt(d)
+    if point in (1, 3):
+        y = x.copy()
+    elif point == 2:
+        y = x + tiny()
+    elif point == 5:
+        x = np.sign(x) * 10.0 ** rng.uniform(153.0, 308.0, d)
+        y = -x * rng.uniform(0.0, 1.5, d)
+    if point == 3:
+        eps = -1.0
+    elif point == 4:
+        eps = float(rng.choice([np.inf, -np.inf, np.nan]))
+    x0 = {0: x + rng.standard_normal(d), 1: x.copy(), 2: x + tiny(),
+          3: x + np.sign(x) * 10.0 ** rng.uniform(153.0, 308.0, d)}[anchor]
+
+    reference, reference_error = outcome_of(lambda: c_cut_by_constructor(x, y, eps))
+    cut, error = outcome_of(lambda: build_c_cut(x, y, eps))
+    assert error == reference_error
+    if error is None:
+        assert_same_cut(cut, reference)
+    reference_q, reference_q_error = outcome_of(lambda: q_cut_by_constructor(x0, x))
+    cut, error = outcome_of(lambda: build_q_cut(x0, x))
+    assert error == reference_q_error
+    if error is None:
+        assert_same_cut(cut, reference_q)
+    # drive carries Q_n as the normal x0 - x_n and the <q, q> of its
+    # monotonicity check, and builds it after the C-cut
+    q = x0 - x
+    stack, error = outcome_of(lambda: _cuts(x, y[None], None, eps, q, float(q.dot(q))))
+    assert error == (reference_error or reference_q_error)
+    if error is None:
+        assert_same_cut(stack[0], reference)
+        assert_same_cut(stack[1], reference_q)
+
+
 def test_degenerate_and_contradictory_rows():
     x = np.array([0.5, -0.25])
     Y = np.array([[0.0, 0.0], x, [1.0, 1.0]])
@@ -188,6 +249,9 @@ def test_a_stack_projects_and_counts_as_its_list_of_cuts(params):
             project_halfspace_intersection(listed, x0).tobytes())
         for slack in (1e-8, 0.0, -1.0):
             assert stack.violated(z, slack) == sum(c.violation(z) > slack for c in listed)
+        for tol in (1e-10, 0.0, 1.0):
+            assert stack.outside(z, tol) == sum(c.violation(z) > tol * math.sqrt(c.norm_sq)
+                                                for c in listed)
         assert stack.live == [i for i, c in enumerate(listed) if not c.is_whole_space]
         for i, c in enumerate(listed):
             assert_same_cut(stack[i], c)
@@ -344,6 +408,27 @@ def test_the_record_of_one_row_records_relabels_them_by_position():
         ProxRecord(4, 13, ((1, "stalled"), (2, None)), -0.25))
     assert repr(ProxRecord.of([])) == repr(ProxRecord(0, 0, (), math.inf))
     assert ProxRecord.of(records[3:]) == records[3]
+
+
+@pytest.mark.parametrize("runner, builds", [(run_parallel_hybrid, 0), (run_maxsel_hybrid, 0),
+                                             (run_sequential, 3)])
+def test_a_one_row_kernel_is_built_when_its_row_is_first_solved_alone(monkeypatch, runner,
+                                                                        builds):
+    # three affine VIs: one stacked kernel, and one-row kernels only for
+    # the rows that sequential solves one at a time, each built once
+    real, built = prox_module._kernel, []
+
+    def counting(fs, lam, set_):
+        built.append(len(fs))
+        return real(fs, lam, set_)
+
+    monkeypatch.setattr(prox_module, "_kernel", counting)
+    ops = [AffineOperator(c * np.eye(2), np.zeros(2), lipschitz_L=c) for c in (1.0, 2.0, 0.5)]
+    inst = CsepInstance(2, Box(-np.ones(2), np.ones(2)), [ViInducedBifunction(o) for o in ops],
+                        [0.5, -0.7], SingletonSolution([0.0, 0.0]))
+    out = runner(inst, HybridParams(lam=0.1, k=6.0, tol=0.0, max_outer=9))
+    assert out.iterations == 9
+    assert built == [3] + [1] * builds
 
 
 @pytest.mark.parametrize("certify_probes", [0, 2])

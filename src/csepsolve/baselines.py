@@ -193,7 +193,7 @@ def run_hybrid_extragradient(
         Y, record_y = system.solve_row(0, x, x, n)
         Z, record_z = system.solve_row(1, Y[0], x, n)
         residual = max(norm(Y[0] - x), norm(Z[0] - x))
-        return Step(Z, None, Z, 0.0, residual, ProxRecord.of([record_y, record_z]))
+        return Step(Z, Z, 0.0, residual, ProxRecord.of([record_y, record_z]))
 
     return drive("extragradient", step, x0, tol, max_outer, counters, project=project,
                  known_point=known_point, collect_iterates=collect_iterates)
@@ -230,12 +230,12 @@ def run_armijo_hybrid(
         y = Y[0]
         residual = norm(y - x)
         if residual <= tol:
-            return Step(None, None, np.empty((0, x.size)), 0.0, residual, record)
+            return Step(None, np.empty((0, x.size)), 0.0, residual, record)
         m, z = armijo_linesearch(f, x, y, params.lam, params)
         sigma, g = armijo_step_size(f, z, y, m, params.eta)
         u = set_.project(x - sigma * g)[None]
         counters.set_projections += 1
-        return Step(u, None, u, 0.0, residual, record)
+        return Step(u, u, 0.0, residual, record)
 
     return drive("armijo", step, x0, tol, max_outer, counters, project=project,
                  known_point=known_point, collect_iterates=collect_iterates)

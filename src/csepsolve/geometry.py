@@ -8,7 +8,8 @@ A ``CutStack`` carries the cuts of one iteration: rows that are
 (a one-point iteration's C-cut and Q-cut) and as arrays otherwise, a form
 chosen once when the stack is built.
 ``project_halfspace_intersection`` is exact for any number of cuts: closed
-forms for one or two, and for more the Goldfarb-Idnani dual active-set
+forms for one or two (two accept a slack of 1e-12 (1 + ||x0||) + 1e-15
+in distance), and for more the Goldfarb-Idnani dual active-set
 method, which stops in finitely many steps and returns a point only with
 its KKT certificate (every cut satisfied and every active cut tight to
 ``INTERSECTION_TOL * (1 + ||x0||)`` in distance, multipliers nonnegative).  An empty
@@ -482,10 +483,11 @@ def project_two_halfspaces(cut1: HalfspaceCut, cut2: HalfspaceCut, x0) -> np.nda
     n1, n2 = cut1.norm_sq, cut2.norm_sq
     v1 = dot(a1, x0) - b1
     v2 = dot(a2, x0) - b2
-    # Feasibility slack scaled to the distance induced by each normal.
-    scale = 1.0 + math.sqrt(x0_sq)
-    tol1 = 1e-12 * math.sqrt(n1) * scale + 1e-15
-    tol2 = 1e-12 * math.sqrt(n2) * scale + 1e-15
+    # Feasibility slack: 1e-12 (1 + ||x0||) + 1e-15 in distance, times each
+    # normal's length to compare with a constraint value.
+    slack = 1e-12 * (1.0 + math.sqrt(x0_sq)) + 1e-15
+    tol1 = slack * math.sqrt(n1)
+    tol2 = slack * math.sqrt(n2)
 
     if v1 <= tol1 and v2 <= tol2:
         return x0.copy()

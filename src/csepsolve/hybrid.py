@@ -163,18 +163,19 @@ def build_c_cut(x_n: np.ndarray, y_next: np.ndarray, eps: float) -> HalfspaceCut
     return HalfspaceCut._of(normal, rhs, norm_sq)
 
 
-def build_q_cut(x0: np.ndarray, x_n: np.ndarray) -> HalfspaceCut:
-    """Anchor cut {z : <x0 - x_n, z - x_n> <= 0}; the whole space when x_n == x0."""
-    normal = x0 - x_n
-    return HalfspaceCut._of(normal, dot(normal, x_n), float(normal.dot(normal)))
+def build_q_cut(q: np.ndarray, q_sq: float, x_n: np.ndarray) -> HalfspaceCut:
+    """Anchor cut {z : <x0 - x_n, z - x_n> <= 0} from its normal q = x0 - x_n
+    and q_sq = <q, q>; the whole space when x_n == x0."""
+    return HalfspaceCut._of(q, dot(q, x_n), q_sq)
 
 
-def build_cuts(x0: np.ndarray, x_n: np.ndarray, Y: np.ndarray,
-               eps: float | np.ndarray) -> CutStack:
+def build_cuts(x_n: np.ndarray, Y: np.ndarray, eps: float | np.ndarray,
+               q: np.ndarray, q_sq: float) -> CutStack:
     """The cuts of iteration n: ``build_c_cut(x_n, Y[i], eps_i)`` for each of
-    the k rows of Y, then Q_n = ``build_q_cut(x0, x_n)``, bit for bit and
-    with the errors of building them one by one in that order.  ``eps`` is
-    one float shared by every row or an array of k (unused when k = 0).
+    the k rows of Y, then Q_n = ``build_q_cut(q, q_sq, x_n)`` for
+    q = x0 - x_n and q_sq = <q, q>, bit for bit and with the errors of
+    building them one by one in that order.  ``eps`` is one float shared by
+    every row or an array of k (unused when k = 0).
 
     At most one row gives ``CutStack.of`` those cuts.  More give one stack
     of k + 1 rows validated once: normals 2(x_n - Y), offsets
@@ -182,28 +183,19 @@ def build_cuts(x0: np.ndarray, x_n: np.ndarray, Y: np.ndarray,
     ``DEGENERACY_THRESHOLD`` of x_n, whose contradiction raises
     ``InfeasibleCut`` after any error of an earlier row.
     """
-    q = x0 - x_n
-    return _cuts(x_n, Y, None, eps, q, float(q.dot(q)))
-
-
-def _cuts(x_n, Y, dist2, eps, q, q_sq) -> CutStack:
-    """``build_cuts`` given Q_n's normal q = x0 - x_n and q_sq = <q, q>,
-    and dist2 = row_dots(Y - x_n) or None."""
     k = len(Y)
     if k <= 1:
         cuts = []
         if k:
             eps_0 = eps if isinstance(eps, float) else float(eps[0])
             cuts.append(build_c_cut(x_n, Y[0], eps_0))
-        cuts.append(HalfspaceCut._of(q, dot(q, x_n), q_sq))
+        cuts.append(build_q_cut(q, q_sq, x_n))
         return CutStack.of(cuts)
     normals, offsets = np.empty((k + 1, x_n.size)), np.empty(k + 1)
     diff = x_n - Y
     np.multiply(diff, 2.0, out=normals[:k])
     offsets[:k] = row_dot(x_n + Y, diff) + eps
-    normals[k] = q
-    offsets[k] = q @ x_n
-    degenerate = np.sqrt(row_dots(diff) if dist2 is None else dist2) < DEGENERACY_THRESHOLD
+    degenerate = row_norms(diff) < DEGENERACY_THRESHOLD
     if np.count_nonzero(degenerate):
         normals[:k][degenerate] = 0.0
         bad = np.flatnonzero(degenerate & (offsets[:k] < WHOLE_SPACE_OFFSET_FLOOR))
@@ -211,6 +203,12 @@ def _cuts(x_n, Y, dist2, eps, q, q_sq) -> CutStack:
             i = bad[0]
             CutStack(normals[:i], offsets[:i])  # the rows before i raise first
             raise InfeasibleCut(f"cut degenerated to the contradiction 0 <= {offsets[i]:g}")
+    try:
+        q_cut = build_q_cut(q, q_sq, x_n)
+    except (SolverError, ValueError):
+        CutStack(normals[:k], offsets[:k])  # the C-cuts raise first
+        raise
+    normals[k], offsets[k] = q_cut.normal, q_cut.offset
     return CutStack(normals, offsets)
 
 
@@ -226,9 +224,7 @@ class Step(NamedTuple):
     ``points`` is the (k, d) stack of the points y that the iteration cuts
     with, for which ``drive`` builds the C-cuts and Q_n with ``build_cuts``;
     None when the step stopped at x without cutting, and then ``drive``
-    keeps x and runs no checks.  ``dist2`` is row_dots(points - x_n) when
-    the step has it, which then spares ``build_cuts`` taking it, else None.
-    ``near`` is the (m, d) stack of points
+    keeps x and runs no checks.  ``near`` is the (m, d) stack of points
     bounded by the solution-distance check and ``eps`` the correction term
     of both: one float shared by every row, or an array of m, the rows of
     ``near``, which are then the points too (or there are none).
@@ -237,7 +233,6 @@ class Step(NamedTuple):
     """
 
     points: np.ndarray | None
-    dist2: np.ndarray | None
     near: np.ndarray
     eps: float | np.ndarray
     residual: float
@@ -270,11 +265,11 @@ def drive(
 
     Iteration n calls ``step(n, x_n, ||x_n - x_{n-1}||^2)`` and takes the
     anchor step of the CQ method, x_{n+1} = ``project(cuts, x0)`` for
-    ``cuts = build_cuts(x0, x_n, Step.points, Step.eps)``, the C-cuts
-    followed by Q_n; ``project`` defaults to
-    ``project_halfspace_intersection``.  Q_n is built from the normal
-    x0 - x_n and its squared norm that the previous iteration's
-    monotonicity check formed, bit for bit as ``build_q_cut``.
+    ``cuts = build_cuts(x_n, Step.points, Step.eps, x0 - x_n, <x0 - x_n,
+    x0 - x_n>)``, the C-cuts followed by Q_n; ``project`` defaults to
+    ``project_halfspace_intersection``.  The normal x0 - x_n of Q_n and its
+    squared norm are the ones the previous iteration's monotonicity check
+    formed.
 
     Per iteration: counts the live cuts that x_{n+1} lies outside of by
     more than ``ANCHOR_PROJECTION_TOL * (1 + ||x0||)`` in distance (a
@@ -302,7 +297,7 @@ def drive(
     anchor_dist = 0.0
     dx2 = 0.0  # ||x - x_prev||^2
     x = x0.copy()
-    q = x0 - x  # the normal x0 - x of Q_n, then its squared norm
+    q = x0 - x  # Q_n's normal x0 - x_n, and q_sq = <q, q>
     q_sq = float(q.dot(q))
     stop_reason = STOP_MAX_OUTER
     error_msg = None
@@ -310,11 +305,11 @@ def drive(
     try:
         for n in range(1, max_outer + 1):
             t0 = time.perf_counter()
-            points, dist2, near, eps, residual, record, selected = step(n, x, dx2)
+            points, near, eps, residual, record, selected = step(n, x, dx2)
             if points is None:
                 x_next, dx2, degenerate = x, 0.0, 0
             else:
-                cuts = _cuts(x, points, dist2, eps, q, q_sq)
+                cuts = build_cuts(x, points, eps, q, q_sq)
                 x_next = project(cuts, x0)
                 degenerate = len(cuts) - len(cuts.live)
                 d = x_next - x
@@ -330,13 +325,8 @@ def drive(
                     violations["cut_containment"] += cuts.violated(known_point,
                                                                    CONTAINMENT_SLACK)
                     lhs = row_dots(near - known_point)
-                    if isinstance(eps, float):
-                        bound = (known_sq + eps) + DISTANCE_BOUND_SLACK
-                        violations["solution_distance_bound"] += sum(
-                            v > bound for v in lhs.tolist())
-                    else:
-                        violations["solution_distance_bound"] += int(np.count_nonzero(
-                            lhs > (known_sq + eps) + DISTANCE_BOUND_SLACK))
+                    violations["solution_distance_bound"] += int(np.count_nonzero(
+                        lhs > (known_sq + eps) + DISTANCE_BOUND_SLACK))
             counters.prox_solves += record.solves
             counters.set_projections += record.inner_iterations
             if record.nonconverged:
@@ -463,10 +453,9 @@ def _parallel_step(params, lips, y_init, system):
         y_next, record = system.solve(y_cur, x, n)
         dy = row_dots(y_next - y_cur)
         eps = k * dx2 + a * dy_prev - b * dy
-        dist2 = row_dots(y_next - x)
-        residual = float(np.sqrt(dist2).max())
+        residual = float(row_norms(y_next - x).max())
         y_cur, dy_prev = y_next, dy
-        return Step(y_next, dist2, y_next, eps, residual, record)
+        return Step(y_next, y_next, eps, residual, record)
 
     return step
 
@@ -506,6 +495,6 @@ def _shared_anchor_step(params, lip, y_init, system, cyclic):
         dy2 = float(dy.dot(dy))
         eps = k * dx2 + a * dy_prev - b * dy2
         ybar, dy_prev = y_next, dy2
-        return Step(Y if cyclic else y_next[None], None, Y, eps, residual, record, selected)
+        return Step(Y if cyclic else y_next[None], Y, eps, residual, record, selected)
 
     return step

@@ -202,6 +202,13 @@ def c_cut_by_constructor(x_n, y, eps):
     return HalfspaceCut(2.0 * diff, rhs)
 
 
+def q_of(x0, x_n):
+    """Q_n's normal q = x0 - x_n and <q, q>, the arguments that
+    ``hybrid.build_q_cut`` and ``hybrid.build_cuts`` take after x_n."""
+    q = x0 - x_n
+    return q, float(q.dot(q))
+
+
 def q_cut_by_constructor(x0, x_n):
     """``hybrid.build_q_cut`` through the ``HalfspaceCut`` constructor."""
     from csepsolve import HalfspaceCut

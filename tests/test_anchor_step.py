@@ -32,6 +32,7 @@ from csepsolve.prox import ProxRecord
 from csepsolve.outcome import RunCounters
 
 from conftest import csep2_instance, halfline_instance
+from oracles import q_of
 
 HYBRIDS = {
     "parallel": run_parallel_hybrid,
@@ -83,7 +84,7 @@ def test_drive_projects_x0_onto_the_step_cuts_and_its_q_cut(monkeypatch, name):
     x0 = calls[0][1]
     xs = [x0, *out.iterates]
     for n, (cuts, anchor, z) in enumerate(calls):
-        q_cut = build_q_cut(x0, xs[n])
+        q_cut = build_q_cut(*q_of(x0, xs[n]), xs[n])
         assert anchor is x0
         assert np.array_equal(cuts[-1].normal, q_cut.normal)
         assert cuts[-1].offset == q_cut.offset
@@ -95,7 +96,7 @@ def test_drive_projects_x0_onto_the_step_cuts_and_its_q_cut(monkeypatch, name):
 def test_a_step_without_cuts_keeps_x_and_skips_the_checks():
     def step(n, x, dx2):
         assert dx2 == 0.0
-        return Step(None, None, np.array([[9.0, 9.0]]), -1.0, 0.5, ProxRecord.of([]))
+        return Step(None, np.array([[9.0, 9.0]]), -1.0, 0.5, ProxRecord.of([]))
 
     def project(cuts, x0):
         raise AssertionError("nothing to project")
@@ -115,7 +116,7 @@ def test_a_projection_closer_to_x0_than_the_last_counts_a_monotonicity_violation
     radii = iter([3.0, 2.0, 2.0, 1.0])
 
     def step(n, x, dx2):
-        return Step(x[None] + 1.0, None, np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of([]))
+        return Step(x[None] + 1.0, np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of([]))
 
     def project(cuts, x0):
         return x0 + next(radii) * np.array([1.0, 0.0])
@@ -135,7 +136,7 @@ def test_a_projection_outside_a_cut_counts_an_anchor_projection_violation(shift,
     e1 = np.array([1.0, 0.0])
 
     def step(n, x, dx2):
-        return Step(x[None] + e1, None, np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of([]))
+        return Step(x[None] + e1, np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of([]))
 
     def project(cuts, x0):
         return hybrid.project_halfspace_intersection(cuts, x0) - next(shifts) * e1
@@ -148,12 +149,31 @@ def test_a_projection_outside_a_cut_counts_an_anchor_projection_violation(shift,
     assert out.invariant_violations["anchor_monotonicity"] == 0
 
 
+def test_a_short_c_cut_normal_near_convergence_counts_no_anchor_projection_violation():
+    # x0 = 0; iteration 1 cuts with C_1 = {z_1 >= 1}, so x_2 = (1, 0) and
+    # Q_2 = {z_1 >= 1}; iteration 2 cuts with y = x_2 + (0, 1e-8), whose
+    # C-cut {z_2 >= about 2e-8} has a normal of length 2e-8, as near a
+    # tolerance of 1e-8.  x_3 = (1, 2e-8) lies in both cuts; (1, 0) would
+    # lie 2e-8 outside the C-cut in distance
+    points = iter([(np.array([[1.0, 0.0]]), -1.0), (np.array([[1.0, 1e-8]]), -3e-16)])
+
+    def step(n, x, dx2):
+        y, eps = next(points)
+        return Step(y, np.empty((0, x.size)), eps, 1.0, ProxRecord.of([]))
+
+    out = drive("fixed", step, np.zeros(2), 0.0, 2, RunCounters(), collect_iterates=True)
+    assert out.iterations == 2
+    assert out.invariant_violations["anchor_projection"] == 0
+    assert out.iterates[0].tolist() == [1.0, 0.0]
+    assert out.iterates[1] == pytest.approx([1.0, 2e-8], rel=1e-6)
+
+
 def test_a_projection_error_counts_no_work_of_its_iteration():
     calls = []
 
     def step(n, x, dx2):
         records = [ProxRecord(1, 5, (), math.inf), ProxRecord(1, 7, ((0, None),), math.inf)]
-        return Step(np.empty((0, x.size)), None, np.empty((0, x.size)), 0.0, 1.0,
+        return Step(np.empty((0, x.size)), np.empty((0, x.size)), 0.0, 1.0,
                     ProxRecord.of(records))
 
     def project(cuts, x0):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -303,6 +305,19 @@ class TestTwoHalfspaces:
     def test_empty_slab(self):
         with pytest.raises(EmptyIntersection):
             project_two_halfspaces(cut([1.0], -1.0), cut([-1.0], -2.0), [0.0])
+
+    @pytest.mark.parametrize("length", [2e-8, 1.0, 1e8])
+    def test_the_feasibility_slack_is_a_distance_whatever_the_normal_length(self, length):
+        # {z_2 >= 2e-8} with a normal of the given length and Q = {z_1 >= 1}:
+        # projecting 0 from Q must land in the first cut too, at (1, 2e-8),
+        # and not at (1, 0), which violates it by 4e-16 in value for a
+        # normal of length 2e-8 but by 2e-8 in distance
+        c = cut([0.0, -length], -2e-8 * length)
+        q = cut([-1.0, 0.0], -1.0)
+        z = project_two_halfspaces(c, q, np.zeros(2))
+        assert z == pytest.approx([1.0, 2e-8], rel=1e-12)
+        for h in (c, q):
+            assert h.violation(z) <= 1e-12 * (1.0 + norm(z)) * math.sqrt(h.norm_sq)
 
     def test_degenerate_treated_as_whole_space(self):
         z = project_two_halfspaces(cut([0.0, 0.0], 0.0), cut([1.0, 0.0], 0.0), [2.0, 1.0])

@@ -35,6 +35,7 @@ from csepsolve.prox import ProxRecord
 from csepsolve.outcome import RunCounters
 
 from conftest import csep2_instance, csep3_plane_instance, halfline_instance, scalar_1d_instance
+from oracles import q_of
 
 
 def vi(M, L=None):
@@ -116,18 +117,18 @@ class TestCuts:
             build_c_cut(x, x.copy(), -1.0)
 
     def test_q_cut_substitution(self):
-        q = build_q_cut(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+        q = build_q_cut(*q_of(np.array([1.0, 0.0]), np.zeros(2)), np.zeros(2))
         assert np.allclose(q.normal, [1.0, 0.0])
         assert q.offset == 0.0
 
     def test_q_cut_whole_space_at_anchor(self):
         x0 = np.array([0.4, 0.4])
-        assert build_q_cut(x0, x0.copy()).is_whole_space
+        assert build_q_cut(*q_of(x0, x0.copy()), x0.copy()).is_whole_space
 
     def test_q_cut_anchor_iterate_on_boundary(self):
         x0 = np.array([0.0, 0.0])
         x_n = np.array([1.0, 1.0])
-        q = build_q_cut(x0, x_n)
+        q = build_q_cut(*q_of(x0, x_n), x_n)
         assert np.allclose(q.normal, [-1.0, -1.0])
         assert abs(q.offset - (-2.0)) < 1e-15
         assert abs(q.violation(x_n)) < 1e-15
@@ -370,7 +371,7 @@ class TestDrive:
         # no C-cuts, so x stays at x0, where ||x - p||^2 = 1: rows 1 (4 > 1)
         # and 3 (1.44 > 1 + 0.3) break the bound, rows 0 and 2 do not
         def step(n, x, dx2):
-            return Step(np.empty((0, x.size)), None, near, eps, 1.0, ProxRecord.of([]))
+            return Step(np.empty((0, x.size)), near, eps, 1.0, ProxRecord.of([]))
 
         out = drive("fixed", step, x0, 0.0, 3, RunCounters(), known_point=p)
         assert out.invariant_violations["solution_distance_bound"] == 6
@@ -383,7 +384,7 @@ class TestDrive:
 
         # one eps = 0.3 for all rows: rows 1 and 2 break the bound
         def step(n, x, dx2):
-            return Step(np.empty((0, x.size)), None, near, 0.3, 1.0, ProxRecord.of([]))
+            return Step(np.empty((0, x.size)), near, 0.3, 1.0, ProxRecord.of([]))
 
         out = drive("fixed", step, x0, 0.0, 2, RunCounters(), known_point=np.zeros(2))
         assert out.invariant_violations["solution_distance_bound"] == 4
@@ -391,7 +392,7 @@ class TestDrive:
 
     def test_step_without_cuts_runs_no_checks(self):
         def step(n, x, dx2):
-            return Step(None, None, np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of([]))
+            return Step(None, np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of([]))
 
         out = drive("fixed", step, np.ones(2), 0.0, 2, RunCounters(), known_point=[5.0, 5.0])
         assert sum(out.invariant_violations.values()) == 0

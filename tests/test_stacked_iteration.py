@@ -44,9 +44,9 @@ from csepsolve import (  # noqa: E402
     solve_prox,
 )
 from csepsolve.geometry import CutStack  # noqa: E402
-from csepsolve.hybrid import _cuts, _parallel_step  # noqa: E402
+from csepsolve.hybrid import _parallel_step  # noqa: E402
 from csepsolve.prox import ProxRecord, probe_rng  # noqa: E402
-from oracles import c_cut_by_constructor, q_cut_by_constructor  # noqa: E402
+from oracles import c_cut_by_constructor, q_cut_by_constructor, q_of  # noqa: E402
 
 
 def outcome_of(build):
@@ -110,9 +110,9 @@ def test_build_cuts_equals_build_c_cut_row_by_row_then_build_q_cut(params):
     else:
         row_eps = [float(e) for e in eps]
 
-    stack, stack_error = outcome_of(lambda: build_cuts(x0, x, Y, eps))
+    stack, stack_error = outcome_of(lambda: build_cuts(x, Y, eps, *q_of(x0, x)))
     rows, row_error = outcome_of(lambda: [build_c_cut(x, Y[i], row_eps[i]) for i in range(k)]
-                                 + [build_q_cut(x0, x)])
+                                 + [build_q_cut(*q_of(x0, x), x)])
     assert stack_error == row_error
     if row_error is None:
         assert len(stack) == k + 1
@@ -170,14 +170,12 @@ def test_one_dot_cuts_equal_the_constructor_built_cuts(params):
     if error is None:
         assert_same_cut(cut, reference)
     reference_q, reference_q_error = outcome_of(lambda: q_cut_by_constructor(x0, x))
-    cut, error = outcome_of(lambda: build_q_cut(x0, x))
+    cut, error = outcome_of(lambda: build_q_cut(*q_of(x0, x), x))
     assert error == reference_q_error
     if error is None:
         assert_same_cut(cut, reference_q)
-    # drive carries Q_n as the normal x0 - x_n and the <q, q> of its
-    # monotonicity check, and builds it after the C-cut
-    q = x0 - x
-    stack, error = outcome_of(lambda: _cuts(x, y[None], None, eps, q, float(q.dot(q))))
+    # Q_n is built after the C-cut
+    stack, error = outcome_of(lambda: build_cuts(x, y[None], eps, *q_of(x0, x)))
     assert error == (reference_error or reference_q_error)
     if error is None:
         assert_same_cut(stack[0], reference)
@@ -187,20 +185,20 @@ def test_one_dot_cuts_equal_the_constructor_built_cuts(params):
 def test_degenerate_and_contradictory_rows():
     x = np.array([0.5, -0.25])
     Y = np.array([[0.0, 0.0], x, [1.0, 1.0]])
-    stack = build_cuts(x, x, Y, np.array([0.0, 0.5, 0.1]))
+    stack = build_cuts(x, Y, np.array([0.0, 0.5, 0.1]), *q_of(x, x))
     assert [c.is_whole_space for c in stack] == [False, True, False, True]
     assert stack[1].normal.tobytes() == np.zeros(2).tobytes()
     assert stack.live == [0, 2]
-    assert build_cuts(np.zeros(2), x, Y, 0.5).live == [0, 2, 3]
+    assert build_cuts(x, Y, 0.5, *q_of(np.zeros(2), x)).live == [0, 2, 3]
     with pytest.raises(InfeasibleCut, match=r"contradiction 0 <= -1"):
-        build_cuts(x, x, Y, np.array([0.0, -1.0, 0.1]))
+        build_cuts(x, Y, np.array([0.0, -1.0, 0.1]), *q_of(x, x))
     with pytest.raises(InfeasibleCut, match=r"contradiction 0 <= -1"):
-        build_cuts(x, x, Y[1:2], -1.0)
+        build_cuts(x, Y[1:2], -1.0, *q_of(x, x))
     # a non-finite row before the contradictory one raises first, as row by row
     with pytest.raises(ValueError, match="non-finite"):
-        build_cuts(x, x, Y, np.array([np.nan, -1.0, 0.1]))
+        build_cuts(x, Y, np.array([np.nan, -1.0, 0.1]), *q_of(x, x))
     with pytest.raises(InfeasibleCut):
-        build_cuts(x, x, Y, np.array([0.0, -1.0, np.inf]))
+        build_cuts(x, Y, np.array([0.0, -1.0, np.inf]), *q_of(x, x))
 
 
 def test_a_stack_from_arrays_validates_once_as_each_cut_would():
@@ -288,7 +286,7 @@ def test_the_containment_check_counts_the_one_cut_that_excludes_the_known_point(
     cuts = [build_c_cut(x0, y, epsilon(params, f.lipschitz_data(), 0.0, 0.0, float(y @ y)))
             for f, y in zip(fs, Y)]
     assert [c.violation(p) > 1e-8 for c in cuts] == [False, False, True]
-    assert build_q_cut(x0, x0).is_whole_space
+    assert build_q_cut(*q_of(x0, x0), x0).is_whole_space
 
 
 def test_parallel_eps_are_epsilon_row_by_row():

@@ -59,7 +59,7 @@ class OracleUnavailable(SolverError):
 
 
 class EmptyF(SolverError):
-    """The brute-force oracle found no common solution."""
+    """The reference oracle found no common solution."""
 
 
 class ParseError(SolverError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import platform
@@ -15,13 +16,24 @@ from .baselines import ArmijoParams, run_armijo_hybrid, run_hybrid_extragradient
 from .errors import (
     ConstantsMissing,
     DegenerateCut,
+    DimensionMismatch,
     EmptyF,
+    EmptyIntersection,
     OracleUnavailable,
     ParameterViolation,
     ParseError,
     SchemaError,
 )
-from .geometry import Ball, Box, HalfspaceCut, Polyhedron, WholeSpace
+from .geometry import (
+    Ball,
+    Box,
+    CutStack,
+    HalfspaceCut,
+    Polyhedron,
+    WholeSpace,
+    norm,
+    project_halfspace_intersection,
+)
 from .hybrid import (
     RULE_STRICT,
     HybridParams,
@@ -93,15 +105,26 @@ def _as_matrix(value, dim, path):
     return arr
 
 
+def _construct(path, cls, *args):
+    """``cls(*args)``, with the errors its constructor raises for bad data
+    re-raised as a SchemaError naming ``path``."""
+    try:
+        return cls(*args)
+    except (DegenerateCut, DimensionMismatch, ValueError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
 def _parse_set(doc, dim):
     kind = _require(doc, "type", "set")
     if kind == "box":
-        return Box(
+        return _construct(
+            "set", Box,
             _as_vector(_require(doc, "lower", "set"), dim, "set.lower"),
             _as_vector(_require(doc, "upper", "set"), dim, "set.upper"),
         )
     if kind == "ball":
-        return Ball(
+        return _construct(
+            "set.radius", Ball,
             _as_vector(_require(doc, "center", "set"), dim, "set.center"),
             _as_number(_require(doc, "radius", "set"), "set.radius"),
         )
@@ -111,11 +134,8 @@ def _parse_set(doc, dim):
             path = f"set.cuts[{i}]"
             normal = _as_vector(_require(c, "normal", path), dim, f"{path}.normal")
             offset = _as_number(_require(c, "offset", path), f"{path}.offset")
-            try:
-                cuts.append(HalfspaceCut(normal, offset))
-            except (DegenerateCut, ValueError) as exc:
-                raise SchemaError(f"{path}: {exc}") from exc
-        return Polyhedron(cuts)
+            cuts.append(_construct(path, HalfspaceCut, normal, offset))
+        return _construct("set.cuts", Polyhedron, cuts)
     if kind == "whole_space":
         return WholeSpace(dim)
     raise SchemaError(f"set.type: unknown variant {kind!r}")
@@ -127,11 +147,8 @@ def _parse_lipschitz(doc, path):
     if has_c1 != has_c2:
         raise SchemaError(f"{path}: c1 and c2 must be given together")
     if has_c1:
-        try:
-            return LipschitzData(_as_number(doc["c1"], f"{path}.c1"),
-                                 _as_number(doc["c2"], f"{path}.c2"))
-        except ValueError as exc:
-            raise SchemaError(f"{path}: {exc}") from exc
+        return _construct(path, LipschitzData, _as_number(doc["c1"], f"{path}.c1"),
+                          _as_number(doc["c2"], f"{path}.c2"))
     return None
 
 
@@ -143,7 +160,7 @@ def _parse_bifunction(doc, dim, index):
         M = _as_matrix(_require(doc, "M", path), dim, f"{path}.M")
         q = _as_vector(doc.get("q", np.zeros(dim)), dim, f"{path}.q")
         L = _as_number(doc["L"], f"{path}.L") if "L" in doc else None
-        return ViInducedBifunction(AffineOperator(M, q, L), lipschitz)
+        return ViInducedBifunction(_construct(f"{path}.L", AffineOperator, M, q, L), lipschitz)
     if kind == "affine_quadratic":
         P = _as_matrix(_require(doc, "P", path), dim, f"{path}.P")
         Q = _as_matrix(_require(doc, "Q", path), dim, f"{path}.Q")
@@ -173,14 +190,17 @@ def _parse_known_solution(doc, dim):
         fixed_doc = _require(doc, "fixed", "known_solution")
         if not isinstance(fixed_doc, dict):
             raise SchemaError("known_solution.fixed: expected an object")
-        fixed = {int(j): _as_number(v, f"known_solution.fixed.{j}") for j, v in fixed_doc.items()}
-        return AffineSegmentBoxSolution(
-            fixed,
-            _as_vector(_require(doc, "lower", "known_solution"), dim,
-                       "known_solution.lower"),
-            _as_vector(_require(doc, "upper", "known_solution"), dim,
-                       "known_solution.upper"),
-        )
+        lower = _as_vector(_require(doc, "lower", "known_solution"), dim,
+                           "known_solution.lower")
+        upper = _as_vector(_require(doc, "upper", "known_solution"), dim,
+                           "known_solution.upper")
+        fixed = {}
+        for j, v in fixed_doc.items():
+            path = f"known_solution.fixed.{j}"
+            # one coordinate at a time, so that an error names its key
+            fixed.update(_construct(path, AffineSegmentBoxSolution,
+                                    {j: _as_number(v, path)}, lower, upper).fixed)
+        return AffineSegmentBoxSolution(fixed, lower, upper)
     raise SchemaError(f"known_solution.type: unknown variant {kind!r}")
 
 
@@ -228,70 +248,39 @@ def load_problem(path: str) -> CsepInstance:
 # ---------------------------------------------------------------------------
 
 BRUTE_FORCE_MAX_DIM = 3
-_GRID_POINTS_PER_AXIS = {1: 2001, 2: 401, 3: 101}
 
 
-def _vi_violation(M, q, lower, upper, X):
-    """Exact inequality residual of each row of X as a candidate solution.
-
-    For g = A(x), the worst inner product <g, y - x> over the box is computed
-    in closed form, so the residual is zero exactly on the solution set.
-    """
-    G = X @ M.T + q
-    best = np.minimum(G * lower, G * upper).sum(axis=1)
-    return np.einsum("ij,ij->i", G, X) - best
-
-
-def _combined_violation(instance, X):
-    X = np.atleast_2d(X)
-    worst = np.zeros(X.shape[0])
-    for f in instance.bifunctions:
-        op = f.operator
-        v = _vi_violation(op.M, op.q, instance.set.lower, instance.set.upper, X)
-        np.maximum(worst, v, out=worst)
-    return worst
-
-
-def _refine_candidate(instance, x_start, x0, mesh):
-    """Shrinking-mesh pattern search on distance-to-x0 with an exact penalty
-    on the solution-set residual; exact for the convex instances this oracle
-    accepts."""
-    lower, upper = instance.set.lower, instance.set.upper
-    rho = 1e6
-
-    def score(pts):
-        pen = _combined_violation(instance, pts)
-        return np.linalg.norm(pts - x0, axis=1) + rho * np.maximum(pen, 0.0)
-
-    d = x0.size
-    offsets = []
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
-        offsets.extend((e, -e))
-    offsets = np.array(offsets)
-
-    x = x_start.copy()
-    best = float(score(x[None, :])[0])
-    while mesh > 1e-7:
-        trial = np.clip(x + mesh * offsets, lower, upper)
-        vals = score(trial)
-        j = int(np.argmin(vals))
-        if vals[j] < best - 1e-15:
-            x = trial[j]
-            best = float(vals[j])
-        else:
-            mesh *= 0.5
-    return x
+def _face_cuts(ops, lower, upper, face):
+    """The cuts whose intersection is the common solution set on one face of
+    the box: by coordinate, state 0 holds x_j = l_j with A(x)_j >= 0, state 1
+    x_j = u_j with A(x)_j <= 0, state 2 l_j <= x_j <= u_j with A(x)_j = 0,
+    for every operator (M, q), and a coordinate with l_j = u_j only its
+    bounds; an equality is two opposite cuts."""
+    eye = np.eye(lower.size)
+    normals, offsets = [], []
+    for j, state in enumerate(face):
+        lo = upper[j] if state == 1 else lower[j]
+        hi = lower[j] if state == 0 else upper[j]
+        normals += [eye[j], -eye[j]]
+        offsets += [hi, -lo]
+        signs = ((-1.0,), (1.0,), (1.0, -1.0))[state] if lower[j] < upper[j] else ()
+        for sign in signs:
+            for M, q in ops:
+                normals.append(sign * M[j])
+                offsets.append(-sign * q[j])
+    return CutStack(normals, offsets)
 
 
 def reference_solution(instance: CsepInstance) -> np.ndarray:
     """Projection of x0 onto the solution set.
 
     Uses the analytic description when present.  Otherwise, for systems of
-    affine variational inequalities over a box in dimension <= 3, scans a
-    grid with the exact per-point solution test, keeps near-solutions, and
-    refines the one closest to x0 by a shrinking-mesh search down to 1e-6.
+    affine variational inequalities over a box in dimension <= 3, the
+    solution set is the union over the 3^d faces of the box of the
+    polyhedra ``_face_cuts``: x0 is projected onto each with the exact
+    ``project_halfspace_intersection`` and the nearest result is returned,
+    the first face on a tie.  A face whose cuts are contradictory or empty
+    holds no solution; EmptyF is raised when no face holds one.
     """
     ref = instance.reference_point()
     if ref is not None:
@@ -303,47 +292,27 @@ def reference_solution(instance: CsepInstance) -> np.ndarray:
             f"{instance.dimension} > {BRUTE_FORCE_MAX_DIM}"
         )
     if not isinstance(instance.set, Box):
-        raise OracleUnavailable("brute force needs a box feasible set")
+        raise OracleUnavailable("the face oracle needs a box feasible set")
     for f in instance.bifunctions:
         if not (isinstance(f, ViInducedBifunction)
                 and isinstance(f.operator, AffineOperator)):
             raise OracleUnavailable(
-                "brute force needs affine operator-induced bifunctions"
+                "the face oracle needs affine operator-induced bifunctions"
             )
 
-    d = instance.dimension
-    lower, upper = instance.set.lower, instance.set.upper
-    n_axis = _GRID_POINTS_PER_AXIS[d]
-    axes = [np.linspace(lower[j], upper[j], n_axis) for j in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=1)
-    h = float(np.max((upper - lower) / (n_axis - 1)))
-
-    worst = _combined_violation(instance, X)
-    # Residuals vary at Lipschitz rate over one cell; keep every candidate a
-    # cell could hide.
-    rate = 0.0
-    for f in instance.bifunctions:
-        op = f.operator
-        g_max = float(np.max(np.linalg.norm(X @ op.M.T + op.q, axis=1)))
-        rate = max(rate, op.lipschitz_L * float(np.linalg.norm(upper - lower)) + g_max)
-    tau = 2.0 * np.sqrt(d) * h * rate + 1e-12
-    candidates = X[worst <= tau]
-    if candidates.shape[0] == 0:
-        raise EmptyF("no grid point passes the common-solution test")
-
-    x0 = instance.x0
-    order = np.argsort(np.linalg.norm(candidates - x0, axis=1))
-    best = None
-    best_dist = np.inf
-    for idx in order[: min(8, candidates.shape[0])]:
-        refined = _refine_candidate(instance, candidates[idx], x0, 2.0 * h)
-        if float(_combined_violation(instance, refined[None, :])[0]) <= 1e-6:
-            dist = float(np.linalg.norm(refined - x0))
-            if dist < best_dist:
-                best, best_dist = refined, dist
+    ops = [(f.operator.M, f.operator.q) for f in instance.bifunctions]
+    lower, upper, x0 = instance.set.lower, instance.set.upper, instance.x0
+    best, best_dist = None, np.inf
+    for face in itertools.product(range(3), repeat=instance.dimension):
+        try:
+            x = project_halfspace_intersection(_face_cuts(ops, lower, upper, face), x0)
+        except (DegenerateCut, EmptyIntersection):
+            continue
+        dist = norm(x - x0)
+        if dist < best_dist:
+            best, best_dist = x, dist
     if best is None:
-        raise EmptyF("grid candidates did not survive refinement")
+        raise EmptyF("no face of the box holds a common solution")
     return best
 
 
@@ -402,7 +371,7 @@ def extragradient_default_lam(instance: CsepInstance) -> float:
 def run(spec: RunSpec) -> SolverOutcome:
     """Load the problem, execute the selected algorithm, write outputs.
 
-    The reference projection (analytic or brute force) is attached when
+    The reference projection (analytic or the face oracle) is attached when
     available so the trace carries distances and the per-iteration checks
     run against a known solution.
     """

@@ -272,9 +272,6 @@ class SingletonSolution:
     def project(self, x: np.ndarray) -> np.ndarray:
         return self.point.copy()
 
-    def distance(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(x - self.point))
-
 
 @dataclass
 class AffineSegmentBoxSolution:
@@ -299,9 +296,6 @@ class AffineSegmentBoxSolution:
         for j, v in self.fixed.items():
             y[j] = v
         return y
-
-    def distance(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(x - self.project(x)))
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's solution paths: the polyhedron
 projectors enumerate active sets or solve the dual by NNLS, the prox oracle
-scans a grid, and the derivative check uses central differences.
+scans a grid, the derivative check uses central differences, and the
+affine VI residual is the worst case over the box in closed form.
 """
 
 from __future__ import annotations
@@ -238,3 +239,13 @@ def spectral_norm_reference(M, iters=200, tol=1e-13):
             return sigma_new
         sigma, v = sigma_new, v_new
     return sigma
+
+
+def vi_residual(M, q, lower, upper, x):
+    """max over y in [lower, upper] of <M x + q, x - y>, in closed form.
+
+    It is nonnegative for x in the box and zero exactly when x solves the
+    affine variational inequality VI(M x + q, [lower, upper]).
+    """
+    g = M @ x + q
+    return float(g @ x - np.minimum(g * lower, g * upper).sum())

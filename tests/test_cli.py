@@ -149,6 +149,31 @@ class TestOracle:
         data = json.loads(capsys.readouterr().out)
         assert data["reference"] == [0.0, 0.3]
 
+    def test_prints_a_solution_on_a_face_of_the_box(self, capsys, tmp_path):
+        # A(x) = (x2 - 0.5, -x1 + x2 + 0.5) on [-1, 1]^2: the unique solution
+        # (1, 0.5) lies on the face x1 = 1
+        path = tmp_path / "corner.json"
+        path.write_text(json.dumps({
+            "dimension": 2,
+            "set": {"type": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+            "bifunctions": [{"type": "vi_affine", "M": [[0.0, 1.0], [-1.0, 1.0]],
+                             "q": [-0.5, 0.5]}],
+            "x0": [0.0, 0.0],
+        }))
+        assert main(["oracle", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["reference"] == [1.0, 0.5]
+
+    def test_unavailable_exit_three(self, capsys, tmp_path):
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps({
+            "dimension": 2,
+            "set": {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+            "bifunctions": [IDENTITY],
+            "x0": [0.5, 0.5],
+        }))
+        assert main(["oracle", str(path)]) == 3
+        assert "oracle unavailable: " in capsys.readouterr().err
+
 
 class TestCompare:
     def test_table_and_json(self, capsys, tmp_path):
@@ -179,6 +204,14 @@ MALFORMED = [
     ("known_solution.fixed", {"known_solution": {
         "type": "affine_segment_box", "fixed": [1], "lower": [-1.0, -1.0],
         "upper": [1.0, 1.0]}}),
+    ("set", {"set": {"type": "box", "lower": [-1.0, 2.0], "upper": [1.0, 1.0]}}),
+    ("set.radius", {"set": {"type": "ball", "center": [0.0, 0.0], "radius": 0.0}}),
+    ("set.radius", {"set": {"type": "ball", "center": [0.0, 0.0], "radius": "nan"}}),
+    ("set.cuts", {"set": {"type": "polyhedron", "cuts": []}}),
+    ("bifunctions[0].L", {"bifunctions": [{**IDENTITY, "L": -1.0}]}),
+    *[(f"known_solution.fixed.{j}", {"known_solution": {
+        "type": "affine_segment_box", "fixed": {j: value}, "lower": [-1.0, -1.0],
+        "upper": [1.0, 1.0]}}) for j, value in (("a", 0.0), ("2", 0.0), ("1", 3.0))],
 ]
 
 

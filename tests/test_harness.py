@@ -5,10 +5,13 @@ import pytest
 
 from csepsolve import (
     AffineOperator,
+    Ball,
+    BlackBoxBifunction,
     Box,
     ConstantsMissing,
     CsepInstance,
     EmptyF,
+    LipschitzData,
     OracleUnavailable,
     ParameterViolation,
     ParseError,
@@ -179,12 +182,27 @@ class TestReferenceSolution:
         with pytest.raises(OracleUnavailable):
             reference_solution(inst)
 
-    def test_matches_analytic_when_both_available(self):
-        inst_full = load_problem(str(PROBLEM_DIR / "csep2_zero_2d.json"))
+    def test_unavailable_off_a_box(self):
+        op = AffineOperator(np.eye(2), np.zeros(2))
+        inst = CsepInstance(2, Ball([0.0, 0.0], 1.0), [ViInducedBifunction(op)], [0.5, 0.5])
+        with pytest.raises(OracleUnavailable, match="box"):
+            reference_solution(inst)
+
+    def test_unavailable_for_a_blackbox_bifunction(self):
+        f = BlackBoxBifunction(lambda x, y: 0.0, lambda x, y: np.zeros_like(x),
+                               LipschitzData(1.0, 1.0))
+        inst = CsepInstance(2, Box([-1.0, -1.0], [1.0, 1.0]), [f], [0.5, 0.5])
+        with pytest.raises(OracleUnavailable, match="affine"):
+            reference_solution(inst)
+
+    @pytest.mark.parametrize("name", ["csep2_zero_2d", "csep3_mixed_3d", "csep3_plane_3d",
+                                      "vi_halfline_2d", "vi_scalar_1d"])
+    def test_matches_analytic_when_both_available(self, name):
+        inst_full = load_problem(str(PROBLEM_DIR / f"{name}.json"))
         declared = reference_solution(inst_full)
         blind = CsepInstance(inst_full.dimension, inst_full.set,
                              inst_full.bifunctions, inst_full.x0)
-        assert np.linalg.norm(reference_solution(blind) - declared) < 1e-5
+        assert np.linalg.norm(reference_solution(blind) - declared) < 1e-12
 
 
 class TestRun:

@@ -214,7 +214,6 @@ class TestInstance:
         sol = AffineSegmentBoxSolution({0: 0.0}, [-1.0, -1.0], [1.0, 1.0])
         assert np.allclose(sol.project(np.array([0.5, 0.3])), [0.0, 0.3])
         assert np.allclose(sol.project(np.array([-2.0, 5.0])), [0.0, 1.0])
-        assert sol.distance(np.array([0.0, 0.5])) == 0.0
 
 
 class TestValidate:

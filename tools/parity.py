@@ -7,8 +7,9 @@
 list below through ``harness.run``: the bundled problem files of ``SRC``
 under every applicable algorithm with 0 and 3 certificate probes, seeded
 ``vi_system``/``aq_system`` files from ``SRC/bench/gen.py`` at N = 1, 3, 4
-and 8, a ball instance, and a polygon and two whole-space instances under
-all six solvers.  It writes, per run, the stop reason, iterations,
+and 8, a ball instance, and a polygon, two whole-space instances and a box
+instance with no known solution (so its reference comes from the oracle)
+under all six solvers.  It writes, per run, the stop reason, iterations,
 ``final_x`` as hex bytes, every trace field except ``wall_ms``, the
 counters, the invariant violations, ``min_prox_certificate``, the first
 unconverged inner solve and the error, with every float as its ``repr``
@@ -36,6 +37,7 @@ BUNDLED_BUDGET = 2000
 SEEDED_BUDGET = 300
 BALL_BUDGET = 100
 POLYGON_BUDGET = 2000
+CORNER_BUDGET = 2000
 WHOLE_SPACE_BUDGET = 3000
 PROBES = (0, 3)
 SEEDED = [(family, seed, 10, n) for family in ("vi_system", "aq_system")
@@ -44,14 +46,16 @@ ALL_ALGORITHMS = ("parallel", "maxsel", "single", "sequential", "extragradient",
 MULTI_ALGORITHMS = ("parallel", "maxsel", "sequential")
 
 
-def _vi_document(set_doc, M, q, x0, point):
-    return {
+def _vi_document(set_doc, M, q, x0, point=None):
+    doc = {
         "dimension": len(x0),
         "set": set_doc,
         "bifunctions": [{"type": "vi_affine", "M": M, "q": q}],
         "x0": x0,
-        "known_solution": {"type": "singleton", "point": point},
     }
+    if point is not None:
+        doc["known_solution"] = {"type": "singleton", "point": point}
+    return doc
 
 
 # A(x) = x - (2, 0) on the unit ball: the solution sits on the boundary at (1, 0).
@@ -66,6 +70,11 @@ POLYGON = _vi_document(
         for normal, offset in (([1.0, 0.0], 1.0), ([-1.0, 0.0], 1.0), ([0.0, 1.0], 1.0),
                                ([0.0, -1.0], 1.0), ([1.0, 1.0], 1.5), ([-1.0, -1.0], 1.5))]},
     [[1.0, 0.0], [0.0, 1.0]], [-2.0, -2.0], [-0.5, 0.25], [0.75, 0.75])
+# A(x) = (x2 - 0.5, -x1 + x2 + 0.5) on [-1, 1]^2 with no known solution, so
+# the runs check against the reference oracle's point, the unique solution
+# (1, 0.5) on the face x1 = 1.
+CORNER = _vi_document({"type": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+                      [[0.0, 1.0], [-1.0, 1.0]], [-0.5, 0.5], [0.0, 0.0])
 # Monotone operators on R^2 with a skew part (zero at (0.5, 0)) and with a
 # line of zeros (x0 projects onto it at (0, 0.3)).
 WHOLE_SPACE = {
@@ -94,7 +103,8 @@ def run_list(src: Path, scratch: Path):
         for algorithm in ALL_ALGORITHMS if n == 1 else MULTI_ALGORITHMS:
             runs.append((f"{path.stem}/{algorithm}", path, algorithm, 0, SEEDED_BUDGET))
     documents = [("ball", BALL, ("single", "extragradient", "armijo"), BALL_BUDGET),
-                 ("polygon", POLYGON, ALL_ALGORITHMS, POLYGON_BUDGET)]
+                 ("polygon", POLYGON, ALL_ALGORITHMS, POLYGON_BUDGET),
+                 ("corner", CORNER, ALL_ALGORITHMS, CORNER_BUDGET)]
     documents += [(name, doc, ALL_ALGORITHMS, WHOLE_SPACE_BUDGET)
                   for name, doc in WHOLE_SPACE.items()]
     for name, doc, algorithms, budget in documents:

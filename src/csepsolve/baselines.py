@@ -175,12 +175,12 @@ def run_hybrid_extragradient(
     predictor, then the anchor is projected onto C and two linearized cuts.
 
     Requires a single equilibrium problem, a starting point inside C, and
-    lam below min(1/(2 c1), 1/(2 c2)).
+    lam below 1/(2 c) for each positive constant c of (c1, c2).
     """
     counters = RunCounters()
     f, x0, project = _single_problem_start(instance, "extragradient", counters)
     lip = f.lipschitz_data()
-    lam_cap = min(1.0 / (2.0 * lip.c1), 1.0 / (2.0 * lip.c2)) if min(lip.c1, lip.c2) > 0 else np.inf
+    lam_cap = 0.5 / max(lip.c1, lip.c2)  # the least 1/(2c) over positive c
     if not 0.0 < lam < lam_cap:
         raise ParameterViolation(
             f"lam={lam:g} outside (0, {lam_cap:g}) for c1={lip.c1:g}, c2={lip.c2:g}"

@@ -400,9 +400,11 @@ class WholeSpace(FeasibleSet):
 
 @dataclass
 class Polyhedron(FeasibleSet):
-    """Intersection of finitely many halfspace cuts (assumed nonempty)."""
+    """Intersection of finitely many halfspace cuts (assumed nonempty),
+    stacked once when it is built."""
 
     cuts: list[HalfspaceCut]
+    _stack: CutStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.cuts:
@@ -410,6 +412,7 @@ class Polyhedron(FeasibleSet):
         dims = {c.dimension for c in self.cuts}
         if len(dims) != 1:
             raise DimensionMismatch("polyhedron cuts have mixed dimensions")
+        self._stack = CutStack.of(self.cuts)
 
     @property
     def dimension(self) -> int:
@@ -418,18 +421,13 @@ class Polyhedron(FeasibleSet):
     def project(self, x):
         try:
             if np.ndim(x) == 2:
-                return np.array([project_halfspace_intersection(self.cuts, y) for y in x])
-            return project_halfspace_intersection(self.cuts, x)
+                return np.array([project_halfspace_intersection(self._stack, y) for y in x])
+            return project_halfspace_intersection(self._stack, x)
         except (EmptyIntersection, MaxInnerIterationsExceeded) as exc:
             raise InfeasibleSet(f"polyhedron appears empty: {exc}") from exc
 
     def contains(self, x, tol=1e-10):
-        for c in self.cuts:
-            if c.is_whole_space:
-                continue
-            if c.violation(x) > tol * math.sqrt(c.norm_sq):
-                return False
-        return True
+        return self._stack.outside(x, tol) == 0
 
     def sample(self, rng, size=None):
         if size is None:

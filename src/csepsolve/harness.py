@@ -87,8 +87,15 @@ def _as_number(value, path):
         raise SchemaError(f"{path}: expected a number, got {value!r}") from None
 
 
+def _as_array(value, path):
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: expected an array of numbers ({exc})") from None
+
+
 def _as_vector(value, dim, path):
-    arr = np.asarray(value, dtype=float)
+    arr = _as_array(value, path)
     if arr.ndim != 1 or arr.size != dim:
         raise SchemaError(f"{path}: expected a vector of length {dim}")
     if not np.all(np.isfinite(arr)):
@@ -97,7 +104,7 @@ def _as_vector(value, dim, path):
 
 
 def _as_matrix(value, dim, path):
-    arr = np.asarray(value, dtype=float)
+    arr = _as_array(value, path)
     if arr.shape != (dim, dim):
         raise SchemaError(f"{path}: expected a {dim}x{dim} matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -129,8 +136,11 @@ def _parse_set(doc, dim):
             _as_number(_require(doc, "radius", "set"), "set.radius"),
         )
     if kind == "polyhedron":
+        cut_docs = _require(doc, "cuts", "set")
+        if not isinstance(cut_docs, list):
+            raise SchemaError("set.cuts: expected a list")
         cuts = []
-        for i, c in enumerate(_require(doc, "cuts", "set")):
+        for i, c in enumerate(cut_docs):
             path = f"set.cuts[{i}]"
             normal = _as_vector(_require(c, "normal", path), dim, f"{path}.normal")
             offset = _as_number(_require(c, "offset", path), f"{path}.offset")
@@ -227,7 +237,7 @@ def load_problem(path: str) -> CsepInstance:
         raise SchemaError("dimension: must be a positive integer")
     set_ = _parse_set(_require(doc, "set", "top level"), dim)
     bif_docs = _require(doc, "bifunctions", "top level")
-    if not bif_docs:
+    if not isinstance(bif_docs, list) or not bif_docs:
         raise SchemaError("bifunctions: must be a nonempty list")
     bifunctions = [_parse_bifunction(b, dim, i) for i, b in enumerate(bif_docs)]
     x0 = _as_vector(_require(doc, "x0", "top level"), dim, "x0")

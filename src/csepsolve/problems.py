@@ -11,44 +11,18 @@ constants (c1, c2) satisfying
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, astuple, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, UnknownConstants
-from .geometry import FeasibleSet, as_point, norm
-
-
-# Power-iteration cap and relative stopping tolerance of spectral_norm_estimate.
-SPECTRAL_ITERS = 200
-SPECTRAL_TOL = 1e-13
+from .geometry import FeasibleSet, as_point
 
 
 def spectral_norm_estimate(M: np.ndarray) -> float:
-    """Largest singular value of ``M`` by power iteration on M^T M.
-
-    Deterministic tilted start so repeated calls agree bitwise.
-    """
-    M = np.asarray(M, dtype=float)
-    d = M.shape[1]
-    v = 1.0 + 1e-3 * np.arange(d)
-    v /= norm(v)
-    sigma = 0.0
-    w = M.T @ (M @ v)
-    for _ in range(SPECTRAL_ITERS):
-        norm_w = norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v_new = w / norm_w
-        w = M.T @ (M @ v_new)  # the next step's product too
-        sq = float(v_new @ w)
-        sigma_new = math.sqrt(sq) if sq >= 0.0 else math.nan
-        if abs(sigma_new - sigma) <= SPECTRAL_TOL * max(1.0, sigma_new):
-            return sigma_new
-        sigma = sigma_new
-    return sigma
+    """Largest singular value of ``M``: LAPACK's 2-norm, exact to rounding."""
+    return float(np.linalg.norm(M, 2))
 
 
 @dataclass(frozen=True)
@@ -74,8 +48,8 @@ class LipschitzData:
 class AffineOperator:
     """Operator x -> M x + q with Lipschitz constant ``lipschitz_L``.
 
-    When the constant is omitted it defaults to a power-iteration estimate of
-    the spectral norm of M (1.0 for the zero map, which is 0-Lipschitz).
+    When the constant is omitted it defaults to the spectral norm of M
+    (1.0 for the zero map, which is 0-Lipschitz).
     """
 
     M: np.ndarray
@@ -91,7 +65,7 @@ class AffineOperator:
             raise DimensionMismatch("operator matrix and shift dimension differ")
         if self.lipschitz_L is None:
             est = spectral_norm_estimate(self.M)
-            self.lipschitz_L = est if est > 0.0 else 1.0
+            self.lipschitz_L = est if est != 0.0 else 1.0  # NaN stays and raises
         self.lipschitz_L = float(self.lipschitz_L)
         if not self.lipschitz_L > 0.0:
             raise ValueError("operator Lipschitz constant must be positive")
@@ -207,15 +181,6 @@ class AffineQuadraticBifunction(Bifunction):
     def subgrad2(self, x, y):
         return self.Q.T @ (y - x) + self.P @ x + self.Q @ y + self.q
 
-    def sym_norm(self) -> float:
-        """Spectral norm of Q + Q^T; Lipschitz constant of grad_y f."""
-        return self._sym_norm
-
-    # Each spectral norm is estimated once, on first use.
-    @cached_property
-    def _sym_norm(self) -> float:
-        return spectral_norm_estimate(self.Q + self.Q.T)
-
     @cached_property
     def _cross_norm(self) -> float:
         """Spectral norm of P - Q^T, twice the default c1 = c2."""
@@ -241,7 +206,7 @@ def default_lipschitz(f: Bifunction) -> LipschitzData:
     """Family-default Lipschitz-type constants.
 
     Operator-induced bifunctions get c1 = c2 = L/2; affine-quadratic ones get
-    c1 = c2 = ||P - Q^T||/2 (spectral norm, power-iteration estimate).  Both
+    c1 = c2 = ||P - Q^T||/2 (spectral norm, computed once).  Both
     follow from bounding <(.)(x-y), z-y> via Young's inequality.
     """
     if isinstance(f, ViInducedBifunction):
@@ -430,11 +395,11 @@ def validate(instance: CsepInstance, samples: int, seed: int = 0) -> ValidationR
                 )
                 subgrad_err = max(subgrad_err, float(err))
         if isinstance(f, ViInducedBifunction) and isinstance(f.operator, AffineOperator):
-            est = spectral_norm_estimate(f.operator.M)
-            if f.operator.lipschitz_L < est - 1e-9 * max(1.0, est):
+            sigma = spectral_norm_estimate(f.operator.M)
+            if f.operator.lipschitz_L < sigma - 1e-9 * max(1.0, sigma):
                 warnings.append(
-                    f"declared operator constant {f.operator.lipschitz_L:g} is below "
-                    f"the spectral-norm estimate {est:g}"
+                    f"declared operator constant {f.operator.lipschitz_L!r} is below "
+                    f"the spectral norm {sigma!r}"
                 )
         reports.append(
             BifunctionReport(

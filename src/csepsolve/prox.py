@@ -18,12 +18,13 @@ clipped point as before.
 a system belongs to one family it stacks the data once: M_i and q_i when
 every bifunction is induced by an affine operator; P_i, q_i and the
 diagonals of Q_i when every subproblem separates by coordinates; P_i, q_i,
-Q_i^T, Q_i + Q_i^T, the projected-gradient steps and the inverses of
-I + lam*(Q_i + Q_i^T) when none does.  A solve then makes one batched
-matrix product in place of N, and runs one projected-gradient loop over the
-stack in which each row stops at its own step.  Any other system (callable
-operators, black-box or mixed bifunctions) has no stack.  Every feasible
-set projects a (k, d) stack as it would each row.
+Q_i^T, Q_i + Q_i^T, and the eigenvalues and inverses of
+H_i = I + lam*(Q_i + Q_i^T), which give the projected-gradient steps and
+starts, when none does.  A solve then makes one batched matrix product in
+place of N, and runs one projected-gradient loop over the stack in which
+each row stops at its own step.  Any other system (callable operators,
+black-box or mixed bifunctions) has no stack.  Every feasible set projects
+a (k, d) stack as it would each row.
 
 ``ProxSystem`` builds, once per run, the stack of all N subproblems when
 there is one, and subproblem i's one-row kernel ``_kernel([f], lam, set_)``
@@ -226,8 +227,7 @@ def _kernel(fs: list[Bifunction], lam: float, set_: FeasibleSet):
         if not any(separable):
             Q = stack(lambda f: f.Q)
             QT = Q.transpose(0, 2, 1)
-            step = 1.0 / (1.0 + lam * np.array([f.sym_norm() for f in fs]))
-            return _ProjectedGradientStack(lam, set_, P, q, QT, Q + QT, step)
+            return _ProjectedGradientStack(lam, set_, P, q, QT, Q + QT)
     if len(fs) > 1:
         return None
     solve_1d = _solve_operator if isinstance(fs[0], ViInducedBifunction) else _solve_blackbox
@@ -317,20 +317,21 @@ class _CoordinatewiseStack(_Stack):
 
 class _ProjectedGradientStack(_Stack):
     """Affine-quadratic bifunctions <P_i w + Q_i y + q_i, y - w>, solved by
-    projected gradient with the step 1/L for the gradient's Lipschitz
-    constant L = 1 + lam*||Q_i + Q_i^T|| (linear convergence from strong
-    convexity).
+    projected gradient.
 
     The objective of row i is 0.5 y^T H_i y - <shift_i, y> + const with
-    H_i = I + lam*(Q_i + Q_i^T), so its unconstrained minimizer is
-    H_i^{-1} shift_i.  The inverses are computed once, when the stack is
-    built, and each row starts at the projection of its unconstrained
-    minimizer: when that minimizer lies in C it is the answer, and the
-    first step moves it by rounding only.  A stack with an H_i that is not
-    positive definite to working precision (a subproblem that is not
-    strongly convex) raises when it is solved."""
+    H_i = I + lam*(Q_i + Q_i^T), so its gradient's Lipschitz constant is
+    the largest eigenvalue of H_i, and its unconstrained minimizer is
+    H_i^{-1} shift_i.  The eigenvalues and inverses are computed once, when
+    the stack is built.  Each row steps by 1/lambda_max(H_i) (linear
+    convergence from strong convexity; 1/(1 + lam*||Q_i + Q_i^T||) when
+    Q_i + Q_i^T is positive semidefinite) and starts at the projection of
+    its unconstrained minimizer: when that minimizer lies in C it is the
+    answer, and the first step moves it by rounding only.  A stack with an
+    H_i that is not positive definite to working precision (a subproblem
+    that is not strongly convex) raises when it is solved."""
 
-    ROWS = ("P", "q", "QT", "sym", "step")
+    ROWS = ("P", "q", "QT", "sym")
 
     def __init__(self, lam, set_, *arrays):
         super().__init__(lam, set_, *arrays)
@@ -344,6 +345,7 @@ class _ProjectedGradientStack(_Stack):
         # no row that is singular in floating point
         definite = finite & (eig[:, 0] > H.shape[-1] * np.finfo(float).eps * eig[:, -1])
         self.convex = bool(definite.all())
+        self.step = 1.0 / eig[:, -1]
         self.Hinv = np.linalg.inv(np.where(definite[:, None, None], H, eye))
 
     def solve(self, W, x):

@@ -121,14 +121,15 @@ def central_difference(fn, y, step=1e-5):
 
 def projected_gradient_prox(f, w, x, lam, set_, tol, max_inner):
     """One affine-quadratic subproblem by a plain per-row projected-gradient
-    loop with step 1/(1 + lam*||Q + Q^T||), started at the projection of the
-    unconstrained minimizer (I + lam*(Q + Q^T))^{-1} shift and stopping when
+    loop with step 1/lambda_max(H), H = I + lam*(Q + Q^T), started at the
+    projection of the unconstrained minimizer H^{-1} shift and stopping when
     a step moves by at most ``tol``.  Returns (minimizer, counted steps,
     converged) with the step count of ``ProxResult.inner_iterations``."""
-    step = 1.0 / (1.0 + lam * f.sym_norm())
     shift = x - lam * (f.P @ w + f.q) + lam * (f.Q.T @ w)
     sym = f.Q + f.Q.T
-    y = set_.project(np.linalg.inv(np.eye(shift.size) + lam * sym) @ shift)
+    H = np.eye(shift.size) + lam * sym
+    step = 1.0 / np.linalg.eigvalsh(H)[-1]
+    y = set_.project(np.linalg.inv(H) @ shift)
     for it in range(1, max_inner + 1):
         y_new = set_.project(y - step * (y + lam * (sym @ y) - shift))
         if float(np.linalg.norm(y_new - y)) <= tol:
@@ -216,29 +217,6 @@ def q_cut_by_constructor(x0, x_n):
 
     normal = x0 - x_n
     return HalfspaceCut(normal, float(normal @ x_n))
-
-
-def spectral_norm_reference(M, iters=200, tol=1e-13):
-    """``spectral_norm_estimate`` as first written: power iteration on M^T M
-    that forms M^T M v twice per step, once for the next iterate and once
-    for the Rayleigh quotient."""
-    M = np.asarray(M, dtype=float)
-    d = M.shape[1]
-    v = 1.0 + 1e-3 * np.arange(d)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(iters):
-        w = M.T @ (M @ v)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v_new = w / norm_w
-        with np.errstate(invalid="ignore"):
-            sigma_new = float(np.sqrt(v_new @ (M.T @ (M @ v_new))))
-        if abs(sigma_new - sigma) <= tol * max(1.0, sigma_new):
-            return sigma_new
-        sigma, v = sigma_new, v_new
-    return sigma
 
 
 def vi_residual(M, q, lower, upper, x):

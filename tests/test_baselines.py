@@ -58,6 +58,16 @@ class TestExtragradient:
         with pytest.raises(ParameterViolation):
             run_hybrid_extragradient(inst, lam=1.0)
 
+    @pytest.mark.parametrize("c1, c2", [(0.0, 1.0), (1.0, 0.0)])
+    def test_lam_range_uses_the_positive_constant_when_one_is_zero(self, c1, c2):
+        op = AffineOperator(np.eye(2), np.zeros(2), lipschitz_L=1.0)
+        inst = CsepInstance(2, Box([-1.0, -1.0], [1.0, 1.0]),
+                            [ViInducedBifunction(op, LipschitzData(c1, c2))], [0.4, -0.2])
+        for lam in (0.5, 10.0):
+            with pytest.raises(ParameterViolation, match=r"outside \(0, 0.5\)"):
+                run_hybrid_extragradient(inst, lam=lam)
+        assert run_hybrid_extragradient(inst, lam=0.45).stop_reason == "tolerance"
+
     def test_requires_anchor_in_set(self):
         op = AffineOperator(np.eye(1), np.zeros(1))
         inst = CsepInstance(1, Box([-1.0], [1.0]), [ViInducedBifunction(op)], [2.0])

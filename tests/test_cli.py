@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -11,6 +12,31 @@ from conftest import PROBLEM_DIR
 
 SCALAR = str(PROBLEM_DIR / "vi_scalar_1d.json")
 HALFLINE = str(PROBLEM_DIR / "vi_halfline_2d.json")
+
+
+DIVERGING_PARAMS = ["--lambda", "0.9", "--k", "4", "--rule", "relaxed"]
+
+
+def diverging_problem(tmp_path, monkeypatch, subgradient=None):
+    """A 1-D black-box problem whose first inner solve fails: by default its
+    subgradients of +-1e308 send each step across the line until the step
+    overflows."""
+    import csepsolve.harness as harness_module
+
+    if subgradient is None:
+        def subgradient(x, y):
+            return np.where(y < 0.0, -1e308, 1e308)
+
+    monkeypatch.setitem(harness_module._BLACKBOX_REGISTRY, "diverging",
+                        (lambda x, y: 0.0, subgradient))
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps({
+        "dimension": 1,
+        "set": {"type": "whole_space"},
+        "bifunctions": [{"type": "blackbox", "name": "diverging", "c1": 0.25, "c2": 0.25}],
+        "x0": [0.5],
+    }))
+    return str(path)
 
 
 class TestSolve:
@@ -129,6 +155,46 @@ class TestSolve:
         assert ("iteration 1, subproblem 1): projected gradient hit 3 iterations"
                 in captured.err)
 
+    def test_run_error_exit_three_with_the_error_in_the_summary(self, capsys, tmp_path,
+                                                                monkeypatch):
+        from csepsolve import RunSpec, run
+
+        path = diverging_problem(tmp_path, monkeypatch)
+        with np.errstate(over="ignore"):
+            code = main(["solve", path, "--algorithm", "single", *DIVERGING_PARAMS,
+                         "--summary", str(tmp_path / "s.json")])
+            outcome = run(RunSpec(problem_path=path, algorithm="single", lam=0.9, k=4.0,
+                                  rule="relaxed"))
+        assert code == 3
+        assert "error: subgradient iteration diverged" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "s.json").read_text())
+        assert summary["error"] == "subgradient iteration diverged"
+        assert "dist_to_oracle" not in summary
+        assert outcome.trace == []
+        assert math.isnan(outcome.final_dist_to_known())
+
+    def test_run_error_without_a_message_exit_three(self, capsys, tmp_path, monkeypatch):
+        from csepsolve import NonFiniteObjective
+
+        def subgradient(x, y):
+            raise NonFiniteObjective()
+
+        path = diverging_problem(tmp_path, monkeypatch, subgradient)
+        assert main(["solve", path, "--algorithm", "single", *DIVERGING_PARAMS]) == 3
+        assert "stop_reason: error" in capsys.readouterr().out
+
+    def test_solver_error_outside_the_run_exit_three(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({
+            "dimension": 1,
+            "set": {"type": "polyhedron", "cuts": [{"normal": [1.0], "offset": -1.0},
+                                                   {"normal": [-1.0], "offset": -2.0}]},
+            "bifunctions": [{"type": "vi_affine", "M": [[1.0]], "q": [0.0]}],
+            "x0": [0.0],
+        }))
+        assert main(["solve", str(path), "--algorithm", "single"]) == 3
+        assert "error: polyhedron appears empty" in capsys.readouterr().err
+
     def test_exit_codes_in_help(self, capsys):
         with pytest.raises(SystemExit):
             main(["solve", "--help"])
@@ -190,6 +256,16 @@ class TestCompare:
         assert rows["extragradient"]["prox_per_iteration"] == 2.0
         assert rows["single"]["prox_per_iteration"] == 1.0
 
+    def test_an_error_row_exit_three(self, capsys, tmp_path, monkeypatch):
+        path = diverging_problem(tmp_path, monkeypatch)
+        with np.errstate(over="ignore"):
+            code = main(["compare", path, "--algorithms", "single,extragradient",
+                         *DIVERGING_PARAMS])
+        assert code == 3
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[:2] for row in rows] == [["single", "error"],
+                                                    ["extragradient", "error"]]
+
 
 IDENTITY = {"type": "vi_affine", "M": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, 0.0]}
 # (the field named in the error, the top-level entries that replace a valid file's)
@@ -212,6 +288,12 @@ MALFORMED = [
     *[(f"known_solution.fixed.{j}", {"known_solution": {
         "type": "affine_segment_box", "fixed": {j: value}, "lower": [-1.0, -1.0],
         "upper": [1.0, 1.0]}}) for j, value in (("a", 0.0), ("2", 0.0), ("1", 3.0))],
+    ("set.cuts", {"set": {"type": "polyhedron", "cuts": 5}}),
+    ("bifunctions", {"bifunctions": 5}),
+    ("bifunctions[0].M", {"bifunctions": [{**IDENTITY, "M": {"a": 1}}]}),
+    ("bifunctions[0].M", {"bifunctions": [{**IDENTITY, "M": [[1, 0], [0]]}]}),
+    ("bifunctions[0].M", {"bifunctions": [{**IDENTITY, "M": "abc"}]}),
+    ("x0", {"x0": [0, [1]]}),
 ]
 
 

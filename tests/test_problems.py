@@ -134,8 +134,6 @@ class TestLipschitz:
         f = AffineQuadraticBifunction(P, Q, np.zeros(3))
         assert f.lipschitz_data() == f.lipschitz_data()
         assert len(calls) == 1
-        assert f.sym_norm() == f.sym_norm() == spectral_norm_estimate(Q + Q.T)
-        assert len(calls) == 2
         same = AffineQuadraticBifunction(P, P.T, np.zeros(3))
         for _ in range(2):
             with pytest.raises(UnknownConstants):
@@ -157,7 +155,7 @@ class TestLipschitz:
             M = rng.standard_normal((4, 4))
             est = spectral_norm_estimate(M)
             exact = float(np.linalg.svd(M, compute_uv=False)[0])
-            assert abs(est - exact) < 1e-8 * max(1.0, exact)
+            assert abs(est - exact) <= 1e-14 * exact
 
     @pytest.mark.parametrize("family", ["vi", "aq"])
     def test_type_inequality_on_samples(self, family, rng):

@@ -270,6 +270,33 @@ class TestBlackBoxRoute:
         gap = certify_prox(f, w, x, 0.2, box, res.minimizer, 400, rng)
         assert gap >= -1e-7
 
+    def test_oscillation_is_damped_until_the_iteration_cap(self, monkeypatch):
+        import csepsolve.prox as prox_module
+
+        # f(x, y) = |y| from x = 0.05 with lam = 0.1: undamped, each step
+        # jumps between -0.05 and 0.15, so the residuals stop shrinking and
+        # the scheme damps toward their average, whose targets lie 0.05
+        # from y near the minimizer 0, closer than any undamped step
+        f = BlackBoxBifunction(lambda x, y: float(np.abs(y).sum()),
+                               lambda x, y: np.where(y < 0.0, -1.0, 1.0),
+                               LipschitzData(0.5, 0.5))
+        monkeypatch.setattr(prox_module, "MAX_INNER", 200)
+        res = solve_prox(f, np.zeros(1), np.array([0.05]), 0.1, WholeSpace(1))
+        assert not res.converged
+        assert res.inner_iterations == 200
+        prefix = "subgradient scheme hit 200 iterations (best residual "
+        assert res.diagnostic.startswith(prefix)
+        assert float(res.diagnostic[len(prefix):-1]) < 0.06
+
+    def test_diverging_subgradient_iteration_raises(self):
+        # subgradients of +-1e308 send each step across the line, until the
+        # step itself overflows
+        f = BlackBoxBifunction(lambda x, y: 0.0,
+                               lambda x, y: np.where(y < 0.0, -1e308, 1e308),
+                               LipschitzData(0.25, 0.25))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteObjective, match="diverged"):
+            solve_prox(f, np.zeros(1), np.array([0.5]), 0.9, WholeSpace(1))
+
     def test_objective_never_worse_than_plain_projection(self, rng):
         f = as_blackbox(vi(2.0 * np.eye(2), L=2.0), 1.0, 1.0)
         box = Box(-np.ones(2), np.ones(2))

@@ -1,4 +1,5 @@
-"""``tools/size.py``: lines and settable values of a synthetic package."""
+"""``tools/size.py``: lines, their kinds and settable values of a synthetic
+package."""
 
 import subprocess
 import sys
@@ -8,16 +9,25 @@ from conftest import REPO_ROOT
 TOOL = REPO_ROOT / "tools" / "size.py"
 
 MODULE = '''\
+"""A module docstring."""
 from dataclasses import dataclass, field
 
 
 def solve(x, tol=1e-8, *, max_iter=10, verbose):
-    return (lambda y, scale=2.0: y * scale)(x)
+    """A docstring of three lines
+
+    with a blank line inside."""
+    # a comment line
+    return (lambda y, scale=2.0: y * scale)(x)  # an inline comment
 
 
 class Plain:
+    """One line."""
+
     rows: tuple = ()
     size: int
+    note = """a string that is no docstring
+# nor a comment"""
 
 
 @dataclass
@@ -37,8 +47,11 @@ def test_counts_lines_and_settable_values(tmp_path):
     done = subprocess.run([sys.executable, str(TOOL), str(tmp_path)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    # tol, max_iter, scale; rows, step, cache (derived and hidden are init=False).
-    assert done.stdout == f"lines {MODULE.count(chr(10))}\nsettable values 6\n"
+    # Docstring lines: the module's, solve's three and Plain's one; blank lines:
+    # the seven outside a docstring.  Settable values: tol, max_iter, scale;
+    # rows, step, cache (derived and hidden are init=False).
+    assert done.stdout == (f"lines {MODULE.count(chr(10))}\ndocstring lines 5\n"
+                           "comment lines 1\nblank lines 7\nsettable values 6\n")
 
 
 def test_missing_package_is_an_error(tmp_path):

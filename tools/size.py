@@ -3,18 +3,26 @@
     python3 tools/size.py SRC
 
 prints, for the ``.py`` files under ``SRC/src/csepsolve``, the number of
-lines (as ``wc -l`` counts them) and the number of settable values: every
-default of a function or lambda parameter, plus every annotated class
-attribute given a value, except dataclass fields declared
-``field(..., init=False)``, which no caller can set.
+lines (as ``wc -l`` counts them); how many of them are docstring lines
+(every line of a module, class or function docstring), comment lines
+(holding only a comment) and blank lines (holding only whitespace, outside
+a docstring), so that a change can show which kind of line it removed; and
+the number of settable values: every default of a function or lambda
+parameter, plus every annotated class attribute given a value, except
+dataclass fields declared ``field(..., init=False)``, which no caller can
+set.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import io
 import sys
+import tokenize
 from pathlib import Path
+
+KINDS = ("docstring", "comment", "blank")
 
 
 def _is_init_false(value: ast.expr) -> bool:
@@ -37,14 +45,30 @@ def settable_values(source: str) -> int:
     return count
 
 
-def measure(package: Path) -> tuple[int, int]:
-    """(lines, settable values) over the ``.py`` files under ``package``."""
+def line_kinds(source: str) -> tuple[int, int, int]:
+    """The docstring, comment and blank lines of ``source``, as ``KINDS``."""
+    docstring = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docstring.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    comment = {tok.start[0] for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+               if tok.type == tokenize.COMMENT and not tok.line[:tok.start[1]].strip()}
+    blank = {i for i, line in enumerate(source.splitlines(), 1) if not line.strip()}
+    return len(docstring), len(comment), len(blank - docstring)
+
+
+def measure(package: Path) -> tuple[int, tuple[int, int, int], int]:
+    """(lines, their counts by ``KINDS``, settable values) over the ``.py``
+    files under ``package``."""
     lines = values = 0
+    kinds = [0, 0, 0]
     for path in sorted(package.rglob("*.py")):
         text = path.read_text()
         lines += text.count("\n")
+        kinds = [a + b for a, b in zip(kinds, line_kinds(text))]
         values += settable_values(text)
-    return lines, values
+    return lines, tuple(kinds), values
 
 
 def main(argv=None) -> int:
@@ -54,8 +78,10 @@ def main(argv=None) -> int:
     package = args.src / "src" / "csepsolve"
     if not package.is_dir():
         parser.error(f"no package at {package}")
-    lines, values = measure(package)
+    lines, kinds, values = measure(package)
     print(f"lines {lines}")
+    for kind, count in zip(KINDS, kinds):
+        print(f"{kind} lines {count}")
     print(f"settable values {values}")
     return 0
 

@@ -5,12 +5,9 @@ the extragradient hybrid solves a second (corrector) subproblem, and the
 Armijo hybrid runs a backtracking linesearch plus an extra projection onto
 the feasible set.  Their acceptance sets are subsets of C, so the anchor
 projection targets C intersected with the C-cut and the Q-cut, not just
-the two halfspaces.  Each method is a step for the shared outer loop
-``hybrid.drive``: it passes the one point it cuts with (eps = 0), and
-``drive`` builds the C-cut and the Q-cut with ``hybrid.build_cuts``,
-projects x0 with the projector onto C and those cuts, and runs the same
-checks, trace and stop tests as for the cutting-halfspace solvers.  The
-steps solve their subproblems with ``ProxSystem.solve_row``.
+the two halfspaces.  Each method is a step for ``hybrid.drive`` that
+passes the one point it cuts with (eps = 0), with the projector onto C
+and the cuts; its subproblems go through ``ProxSystem.solve_row``.
 """
 
 from __future__ import annotations
@@ -95,15 +92,15 @@ def armijo_step_size(f, z, y_n, m, eta):
 
 
 def _face_rows(faces, dim):
-    """The arrays of a ``CutStack`` of the cuts ``faces`` followed by two
-    rows left for an iteration's C-cut and Q-cut."""
+    """The arrays of a ``CutStack`` of ``faces`` plus two rows for an
+    iteration's C-cut and Q-cut, and whether a face is the whole space."""
     m = len(faces)
     normals, offsets = np.empty((m + 2, dim)), np.empty(m + 2)
     norm_sq, whole = np.empty(m + 2), np.empty(m + 2, dtype=bool)
     for i, c in enumerate(faces):
         normals[i], offsets[i], norm_sq[i], whole[i] = (c.normal, c.offset, c.norm_sq,
                                                         c.is_whole_space)
-    return normals, offsets, norm_sq, whole
+    return normals, offsets, norm_sq, whole, any(c.is_whole_space for c in faces)
 
 
 def _project_onto_set_and_cuts(set_, rows, counters, cuts, x0):
@@ -118,12 +115,16 @@ def _project_onto_set_and_cuts(set_, rows, counters, cuts, x0):
     """
     if rows is not None:
         counters.set_projections += 1
-        normals, offsets, norm_sq, whole = rows
-        if len(offsets) > 2:
-            for i, c in enumerate(cuts, len(offsets) - 2):
-                normals[i], offsets[i], norm_sq[i], whole[i] = (
-                    c.normal, c.offset, c.norm_sq, c.is_whole_space)
-            cuts = CutStack._valid(*rows)
+        normals, offsets, norm_sq, whole, faces_whole = rows
+        i = len(offsets) - 2
+        if i:
+            c, q = cuts[0], cuts[1]
+            normals[i], offsets[i], norm_sq[i], whole[i] = (c.normal, c.offset, c.norm_sq,
+                                                            c.is_whole_space)
+            normals[i + 1], offsets[i + 1], norm_sq[i + 1], whole[i + 1] = (
+                q.normal, q.offset, q.norm_sq, q.is_whole_space)
+            cuts = CutStack._valid(normals, offsets, norm_sq, whole,
+                                   faces_whole or c.is_whole_space or q.is_whole_space, None)
         return project_halfspace_intersection(cuts, x0)
     live = [cuts[i] for i in cuts.live]
 

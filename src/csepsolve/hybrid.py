@@ -17,15 +17,9 @@ its cuts as one ``CutStack`` from ``build_cuts``.  Four variants:
 The correction term added to each cut keeps the solution set inside despite
 the missing corrector step; it may be negative and is used unclamped.
 
-Every solver, the baselines in ``baselines`` included, shares one outer
-loop, ``drive``.  A solver supplies only a *step*: a callable
-``step(n, x, dx2) -> Step`` that keeps its own state (previous subproblem
-solutions) and returns the points it cuts with, their correction terms,
-its residual and ``ProxRecord``.  ``drive`` owns the rest: the cuts C_n
-and Q_n (``build_cuts``), the anchor step x_{n+1} = P_{C_n ∩ Q_n}(x0),
-iteration count and timing, work counters, the four per-iteration
-invariant checks, trace records, the stop tests, turning a
-``SolverError`` into an error outcome, and the outcome.
+Every solver, the baselines included, is a *step* for the one outer loop
+``drive``: ``step(n, x, dx2) -> Step`` keeps its own state, and ``drive``
+owns the cuts, anchor step, checks, counters, trace, stop tests and outcome.
 """
 
 from __future__ import annotations
@@ -178,10 +172,11 @@ def build_cuts(x_n: np.ndarray, Y: np.ndarray, eps: float | np.ndarray,
     every row or an array of k (unused when k = 0).
 
     At most one row gives ``CutStack.of`` those cuts.  More give one stack
-    of k + 1 rows validated once: normals 2(x_n - Y), offsets
-    <x_n + Y, x_n - Y> + eps, and a zero normal where a row is within
-    ``DEGENERACY_THRESHOLD`` of x_n, whose contradiction raises
-    ``InfeasibleCut`` after any error of an earlier row.
+    of k + 1 rows, normals 2(x_n - Y) (zero where a row is within
+    ``DEGENERACY_THRESHOLD`` of x_n) and offsets <x_n + Y, x_n - Y> + eps,
+    whose one row-dot pass over x_n - Y gives the degeneracy test and
+    ``norm_sq`` = 4 <x_n - y, x_n - y> (2 (x_n - y) scales exactly);
+    ``CutStack(normals, offsets)`` validates only non-finite data.
     """
     k = len(Y)
     if k <= 1:
@@ -191,13 +186,16 @@ def build_cuts(x_n: np.ndarray, Y: np.ndarray, eps: float | np.ndarray,
             cuts.append(build_c_cut(x_n, Y[0], eps_0))
         cuts.append(build_q_cut(q, q_sq, x_n))
         return CutStack.of(cuts)
-    normals, offsets = np.empty((k + 1, x_n.size)), np.empty(k + 1)
+    normals, offsets, norm_sq = np.empty((k + 1, x_n.size)), np.empty(k + 1), np.empty(k + 1)
     diff = x_n - Y
     np.multiply(diff, 2.0, out=normals[:k])
     offsets[:k] = row_dot(x_n + Y, diff) + eps
-    degenerate = row_norms(diff) < DEGENERACY_THRESHOLD
-    if np.count_nonzero(degenerate):
-        normals[:k][degenerate] = 0.0
+    dd = row_dots(diff)
+    degenerate = np.sqrt(dd) < DEGENERACY_THRESHOLD
+    np.multiply(dd, 4.0, out=norm_sq[:k])
+    has_whole = bool(np.count_nonzero(degenerate))
+    if has_whole:
+        normals[:k][degenerate] = norm_sq[:k][degenerate] = 0.0
         bad = np.flatnonzero(degenerate & (offsets[:k] < WHOLE_SPACE_OFFSET_FLOOR))
         if bad.size:
             i = bad[0]
@@ -208,8 +206,12 @@ def build_cuts(x_n: np.ndarray, Y: np.ndarray, eps: float | np.ndarray,
     except (SolverError, ValueError):
         CutStack(normals[:k], offsets[:k])  # the C-cuts raise first
         raise
-    normals[k], offsets[k] = q_cut.normal, q_cut.offset
-    return CutStack(normals, offsets)
+    normals[k], offsets[k], norm_sq[k] = q_cut.normal, q_cut.offset, q_cut.norm_sq
+    if not (math.isfinite(np.add.reduce(offsets)) and math.isfinite(np.add.reduce(norm_sq))):
+        return CutStack(normals, offsets)  # validates, raising what it would
+    lengths = np.sqrt(norm_sq)
+    return CutStack._valid(normals, offsets, norm_sq, lengths < DEGENERACY_THRESHOLD,
+                           has_whole or q_cut.is_whole_space, lengths)
 
 
 def cyclic_index(n: int, n_problems: int) -> int:
@@ -267,19 +269,18 @@ def drive(
     anchor step of the CQ method, x_{n+1} = ``project(cuts, x0)`` for
     ``cuts = build_cuts(x_n, Step.points, Step.eps, x0 - x_n, <x0 - x_n,
     x0 - x_n>)``, the C-cuts followed by Q_n; ``project`` defaults to
-    ``project_halfspace_intersection``.  The normal x0 - x_n of Q_n and its
-    squared norm are the ones the previous iteration's monotonicity check
-    formed.
+    ``project_halfspace_intersection``.
 
     Per iteration: counts the live cuts that x_{n+1} lies outside of by
     more than ``ANCHOR_PROJECTION_TOL * (1 + ||x0||)`` in distance (a
     projector that misses C_n ∩ Q_n), checks that ||x_{n+1} - x0|| does
-    not decrease, and, given ``known_point``,
-    that every cut contains it and that ||y - p||^2 <= ||x_n - p||^2 + eps
-    for each row y of ``Step.near`` and its eps.  The trace records the
-    least and greatest eps.  The work counters, the least certificate gap
-    and the first unconverged inner solve, with its subproblem index, come
-    from ``Step.prox``.
+    not decrease, and, given ``known_point``, that every cut contains it
+    and that ||y - p||^2 <= ||x_n - p||^2 + eps for each row y of
+    ``Step.near`` and its eps.  The trace records the least and greatest
+    eps.  The work counters, the least certificate gap and the first
+    unconverged inner solve, with its subproblem index, come from
+    ``Step.prox``.  A ``SolverError`` ends the run with its message, or
+    its class name when it has none.
     """
     if max_outer < 1 or not tol >= 0.0:
         raise ParameterViolation(f"need max_outer >= 1 and tol >= 0, got {max_outer} and {tol}")
@@ -340,22 +341,14 @@ def drive(
             if known_point is not None:
                 to_known = x_next - known_point
                 known_sq = float(to_known.dot(to_known))
-            eps_min, eps_max = (
-                (eps, eps) if isinstance(eps, float) else (float(eps.min()), float(eps.max()))
-            )
-            trace.append(
-                IterationRecord(
-                    n=n,
-                    step_norm=step_norm,
-                    residual=residual,
-                    eps_min=eps_min,
-                    eps_max=eps_max,
-                    dist_to_known=math.sqrt(known_sq),
-                    wall_ms=(time.perf_counter() - t0) * 1e3,
-                    degenerate_cuts=degenerate,
-                    selected_index=selected,
-                )
-            )
+            # finite, as the cuts were built with them: min and max equal numpy's
+            eps_min, eps_max = (eps, eps) if isinstance(eps, float) else (
+                min(rows := eps.tolist()), max(rows))
+            trace.append(IterationRecord(
+                n=n, step_norm=step_norm, residual=residual, eps_min=eps_min,
+                eps_max=eps_max, dist_to_known=math.sqrt(known_sq),
+                wall_ms=(time.perf_counter() - t0) * 1e3, degenerate_cuts=degenerate,
+                selected_index=selected))
             if collect_iterates:
                 iterates.append(x_next.copy())
             x = x_next
@@ -364,21 +357,14 @@ def drive(
                 break
     except SolverError as exc:
         stop_reason = STOP_ERROR
-        error_msg = str(exc)
+        error_msg = str(exc) or type(exc).__name__
 
     return SolverOutcome(
-        algorithm=algorithm,
-        final_x=x,
-        stop_reason=stop_reason,
-        iterations=len(trace),
-        trace=trace,
-        invariant_violations=violations,
-        counters=counters,
+        algorithm=algorithm, final_x=x, stop_reason=stop_reason, iterations=len(trace),
+        trace=trace, invariant_violations=violations, counters=counters,
         min_prox_certificate=float(min_cert) if np.isfinite(min_cert) else float("nan"),
-        error=error_msg,
-        iterates=iterates if collect_iterates else None,
-        first_nonconverged=first_nonconverged,
-    )
+        error=error_msg, iterates=iterates if collect_iterates else None,
+        first_nonconverged=first_nonconverged)
 
 
 def run_parallel_hybrid(instance: CsepInstance, params: HybridParams, **kw) -> SolverOutcome:

@@ -189,6 +189,83 @@ def project_two_halfspaces_reference(cut1, cut2, x0):
     raise EmptyIntersection("two-halfspace projection found no feasible case")
 
 
+def dual_active_set_reference(A, b, x0):
+    """The Goldfarb-Idnani dual active-set projector as first written, with
+    the numpy calls of every step: the violations as an array, |dz|^2 taken
+    again for the step and the basis length, and z copied at the start.
+    ``geometry._dual_active_set`` must return the same bytes, or raise the
+    same exception class."""
+    import math
+
+    from csepsolve import EmptyIntersection, MaxInnerIterationsExceeded
+    from csepsolve.geometry import INTERSECTION_TOL
+
+    def orthogonal_part(Q, T, k, a):
+        if k == 0:
+            return a, []
+        q = Q[:k] @ a
+        dz = a - q @ Q[:k]
+        if dz @ dz < 0.5:
+            q2 = Q[:k] @ dz
+            dz -= q2 @ Q[:k]
+            q += q2
+        return dz, (T[:k, :k] @ q).tolist()
+
+    def append_basis(Q, T, k, dz, r):
+        length = math.sqrt(float(dz.dot(dz)))
+        Q[k] = dz / length
+        T[:k, k] = [-ri / length for ri in r]
+        T[k, k] = 1.0 / length
+
+    m = len(b)
+    x0 = np.asarray(x0, dtype=float)
+    scale = np.sqrt(np.einsum("ij,ij->i", A, A))
+    A = A / scale[:, None]
+    b = b / scale
+    feas_tol = INTERSECTION_TOL * (1.0 + math.sqrt(float(x0.dot(x0))))
+    Q = np.empty_like(A)
+    T = np.zeros((m, m))
+    active = []
+    mu = []
+    z = x0.copy()
+    for _ in range(10 * m):
+        v = A @ z - b
+        j = int(v.argmax())
+        vj, mu_j = float(v[j]), 0.0
+        if vj <= feas_tol and (not active or np.abs(v[active]).max() <= feas_tol):
+            return z
+        if vj <= feas_tol or j in active:
+            break
+        while True:
+            k = len(active)
+            dz, r = orthogonal_part(Q, T, k, A[j])
+            rho = float(dz @ dz)
+            t_part, drop = math.inf, -1
+            r_floor = 1e-12 * (1.0 + max(map(abs, r), default=0.0))
+            for i, (ri, mi) in enumerate(zip(r, mu)):
+                if ri > r_floor and mi < t_part * ri:
+                    t_part, drop = mi / ri, i
+            dependent = rho <= 1e-16
+            if dependent and drop < 0:
+                raise EmptyIntersection(f"cut {j} is violated by {vj:.3e}")
+            t_full = math.inf if dependent else vj / rho
+            t = min(t_full, t_part)
+            mu = [max(mi - t * ri, 0.0) for mi, ri in zip(mu, r)]
+            mu_j += t
+            if not dependent:
+                z = z - t * dz
+            if t_full <= t_part:
+                append_basis(Q, T, k, dz, r)
+                active.append(j)
+                mu.append(mu_j)
+                break
+            vj -= t * rho
+            del active[drop], mu[drop]
+            for i in range(drop, k - 1):
+                append_basis(Q, T, i, *orthogonal_part(Q, T, i, A[active[i]]))
+    raise MaxInnerIterationsExceeded("dual active-set projection did not certify a point")
+
+
 def c_cut_by_constructor(x_n, y, eps):
     """``hybrid.build_c_cut`` through the ``HalfspaceCut`` constructor: the
     degeneracy test on ||x_n - y|| and a normal validated by its own dot."""

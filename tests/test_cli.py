@@ -180,8 +180,14 @@ class TestSolve:
             raise NonFiniteObjective()
 
         path = diverging_problem(tmp_path, monkeypatch, subgradient)
-        assert main(["solve", path, "--algorithm", "single", *DIVERGING_PARAMS]) == 3
-        assert "stop_reason: error" in capsys.readouterr().out
+        assert main(["solve", path, "--algorithm", "single", *DIVERGING_PARAMS,
+                     "--summary", str(tmp_path / "s.json")]) == 3
+        captured = capsys.readouterr()
+        assert "stop_reason: error" in captured.out
+        # an empty message is reported by the exception's class name
+        assert "error: NonFiniteObjective" in captured.err
+        summary = json.loads((tmp_path / "s.json").read_text())
+        assert summary["error"] == "NonFiniteObjective"
 
     def test_solver_error_outside_the_run_exit_three(self, capsys, tmp_path):
         path = tmp_path / "empty.json"

@@ -4,6 +4,8 @@ Random systems in d <= 6 with 3-12 cuts, including duplicated and rescaled
 normals: feasible systems (planted point, some offsets tight) must project
 to a feasible point that matches Lawson and Hanson's LDP/NNLS solution, and
 systems made empty by a Farkas combination must raise EmptyIntersection.
+On both, the dual active-set projector must return the bytes of its first
+form, or raise the same exception class.
 Random pairs of cuts must project bit for bit as the reference closed form.
 """
 
@@ -18,11 +20,17 @@ from hypothesis import strategies as st  # noqa: E402
 from csepsolve import (  # noqa: E402
     EmptyIntersection,
     HalfspaceCut,
+    SolverError,
     project_halfspace_intersection,
     project_two_halfspaces,
 )
+from csepsolve.geometry import _dual_active_set  # noqa: E402
 
-from oracles import project_ldp_nnls, project_two_halfspaces_reference  # noqa: E402
+from oracles import (  # noqa: E402
+    dual_active_set_reference,
+    project_ldp_nnls,
+    project_two_halfspaces_reference,
+)
 
 systems = st.fixed_dictionaries({
     "seed": st.integers(0, 2**32 - 1),
@@ -47,6 +55,34 @@ def distance_violation(cuts, z):
     return max(c.violation(z) / np.linalg.norm(c.normal) for c in cuts)
 
 
+def feasible_system(params):
+    """Normals, offsets and x0 of a system with a planted point, some of
+    its offsets tight."""
+    rng = np.random.default_rng(params["seed"])
+    d, m = params["d"], params["m"]
+    normals = random_normals(rng, d, m, params["duplicates"], params["log_scale"])
+    p = rng.standard_normal(d)
+    slack = np.where(rng.random(m) < 0.5, 0.0, rng.exponential(1.0, m))
+    offsets = normals @ p + slack * np.linalg.norm(normals, axis=1)
+    return normals, offsets, p + 3.0 * rng.standard_normal(d)
+
+
+def empty_system(params):
+    """Normals, offsets and x0 of a system made empty by a Farkas cut."""
+    # A cut -sum_i c_i a_i z <= -sum_i c_i b_i - gap with c >= 0 and gap > 0
+    # contradicts the cuts it combines, so the intersection is empty.
+    rng = np.random.default_rng(params["seed"])
+    d, m = params["d"], params["m"]
+    normals = random_normals(rng, d, m - 1, params["duplicates"], params["log_scale"])
+    offsets = normals @ rng.standard_normal(d) + rng.exponential(1.0, m - 1)
+    c = rng.exponential(1.0, m - 1) * (rng.random(m - 1) < 0.7)
+    c[0] += 0.5
+    gap = rng.uniform(0.1, 1.0) * (1.0 + float(np.abs(c @ offsets)))
+    normals = np.vstack([normals, -(c @ normals)])
+    offsets = np.append(offsets, -(c @ offsets) - gap)
+    return normals, offsets, 3.0 * rng.standard_normal(d)
+
+
 @settings(max_examples=80, deadline=None)
 @given(systems)
 # Two systems on which scipy's NNLS alone returns a point 3.58 and 4.82
@@ -56,14 +92,8 @@ def distance_violation(cuts, z):
 @example({"seed": 2829157643, "d": 3, "m": 6, "duplicates": 0,
           "log_scale": 2.730628875548544})
 def test_feasible_systems_match_nnls(params):
-    rng = np.random.default_rng(params["seed"])
-    d, m = params["d"], params["m"]
-    normals = random_normals(rng, d, m, params["duplicates"], params["log_scale"])
-    p = rng.standard_normal(d)
-    slack = np.where(rng.random(m) < 0.5, 0.0, rng.exponential(1.0, m))
-    offsets = normals @ p + slack * np.linalg.norm(normals, axis=1)
+    normals, offsets, x0 = feasible_system(params)
     cuts = [HalfspaceCut(a, o) for a, o in zip(normals, offsets)]
-    x0 = p + 3.0 * rng.standard_normal(d)
 
     z = project_halfspace_intersection(cuts, x0)
     ref = project_ldp_nnls(cuts, x0)
@@ -80,22 +110,42 @@ def test_feasible_systems_match_nnls(params):
 @example({"seed": 2528877490, "d": 5, "m": 3, "duplicates": 0,
           "log_scale": 2.2839610620627537})
 def test_empty_systems_raise(params):
-    # A cut -sum_i c_i a_i z <= -sum_i c_i b_i - gap with c >= 0 and gap > 0
-    # contradicts the cuts it combines, so the intersection is empty.
-    rng = np.random.default_rng(params["seed"])
-    d, m = params["d"], params["m"]
-    normals = random_normals(rng, d, m - 1, params["duplicates"], params["log_scale"])
-    offsets = normals @ rng.standard_normal(d) + rng.exponential(1.0, m - 1)
-    c = rng.exponential(1.0, m - 1) * (rng.random(m - 1) < 0.7)
-    c[0] += 0.5
-    gap = rng.uniform(0.1, 1.0) * (1.0 + float(np.abs(c @ offsets)))
-    normals = np.vstack([normals, -(c @ normals)])
-    offsets = np.append(offsets, -(c @ offsets) - gap)
+    normals, offsets, x0 = empty_system(params)
     cuts = [HalfspaceCut(a, o) for a, o in zip(normals, offsets)]
-    x0 = 3.0 * rng.standard_normal(d)
 
     with pytest.raises(EmptyIntersection):
         project_halfspace_intersection(cuts, x0)
+
+
+def outcome_bytes(project, normals, offsets, x0):
+    """The bytes of ``project(normals, offsets, x0)``, or the class of the
+    exception it raised."""
+    try:
+        return project(normals, offsets, x0).tobytes()
+    except SolverError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems)
+@example({"seed": 3458037490, "d": 3, "m": 11, "duplicates": 3,
+          "log_scale": 0.527047037290315})
+@example({"seed": 2829157643, "d": 3, "m": 6, "duplicates": 0,
+          "log_scale": 2.730628875548544})
+@example({"seed": 1201420, "d": 6, "m": 10, "duplicates": 2, "log_scale": 3.0})
+@example({"seed": 2528877490, "d": 5, "m": 3, "duplicates": 0,
+          "log_scale": 2.2839610620627537})
+def test_dual_active_set_matches_its_first_form_bytes(params):
+    # The projector as first written, with every numpy call of each step,
+    # on the feasible and the Farkas-empty system of the same draw, and on
+    # the feasible one from a point inside it.
+    normals, offsets, x0 = feasible_system(params)
+    inside = project_ldp_nnls([HalfspaceCut(a, o) for a, o in zip(normals, offsets)], x0)
+    cases = [(normals, offsets, x0), empty_system(params), (normals, offsets, inside)]
+    for normals, offsets, x0 in cases:
+        assert outcome_bytes(_dual_active_set, normals, offsets, x0) == (
+            outcome_bytes(dual_active_set_reference, normals, offsets, x0))
+    assert _dual_active_set(normals, offsets, inside) is not inside  # never the caller's x0
 
 
 pairs = st.fixed_dictionaries({

@@ -43,7 +43,7 @@ from csepsolve import (  # noqa: E402
     run_sequential,
     solve_prox,
 )
-from csepsolve.geometry import CutStack  # noqa: E402
+from csepsolve.geometry import DEGENERACY_THRESHOLD, CutStack  # noqa: E402
 from csepsolve.hybrid import _parallel_step  # noqa: E402
 from csepsolve.prox import ProxRecord, probe_rng  # noqa: E402
 from oracles import c_cut_by_constructor, q_cut_by_constructor, q_of  # noqa: E402
@@ -122,6 +122,54 @@ def test_build_cuts_equals_build_c_cut_row_by_row_then_build_q_cut(params):
         assert stack.live == [i for i, c in enumerate(rows) if not c.is_whole_space]
         # zero or one point: the cuts themselves, the other form validated once
         assert (stack[0] is stack[0]) == (k <= 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks.filter(lambda params: params["k"] >= 2))
+@example({"seed": 2, "d": 3, "k": 4, "kinds": [1, 4, 3, 0] + [0] * 4, "anchor": 2,
+          "shared_eps": False, "log_scale": 2.0})
+@example({"seed": 5, "d": 2, "k": 3, "kinds": [1, 2, 0] + [0] * 5, "anchor": 1,
+          "shared_eps": True, "log_scale": 0.0})
+def test_build_cuts_carries_the_arrays_that_the_validating_constructor_computes(params):
+    # The k >= 2 stack takes its squared norms as 4 <x_n - y, x_n - y> from
+    # the degeneracy test's row dots; CutStack(normals, offsets) takes them
+    # from the normals, and raises its first error on non-finite data.
+    rng = np.random.default_rng(params["seed"])
+    d, k = params["d"], params["k"]
+    x = rng.standard_normal(d) * 10.0 ** params["log_scale"]
+    Y = x + rng.standard_normal((k, d)) * 10.0 ** params["log_scale"]
+    x0 = {0: x + rng.standard_normal(d), 1: x.copy(),
+          2: x + np.sign(x) * 1e307}[params["anchor"]]
+    eps = rng.standard_normal(k)
+    for i, kind in enumerate(params["kinds"][:k]):
+        if kind in (1, 3):
+            Y[i] = x
+        elif kind == 2:
+            Y[i] = x + 1e-15 * rng.standard_normal(d) / math.sqrt(d)
+        if kind == 3:
+            eps[i] = -1.0
+        elif kind == 4:
+            eps[i] = rng.choice([np.inf, -np.inf, np.nan])
+    if params["shared_eps"]:
+        eps = float(eps[0])
+    diff = x - Y
+    degenerate = [np.linalg.norm(r) < DEGENERACY_THRESHOLD for r in diff]
+    normals = np.array([np.zeros(d) if g else 2.0 * r for r, g in zip(diff, degenerate)]
+                       + [x0 - x])
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = np.array([float((x + y) @ r) for y, r in zip(Y, diff)]
+                           + [float((x0 - x) @ x)])
+        offsets[:k] += eps
+
+    stack, error = outcome_of(lambda: build_cuts(x, Y, eps, *q_of(x0, x)))
+    if error is not None and error[0] is InfeasibleCut:
+        return  # a contradictory degenerate row: held to the rows by the test above
+    expected, expected_error = outcome_of(lambda: CutStack(normals, offsets))
+    assert error == expected_error
+    if error is None:
+        for got, want in zip(stack._arrays, expected._arrays):
+            assert got.tobytes() == want.tobytes()
+        assert stack.live == expected.live
 
 
 one_dot_cuts = st.fixed_dictionaries({
@@ -216,6 +264,14 @@ def test_a_stack_from_arrays_validates_once_as_each_cut_would():
         CutStack(np.array([[1e200, 1e200], [np.nan, 0.0]]), np.zeros(2))
     # finite rows whose squares overflow pass, as in HalfspaceCut
     assert not CutStack(np.array([[1e200, 1e200]]), np.zeros(1))[0].is_whole_space
+    # a whole-space row with an offset just below 0 is never violated nor outside
+    offsets = np.array([0.5, -1e-13, -2.0])
+    z = np.zeros(2)
+    for stack in (CutStack(normals, offsets),
+                  CutStack.of([HalfspaceCut(a, b) for a, b in zip(normals, offsets)])):
+        assert stack.live == [0, 2]
+        assert stack.violated(z, 0.0) == 1
+        assert stack.outside(z, 0.0) == 1
 
 
 systems = st.fixed_dictionaries({

@@ -70,7 +70,7 @@ from .problems import (
     spectral_norm_estimate,
     validate,
 )
-from .prox import ProxRecord, ProxResult, ProxSystem, certify_prox, solve_prox
+from .prox import ProxRecord, ProxSystem, certify_prox, solve_prox
 from .hybrid import (
     RULE_RELAXED,
     RULE_STRICT,

@@ -12,6 +12,7 @@ and the cuts; its subproblems go through ``ProxSystem.solve_row``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -40,7 +41,7 @@ MAX_LINESEARCH = 60
 
 @dataclass
 class ArmijoParams:
-    """Backtracking parameters: ratio eta in (0,1) and prox step lam > 0."""
+    """Backtracking parameters: ratio eta in (0,1) and finite prox step lam > 0."""
 
     eta: float
     lam: float
@@ -48,8 +49,8 @@ class ArmijoParams:
     def __post_init__(self):
         if not 0.0 < self.eta < 1.0:
             raise ParameterViolation("eta must lie strictly between 0 and 1")
-        if not self.lam > 0.0:
-            raise ParameterViolation("lam must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise ParameterViolation(f"lam={self.lam:g} must be positive and finite")
 
 
 def armijo_linesearch(f, x_n, y_n, lam, params: ArmijoParams):
@@ -170,7 +171,6 @@ def run_hybrid_extragradient(
     known_point=None,
     certify_probes: int = 0,
     seed: int = 0,
-    collect_iterates: bool = False,
 ) -> SolverOutcome:
     """Two-subproblem hybrid: predictor anchored at x_n, corrector at the
     predictor, then the anchor is projected onto C and two linearized cuts.
@@ -197,7 +197,7 @@ def run_hybrid_extragradient(
         return Step(Z, Z, 0.0, residual, ProxRecord.of([record_y, record_z]))
 
     return drive("extragradient", step, x0, tol, max_outer, counters, project=project,
-                 known_point=known_point, collect_iterates=collect_iterates)
+                 known_point=known_point)
 
 
 def run_armijo_hybrid(
@@ -209,7 +209,6 @@ def run_armijo_hybrid(
     known_point=None,
     certify_probes: int = 0,
     seed: int = 0,
-    collect_iterates: bool = False,
 ) -> SolverOutcome:
     """Linesearch hybrid: one subproblem, then a backtracking linesearch, a
     subgradient step projected onto C, and the anchor projection onto C plus
@@ -239,4 +238,4 @@ def run_armijo_hybrid(
         return Step(u, u, 0.0, residual, record)
 
     return drive("armijo", step, x0, tol, max_outer, counters, project=project,
-                 known_point=known_point, collect_iterates=collect_iterates)
+                 known_point=known_point)

@@ -529,7 +529,10 @@ class ComparisonReport:
 
 
 def compare(specs: list[RunSpec]) -> ComparisonReport:
-    """Run each spec (all on one problem) and tabulate cost and accuracy."""
+    """Run each spec (at least one, all on one problem) and tabulate cost
+    and accuracy."""
+    if not specs:
+        raise ParameterViolation("compare needs at least one algorithm")
     paths = {s.problem_path for s in specs}
     if len(paths) != 1:
         raise ParameterViolation("compare requires all specs to share one problem")

@@ -105,7 +105,9 @@ def rule_factor(rule: str) -> float:
 
 
 def validate_params(params: HybridParams, c1: float, c2: float) -> None:
-    """Check (lam, k) against the bound family selected by ``params.rule``."""
+    """Check (lam, k) against the bound family selected by ``params.rule``;
+    k must also be finite, since an infinite k makes every cut's eps
+    non-finite."""
     s = c1 + c2
     factor = rule_factor(params.rule)
     if not 0.0 < params.lam < 1.0 / (factor * s):
@@ -114,8 +116,9 @@ def validate_params(params: HybridParams, c1: float, c2: float) -> None:
             f"for rule={params.rule} with c1+c2={s:g}"
         )
     k_floor = 1.0 / (1.0 - factor * params.lam * s)
-    if not params.k > k_floor:
-        raise ParameterViolation(f"k={params.k:g} must exceed {k_floor:g} for rule={params.rule}")
+    if not k_floor < params.k < math.inf:
+        raise ParameterViolation(
+            f"k={params.k:g} must be finite and exceed {k_floor:g} for rule={params.rule}")
 
 
 def epsilon(
@@ -260,7 +263,6 @@ def drive(
     *,
     project: Callable[[CutStack, np.ndarray], np.ndarray] | None = None,
     known_point: np.ndarray | None = None,
-    collect_iterates: bool = False,
 ) -> SolverOutcome:
     """Run the anchored iteration from x_1 = x0 until
     max(||x_{n+1} - x_n||, residual) <= tol or ``max_outer`` iterations.
@@ -292,7 +294,6 @@ def drive(
     violations = dict.fromkeys(VIOLATION_KEYS, 0)
     anchor_tol = ANCHOR_PROJECTION_TOL * (1.0 + norm(x0))
     trace: list[IterationRecord] = []
-    iterates: list[np.ndarray] = []
     min_cert = np.inf
     first_nonconverged = None
     anchor_dist = 0.0
@@ -349,8 +350,6 @@ def drive(
                 eps_max=eps_max, dist_to_known=math.sqrt(known_sq),
                 wall_ms=(time.perf_counter() - t0) * 1e3, degenerate_cuts=degenerate,
                 selected_index=selected))
-            if collect_iterates:
-                iterates.append(x_next.copy())
             x = x_next
             if max(step_norm, residual) <= tol:
                 stop_reason = STOP_TOLERANCE
@@ -363,8 +362,7 @@ def drive(
         algorithm=algorithm, final_x=x, stop_reason=stop_reason, iterations=len(trace),
         trace=trace, invariant_violations=violations, counters=counters,
         min_prox_certificate=float(min_cert) if np.isfinite(min_cert) else float("nan"),
-        error=error_msg, iterates=iterates if collect_iterates else None,
-        first_nonconverged=first_nonconverged)
+        error=error_msg, first_nonconverged=first_nonconverged)
 
 
 def run_parallel_hybrid(instance: CsepInstance, params: HybridParams, **kw) -> SolverOutcome:
@@ -400,7 +398,6 @@ def _run(
     known_point: np.ndarray | None = None,
     certify_probes: int = 0,
     seed: int = 0,
-    collect_iterates: bool = False,
 ) -> SolverOutcome:
     require_one_worker(workers)
     lips = instance.lipschitz_all()
@@ -417,7 +414,7 @@ def _run(
     else:
         step = _shared_anchor_step(params, lip_max, y_init, system, cyclic=mode == "sequential")
     return drive(mode, step, x0, params.tol, params.max_outer, counters,
-                 known_point=known_point, collect_iterates=collect_iterates)
+                 known_point=known_point)
 
 
 def _parallel_step(params, lips, y_init, system):

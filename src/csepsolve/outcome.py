@@ -92,7 +92,6 @@ class SolverOutcome:
     counters: RunCounters = field(default_factory=RunCounters)
     min_prox_certificate: float = float("nan")
     error: str | None = None
-    iterates: list[np.ndarray] | None = None
     first_nonconverged: InnerNonconvergence | None = None
 
     @property

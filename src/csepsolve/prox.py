@@ -37,14 +37,14 @@ both agree exactly.  Certified solves certify each row after.
 A kernel returns the (k, d) minimizers and one ``ProxRecord`` of the call:
 the total inner iterations, the unconverged rows with their diagnostics,
 and, once certified, the least certificate gap; no kernel builds an object
-per row.  ``ProxRecord`` is the one result the solvers see; only the
-public one-off ``solve_prox`` returns a ``ProxResult``.
+per row.  ``ProxRecord`` is the one result of every solve, the one-off
+``solve_prox`` included; only ``ProxSystem`` certifies, by calling
+``certify_prox``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -63,24 +63,6 @@ from .problems import (
 TOL_PROJECTED_GRADIENT = 1e-10
 TOL_SUBGRADIENT = 1e-8
 MAX_INNER = 100_000
-
-
-@dataclass
-class ProxResult:
-    """Solution of one inner subproblem, as the one-off ``solve_prox``
-    returns it.
-
-    ``certificate_gap`` is the worst sampled slack of the variational
-    optimality inequality (NaN unless certification was requested);
-    ``inner_iterations`` counts inner steps, each of which performs one
-    projection onto the feasible set.
-    """
-
-    minimizer: np.ndarray
-    certificate_gap: float = float("nan")
-    inner_iterations: int = 1
-    converged: bool = True
-    diagnostic: str | None = None
 
 
 class ProxRecord(NamedTuple):
@@ -119,23 +101,15 @@ def probe_rng(certify_probes: int, seed: int, n: int, i: int):
     return np.random.default_rng((seed, n, i)) if certify_probes > 0 else None
 
 
-def solve_prox(f: Bifunction, w: np.ndarray, x: np.ndarray, lam: float, set_: FeasibleSet,
-               certify_probes: int = 0, rng: np.random.Generator | None = None) -> ProxResult:
+def solve_prox(f: Bifunction, w: np.ndarray, x: np.ndarray, lam: float, set_: FeasibleSet
+               ) -> tuple[np.ndarray, ProxRecord]:
     """Minimize lam*f(w, .) + 0.5*||x - .||^2 over the feasible set.
 
-    A one-off solve on the kernel ``ProxSystem`` would use.  When
-    ``certify_probes`` > 0 the result carries a sampled optimality
-    certificate.
+    A one-off solve on the kernel ``ProxSystem`` would use: the (1, d)
+    minimizer and the record of its solve, as ``ProxSystem([f], lam,
+    set_).solve_row(0, w, x, n)`` returns them uncertified.
     """
-    Y, record = _kernel([f], lam, set_).solve(w, x)
-    result = ProxResult(Y[0], inner_iterations=record.inner_iterations)
-    if record.nonconverged:
-        result.converged, result.diagnostic = False, record.nonconverged[0][1]
-    if certify_probes > 0:
-        result.certificate_gap = certify_prox(
-            f, w, x, lam, set_, result.minimizer, certify_probes, rng=rng
-        )
-    return result
+    return _kernel([f], lam, set_).solve(w, x)
 
 
 class ProxSystem:
@@ -448,18 +422,16 @@ def certify_prox(
     set_: FeasibleSet,
     result: np.ndarray,
     probes: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> float:
     """Sampled optimality certificate for a claimed subproblem minimizer.
 
-    Returns the minimum over random probes y in C of
+    Returns the minimum over ``probes`` points y of C drawn by ``rng`` of
 
         <result - x, y - result> - lam*(f(w, result) - f(w, y)),
 
     which is nonnegative at the true minimizer for every y in C.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     Y = np.atleast_2d(set_.sample(rng, probes))
     lhs = (Y - result) @ (result - x)
     gaps = lhs - lam * (f.value(w, result) - f.value_batch(w, Y))

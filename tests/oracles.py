@@ -4,6 +4,8 @@ These deliberately avoid the library's solution paths: the polyhedron
 projectors enumerate active sets or solve the dual by NNLS, the prox oracle
 scans a grid, the derivative check uses central differences, and the
 affine VI residual is the worst case over the box in closed form.
+``record_projections`` is no reference: it records the iterates of a run
+from the anchor projections ``hybrid.drive`` makes.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ def projected_gradient_prox(f, w, x, lam, set_, tol, max_inner):
     loop with step 1/lambda_max(H), H = I + lam*(Q + Q^T), started at the
     projection of the unconstrained minimizer H^{-1} shift and stopping when
     a step moves by at most ``tol``.  Returns (minimizer, counted steps,
-    converged) with the step count of ``ProxResult.inner_iterations``."""
+    converged) with the step count of ``ProxRecord.inner_iterations``."""
     shift = x - lam * (f.P @ w + f.q) + lam * (f.Q.T @ w)
     sym = f.Q + f.Q.T
     H = np.eye(shift.size) + lam * sym
@@ -304,3 +306,32 @@ def vi_residual(M, q, lower, upper, x):
     """
     g = M @ x + q
     return float(g @ x - np.minimum(g * lower, g * upper).sum())
+
+
+def record_projections(monkeypatch, module):
+    """Wrap the ``project`` that the runners of ``module`` (``hybrid`` or
+    ``baselines``) hand ``hybrid.drive``; returns the list of (cuts, anchor,
+    result) of its calls, whose results are the iterates x_2, x_3, ... of
+    every iteration that cuts."""
+    from csepsolve import hybrid
+
+    real_drive = module.drive
+    calls = []
+
+    def recording_drive(*args, project=None, **kw):
+        inner = project or hybrid.project_halfspace_intersection
+
+        def recording(cuts, anchor):
+            z = inner(cuts, anchor)
+            calls.append((cuts, anchor, z))
+            return z
+
+        return real_drive(*args, project=recording, **kw)
+
+    monkeypatch.setattr(module, "drive", recording_drive)
+    return calls
+
+
+def iterates(calls):
+    """The iterates x_2, x_3, ... in ``calls`` of ``record_projections``."""
+    return [z for _, _, z in calls]

@@ -22,6 +22,7 @@ from csepsolve import (
     WholeSpace,
     compare,
     dykstra_halfspaces,
+    hybrid,
     project_two_halfspaces,
     run_armijo_hybrid,
     run_hybrid_extragradient,
@@ -40,6 +41,7 @@ from conftest import (
     halfline_instance,
     scalar_1d_instance,
 )
+from oracles import iterates, record_projections
 from test_harness import load_problem
 
 
@@ -56,8 +58,8 @@ CERTIFY_PROBES = 200
 @pytest.fixture(scope="module")
 def acceptance_runs():
     """Shared certified runs: every per-iteration check on, 200 probes per
-    inner solve, iterates collected."""
-    kw = dict(certify_probes=CERTIFY_PROBES, collect_iterates=True, seed=0)
+    inner solve."""
+    kw = dict(certify_probes=CERTIFY_PROBES, seed=0)
     runs = {}
 
     halfline = halfline_instance()
@@ -190,7 +192,7 @@ def test_criterion_02_prox_certificates(acceptance_runs, rng):
         w = rng.standard_normal(3)
         x = rng.standard_normal(3)
         lam = float(rng.uniform(0.05, 0.45))
-        got = solve_prox(f, w, x, lam, box).minimizer
+        got = solve_prox(f, w, x, lam, box)[0][0]
         direct = box.project(x - lam * f.operator(w))
         worst_identity = max(worst_identity, float(np.linalg.norm(got - direct)))
 
@@ -242,12 +244,15 @@ def test_criterion_05_three_problem_system(acceptance_runs):
            "; ".join(details) + f"; parallel-maxsel gap {agreement:.1e}")
 
 
-def test_criterion_06_single_problem_coincidence():
+def test_criterion_06_single_problem_coincidence(monkeypatch):
     inst = halfline_instance()
     params = HybridParams(lam=0.4, k=6.0, tol=0.0, max_outer=100)
-    a = run_maxsel_hybrid(inst, params, collect_iterates=True)
-    b = run_single(inst, params, collect_iterates=True)
-    gaps = [float(np.linalg.norm(xa - xb)) for xa, xb in zip(a.iterates, b.iterates)]
+    calls = record_projections(monkeypatch, hybrid)
+    run_maxsel_hybrid(inst, params)
+    xs_a = iterates(calls)
+    calls.clear()
+    run_single(inst, params)
+    gaps = [float(np.linalg.norm(xa - xb)) for xa, xb in zip(xs_a, iterates(calls))]
     ok = len(gaps) == 100 and max(gaps) <= 1e-12
     report("criterion 6: max-selection equals the single-problem method at N=1",
            ok, f"max gap {max(gaps):.1e} over {len(gaps)} iterations")
@@ -287,7 +292,7 @@ def test_criterion_08_residual_decay(acceptance_runs):
         ok &= last.step_norm <= 1e-8 and last.residual <= 1e-8
         steps_sq = sum(r.step_norm**2 for r in out.trace)
         x0 = inst.x0
-        spread = float(np.linalg.norm(out.iterates[-1] - x0)) ** 2
+        spread = float(np.linalg.norm(out.final_x - x0)) ** 2
         ok &= steps_sq <= spread + 1e-8
         details.append(f"{key}: sum {steps_sq:.3e} <= {spread:.3e}")
     ok &= tolerance_stopped >= 8

@@ -32,7 +32,7 @@ from csepsolve.prox import ProxRecord
 from csepsolve.outcome import RunCounters
 
 from conftest import csep2_instance, halfline_instance
-from oracles import q_of
+from oracles import iterates, q_of, record_projections
 
 HYBRIDS = {
     "parallel": run_parallel_hybrid,
@@ -55,34 +55,13 @@ def solve(name, tol=1e-8, max_outer=100_000, **kw):
                          **kw)
 
 
-def record_projections(monkeypatch, name):
-    """Wrap the ``project`` that ``name``'s runner hands ``drive``; returns
-    the list of (cuts, anchor, result) of its calls."""
-    module = hybrid if name in HYBRIDS else baselines
-    real_drive = module.drive
-    calls = []
-
-    def recording_drive(*args, project=None, **kw):
-        inner = project or hybrid.project_halfspace_intersection
-
-        def recording(cuts, anchor):
-            z = inner(cuts, anchor)
-            calls.append((cuts, anchor, z))
-            return z
-
-        return real_drive(*args, project=recording, **kw)
-
-    monkeypatch.setattr(module, "drive", recording_drive)
-    return calls
-
-
 @pytest.mark.parametrize("name", SOLVERS)
 def test_drive_projects_x0_onto_the_step_cuts_and_its_q_cut(monkeypatch, name):
-    calls = record_projections(monkeypatch, name)
-    out = solve(name, tol=0.0, max_outer=6, collect_iterates=True)
+    calls = record_projections(monkeypatch, hybrid if name in HYBRIDS else baselines)
+    out = solve(name, tol=0.0, max_outer=6)
     assert out.iterations == len(calls) == 6
     x0 = calls[0][1]
-    xs = [x0, *out.iterates]
+    xs = [x0, *iterates(calls)]
     for n, (cuts, anchor, z) in enumerate(calls):
         q_cut = build_q_cut(*q_of(x0, xs[n]), xs[n])
         assert anchor is x0
@@ -103,9 +82,9 @@ def test_a_step_without_cuts_keeps_x_and_skips_the_checks():
 
     x0 = np.array([1.0, 2.0])
     out = drive("fixed", step, x0, 0.0, 3, RunCounters(), project=project,
-                known_point=[0.0, 0.0], collect_iterates=True)
+                known_point=[0.0, 0.0])
     assert out.iterations == 3
-    assert all(np.array_equal(x, x0) for x in out.iterates)
+    assert np.array_equal(out.final_x, x0)
     assert [(r.step_norm, r.degenerate_cuts) for r in out.trace] == [(0.0, 0)] * 3
     assert sum(out.invariant_violations.values()) == 0
 
@@ -138,12 +117,14 @@ def test_a_projection_outside_a_cut_counts_an_anchor_projection_violation(shift,
     def step(n, x, dx2):
         return Step(x[None] + e1, np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of([]))
 
-    def project(cuts, x0):
-        return hybrid.project_halfspace_intersection(cuts, x0) - next(shifts) * e1
+    xs = []
 
-    out = drive("fixed", step, np.zeros(2), 0.0, 4, RunCounters(), project=project,
-                collect_iterates=True)
-    assert [x[0] for x in out.iterates] == pytest.approx(
+    def project(cuts, x0):
+        xs.append(hybrid.project_halfspace_intersection(cuts, x0) - next(shifts) * e1)
+        return xs[-1]
+
+    out = drive("fixed", step, np.zeros(2), 0.0, 4, RunCounters(), project=project)
+    assert [x[0] for x in xs] == pytest.approx(
         [0.5, 1.0 - shift, 1.5 - shift, 2.0 - 2 * shift])
     assert out.invariant_violations["anchor_projection"] == count
     assert out.invariant_violations["anchor_monotonicity"] == 0
@@ -161,11 +142,17 @@ def test_a_short_c_cut_normal_near_convergence_counts_no_anchor_projection_viola
         y, eps = next(points)
         return Step(y, np.empty((0, x.size)), eps, 1.0, ProxRecord.of([]))
 
-    out = drive("fixed", step, np.zeros(2), 0.0, 2, RunCounters(), collect_iterates=True)
+    xs = []
+
+    def project(cuts, x0):
+        xs.append(hybrid.project_halfspace_intersection(cuts, x0))
+        return xs[-1]
+
+    out = drive("fixed", step, np.zeros(2), 0.0, 2, RunCounters(), project=project)
     assert out.iterations == 2
     assert out.invariant_violations["anchor_projection"] == 0
-    assert out.iterates[0].tolist() == [1.0, 0.0]
-    assert out.iterates[1] == pytest.approx([1.0, 2e-8], rel=1e-6)
+    assert xs[0].tolist() == [1.0, 0.0]
+    assert xs[1] == pytest.approx([1.0, 2e-8], rel=1e-6)
 
 
 def test_a_projection_error_counts_no_work_of_its_iteration():

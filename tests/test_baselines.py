@@ -125,6 +125,11 @@ class TestLinesearch:
         with pytest.raises(ParameterViolation):
             ArmijoParams(eta=0.5, lam=-1.0)
 
+    @pytest.mark.parametrize("lam", [float("inf"), float("nan")])
+    def test_a_lam_that_is_not_finite_is_rejected(self, lam):
+        with pytest.raises(ParameterViolation, match="positive and finite"):
+            ArmijoParams(eta=0.5, lam=lam)
+
 
 class TestArmijoHybrid:
     def test_scalar_problem(self):

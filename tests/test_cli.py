@@ -69,6 +69,20 @@ class TestSolve:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm, flag", [
+        ("single", ["--k", "inf"]), ("parallel", ["--k", "inf"]),
+        *[(a, ["--lambda", "inf"]) for a in ("single", "extragradient", "armijo")]])
+    def test_a_parameter_that_is_not_finite_exit_two_before_the_run(self, capsys, tmp_path,
+                                                                    algorithm, flag):
+        summary, trace = tmp_path / "s.json", tmp_path / "t.csv"
+        code = main(["solve", SCALAR, "--algorithm", algorithm, *flag,
+                     "--summary", str(summary), "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: " in captured.err and "inf" in captured.err
+        assert captured.out == ""
+        assert not summary.exists() and not trace.exists()
+
     @pytest.mark.parametrize("algorithm", ["single", "extragradient", "armijo"])
     @pytest.mark.parametrize("flag", [["--max-outer", "0"], ["--tol", "-1"]])
     def test_bad_tol_or_max_outer_exit_two_for_every_solver(self, capsys, algorithm, flag):
@@ -262,6 +276,11 @@ class TestCompare:
         assert rows["extragradient"]["prox_per_iteration"] == 2.0
         assert rows["single"]["prox_per_iteration"] == 1.0
 
+    @pytest.mark.parametrize("algorithms", [",", "", " , "])
+    def test_no_algorithm_exit_two(self, capsys, algorithms):
+        assert main(["compare", SCALAR, "--algorithms", algorithms]) == 2
+        assert "error: compare needs at least one algorithm" in capsys.readouterr().err
+
     def test_an_error_row_exit_three(self, capsys, tmp_path, monkeypatch):
         path = diverging_problem(tmp_path, monkeypatch)
         with np.errstate(over="ignore"):
@@ -300,6 +319,17 @@ MALFORMED = [
     ("bifunctions[0].M", {"bifunctions": [{**IDENTITY, "M": [[1, 0], [0]]}]}),
     ("bifunctions[0].M", {"bifunctions": [{**IDENTITY, "M": "abc"}]}),
     ("x0", {"x0": [0, [1]]}),
+    ("bifunctions[0].q", {"bifunctions": [{**IDENTITY, "q": [math.inf, 0.0]}]}),
+    ("bifunctions[0].M", {"bifunctions": [{**IDENTITY, "M": [[1.0, math.nan], [0.0, 1.0]]}]}),
+    ("bifunctions[0].M", {"bifunctions": [{**IDENTITY, "M": [[1.0, 0.0, 0.0],
+                                                             [0.0, 1.0, 0.0]]}]}),
+    ("bifunctions[0]", {"bifunctions": [{**IDENTITY, "c1": 1.0}]}),
+    ("bifunctions[0].type", {"bifunctions": [{**IDENTITY, "type": "cubic"}]}),
+    ("known_solution.type", {"known_solution": {"type": "ray"}}),
+    # P = Q^T derives c1 = c2 = 0, and no constants are given
+    ("bifunctions[0]", {"bifunctions": [{"type": "affine_quadratic",
+                                         "P": [[1.0, 2.0], [0.0, 1.0]],
+                                         "Q": [[1.0, 0.0], [2.0, 1.0]]}]}),
 ]
 
 
@@ -324,6 +354,17 @@ class TestValidate:
         code = main(["validate", str(path)])
         assert code == 2
         assert f"error: {field}: " in capsys.readouterr().err
+
+    def test_a_missing_file_exit_two_naming_it(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        assert main(["validate", str(path)]) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
+
+    def test_a_top_level_array_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "array.json"
+        path.write_text("[]")
+        assert main(["validate", str(path)]) == 2
+        assert "error: top level: expected an object" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -23,6 +23,7 @@ from csepsolve import (
     cyclic_index,
     derive_default_params,
     epsilon,
+    hybrid,
     run_maxsel_hybrid,
     run_parallel_hybrid,
     run_sequential,
@@ -35,7 +36,7 @@ from csepsolve.prox import ProxRecord
 from csepsolve.outcome import RunCounters
 
 from conftest import csep2_instance, csep3_plane_instance, halfline_instance, scalar_1d_instance
-from oracles import q_of
+from oracles import iterates, q_of, record_projections
 
 
 def vi(M, L=None):
@@ -60,6 +61,12 @@ class TestParams:
         c1 = c2 = 0.5
         with pytest.raises(ParameterViolation):
             validate_params(HybridParams(lam=1.0 / (c1 + c2), k=10.0), c1, c2)
+
+    @pytest.mark.parametrize("k", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("rule", ["strict", "relaxed"])
+    def test_a_k_that_is_not_finite_is_rejected(self, k, rule):
+        with pytest.raises(ParameterViolation, match="must be finite"):
+            validate_params(HybridParams(lam=0.2, k=k, rule=rule), 1.0, 1.0)
 
     def test_unknown_rule(self):
         with pytest.raises(ParameterViolation):
@@ -168,13 +175,16 @@ class TestRunners:
         with pytest.raises(ParameterViolation):
             run_parallel_hybrid(inst, HybridParams(lam=1.0, k=6.0))
 
-    def test_maxsel_single_equals_run_single(self):
+    def test_maxsel_single_equals_run_single(self, monkeypatch):
         inst = halfline_instance()
         params = HybridParams(lam=0.4, k=6.0, tol=0.0, max_outer=100)
-        a = run_maxsel_hybrid(inst, params, collect_iterates=True)
-        b = run_single(inst, params, collect_iterates=True)
-        assert a.iterations == b.iterations == 100
-        for xa, xb in zip(a.iterates, b.iterates):
+        calls = record_projections(monkeypatch, hybrid)
+        a = run_maxsel_hybrid(inst, params)
+        xs_a = iterates(calls)
+        calls.clear()
+        b = run_single(inst, params)
+        assert a.iterations == b.iterations == len(xs_a) == len(calls) == 100
+        for xa, xb in zip(xs_a, iterates(calls)):
             assert np.linalg.norm(xa - xb) <= 1e-12
 
     def test_maxsel_tie_break_lowest_index(self):
@@ -220,12 +230,15 @@ class TestRunners:
         with pytest.raises(ParameterViolation):
             run_single(csep2_instance(), HybridParams(lam=0.2, k=6.0))
 
-    def test_sequential_single_equals_run_single(self):
+    def test_sequential_single_equals_run_single(self, monkeypatch):
         inst = scalar_1d_instance()
         params = HybridParams(lam=0.3, k=4.0, tol=0.0, max_outer=100)
-        a = run_sequential(inst, params, collect_iterates=True)
-        b = run_single(inst, params, collect_iterates=True)
-        for xa, xb in zip(a.iterates, b.iterates):
+        calls = record_projections(monkeypatch, hybrid)
+        run_sequential(inst, params)
+        xs_a = iterates(calls)
+        calls.clear()
+        run_single(inst, params)
+        for xa, xb in zip(xs_a, iterates(calls)):
             assert np.linalg.norm(xa - xb) <= 1e-12
 
     def test_sequential_matches_parallel_limit(self):
@@ -281,7 +294,7 @@ class TestRunners:
 
     def test_first_unconverged_stacked_solve_reported(self, monkeypatch):
         import csepsolve.prox as prox_module
-        from csepsolve import AffineQuadraticBifunction, solve_prox
+        from csepsolve import AffineQuadraticBifunction
         from csepsolve.harness import summarize
 
         rng = np.random.default_rng(3)
@@ -302,9 +315,9 @@ class TestRunners:
         monkeypatch.setattr(prox_module, "MAX_INNER", 3)
         out = run_maxsel_hybrid(inst, params)
         y_init = inst.set.project(inst.x0)
-        one_row = solve_prox(fs[1], y_init, inst.x0, params.lam, inst.set)
-        assert not one_row.converged
-        assert out.first_nonconverged == InnerNonconvergence(1, 1, one_row.diagnostic)
+        _, one_row = solve_prox(fs[1], y_init, inst.x0, params.lam, inst.set)
+        assert one_row.nonconverged
+        assert out.first_nonconverged == InnerNonconvergence(1, 1, one_row.nonconverged[0][1])
         assert out.counters.prox_nonconverged == 4
         assert out.stop_reason == "max_outer"
         summary = summarize(RunSpec(problem_path="x.json", algorithm="maxsel"), out, 0.0)
@@ -312,11 +325,12 @@ class TestRunners:
             "n": 1, "subproblem": 1, "diagnostic": "projected gradient hit 3 iterations",
         }
 
-    def test_anchor_distance_monotone(self):
+    def test_anchor_distance_monotone(self, monkeypatch):
         inst = halfline_instance()
-        out = run_single(inst, HybridParams(lam=0.4, k=6.0), collect_iterates=True)
+        calls = record_projections(monkeypatch, hybrid)
+        run_single(inst, HybridParams(lam=0.4, k=6.0))
         x0 = inst.x0
-        dists = [np.linalg.norm(x - x0) for x in out.iterates]
+        dists = [np.linalg.norm(x - x0) for x in iterates(calls)]
         assert all(b >= a - 1e-12 for a, b in zip(dists, dists[1:]))
 
     def test_empty_feasible_set_raises_at_initialization(self):
@@ -423,10 +437,15 @@ class TestStepBookkeeping:
             assert out.residual == max(float(np.linalg.norm(y - x)) for y in latest)
             return out
 
+        xs = [inst.x0]
+
+        def project(cuts, x0):
+            xs.append(hybrid.project_halfspace_intersection(cuts, x0))
+            return xs[-1]
+
         out = drive("sequential", checked_step, inst.x0, 0.0, 39, RunCounters(),
-                    collect_iterates=True)
-        assert out.iterations == 39
-        xs = [inst.x0, *out.iterates]
+                    project=project)
+        assert out.iterations == 39 == len(xs) - 1
         for n, record in enumerate(out.trace):
             assert record.step_norm == float(np.linalg.norm(xs[n + 1] - xs[n]))
 

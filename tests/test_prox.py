@@ -38,8 +38,8 @@ class TestOperatorInducedRoute:
         f = vi(np.eye(2))
         box = Box([-1.0, -1.0], [1.0, 1.0])
         w = x = np.array([1.0, 0.0])
-        res = solve_prox(f, w, x, 0.2, box)
-        assert np.allclose(res.minimizer, [0.8, 0.0], atol=1e-15)
+        (y,), _ = solve_prox(f, w, x, 0.2, box)
+        assert np.allclose(y, [0.8, 0.0], atol=1e-15)
 
     def test_projected_step_identity_random(self, rng):
         M = rng.standard_normal((3, 3))
@@ -49,16 +49,16 @@ class TestOperatorInducedRoute:
             w = rng.standard_normal(3)
             x = rng.standard_normal(3)
             lam = float(rng.uniform(0.05, 0.45))
-            res = solve_prox(f, w, x, lam, box)
+            (y,), _ = solve_prox(f, w, x, lam, box)
             direct = box.project(x - lam * f.operator(w))
-            assert np.linalg.norm(res.minimizer - direct) <= 1e-12
+            assert np.linalg.norm(y - direct) <= 1e-12
 
     def test_zero_operator_reduces_to_projection(self):
         f = vi(np.zeros((2, 2)), L=1.0)
         box = Box([-1.0, -1.0], [1.0, 1.0])
         x = np.array([2.0, 0.25])
-        res = solve_prox(f, np.array([0.3, 0.3]), x, 0.7, box)
-        assert np.allclose(res.minimizer, [1.0, 0.25])
+        (y,), _ = solve_prox(f, np.array([0.3, 0.3]), x, 0.7, box)
+        assert np.allclose(y, [1.0, 0.25])
 
 
 class TestAffineQuadraticRoute:
@@ -66,11 +66,11 @@ class TestAffineQuadraticRoute:
         # minimize 0.5*y*(y-1) + 0.5*(1-y)^2 over the line: minimizer 0.75
         f = AffineQuadraticBifunction(np.zeros((1, 1)), np.eye(1), np.zeros(1))
         w = x = np.array([1.0])
-        res = solve_prox(f, w, x, 0.5, WholeSpace(1))
-        assert abs(res.minimizer[0] - 0.75) < 1e-9
-        grid = grid_minimize_1d(lambda y: objective(f, w, x, 0.5, np.array([y])),
+        (y,), _ = solve_prox(f, w, x, 0.5, WholeSpace(1))
+        assert abs(y[0] - 0.75) < 1e-9
+        grid = grid_minimize_1d(lambda t: objective(f, w, x, 0.5, np.array([t])),
                                 -3.0, 3.0)
-        assert abs(res.minimizer[0] - grid) < 1e-6
+        assert abs(y[0] - grid) < 1e-6
 
     def test_diagonal_box_fast_path_is_exact(self, rng):
         d = 3
@@ -82,9 +82,9 @@ class TestAffineQuadraticRoute:
             w = rng.standard_normal(d)
             x = rng.standard_normal(d)
             lam = float(rng.uniform(0.05, 0.4))
-            res = solve_prox(f, w, x, lam, box)
-            assert res.inner_iterations == 1
-            gap = certify_prox(f, w, x, lam, box, res.minimizer, 300, rng)
+            (y,), record = solve_prox(f, w, x, lam, box)
+            assert record.inner_iterations == 1
+            gap = certify_prox(f, w, x, lam, box, y, 300, rng)
             assert gap >= -1e-10
 
     def test_projected_gradient_route(self, rng):
@@ -96,13 +96,13 @@ class TestAffineQuadraticRoute:
         box = Box(-np.ones(d), np.ones(d))
         w = rng.standard_normal(d)
         x = rng.standard_normal(d)
-        res = solve_prox(f, w, x, 0.11, box)
-        assert res.converged
-        gap = certify_prox(f, w, x, 0.11, box, res.minimizer, 500, rng)
+        (y,), record = solve_prox(f, w, x, 0.11, box)
+        assert not record.nonconverged
+        gap = certify_prox(f, w, x, 0.11, box, y, 500, rng)
         assert gap >= -1e-7
         Y = box.sample(rng, 2000)
-        best_sampled = min(objective(f, w, x, 0.11, y) for y in Y)
-        assert objective(f, w, x, 0.11, res.minimizer) <= best_sampled + 1e-9
+        best_sampled = min(objective(f, w, x, 0.11, p) for p in Y)
+        assert objective(f, w, x, 0.11, y) <= best_sampled + 1e-9
 
 
     def test_diagonal_q_is_found_once_per_bifunction(self, rng):
@@ -132,7 +132,7 @@ class TestAffineQuadraticRoute:
         system = ProxSystem([bad, good], 0.2, box)
         w = x = np.array([0.5, 0.5])
         assert system.solve_row(1, w, x, 1)[0][0].tobytes() == (
-            solve_prox(good, w, x, 0.2, box).minimizer.tobytes())
+            solve_prox(good, w, x, 0.2, box)[0][0].tobytes())
         for solve in (lambda: system.solve_row(0, w, x, 1), lambda: system.solve(w, x, 1)):
             with pytest.raises(NonFiniteObjective, match="not strongly convex"):
                 solve()
@@ -159,7 +159,7 @@ class TestAffineQuadraticRoute:
         system = ProxSystem([bad, good], 0.2, box)
         w = x = np.array([0.5, 0.5])
         assert system.solve_row(1, w, x, 1)[0][0].tobytes() == (
-            solve_prox(good, w, x, 0.2, box).minimizer.tobytes())
+            solve_prox(good, w, x, 0.2, box)[0][0].tobytes())
         for solve in (lambda: system.solve_row(0, w, x, 1), lambda: system.solve(w, x, 1)):
             with pytest.raises(NonFiniteObjective, match="not strongly convex"):
                 solve()
@@ -193,10 +193,10 @@ class TestAffineQuadraticRoute:
         for f in (ViInducedBifunction(CallableOperator(lambda y: np.tanh(M @ y), 2.0, d)),
                   as_blackbox(vi(M))):
             Y, record = ProxSystem([f], 0.2, box).solve(W, x, 1)
-            one_row = solve_prox(f, W[0], x, 0.2, box)
+            Y_1, record_1 = solve_prox(f, W[0], x, 0.2, box)
             assert Y.shape == (1, d)
-            assert Y[0].tobytes() == one_row.minimizer.tobytes()
-            assert_same_record(record, result_record(one_row))
+            assert Y[0].tobytes() == Y_1[0].tobytes()
+            assert_same_record(record, record_1)
 
 
 class TestFiniteCheckAndStepBound:
@@ -249,9 +249,9 @@ class TestBlackBoxRoute:
             w = rng.standard_normal(3)
             x = rng.standard_normal(3)
             lam = float(rng.uniform(0.05, 0.45))
-            a = solve_prox(fast, w, x, lam, box)
-            b = solve_prox(slow, w, x, lam, box)
-            assert np.linalg.norm(a.minimizer - b.minimizer) < 1e-6
+            a, _ = solve_prox(fast, w, x, lam, box)
+            b, _ = solve_prox(slow, w, x, lam, box)
+            assert np.linalg.norm(a[0] - b[0]) < 1e-6
 
     def test_smooth_nonlinear_blackbox(self, rng):
         # f(x, y) = <tanh(x), y - x> + 0.5 ||y - x||^2 is smooth and convex in y
@@ -265,9 +265,9 @@ class TestBlackBoxRoute:
         box = Box(-np.ones(2), np.ones(2))
         w = np.array([0.4, -0.9])
         x = np.array([0.8, 0.1])
-        res = solve_prox(f, w, x, 0.2, box)
-        assert res.converged
-        gap = certify_prox(f, w, x, 0.2, box, res.minimizer, 400, rng)
+        (y,), record = solve_prox(f, w, x, 0.2, box)
+        assert not record.nonconverged
+        gap = certify_prox(f, w, x, 0.2, box, y, 400, rng)
         assert gap >= -1e-7
 
     def test_oscillation_is_damped_until_the_iteration_cap(self, monkeypatch):
@@ -281,12 +281,12 @@ class TestBlackBoxRoute:
                                lambda x, y: np.where(y < 0.0, -1.0, 1.0),
                                LipschitzData(0.5, 0.5))
         monkeypatch.setattr(prox_module, "MAX_INNER", 200)
-        res = solve_prox(f, np.zeros(1), np.array([0.05]), 0.1, WholeSpace(1))
-        assert not res.converged
-        assert res.inner_iterations == 200
+        _, record = solve_prox(f, np.zeros(1), np.array([0.05]), 0.1, WholeSpace(1))
+        ((_, diagnostic),) = record.nonconverged
+        assert record.inner_iterations == 200
         prefix = "subgradient scheme hit 200 iterations (best residual "
-        assert res.diagnostic.startswith(prefix)
-        assert float(res.diagnostic[len(prefix):-1]) < 0.06
+        assert diagnostic.startswith(prefix)
+        assert float(diagnostic[len(prefix):-1]) < 0.06
 
     def test_diverging_subgradient_iteration_raises(self):
         # subgradients of +-1e308 send each step across the line, until the
@@ -304,9 +304,9 @@ class TestBlackBoxRoute:
             w = rng.standard_normal(2)
             x = rng.standard_normal(2) * 2.0
             lam = 0.2
-            res = solve_prox(f, w, x, lam, box)
+            (y,), _ = solve_prox(f, w, x, lam, box)
             naive = objective(f, w, x, lam, box.project(x))
-            assert objective(f, w, x, lam, res.minimizer) <= naive + 1e-10
+            assert objective(f, w, x, lam, y) <= naive + 1e-10
 
 
 class TestCertify:
@@ -314,8 +314,8 @@ class TestCertify:
         f = vi(np.eye(2))
         box = Box(-np.ones(2), np.ones(2))
         w = x = np.array([0.5, 0.5])
-        res = solve_prox(f, w, x, 0.2, box)
-        gap = certify_prox(f, w, x, 0.2, box, res.minimizer, 200, rng)
+        (y,), _ = solve_prox(f, w, x, 0.2, box)
+        gap = certify_prox(f, w, x, 0.2, box, y, 200, rng)
         assert gap >= -1e-10
 
     def test_trivial_zero_bifunction(self, rng):
@@ -329,8 +329,8 @@ class TestCertify:
         f = vi(np.eye(2))
         box = Box(-np.ones(2), np.ones(2))
         w = x = np.array([0.5, 0.5])
-        res = solve_prox(f, w, x, 0.2, box)
-        wrong = res.minimizer + np.array([0.1, 0.0])
+        (y,), _ = solve_prox(f, w, x, 0.2, box)
+        wrong = y + np.array([0.1, 0.0])
         gap = certify_prox(f, w, x, 0.2, box, wrong, 200, rng)
         assert gap < -1e-4
 
@@ -340,14 +340,6 @@ class TestCertify:
             solve_prox(f, np.zeros(1), np.zeros(1), 0.0, Box([-1.0], [1.0]))
 
 
-def result_record(r, i=0):
-    """The record of the one solve ``r`` (a ``ProxResult``) as subproblem i:
-    its certificate gap unless NaN, else inf."""
-    least = math.inf if math.isnan(r.certificate_gap) else r.certificate_gap
-    return ProxRecord(1, r.inner_iterations, () if r.converged else ((i, r.diagnostic),),
-                      least)
-
-
 def assert_same_record(a, b):
     """Equal records of Python ints, floats compared by repr (NaN equals NaN)."""
     assert repr(a) == repr(b)
@@ -355,26 +347,31 @@ def assert_same_record(a, b):
 
 
 def assert_stack_matches_rows(fs, W, x, lam, set_, certify_probes=0, seed=0, n=1):
-    """ProxSystem.solve equals a loop of one-row solve_prox calls, and a
-    loop of ProxSystem.solve_row calls, bit for bit: each row of its
-    minimizers, and its record that of the rows.  Returns the one-row
-    results."""
+    """ProxSystem.solve equals a loop of one-row solve_prox calls, each
+    certified by certify_prox with the probes of its row, and a loop of
+    ProxSystem.solve_row calls, bit for bit: each row of its minimizers,
+    and its record that of the rows.  Returns the one-row results, each a
+    minimizer and its record as subproblem i."""
     system = ProxSystem(fs, lam, set_, certify_probes, seed)
     Y, record = system.solve(W, x, n)
     anchors = [W if W.ndim == 1 else W[i] for i in range(len(fs))]
-    rows = [
-        solve_prox(f, w, x, lam, set_, certify_probes=certify_probes,
-                   rng=probe_rng(certify_probes, seed, n, i))
-        for i, (f, w) in enumerate(zip(fs, anchors))
-    ]
+    rows = []
+    for i, (f, w) in enumerate(zip(fs, anchors)):
+        (y,), r = solve_prox(f, w, x, lam, set_)
+        gap = math.inf
+        if certify_probes > 0:
+            gap = certify_prox(f, w, x, lam, set_, y, certify_probes,
+                               probe_rng(certify_probes, seed, n, i))
+        rows.append((y, r._replace(nonconverged=tuple((i, d) for _, d in r.nonconverged),
+                                   min_certificate=gap)))
     ones = [system.solve_row(i, w, x, n) for i, w in enumerate(anchors)]
     assert Y.shape == (len(fs), x.size)
     assert len(rows) == len(ones) == len(fs)
-    for i, (y, b, (Y_i, record_i)) in enumerate(zip(Y, rows, ones)):
-        assert y.tobytes() == b.minimizer.tobytes()
+    for y, (y_i, r_i), (Y_i, record_i) in zip(Y, rows, ones):
+        assert y.tobytes() == y_i.tobytes()
         assert Y_i.shape == (1, x.size) and Y_i[0].tobytes() == y.tobytes()
-        assert_same_record(record_i, result_record(b, i))
-    assert_same_record(record, ProxRecord.of([result_record(b) for b in rows]))
+        assert_same_record(record_i, r_i)
+    assert_same_record(record, ProxRecord.of([r for _, r in rows]))
     assert_same_record(record, ProxRecord.of([r for _, r in ones]))
     return rows
 
@@ -406,10 +403,10 @@ class TestProxSystemParity:
         W = rng.uniform(-1, 1, (n_rows, d) if per_row else d)
         x = rng.uniform(-1, 1, d)
         results = assert_stack_matches_rows(fs, W, x, 0.3, box)
-        for i, (f, r) in enumerate(zip(fs, results)):
+        for i, (f, (y, _)) in enumerate(zip(fs, results)):
             w = W if W.ndim == 1 else W[i]
             direct = box.project(x - 0.3 * (f.operator.M @ w + f.operator.q))
-            assert r.minimizer.tobytes() == direct.tobytes()
+            assert y.tobytes() == direct.tobytes()
 
     def test_affine_vi_stack_whole_space(self, rng):
         fs = [vi(monotone_matrix(rng, 5), rng.standard_normal(5)) for _ in range(3)]
@@ -424,11 +421,11 @@ class TestProxSystemParity:
         W = rng.uniform(-1, 1, (4, d) if per_row else d)
         x = rng.uniform(-1, 1, d)
         results = assert_stack_matches_rows(fs, W, x, 0.2, box)
-        assert len({r.inner_iterations for r in results}) > 1
-        for i, (f, r) in enumerate(zip(fs, results)):
+        assert len({r.inner_iterations for _, r in results}) > 1
+        for i, (f, (y_i, r)) in enumerate(zip(fs, results)):
             y, steps, converged = projected_gradient_prox(
                 f, W if W.ndim == 1 else W[i], x, 0.2, box, 1e-10, 100_000)
-            assert (r.minimizer.tobytes(), r.inner_iterations, r.converged) == (
+            assert (y_i.tobytes(), r.inner_iterations, not r.nonconverged) == (
                 y.tobytes(), steps, converged)
             assert converged
 
@@ -441,8 +438,9 @@ class TestProxSystemParity:
         box = Box(-np.ones(d), np.ones(d))
         results = assert_stack_matches_rows(fs, rng.uniform(-1, 1, (3, d)),
                                             rng.uniform(-1, 1, d), 0.2, box)
-        assert results[1].inner_iterations == 1
-        assert results[0].inner_iterations > 1
+        (_, dense), (_, diagonal), _ = results
+        assert diagonal.inner_iterations == 1
+        assert dense.inner_iterations > 1
 
     def test_row_by_row_projection_on_ball(self, rng):
         d = 5
@@ -469,10 +467,43 @@ class TestProxSystemParity:
         fs = [vi(monotone_matrix(rng, d), rng.standard_normal(d)) for _ in range(3)]
         results = assert_stack_matches_rows(fs, rng.uniform(-1, 1, d), x, 0.3, box,
                                             certify_probes=2, seed=5, n=7)
-        assert not any(np.isnan(r.certificate_gap) for r in results)
+        assert all(math.isfinite(r.min_certificate) for _, r in results)
         fs = [dense_aq(rng, d, scale) for scale in (0.5, 4.0)]
         assert_stack_matches_rows(fs, rng.uniform(-1, 1, (2, d)), x, 0.2, box,
                                   certify_probes=2, seed=5, n=7)
+
+    @pytest.mark.parametrize("family, kernel", [
+        ("affine_vi", "_AffineViStack"), ("coordinatewise", "_CoordinatewiseStack"),
+        ("projected_gradient", "_ProjectedGradientStack"), ("operator", "_Row"),
+        ("blackbox", "_Row")])
+    def test_solve_prox_is_the_uncertified_solve_row_of_a_one_row_system(
+            self, rng, monkeypatch, family, kernel):
+        import csepsolve.prox as prox_module
+
+        d = 4
+        M = monotone_matrix(rng, d)
+        f = {
+            "affine_vi": lambda: vi(M, rng.standard_normal(d)),
+            "coordinatewise": lambda: AffineQuadraticBifunction(
+                rng.standard_normal((d, d)), np.diag(rng.uniform(0.1, 2.0, d)),
+                rng.standard_normal(d)),
+            "projected_gradient": lambda: dense_aq(rng, d, 4.0, face=True),
+            "operator": lambda: ViInducedBifunction(
+                CallableOperator(lambda y: np.tanh(M @ y), 2.0, d)),
+            "blackbox": lambda: as_blackbox(vi(M, rng.standard_normal(d))),
+        }[family]()
+        box = Box(-np.ones(d), np.ones(d))
+        assert type(prox_module._kernel([f], 0.2, box)).__name__ == kernel
+        w, x = rng.uniform(-1, 1, d), rng.uniform(-1, 1, d)
+        for max_inner in (100_000, 1):  # converged; then, for the iterative kernels, capped
+            monkeypatch.setattr(prox_module, "MAX_INNER", max_inner)
+            Y, record = solve_prox(f, w, x, 0.2, box)
+            Y_row, record_row = ProxSystem([f], 0.2, box).solve_row(0, w, x, 1)
+            assert Y.shape == Y_row.shape == (1, d)
+            assert Y.tobytes() == Y_row.tobytes()
+            assert_same_record(record, record_row)
+            if max_inner == 1 and family in ("projected_gradient", "blackbox"):
+                assert record.nonconverged and record.nonconverged[0][0] == 0
 
     def test_row_at_max_inner_reports_like_one_row_solve(self, rng, monkeypatch):
         import csepsolve.prox as prox_module
@@ -489,12 +520,11 @@ class TestProxSystemParity:
         assert_same_record(record, ProxRecord(2, 6, ((0, diagnostic), (1, diagnostic)), math.inf))
         for i, (f, y_stacked) in enumerate(zip(fs, Y)):
             Y_i, record_i = system.solve_row(i, w, x, 1)
-            one_row = solve_prox(f, w, x, 0.2, box)
+            Y_1, record_1 = solve_prox(f, w, x, 0.2, box)
             y, _, converged = projected_gradient_prox(f, w, x, 0.2, box, 1e-10, 3)
             assert (Y_i[0].tobytes(), record_i.inner_iterations) == (y.tobytes(), 3)
             assert y_stacked.tobytes() == y.tobytes()
-            assert not one_row.converged
-            assert one_row.diagnostic == diagnostic
-            assert Y_i[0].tobytes() == one_row.minimizer.tobytes()
-            assert_same_record(record_i, result_record(one_row, i))
+            assert record_1.nonconverged == ((0, diagnostic),)
+            assert Y_i[0].tobytes() == Y_1[0].tobytes()
+            assert_same_record(record_1, ProxRecord(1, 3, ((0, diagnostic),), math.inf))
             assert_same_record(record_i, ProxRecord(1, 3, ((i, diagnostic),), math.inf))

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from csepsolve import (
+    STOP_ERROR,
     AffineOperator,
     AffineSegmentBoxSolution,
     Box,
     CsepInstance,
     HybridParams,
     SingletonSolution,
+    MaxInnerIterationsExceeded,
     ViInducedBifunction,
     derive_default_params,
+    geometry,
     load_problem,
     run_maxsel_hybrid,
     run_parallel_hybrid,
@@ -20,7 +23,9 @@ from csepsolve import (
     run_single,
 )
 
-from conftest import PROBLEM_DIR
+from csepsolve.cli import main
+
+from conftest import PROBLEM_DIR, csep3_plane_instance
 
 RUNNERS = {
     "parallel": run_parallel_hybrid,
@@ -75,3 +80,26 @@ def test_rescaled_halfline_problem(scale):
     assert out.stop_reason == "tolerance"
     assert out.total_violations == 0
     assert out.final_dist_to_known() / scale <= 1e-7
+
+
+def test_a_stalled_anchor_projector_ends_the_run_with_its_error(monkeypatch, capsys):
+    # a negative slack lets no point pass the dual active set's certificate,
+    # so it stops when the most violated cut is one it has already added
+    monkeypatch.setattr(geometry, "INTERSECTION_TOL", -1e-3)
+    A, b = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([0.0, 0.0, 0.5])
+    with pytest.raises(MaxInnerIterationsExceeded, match="did not certify") as info:
+        geometry._dual_active_set(A, b, np.array([1.0, 2.0]))
+    scale = np.linalg.norm(A, axis=1)
+    best, violations = info.value.best, info.value.violations
+    assert best.shape == (2,) and violations.shape == (3,)
+    assert np.allclose(violations, A @ best / scale - b / scale, rtol=0.0, atol=1e-15)
+
+    # iteration 1 projects onto its three C-cuts (Q_1 is the whole space)
+    out = run_parallel_hybrid(csep3_plane_instance(), HybridParams(lam=0.2, k=6.0))
+    assert (out.stop_reason, out.iterations) == (STOP_ERROR, 0)
+    assert out.error.startswith("dual active-set projection onto 3 halfspaces did not "
+                                "certify a point")
+    code = main(["solve", str(PROBLEM_DIR / "csep3_plane_3d.json"), "--algorithm",
+                 "parallel"])
+    assert code == 3
+    assert "error: dual active-set projection onto" in capsys.readouterr().err

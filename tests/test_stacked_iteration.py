@@ -5,7 +5,7 @@ it, and the prox record.
 Each is held bit for bit to the per-row form it replaces: ``build_c_cut``
 for every point and ``build_q_cut``, the same projection of a list of
 ``HalfspaceCut``s, one ``violation`` per cut, and the counters that
-per-row ``ProxResult``s gave.
+per-row one-off solves gave.
 """
 
 import math
@@ -36,6 +36,7 @@ from csepsolve import (  # noqa: E402
     build_c_cut,
     build_cuts,
     build_q_cut,
+    certify_prox,
     epsilon,
     project_halfspace_intersection,
     run_maxsel_hybrid,
@@ -365,10 +366,16 @@ def test_parallel_eps_are_epsilon_row_by_row():
 
 def one_off_solve(system, i, w, x, n):
     """Subproblem i of ``system`` at outer iteration n as the one-off
-    ``solve_prox``, with the probes ``ProxSystem`` gives it."""
-    probes = system.certify_probes
-    return solve_prox(system.fs[i], w, x, system.lam, system.set_, probes,
-                      rng=probe_rng(probes, system.seed, n, i))
+    ``solve_prox``, certified by ``certify_prox`` with the probes
+    ``ProxSystem`` gives it: the minimizer, the record of the solve and the
+    certificate gap (NaN when certification is off)."""
+    f, lam, set_, probes = system.fs[i], system.lam, system.set_, system.certify_probes
+    Y, record = solve_prox(f, w, x, lam, set_)
+    gap = math.nan
+    if probes > 0:
+        gap = certify_prox(f, w, x, lam, set_, Y[0], probes,
+                           probe_rng(probes, system.seed, n, i))
+    return Y[0], record, gap
 
 
 def per_row_solve(system, W, x, n):
@@ -378,22 +385,22 @@ def per_row_solve(system, W, x, n):
     results = [one_off_solve(system, i, W if W.ndim == 1 else W[i], x, n)
                for i in range(len(system.fs))]
     least = math.inf
-    for r in results:
-        if not math.isnan(r.certificate_gap):
-            least = min(least, r.certificate_gap)
-    record = ProxRecord(len(results), sum(r.inner_iterations for r in results),
-                        tuple((i, r.diagnostic) for i, r in enumerate(results)
-                              if not r.converged), least)
-    return np.array([r.minimizer for r in results]), record
+    for _, _, gap in results:
+        if not math.isnan(gap):
+            least = min(least, gap)
+    record = ProxRecord(len(results), sum(r.inner_iterations for _, r, _ in results),
+                        tuple((i, r.nonconverged[0][1]) for i, (_, r, _) in enumerate(results)
+                              if r.nonconverged), least)
+    return np.array([y for y, _, _ in results]), record
 
 
 def per_row_solve_row(system, i, w, x, n):
     """``ProxSystem.solve_row`` as ``solve_prox`` and the record that
     ``drive`` once summed from its result."""
-    r = one_off_solve(system, i, w, x, n)
-    least = math.inf if math.isnan(r.certificate_gap) else r.certificate_gap
-    return r.minimizer[None], ProxRecord(1, r.inner_iterations,
-                                         () if r.converged else ((i, r.diagnostic),), least)
+    y, r, gap = one_off_solve(system, i, w, x, n)
+    least = math.inf if math.isnan(gap) else gap
+    return y[None], ProxRecord(1, r.inner_iterations,
+                               ((i, r.nonconverged[0][1]),) if r.nonconverged else (), least)
 
 
 def dense_aq(rng, d, scale, face=False):

@@ -10,7 +10,9 @@ a docstring), so that a change can show which kind of line it removed; and
 the number of settable values: every default of a function or lambda
 parameter, plus every annotated class attribute given a value, except
 dataclass fields declared ``field(..., init=False)``, which no caller can
-set.
+set.  After these totals it prints one line per module, its path under
+``src/csepsolve`` with its lines and settable values, so that a change
+can show which module it shrank.
 """
 
 from __future__ import annotations
@@ -58,17 +60,11 @@ def line_kinds(source: str) -> tuple[int, int, int]:
     return len(docstring), len(comment), len(blank - docstring)
 
 
-def measure(package: Path) -> tuple[int, tuple[int, int, int], int]:
-    """(lines, their counts by ``KINDS``, settable values) over the ``.py``
-    files under ``package``."""
-    lines = values = 0
-    kinds = [0, 0, 0]
-    for path in sorted(package.rglob("*.py")):
-        text = path.read_text()
-        lines += text.count("\n")
-        kinds = [a + b for a, b in zip(kinds, line_kinds(text))]
-        values += settable_values(text)
-    return lines, tuple(kinds), values
+def measure(path: Path) -> tuple[int, tuple[int, int, int], int]:
+    """(lines, their counts by ``KINDS``, settable values) of one ``.py``
+    file."""
+    text = path.read_text()
+    return text.count("\n"), line_kinds(text), settable_values(text)
 
 
 def main(argv=None) -> int:
@@ -78,11 +74,14 @@ def main(argv=None) -> int:
     package = args.src / "src" / "csepsolve"
     if not package.is_dir():
         parser.error(f"no package at {package}")
-    lines, kinds, values = measure(package)
-    print(f"lines {lines}")
-    for kind, count in zip(KINDS, kinds):
-        print(f"{kind} lines {count}")
-    print(f"settable values {values}")
+    modules = [(path.relative_to(package).as_posix(), *measure(path))
+               for path in sorted(package.rglob("*.py"))]
+    print(f"lines {sum(lines for _, lines, _, _ in modules)}")
+    for i, kind in enumerate(KINDS):
+        print(f"{kind} lines {sum(kinds[i] for _, _, kinds, _ in modules)}")
+    print(f"settable values {sum(values for _, _, _, values in modules)}")
+    for name, lines, _, values in modules:
+        print(f"{name} lines {lines} settable values {values}")
     return 0
 
 

@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatch,
     EmptyF,
     EmptyIntersection,
-    InfeasibleCut,
     InfeasibleSet,
     LinesearchFailed,
     MaxInnerIterationsExceeded,

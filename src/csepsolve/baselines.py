@@ -125,7 +125,7 @@ def _project_onto_set_and_cuts(set_, rows, counters, cuts, x0):
             normals[i + 1], offsets[i + 1], norm_sq[i + 1], whole[i + 1] = (
                 q.normal, q.offset, q.norm_sq, q.is_whole_space)
             cuts = CutStack._valid(normals, offsets, norm_sq, whole,
-                                   faces_whole or c.is_whole_space or q.is_whole_space, None)
+                                   faces_whole or c.is_whole_space or q.is_whole_space)
         return project_halfspace_intersection(cuts, x0)
     live = [cuts[i] for i in cuts.live]
 

@@ -13,10 +13,6 @@ class DegenerateCut(SolverError):
     """A halfspace cut with a numerically zero normal and a negative offset."""
 
 
-class InfeasibleCut(SolverError):
-    """A constructed cut is contradictory; signals a broken invariant upstream."""
-
-
 class EmptyIntersection(SolverError):
     """The target intersection of halfspaces is empty."""
 

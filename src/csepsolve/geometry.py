@@ -116,10 +116,10 @@ def row_norms(D: np.ndarray) -> np.ndarray:
 class HalfspaceCut:
     """The halfspace {z : <normal, z> <= offset}.
 
-    A cut with a numerically zero normal stands for the whole space when the
-    residual scalar inequality 0 <= offset holds (up to -1e-12); otherwise it
-    denotes the empty set and is rejected at construction.  ``norm_sq`` is
-    <normal, normal>, computed once here for the projections.
+    Only this class and ``CutStack`` decide that a cut whose normal is
+    shorter than ``DEGENERACY_THRESHOLD`` is the whole space when
+    0 <= offset holds (up to -1e-12), else empty: ``DegenerateCut``.
+    ``norm_sq`` is <normal, normal>, computed once here for the projections.
     """
 
     normal: np.ndarray
@@ -214,25 +214,20 @@ class CutStack:
     @classmethod
     def of(cls, cuts) -> CutStack:
         """The stack of the valid cuts ``cuts``, in order: the cuts
-        themselves when there are at most two, else their arrays."""
+        themselves when there are at most two, else ``CutStack`` of their arrays."""
         rows = cuts if type(cuts) is list else list(cuts)
         if len(rows) > 2:
-            whole = [c.is_whole_space for c in rows]
-            return cls._valid(np.array([c.normal for c in rows]),
-                              np.array([c.offset for c in rows], dtype=float),
-                              np.array([c.norm_sq for c in rows], dtype=float),
-                              np.array(whole, dtype=bool), any(whole), None)
+            return cls(np.array([c.normal for c in rows]), np.array([c.offset for c in rows]))
         stack = cls.__new__(cls)
         stack._rows, stack._arrays, stack._live = rows, None, None
         return stack
 
     @classmethod
-    def _valid(cls, normals, offsets, norm_sq, whole, has_whole, lengths) -> CutStack:
-        """The array stack of validated data; ``has_whole`` is whether any
-        ``whole`` row is true and ``lengths`` is None or sqrt(norm_sq)."""
+    def _valid(cls, normals, offsets, norm_sq, whole, has_whole) -> CutStack:
+        """The array stack of validated data, ``has_whole`` telling if any row is whole."""
         stack = cls.__new__(cls)
         stack._rows, stack._arrays, stack._live = None, (normals, offsets, norm_sq, whole), None
-        stack._has_whole, stack._lengths = has_whole, lengths
+        stack._has_whole, stack._lengths = has_whole, None
         return stack
 
     def __len__(self) -> int:

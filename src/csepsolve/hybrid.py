@@ -32,10 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleCut, ParameterViolation, SolverError
+from .errors import ParameterViolation, SolverError
 from .geometry import (
-    DEGENERACY_THRESHOLD,
-    WHOLE_SPACE_OFFSET_FLOOR,
     CutStack,
     HalfspaceCut,
     as_point,
@@ -141,23 +139,13 @@ def build_c_cut(x_n: np.ndarray, y_next: np.ndarray, eps: float) -> HalfspaceCut
     """Linearized cut {z : ||y_next - z||^2 <= ||x_n - z||^2 + eps}.
 
     Expands to 2<x_n - y_next, z> <= <x_n + y_next, x_n - y_next> + eps.
-    Collapses to the whole space when y_next == x_n and the residual scalar
-    inequality 0 <= eps holds; a contradictory collapse raises.
-
-    The normal 2(x_n - y_next) is twice x_n - y_next exactly, so its one
-    dot product also gives ||x_n - y_next|| = sqrt(<normal, normal>) / 2.
+    ``HalfspaceCut`` decides the collapse: the whole space when
+    ||2(x_n - y_next)|| < 1e-14 and the offset is at least -1e-12, else
+    ``DegenerateCut``.
     """
     diff = x_n - y_next
-    rhs = dot(x_n + y_next, diff) + eps
     normal = 2.0 * diff
-    norm_sq = float(normal.dot(normal))
-    if math.sqrt(norm_sq) < 2.0 * DEGENERACY_THRESHOLD:  # norm(diff) < DEGENERACY_THRESHOLD
-        if rhs < WHOLE_SPACE_OFFSET_FLOOR:
-            raise InfeasibleCut(
-                f"cut degenerated to the contradiction 0 <= {rhs:g}"
-            )
-        return HalfspaceCut(np.zeros_like(x_n), rhs)
-    return HalfspaceCut._of(normal, rhs, norm_sq)
+    return HalfspaceCut._of(normal, dot(x_n + y_next, diff) + eps, float(normal.dot(normal)))
 
 
 def build_q_cut(q: np.ndarray, q_sq: float, x_n: np.ndarray) -> HalfspaceCut:
@@ -170,16 +158,12 @@ def build_cuts(x_n: np.ndarray, Y: np.ndarray, eps: float | np.ndarray,
                q: np.ndarray, q_sq: float) -> CutStack:
     """The cuts of iteration n: ``build_c_cut(x_n, Y[i], eps_i)`` for each of
     the k rows of Y, then Q_n = ``build_q_cut(q, q_sq, x_n)`` for
-    q = x0 - x_n and q_sq = <q, q>, bit for bit and with the errors of
-    building them one by one in that order.  ``eps`` is one float shared by
-    every row or an array of k (unused when k = 0).
+    q = x0 - x_n and q_sq = <q, q>, bit for bit.  ``eps`` is one float
+    shared by every row or an array of k (unused when k = 0).
 
-    At most one row gives ``CutStack.of`` those cuts.  More give one stack
-    of k + 1 rows, normals 2(x_n - Y) (zero where a row is within
-    ``DEGENERACY_THRESHOLD`` of x_n) and offsets <x_n + Y, x_n - Y> + eps,
-    whose one row-dot pass over x_n - Y gives the degeneracy test and
-    ``norm_sq`` = 4 <x_n - y, x_n - y> (2 (x_n - y) scales exactly);
-    ``CutStack(normals, offsets)`` validates only non-finite data.
+    At most one row gives ``CutStack.of`` those cuts, which raise in row
+    order.  More give ``CutStack(normals, offsets)`` of all k + 1 rows,
+    which raises on non-finite data before a contradictory row.
     """
     k = len(Y)
     if k <= 1:
@@ -189,32 +173,12 @@ def build_cuts(x_n: np.ndarray, Y: np.ndarray, eps: float | np.ndarray,
             cuts.append(build_c_cut(x_n, Y[0], eps_0))
         cuts.append(build_q_cut(q, q_sq, x_n))
         return CutStack.of(cuts)
-    normals, offsets, norm_sq = np.empty((k + 1, x_n.size)), np.empty(k + 1), np.empty(k + 1)
+    normals, offsets = np.empty((k + 1, x_n.size)), np.empty(k + 1)
     diff = x_n - Y
     np.multiply(diff, 2.0, out=normals[:k])
     offsets[:k] = row_dot(x_n + Y, diff) + eps
-    dd = row_dots(diff)
-    degenerate = np.sqrt(dd) < DEGENERACY_THRESHOLD
-    np.multiply(dd, 4.0, out=norm_sq[:k])
-    has_whole = bool(np.count_nonzero(degenerate))
-    if has_whole:
-        normals[:k][degenerate] = norm_sq[:k][degenerate] = 0.0
-        bad = np.flatnonzero(degenerate & (offsets[:k] < WHOLE_SPACE_OFFSET_FLOOR))
-        if bad.size:
-            i = bad[0]
-            CutStack(normals[:i], offsets[:i])  # the rows before i raise first
-            raise InfeasibleCut(f"cut degenerated to the contradiction 0 <= {offsets[i]:g}")
-    try:
-        q_cut = build_q_cut(q, q_sq, x_n)
-    except (SolverError, ValueError):
-        CutStack(normals[:k], offsets[:k])  # the C-cuts raise first
-        raise
-    normals[k], offsets[k], norm_sq[k] = q_cut.normal, q_cut.offset, q_cut.norm_sq
-    if not (math.isfinite(np.add.reduce(offsets)) and math.isfinite(np.add.reduce(norm_sq))):
-        return CutStack(normals, offsets)  # validates, raising what it would
-    lengths = np.sqrt(norm_sq)
-    return CutStack._valid(normals, offsets, norm_sq, lengths < DEGENERACY_THRESHOLD,
-                           has_whole or q_cut.is_whole_space, lengths)
+    normals[k], offsets[k] = q, dot(q, x_n)
+    return CutStack(normals, offsets)
 
 
 def cyclic_index(n: int, n_problems: int) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,8 @@ class IterationRecord:
     eps_max: float
     dist_to_known: float
     wall_ms: float
-    degenerate_cuts: int = 0
-    selected_index: int | None = None
+    degenerate_cuts: int
+    selected_index: int | None
 
     def csv_row(self) -> str:
         dist = "" if math.isnan(self.dist_to_known) else f"{self.dist_to_known:.17g}"
@@ -89,10 +89,10 @@ class SolverOutcome:
     iterations: int
     trace: list[IterationRecord]
     invariant_violations: dict[str, int]
-    counters: RunCounters = field(default_factory=RunCounters)
-    min_prox_certificate: float = float("nan")
-    error: str | None = None
-    first_nonconverged: InnerNonconvergence | None = None
+    counters: RunCounters
+    min_prox_certificate: float
+    error: str | None
+    first_nonconverged: InnerNonconvergence | None
 
     @property
     def total_violations(self) -> int:

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import DimensionMismatch, UnknownConstants
 from .geometry import FeasibleSet, as_point
 
+FD_STEP = 1e-5  # central-difference step of validate's subgradient check
+
 
 def spectral_norm_estimate(M: np.ndarray) -> float:
     """Largest singular value of ``M``: LAPACK's 2-norm, exact to rounding."""
@@ -306,14 +308,14 @@ class CsepInstance:
         return self.known_solution.project(self.x0)
 
 
-def finite_difference_grad2(f: Bifunction, x, y, step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of y -> f(x, y)."""
+def finite_difference_grad2(f: Bifunction, x, y) -> np.ndarray:
+    """Central finite differences of y -> f(x, y), with step ``FD_STEP``."""
     y = np.asarray(y, dtype=float)
     g = np.zeros_like(y)
     for j in range(y.size):
         e = np.zeros_like(y)
-        e[j] = step
-        g[j] = (f.value(x, y + e) - f.value(x, y - e)) / (2.0 * step)
+        e[j] = FD_STEP
+        g[j] = (f.value(x, y + e) - f.value(x, y - e)) / (2.0 * FD_STEP)
     return g
 
 

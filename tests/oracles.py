@@ -269,18 +269,12 @@ def dual_active_set_reference(A, b, x0):
 
 
 def c_cut_by_constructor(x_n, y, eps):
-    """``hybrid.build_c_cut`` through the ``HalfspaceCut`` constructor: the
-    degeneracy test on ||x_n - y|| and a normal validated by its own dot."""
-    from csepsolve import HalfspaceCut, InfeasibleCut
-    from csepsolve.geometry import DEGENERACY_THRESHOLD, WHOLE_SPACE_OFFSET_FLOOR
+    """``hybrid.build_c_cut`` through the ``HalfspaceCut`` constructor, which
+    alone decides whether the cut is the whole space or contradictory."""
+    from csepsolve import HalfspaceCut
 
     diff = x_n - y
-    rhs = float((x_n + y) @ diff) + eps
-    if np.linalg.norm(diff) < DEGENERACY_THRESHOLD:
-        if rhs < WHOLE_SPACE_OFFSET_FLOOR:
-            raise InfeasibleCut(f"cut degenerated to the contradiction 0 <= {rhs:g}")
-        return HalfspaceCut(np.zeros_like(x_n), rhs)
-    return HalfspaceCut(2.0 * diff, rhs)
+    return HalfspaceCut(2.0 * diff, float((x_n + y) @ diff) + eps)
 
 
 def q_of(x0, x_n):

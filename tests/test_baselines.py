@@ -223,6 +223,25 @@ class TestBallSet:
             assert "anchor projection" in out.error
             assert out.trace[-1].dist_to_known < 1e-3
 
+    def test_both_cuts_whole_space_project_x0_onto_the_set_alone(self, monkeypatch):
+        # A(x) = x from x0 = 0, its solution: predictor and corrector stay
+        # at x0, so the C-cut and Q-cut are the whole space and the anchor
+        # step is one projection onto the ball, with no Dykstra cycle
+        from csepsolve import Ball
+
+        def no_dykstra(*args, **kw):
+            raise AssertionError("dykstra called with no live cut")
+
+        monkeypatch.setattr(baselines, "dykstra", no_dykstra)
+        op = AffineOperator(np.eye(2), np.zeros(2))
+        inst = CsepInstance(2, Ball([0.0, 0.0], 1.0), [ViInducedBifunction(op)], [0.0, 0.0])
+        out = run_hybrid_extragradient(inst, lam=0.2, known_point=np.zeros(2))
+        assert (out.stop_reason, out.iterations) == ("tolerance", 1)
+        assert out.trace[0].degenerate_cuts == 2
+        assert (out.counters.set_projections, out.counters.prox_solves) == (3, 2)
+        assert out.total_violations == 0
+        assert out.final_x.tolist() == [0.0, 0.0]
+
 
 class TestWholeSpace:
     """On R^d the anchor projection is onto the cuts alone: one exact

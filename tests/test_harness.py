@@ -223,7 +223,7 @@ class TestRun:
         assert len(lines) == out.iterations + 1
         # at n = 1 the Q-cut is the whole space (x_1 = x0); N = 1 selects 0
         assert lines[1].split(",")[-2:] == ["1", "0"]
-        assert IterationRecord(1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0).csv_row().endswith(",0,")
+        assert IterationRecord(1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, None).csv_row().endswith(",0,")
 
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["stop_reason"] == "tolerance"

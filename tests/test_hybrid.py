@@ -9,8 +9,8 @@ from csepsolve import (
     Box,
     CallableOperator,
     CsepInstance,
+    DegenerateCut,
     HybridParams,
-    InfeasibleCut,
     InnerNonconvergence,
     LipschitzData,
     ParameterViolation,
@@ -120,7 +120,7 @@ class TestCuts:
 
     def test_c_cut_contradiction_raises(self):
         x = np.array([0.5])
-        with pytest.raises(InfeasibleCut):
+        with pytest.raises(DegenerateCut, match="offset -1 denotes the empty set"):
             build_c_cut(x, x.copy(), -1.0)
 
     def test_q_cut_substitution(self):

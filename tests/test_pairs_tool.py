@@ -60,9 +60,11 @@ side = Path(__file__).resolve().parent.parent.name
 with open(Path(__file__).resolve().parent.parent.parent / "order.txt", "a") as fh:
     fh.write(f"{side} {args['--seed']} {args['--seconds']} {args['--trace']}\\n")
 value = (70.0 if side == "parent" else 63.0) + int(args["--seed"]) % 3
+rss = 100.0 if side == "parent" else 111.0
 print("# a comment line first")
 print(json.dumps({"correct": True, "attempted": 6, "failed": 0,
-                  "metrics": {"iter_us.p50": {"value": value, "unit": "us"}}}))
+                  "metrics": {"iter_us.p50": {"value": value, "unit": "us"},
+                              "peak_rss_mb": {"value": rss, "unit": "MB"}}}))
 """
 
 
@@ -71,7 +73,8 @@ def test_runs_alternate_and_write_the_record(tmp_path):
         (tmp_path / side / "bench").mkdir(parents=True)
         (tmp_path / side / "bench" / "run.py").write_text(FAKE_RUN)
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "iter_us.p50", "better": "lower"}]}))
+        {"end_to_end": [{"name": "iter_us.p50", "better": "lower", "bound": 0.2},
+                        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}))
     (tmp_path / "BENCH_t.json").write_text(json.dumps({"what": "kept"}))
     done = subprocess.run([sys.executable, str(TOOL), "parent", "change", "--label", "t",
                            "--workload", "w", "--seeds", "4-6", "--seconds", "0.5"],
@@ -87,3 +90,11 @@ def test_runs_alternate_and_write_the_record(tmp_path):
     p50 = w["end_to_end"]["iter_us.p50"]
     assert p50["parent_runs"] == [71.0, 72.0, 70.0]
     assert p50["change_better_pairs"] == 3 and p50["change_median"] == 64.0
+    # one verdict line per metric after the workload; peak_rss_mb is 11%
+    # worse, beyond its 10% bound
+    assert done.stdout.splitlines()[-3:] == [
+        "w iter_us.p50: parent 71 change 64 (-9.9%), better in 3 and worse in 0 of 3 pairs, "
+        "parent IQR 1",
+        "w peak_rss_mb: parent 100 change 111 (+11.0%), better in 0 and worse in 3 of 3 pairs, "
+        "parent IQR 0  OVER BOUND 10%",
+        "wrote BENCH_t.json"]

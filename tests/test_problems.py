@@ -9,12 +9,16 @@ from csepsolve import (
     Box,
     CallableOperator,
     CsepInstance,
+    CutStack,
     DimensionMismatch,
+    HalfspaceCut,
     LipschitzData,
+    Polyhedron,
     SingletonSolution,
     UnknownConstants,
     ViInducedBifunction,
     default_lipschitz,
+    project_two_halfspaces,
     spectral_norm_estimate,
     validate,
 )
@@ -263,3 +267,35 @@ class TestValidate:
         inst = CsepInstance(2, self.box2(), [f], [0.0, 0.0])
         report = validate(inst, samples=100, seed=2)
         assert report.bifunctions[0].pseudomono_violations == 0
+
+
+MALFORMED = {
+    "cut_normal_2d": (lambda: HalfspaceCut(np.zeros((2, 2)), 0.0),
+                      DimensionMismatch, "1-D vector"),
+    "stack_offsets_count": (lambda: CutStack(np.zeros((2, 2)), np.zeros(3)),
+                            DimensionMismatch, "k offsets"),
+    "polyhedron_mixed": (lambda: Polyhedron([HalfspaceCut([1.0], 0.0),
+                                             HalfspaceCut([1.0, 0.0], 0.0)]),
+                         DimensionMismatch, "mixed dimensions"),
+    "two_cuts_mixed": (lambda: project_two_halfspaces(HalfspaceCut([1.0], 0.0),
+                                                      HalfspaceCut([1.0, 0.0], 0.0), [0.0]),
+                       DimensionMismatch, "different dimensions"),
+    "operator_not_square": (lambda: AffineOperator(np.zeros((2, 3)), np.zeros(2)),
+                            DimensionMismatch, "square"),
+    "operator_shift_size": (lambda: AffineOperator(np.eye(2), np.zeros(3)),
+                            DimensionMismatch, "shift dimension"),
+    "callable_zero_constant": (lambda: CallableOperator(lambda x: x, 0.0, 1),
+                               ValueError, "must be positive"),
+    "quadratic_q_size": (lambda: AffineQuadraticBifunction(np.eye(2), np.eye(3), np.zeros(2)),
+                         DimensionMismatch, "d-by-d"),
+    "validate_no_samples": (lambda: validate(CsepInstance(1, Box([-1.0], [1.0]),
+                                                          [vi(np.eye(1))], [0.0]), 0),
+                            ValueError, "samples must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_a_malformed_construction_raises(name):
+    build, error, message = MALFORMED[name]
+    with pytest.raises(error, match=message):
+        build()

@@ -28,7 +28,6 @@ from csepsolve import (  # noqa: E402
     EmptyIntersection,
     HalfspaceCut,
     HybridParams,
-    InfeasibleCut,
     ProxSystem,
     SingletonSolution,
     ViInducedBifunction,
@@ -54,7 +53,7 @@ def outcome_of(build):
     """(value, None) from ``build()``, or (None, (type, message)) if it raised."""
     try:
         return build(), None
-    except (ValueError, InfeasibleCut, DegenerateCut) as exc:
+    except (ValueError, DegenerateCut) as exc:
         return None, (type(exc), str(exc))
 
 
@@ -70,8 +69,9 @@ stacks = st.fixed_dictionaries({
     "d": st.integers(1, 8),
     "k": st.integers(0, 8),
     # per row: 0 generic, 1 y == x, 2 y within 1e-15 of x, 3 y == x with a
-    # contradictory eps, 4 non-finite eps
-    "kinds": st.lists(st.sampled_from([0, 0, 0, 1, 2, 3, 4]), min_size=8, max_size=8),
+    # contradictory eps, 4 non-finite eps, 5 ||x - y|| in [5e-15, 1e-14),
+    # where 2(x - y) is just longer than DEGENERACY_THRESHOLD
+    "kinds": st.lists(st.sampled_from([0, 0, 0, 1, 2, 3, 4, 5]), min_size=8, max_size=8),
     # the anchor x0: 0 generic, 1 x0 == x (Q_n is the whole space), 2 so far
     # from x that <x0 - x, x> may overflow
     "anchor": st.sampled_from([0, 0, 1, 2]),
@@ -80,15 +80,9 @@ stacks = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=400, deadline=None)
-@given(stacks)
-@example({"seed": 0, "d": 2, "k": 0, "kinds": [0] * 8, "anchor": 0, "shared_eps": False,
-          "log_scale": 0.0})
-@example({"seed": 1, "d": 3, "k": 1, "kinds": [3] + [0] * 7, "anchor": 1, "shared_eps": True,
-          "log_scale": 0.0})
-@example({"seed": 2, "d": 3, "k": 4, "kinds": [1, 4, 3, 0] + [0] * 4, "anchor": 2,
-          "shared_eps": False, "log_scale": 2.0})
-def test_build_cuts_equals_build_c_cut_row_by_row_then_build_q_cut(params):
+def stack_data(params):
+    """x, the (k, d) points Y, x0, eps (a float when shared) and the eps of
+    each row, drawn as ``stacks`` describes."""
     rng = np.random.default_rng(params["seed"])
     d, k = params["d"], params["k"]
     x = rng.standard_normal(d) * 10.0 ** params["log_scale"]
@@ -101,20 +95,56 @@ def test_build_cuts_equals_build_c_cut_row_by_row_then_build_q_cut(params):
             Y[i] = x
         elif kind == 2:
             Y[i] = x + 1e-15 * rng.standard_normal(d) / math.sqrt(d)
+        elif kind == 5:
+            u = rng.standard_normal(d)
+            Y[i] = x + rng.uniform(5.5e-15, 9.5e-15) * u / np.linalg.norm(u)
         if kind == 3:
             eps[i] = -1.0
         elif kind == 4:
             eps[i] = rng.choice([np.inf, -np.inf, np.nan])
     if params["shared_eps"]:  # one float for every row, as maxsel and the baselines give
         eps = float(eps[0]) if k else 0.0
-        row_eps = [eps] * k
-    else:
-        row_eps = [float(e) for e in eps]
+        return x, Y, x0, eps, [eps] * k
+    return x, Y, x0, eps, [float(e) for e in eps]
 
+
+def constructor_stack(x, Y, eps, x0):
+    """``CutStack(normals, offsets)`` of the C-rows 2(x - y),
+    <x + y, x - y> + eps and the Q row x0 - x, <x0 - x, x>, each row
+    computed on its own."""
+    diff = x - Y
+    normals = np.array([2.0 * r for r in diff] + [x0 - x])
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = np.array([float((x + y) @ r) for y, r in zip(Y, diff)]
+                           + [float((x0 - x) @ x)])
+        offsets[:len(Y)] += eps
+    return CutStack(normals, offsets)
+
+
+@settings(max_examples=400, deadline=None)
+@given(stacks)
+@example({"seed": 0, "d": 2, "k": 0, "kinds": [0] * 8, "anchor": 0, "shared_eps": False,
+          "log_scale": 0.0})
+@example({"seed": 1, "d": 3, "k": 1, "kinds": [3] + [0] * 7, "anchor": 1, "shared_eps": True,
+          "log_scale": 0.0})
+@example({"seed": 2, "d": 3, "k": 4, "kinds": [1, 4, 3, 0] + [0] * 4, "anchor": 2,
+          "shared_eps": False, "log_scale": 2.0})
+@example({"seed": 6, "d": 3, "k": 3, "kinds": [5, 1, 5] + [0] * 5, "anchor": 0,
+          "shared_eps": False, "log_scale": 0.0})
+def test_build_cuts_equals_build_c_cut_row_by_row_then_build_q_cut(params):
+    # With no error the rows are the cuts built one by one; an error is
+    # that of building them in row order at k <= 1, and that of the
+    # validating constructor at k >= 2.
+    x, Y, x0, eps, row_eps = stack_data(params)
+    k = len(Y)
     stack, stack_error = outcome_of(lambda: build_cuts(x, Y, eps, *q_of(x0, x)))
     rows, row_error = outcome_of(lambda: [build_c_cut(x, Y[i], row_eps[i]) for i in range(k)]
                                  + [build_q_cut(*q_of(x0, x), x)])
-    assert stack_error == row_error
+    if k <= 1:
+        assert stack_error == row_error
+    else:
+        assert stack_error == outcome_of(lambda: constructor_stack(x, Y, eps, x0))[1]
+    assert (stack_error is None) == (row_error is None)
     if row_error is None:
         assert len(stack) == k + 1
         for i in range(k + 1):
@@ -131,46 +161,22 @@ def test_build_cuts_equals_build_c_cut_row_by_row_then_build_q_cut(params):
           "shared_eps": False, "log_scale": 2.0})
 @example({"seed": 5, "d": 2, "k": 3, "kinds": [1, 2, 0] + [0] * 5, "anchor": 1,
           "shared_eps": True, "log_scale": 0.0})
+@example({"seed": 6, "d": 3, "k": 3, "kinds": [5, 1, 5] + [0] * 5, "anchor": 0,
+          "shared_eps": False, "log_scale": 0.0})
 def test_build_cuts_carries_the_arrays_that_the_validating_constructor_computes(params):
-    # The k >= 2 stack takes its squared norms as 4 <x_n - y, x_n - y> from
-    # the degeneracy test's row dots; CutStack(normals, offsets) takes them
-    # from the normals, and raises its first error on non-finite data.
-    rng = np.random.default_rng(params["seed"])
-    d, k = params["d"], params["k"]
-    x = rng.standard_normal(d) * 10.0 ** params["log_scale"]
-    Y = x + rng.standard_normal((k, d)) * 10.0 ** params["log_scale"]
-    x0 = {0: x + rng.standard_normal(d), 1: x.copy(),
-          2: x + np.sign(x) * 1e307}[params["anchor"]]
-    eps = rng.standard_normal(k)
-    for i, kind in enumerate(params["kinds"][:k]):
-        if kind in (1, 3):
-            Y[i] = x
-        elif kind == 2:
-            Y[i] = x + 1e-15 * rng.standard_normal(d) / math.sqrt(d)
-        if kind == 3:
-            eps[i] = -1.0
-        elif kind == 4:
-            eps[i] = rng.choice([np.inf, -np.inf, np.nan])
-    if params["shared_eps"]:
-        eps = float(eps[0])
-    diff = x - Y
-    degenerate = [np.linalg.norm(r) < DEGENERACY_THRESHOLD for r in diff]
-    normals = np.array([np.zeros(d) if g else 2.0 * r for r, g in zip(diff, degenerate)]
-                       + [x0 - x])
-    with np.errstate(over="ignore", invalid="ignore"):
-        offsets = np.array([float((x + y) @ r) for y, r in zip(Y, diff)]
-                           + [float((x0 - x) @ x)])
-        offsets[:k] += eps
-
+    # Every row keeps its normal, however short: a row in the band
+    # 5e-15 <= ||x_n - y|| < 1e-14 is live, with normal 2(x_n - y).
+    x, Y, x0, eps, _ = stack_data(params)
     stack, error = outcome_of(lambda: build_cuts(x, Y, eps, *q_of(x0, x)))
-    if error is not None and error[0] is InfeasibleCut:
-        return  # a contradictory degenerate row: held to the rows by the test above
-    expected, expected_error = outcome_of(lambda: CutStack(normals, offsets))
+    expected, expected_error = outcome_of(lambda: constructor_stack(x, Y, eps, x0))
     assert error == expected_error
     if error is None:
         for got, want in zip(stack._arrays, expected._arrays):
             assert got.tobytes() == want.tobytes()
         assert stack.live == expected.live
+        for i, kind in enumerate(params["kinds"][:len(Y)]):
+            if kind == 5 and 5e-15 <= np.linalg.norm(x - Y[i]) < DEGENERACY_THRESHOLD:
+                assert i in stack.live
 
 
 one_dot_cuts = st.fixed_dictionaries({
@@ -178,7 +184,7 @@ one_dot_cuts = st.fixed_dictionaries({
     "d": st.integers(1, 8),
     "log_scale": st.floats(-3.0, 3.0),
     # y: 0 generic, 1 y == x_n, 2 y about 1e-14 from x_n (either side of
-    # the degeneracy threshold), 3 y == x_n with a contradictory eps, 4
+    # the whole-space bound 5e-15), 3 y == x_n with a contradictory eps, 4
     # non-finite eps, 5 x_n and y so large that the squares, 2(x_n - y) or
     # x_n + y overflow
     "point": st.sampled_from([0, 0, 1, 2, 3, 4, 5]),
@@ -233,21 +239,30 @@ def test_one_dot_cuts_equal_the_constructor_built_cuts(params):
 
 def test_degenerate_and_contradictory_rows():
     x = np.array([0.5, -0.25])
-    Y = np.array([[0.0, 0.0], x, [1.0, 1.0]])
+    Y = np.array([[0.0, 0.0], x + [1e-15, 0.0], [1.0, 1.0]])
     stack = build_cuts(x, Y, np.array([0.0, 0.5, 0.1]), *q_of(x, x))
     assert [c.is_whole_space for c in stack] == [False, True, False, True]
-    assert stack[1].normal.tobytes() == np.zeros(2).tobytes()
+    # the whole-space row keeps its normal, shorter than DEGENERACY_THRESHOLD
+    assert stack[1].normal.tobytes() == (2.0 * (x - Y[1])).tobytes()
+    assert 0.0 < np.linalg.norm(stack[1].normal) < DEGENERACY_THRESHOLD
     assert stack.live == [0, 2]
     assert build_cuts(x, Y, 0.5, *q_of(np.zeros(2), x)).live == [0, 2, 3]
-    with pytest.raises(InfeasibleCut, match=r"contradiction 0 <= -1"):
+    empty = r"offset -1 denotes the empty set"
+    with pytest.raises(DegenerateCut, match=empty):
         build_cuts(x, Y, np.array([0.0, -1.0, 0.1]), *q_of(x, x))
-    with pytest.raises(InfeasibleCut, match=r"contradiction 0 <= -1"):
+    with pytest.raises(DegenerateCut, match=empty):
         build_cuts(x, Y[1:2], -1.0, *q_of(x, x))
-    # a non-finite row before the contradictory one raises first, as row by row
     with pytest.raises(ValueError, match="non-finite"):
         build_cuts(x, Y, np.array([np.nan, -1.0, 0.1]), *q_of(x, x))
-    with pytest.raises(InfeasibleCut):
+    # k >= 2: non-finite data raise before a contradictory row, as in
+    # CutStack(normals, offsets); k <= 1: the rows raise in row order
+    with pytest.raises(ValueError, match="non-finite"):
         build_cuts(x, Y, np.array([0.0, -1.0, np.inf]), *q_of(x, x))
+    far = np.array([np.inf, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        build_cuts(x, Y[:2], np.array([0.0, -1.0]), *q_of(far, x))
+    with pytest.raises(DegenerateCut, match=empty):
+        build_cuts(x, Y[1:2], -1.0, *q_of(far, x))
 
 
 def test_a_stack_from_arrays_validates_once_as_each_cut_would():

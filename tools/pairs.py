@@ -16,7 +16,8 @@ every run was correct, the failed counts seen, and for every end-to-end
 metric of CHANGE's ``BENCHMARK.json`` the runs of both sides, their
 medians and quartiles, the change of the median in percent, the parent's
 interquartile range, and the number of pairs in which the change was
-better and worse.  Other keys of an existing file are kept.
+better and worse.  Other keys of an existing file are kept.  After each
+workload it prints one verdict line per metric (``verdict_lines``).
 """
 
 from __future__ import annotations
@@ -100,6 +101,28 @@ def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
     }
 
 
+def verdict_lines(workload: str, summary: dict, metrics: dict[str, dict]) -> list[str]:
+    """One line per end-to-end metric of a workload's ``summary``: both
+    medians and the change in percent, the pairs in which the change was
+    better and worse, the parent's IQR, and ``OVER BOUND`` when the change's
+    median is worse than the parent's by more than the metric's ``bound``
+    (a fraction of the parent's median) in ``metrics``, the end-to-end
+    entries of ``BENCHMARK.json`` by name."""
+    lines = []
+    for name, m in summary["end_to_end"].items():
+        pm, cm = m["parent_median"], m["change_median"]
+        worse = cm - pm if metrics[name]["better"] == "lower" else pm - cm
+        bound = metrics[name].get("bound")
+        pct = "n/a" if m["change_pct"] is None else f"{m['change_pct']:+.1f}%"
+        line = (f"{workload} {name}: parent {pm:g} change {cm:g} ({pct}), better in "
+                f"{m['change_better_pairs']} and worse in {m['change_worse_pairs']} of "
+                f"{len(m['parent_runs'])} pairs, parent IQR {m['parent_iqr']:g}")
+        if bound is not None and worse > bound * abs(pm):
+            line += f"  OVER BOUND {100.0 * bound:g}%"
+        lines.append(line)
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="source tree of the parent commit")
@@ -113,7 +136,7 @@ def main(argv=None) -> int:
         if not (tree / "bench" / "run.py").is_file():
             ap.error(f"no bench/run.py under {tree}")
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
-    directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
 
     out = Path(f"BENCH_{args.label}.json")
     record = json.loads(out.read_text()) if out.is_file() else {}
@@ -134,8 +157,10 @@ def main(argv=None) -> int:
             p50 = [pair[side]["metrics"].get("iter_us.p50", {}).get("value") for side in SIDES]
             print(f"{workload} seed {seed}: iter_us.p50 parent {p50[0]} change {p50[1]}",
                   flush=True)
-        workloads[workload] = summarize(pairs, directions)
+        workloads[workload] = summary = summarize(
+            pairs, {name: m["better"] for name, m in metrics.items()})
         out.write_text(json.dumps(record, indent=1) + "\n")
+        print("\n".join(verdict_lines(workload, summary, metrics)), flush=True)
     print(f"wrote {out}")
     return 0
 

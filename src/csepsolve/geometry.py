@@ -6,8 +6,10 @@ float64 arrays.  All routines here are pure functions of their inputs.
 A ``CutStack`` carries the cuts of one iteration: the cuts themselves when
 there are at most two (a one-point iteration's C-cut and Q-cut), else
 arrays built with one norm pass over the rows, whose lengths it keeps for
-``CutStack.outside`` (how ``hybrid.drive`` checks that a projector's
-output lies in C_n ∩ Q_n).  ``project_halfspace_intersection`` is exact
+``CutStack.outside``.  ``hybrid.drive`` checks each iteration's stack with
+``CutStack.audit``, one pass over its rows that counts both the cuts the
+projector's output lies outside of (a miss of C_n ∩ Q_n) and those that
+exclude the known solution.  ``project_halfspace_intersection`` is exact
 for any number of cuts: closed forms for one or two (two accept a slack of
 1e-12 (1 + ||x0||) + 1e-15 in distance), and for more the Goldfarb-Idnani
 dual active-set method, which stops in finitely many steps and returns a
@@ -98,6 +100,9 @@ def norm(v: np.ndarray) -> float:
 
 def row_dots(D: np.ndarray) -> np.ndarray:
     """Squared Euclidean norm of each row of D, bit for bit as ``D[i] @ D[i]``."""
+    if len(D) == 1:  # one row: the dot product itself, without the batch
+        row = D[0]
+        return row.dot(row)[None]
     return np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0]
 
 
@@ -172,7 +177,7 @@ class HalfspaceCut:
         """Signed constraint value <normal, z> - offset (<= 0 means satisfied)."""
         if self.is_whole_space:
             return 0.0
-        return dot(self.normal, z) - self.offset
+        return float(self.normal.dot(z)) + 0.0 - self.offset  # dot(normal, z), inlined
 
 
 class CutStack:
@@ -282,6 +287,18 @@ class CutStack:
         if self._has_whole:
             out[whole] = False
         return int(np.count_nonzero(out))
+
+    def audit(self, z: np.ndarray, tol: float, p: np.ndarray, slack: float) -> tuple[int, int]:
+        """``(outside(z, tol), violated(p, slack))`` from one pass over the rows."""
+        if self._arrays is not None:
+            return self.outside(z, tol), self.violated(p, slack)
+        out = bad = 0
+        for c in self._rows:
+            if c.violation(z) > tol * math.sqrt(c.norm_sq):
+                out += 1
+            if c.violation(p) > slack:
+                bad += 1
+        return out, bad
 
 
 class FeasibleSet:
@@ -450,7 +467,7 @@ def project(set_: FeasibleSet, x) -> np.ndarray:
 def project_halfspace(cut: HalfspaceCut, x) -> np.ndarray:
     """Exact projection onto a single halfspace."""
     if cut.is_whole_space:
-        return as_point(x).copy()
+        return as_point(x, cut.dimension).copy()
     x = as_point(x, cut.dimension)
     v = dot(cut.normal, x) - cut.offset
     if v <= 0.0:
@@ -458,24 +475,30 @@ def project_halfspace(cut: HalfspaceCut, x) -> np.ndarray:
     return x - (v / cut.norm_sq) * cut.normal
 
 
-def project_two_halfspaces(cut1: HalfspaceCut, cut2: HalfspaceCut, x0) -> np.ndarray:
+def project_two_halfspaces(cut1: HalfspaceCut, cut2: HalfspaceCut, x0,
+                           x0_sq: float | None = None) -> np.ndarray:
     """Exact projection onto the intersection of two halfspaces.
 
     Closed-form case analysis on the active set: the starting point itself,
     one single-halfspace projection, or the solution of the 2x2 Gram system
     with nonnegative multipliers.  Degenerate cuts count as the whole space.
     Raises EmptyIntersection when no case applies (empty intersection, which
-    the calling algorithms rule out by construction).
+    the calling algorithms rule out by construction).  A caller that has
+    validated x0 as a float64 point of the cuts' dimension may pass its
+    <x0, x0> as ``x0_sq``, which the result does not depend on otherwise.
     """
     if cut1.is_whole_space or cut2.is_whole_space:
+        if cut1.dimension != cut2.dimension:
+            raise DimensionMismatch("cut normals have different dimensions")
         live = [c for c in (cut1, cut2) if not c.is_whole_space]
         if not live:
-            return as_point(x0).copy()
+            return as_point(x0, cut1.dimension).copy()
         return project_halfspace(live[0], x0)
 
     a1, b1 = cut1.normal, cut1.offset
     a2, b2 = cut2.normal, cut2.offset
-    x0, x0_sq = _point_sq(x0, a1.size)
+    if x0_sq is None:
+        x0, x0_sq = _point_sq(x0, a1.size)
     if a2.size != a1.size:
         raise DimensionMismatch("cut normals have different dimensions")
 
@@ -524,29 +547,31 @@ def dykstra_halfspaces(
     return dykstra(projectors, x0, tol=tol, max_cycles=max_cycles)
 
 
-def project_halfspace_intersection(cuts: CutStack | list[HalfspaceCut], x0) -> np.ndarray:
+def project_halfspace_intersection(cuts: CutStack | list[HalfspaceCut], x0,
+                                   x0_sq: float | None = None) -> np.ndarray:
     """Projection onto an intersection of halfspaces, a stack or a list.
 
     One or two live cuts use the closed forms, more ``_dual_active_set``
     on the live rows of the stack's arrays (a stack of three or more rows
     holds its arrays), whose feasibility slack is ``INTERSECTION_TOL``.
+    ``x0_sq`` is as in ``project_two_halfspaces``.
     """
     if not isinstance(cuts, CutStack):
         cuts = CutStack.of(cuts)
     live = cuts.live
     if not live:
-        return as_point(x0).copy()
+        return as_point(x0, cuts[0].dimension if len(cuts) else None).copy()
     if len(live) == 1:
         return project_halfspace(cuts[live[0]], x0)
     if len(live) == 2:
-        return project_two_halfspaces(cuts[live[0]], cuts[live[1]], x0)
+        return project_two_halfspaces(cuts[live[0]], cuts[live[1]], x0, x0_sq)
     normals, offsets, _, _ = cuts._arrays
     if cuts._has_whole:
         normals, offsets = normals[live], offsets[live]
-    return _dual_active_set(normals, offsets, x0)
+    return _dual_active_set(normals, offsets, x0, x0_sq)
 
 
-def _dual_active_set(A, b, x0):
+def _dual_active_set(A, b, x0, x0_sq=None):
     """Goldfarb-Idnani dual active-set method with identity Hessian.
 
     With unit normals a_i, z = x0 - A^T mu, mu >= 0 supported on an active
@@ -560,10 +585,12 @@ def _dual_active_set(A, b, x0):
     raises the dual objective, so the method is finite.  P is kept as
     A_P^T = Q^T R with orthonormal rows Q and T = R^-1, which makes
     r = (A_P A_P^T)^-1 A_P a_j equal to T Q a_j.  The cuts are the rows
-    of the normals A and the offsets b.
+    of the normals A and the offsets b; ``x0_sq`` is as in
+    ``project_two_halfspaces``.
     """
     m = len(b)
-    x0, x0_sq = _point_sq(x0, A.shape[1])
+    if x0_sq is None:
+        x0, x0_sq = _point_sq(x0, A.shape[1])
     scale = np.sqrt(np.einsum("ij,ij->i", A, A))
     A = A / scale[:, None]
     b = b / scale

@@ -38,7 +38,6 @@ from .geometry import (
     HalfspaceCut,
     as_point,
     dot,
-    norm,
     project_halfspace,  # not called here; bench/spans.py wraps it by name in this module
     project_halfspace_intersection,
     row_dot,
@@ -234,15 +233,17 @@ def drive(
     Iteration n calls ``step(n, x_n, ||x_n - x_{n-1}||^2)`` and takes the
     anchor step of the CQ method, x_{n+1} = ``project(cuts, x0)`` for
     ``cuts = build_cuts(x_n, Step.points, Step.eps, x0 - x_n, <x0 - x_n,
-    x0 - x_n>)``, the C-cuts followed by Q_n; ``project`` defaults to
-    ``project_halfspace_intersection``.
+    x0 - x_n>)``, the C-cuts followed by Q_n; without ``project`` it is
+    ``project_halfspace_intersection(cuts, x0, <x0, x0>)``, the squared
+    norm taken once per run.
 
     Per iteration: counts the live cuts that x_{n+1} lies outside of by
     more than ``ANCHOR_PROJECTION_TOL * (1 + ||x0||)`` in distance (a
     projector that misses C_n ∩ Q_n), checks that ||x_{n+1} - x0|| does
     not decrease, and, given ``known_point``, that every cut contains it
-    and that ||y - p||^2 <= ||x_n - p||^2 + eps for each row y of
-    ``Step.near`` and its eps.  The trace records the least and greatest
+    (both cut counts from one ``CutStack.audit``) and that
+    ||y - p||^2 <= ||x_n - p||^2 + eps for each row y of ``Step.near``
+    and its eps.  The trace records the least and greatest
     eps.  The work counters, the least certificate gap and the first
     unconverged inner solve, with its subproblem index, come from
     ``Step.prox``.  A ``SolverError`` ends the run with its message, or
@@ -250,13 +251,14 @@ def drive(
     """
     if max_outer < 1 or not tol >= 0.0:
         raise ParameterViolation(f"need max_outer >= 1 and tol >= 0, got {max_outer} and {tol}")
-    project = project or project_halfspace_intersection
+    x0 = as_point(x0)
     known_sq = math.nan  # ||x - known_point||^2 for the current x
     if known_point is not None:
         known_point = as_point(known_point, x0.size)
         known_sq = float((x0 - known_point) @ (x0 - known_point))
     violations = dict.fromkeys(VIOLATION_KEYS, 0)
-    anchor_tol = ANCHOR_PROJECTION_TOL * (1.0 + norm(x0))
+    x0_sq = float(x0.dot(x0))
+    anchor_tol = ANCHOR_PROJECTION_TOL * (1.0 + math.sqrt(x0_sq))  # norm(x0), bit for bit
     trace: list[IterationRecord] = []
     min_cert = np.inf
     first_nonconverged = None
@@ -276,11 +278,20 @@ def drive(
                 x_next, dx2, degenerate = x, 0.0, 0
             else:
                 cuts = build_cuts(x, points, eps, q, q_sq)
-                x_next = project(cuts, x0)
+                if project is None:
+                    x_next = project_halfspace_intersection(cuts, x0, x0_sq)
+                else:
+                    x_next = project(cuts, x0)
                 degenerate = len(cuts) - len(cuts.live)
                 d = x_next - x
                 dx2 = float(d.dot(d))
-                violations["anchor_projection"] += cuts.outside(x_next, anchor_tol)
+                if known_point is None:
+                    violations["anchor_projection"] += cuts.outside(x_next, anchor_tol)
+                else:
+                    outside, excluding = cuts.audit(x_next, anchor_tol, known_point,
+                                                    CONTAINMENT_SLACK)
+                    violations["anchor_projection"] += outside
+                    violations["cut_containment"] += excluding
                 q = x0 - x_next
                 q_sq = float(q.dot(q))
                 next_dist = math.sqrt(q_sq)  # ||x_{n+1} - x0||, bit for bit
@@ -288,8 +299,6 @@ def drive(
                     violations["anchor_monotonicity"] += 1
                 anchor_dist = next_dist
                 if known_point is not None:
-                    violations["cut_containment"] += cuts.violated(known_point,
-                                                                   CONTAINMENT_SLACK)
                     lhs = row_dots(near - known_point)
                     violations["solution_distance_bound"] += int(np.count_nonzero(
                         lhs > (known_sq + eps) + DISTANCE_BOUND_SLACK))
@@ -309,11 +318,9 @@ def drive(
             # finite, as the cuts were built with them: min and max equal numpy's
             eps_min, eps_max = (eps, eps) if isinstance(eps, float) else (
                 min(rows := eps.tolist()), max(rows))
-            trace.append(IterationRecord(
-                n=n, step_norm=step_norm, residual=residual, eps_min=eps_min,
-                eps_max=eps_max, dist_to_known=math.sqrt(known_sq),
-                wall_ms=(time.perf_counter() - t0) * 1e3, degenerate_cuts=degenerate,
-                selected_index=selected))
+            trace.append(IterationRecord(  # fields in declaration order
+                n, step_norm, residual, eps_min, eps_max, math.sqrt(known_sq),
+                (time.perf_counter() - t0) * 1e3, degenerate, selected))
             x = x_next
             if max(step_norm, residual) <= tol:
                 stop_reason = STOP_TOLERANCE

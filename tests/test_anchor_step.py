@@ -183,11 +183,11 @@ def test_a_solver_whose_projection_fails_keeps_the_work_before_it(monkeypatch):
     real = hybrid.project_halfspace_intersection
     calls = []
 
-    def failing(cuts, x0):
+    def failing(cuts, x0, x0_sq):
         calls.append(cuts)
         if len(calls) == 2:
             raise EmptyIntersection("planted at iteration 2")
-        return real(cuts, x0)
+        return real(cuts, x0, x0_sq)
 
     monkeypatch.setattr(hybrid, "project_halfspace_intersection", failing)
     out = solve("maxsel", tol=0.0, max_outer=5)

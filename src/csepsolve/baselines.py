@@ -7,7 +7,8 @@ the feasible set.  Their acceptance sets are subsets of C, so the anchor
 projection targets C intersected with the C-cut and the Q-cut, not just
 the two halfspaces.  Each method is a step for ``hybrid.drive`` that
 passes the one point it cuts with (eps = 0), with the projector onto C
-and the cuts; its subproblems go through ``ProxSystem.solve_row``.
+and the cuts, which takes the anchor's squared norm from ``drive`` as the
+default projector does; its subproblems go through ``ProxSystem.solve_row``.
 """
 
 from __future__ import annotations
@@ -104,15 +105,15 @@ def _face_rows(faces, dim):
     return normals, offsets, norm_sq, whole, any(c.is_whole_space for c in faces)
 
 
-def _project_onto_set_and_cuts(set_, rows, counters, cuts, x0):
+def _project_onto_set_and_cuts(set_, rows, counters, cuts, x0, x0_sq):
     """Projection of x0 onto C intersected with the two cuts ``cuts``.
 
     A polyhedral set gives the ``rows`` of ``_face_rows`` for its faces,
     stacked once per run; each call writes its cuts into the last two rows
     and projects onto that stack (onto the cuts alone when C is R^d) with
-    one exact halfspace projection, counted as one set projection.  Other
-    sets (``rows`` None) alternate projections, counting one set
-    projection per cycle.
+    one exact halfspace projection, given x0's squared norm ``x0_sq``, and
+    counted as one set projection.  Other sets (``rows`` None) alternate
+    projections, counting one set projection per cycle.
     """
     if rows is not None:
         counters.set_projections += 1
@@ -126,7 +127,7 @@ def _project_onto_set_and_cuts(set_, rows, counters, cuts, x0):
                 q.normal, q.offset, q.norm_sq, q.is_whole_space)
             cuts = CutStack._valid(normals, offsets, norm_sq, whole,
                                    faces_whole or c.is_whole_space or q.is_whole_space)
-        return project_halfspace_intersection(cuts, x0)
+        return project_halfspace_intersection(cuts, x0, x0_sq)
     live = [cuts[i] for i in cuts.live]
 
     def count_set_projection(v):
@@ -149,7 +150,7 @@ def _project_onto_set_and_cuts(set_, rows, counters, cuts, x0):
 
 def _single_problem_start(instance: CsepInstance, name: str, counters: RunCounters):
     """The one bifunction, the anchor x0, which must lie in C, and
-    ``project(cuts, x0)`` for ``drive``: x0 onto C and the cuts."""
+    ``project(cuts, x0, x0_sq)`` for ``drive``: x0 onto C and the cuts."""
     if instance.n_problems != 1:
         raise ParameterViolation(f"the {name} baseline requires N = 1")
     x0 = as_point(instance.x0, instance.dimension)

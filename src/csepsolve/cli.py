@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 when a solve stops by tolerance, 1 on the outer-iteration
-cap, 2 for validation errors (bad files, bad parameters), 3 for runtime
+cap, 2 for validation errors (bad files, bad parameters) and for an
+output file that cannot be written (``error: <message>``), 3 for runtime
 failures inside a run, 4 when a solve ran without error but some inner
 solve stopped at its iteration cap (``solve`` only; this takes precedence
-over 0 and 1).
+over 0 and 1).  Every output file's missing parent directory is created.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     SolverError,
 )
 from .harness import ALGORITHMS, RunSpec, compare, load_problem, reference_solution, run
-from .outcome import STOP_MAX_OUTER, STOP_TOLERANCE
+from .outcome import STOP_MAX_OUTER, STOP_TOLERANCE, create_file
 from .problems import validate
 
 EXIT_OK = 0
@@ -35,8 +36,8 @@ EXIT_RUNTIME = 3
 EXIT_INNER_NONCONVERGED = 4
 
 SOLVE_EXIT_CODES = (
-    "exit codes: 0 stopped by tolerance, 1 hit --max-outer, 2 validation error, "
-    "3 runtime failure, 4 an inner solve stopped at its iteration cap "
+    "exit codes: 0 stopped by tolerance, 1 hit --max-outer, 2 validation error or "
+    "unwritable output, 3 runtime failure, 4 an inner solve stopped at its iteration cap "
     "(takes precedence over 0 and 1)"
 )
 
@@ -47,6 +48,7 @@ _VALIDATION_ERRORS = (
     ConstantsMissing,
     DimensionMismatch,
     ValueError,
+    OSError,
 )
 
 
@@ -157,7 +159,7 @@ def _cmd_compare(args) -> int:
     report = compare(specs)
     print(report.to_text())
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with create_file(args.output) as fh:
             json.dump(report.to_dict(), fh, indent=2)
             fh.write("\n")
     bad = [r for r in report.rows if r.stop_reason not in (STOP_TOLERANCE, STOP_MAX_OUTER)]

@@ -5,16 +5,16 @@ float64 arrays.  All routines here are pure functions of their inputs.
 
 A ``CutStack`` carries the cuts of one iteration: the cuts themselves when
 there are at most two (a one-point iteration's C-cut and Q-cut), else
-arrays built with one norm pass over the rows, whose lengths it keeps for
-``CutStack.outside``.  ``hybrid.drive`` checks each iteration's stack with
-``CutStack.audit``, one pass over its rows that counts both the cuts the
-projector's output lies outside of (a miss of C_n ∩ Q_n) and those that
-exclude the known solution.  ``project_halfspace_intersection`` is exact
-for any number of cuts: closed forms for one or two (two accept a slack of
-1e-12 (1 + ||x0||) + 1e-15 in distance), and for more the Goldfarb-Idnani
-dual active-set method, which stops in finitely many steps and returns a
-point only with its KKT certificate (every cut satisfied and every active
-cut tight to ``INTERSECTION_TOL * (1 + ||x0||)`` in distance, multipliers
+arrays with their row lengths, taken in the one norm pass that builds
+them.  Its one counter, ``CutStack.audit``, counts in one pass the cuts a
+point lies outside of (in ``hybrid.drive``, a projector's miss of
+C_n ∩ Q_n) and those that exclude a second point (the known solution).
+``project_halfspace_intersection`` is exact for any number of cuts:
+closed forms for one or two (two accept a slack of 1e-12 (1 + ||x0||) +
+1e-15 in distance), and for more the Goldfarb-Idnani dual active-set
+method, which stops in finitely many steps and returns a point only with
+its KKT certificate (every cut satisfied and every active cut tight to
+``INTERSECTION_TOL * (1 + ||x0||)`` in distance, multipliers
 nonnegative), or raises EmptyIntersection.  At m <= 9 cuts, d <= 20 its
 cost is numpy calls, not flops (a mean of 24 us a call at (m, d) = (4, 1),
 62 us at (5, 10), 102 us at (9, 20) on a 2-vCPU 2.1 GHz Xeon VM), so each
@@ -71,17 +71,6 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and p.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")
     return p
-
-
-def _point_sq(x, dim: int) -> tuple[np.ndarray, float]:
-    """``as_point(x, dim)`` and its squared norm, both from one dot product
-    when the fast path of ``as_point`` applies."""
-    if (type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1 and x.size == dim):
-        sq = float(x.dot(x))
-        if math.isfinite(sq):
-            return x, sq
-    x = as_point(x, dim)
-    return x, float(x.dot(x))
 
 
 def dot(a: np.ndarray, b) -> float:
@@ -187,7 +176,7 @@ class CutStack:
     two forms fixed when it is built: the cuts themselves, or arrays
     ``normals`` (k, d), ``offsets``, ``norm_sq`` and ``whole`` (k,) (as
     ``HalfspaceCut.norm_sq`` and ``is_whole_space``), whether any row is
-    the whole space and, once taken, the lengths sqrt(norm_sq).
+    the whole space and the lengths sqrt(norm_sq).
     ``CutStack(normals, offsets)`` validates arrays once, as ``HalfspaceCut``
     does one cut; ``CutStack.of(cuts)`` keeps at most two valid cuts as
     they are and stacks more into arrays, with the same results bit for bit.
@@ -232,7 +221,7 @@ class CutStack:
         """The array stack of validated data, ``has_whole`` telling if any row is whole."""
         stack = cls.__new__(cls)
         stack._rows, stack._arrays, stack._live = None, (normals, offsets, norm_sq, whole), None
-        stack._has_whole, stack._lengths = has_whole, None
+        stack._has_whole, stack._lengths = has_whole, np.sqrt(norm_sq)
         return stack
 
     def __len__(self) -> int:
@@ -257,48 +246,27 @@ class CutStack:
                 self._live = list(range(len(self)))
         return self._live
 
-    def violated(self, z: np.ndarray, slack: float) -> int:
-        """How many rows have ``violation(z) > slack``."""
-        if self._arrays is None:
-            count = 0
-            for c in self._rows:
-                if c.violation(z) > slack:
-                    count += 1
-            return count
-        normals, offsets, _, whole = self._arrays
-        v = row_dot(normals, z) - offsets
-        if self._has_whole:
-            v[whole] = 0.0
-        return int(np.count_nonzero(v > slack))
-
-    def outside(self, z: np.ndarray, tol: float) -> int:
+    def audit(self, z: np.ndarray, tol: float, p: np.ndarray | None,
+              slack: float) -> tuple[int, int]:
         """How many live rows ``z`` lies outside of by more than ``tol`` in
-        distance: ``violation(z) > tol * ||normal||``."""
+        distance, ``violation(z) > tol * ||normal||``, and how many rows have
+        ``violation(p) > slack`` (0 when ``p`` is None), from one pass."""
         if self._arrays is None:
-            count = 0
+            out = bad = 0
             for c in self._rows:
-                if c.violation(z) > tol * math.sqrt(c.norm_sq):
-                    count += 1
-            return count
-        normals, offsets, norm_sq, whole = self._arrays
-        if self._lengths is None:
-            self._lengths = np.sqrt(norm_sq)
+                if c.violation(z) > tol * math.sqrt(c.norm_sq) and not c.is_whole_space:
+                    out += 1
+                if p is not None and c.violation(p) > slack:
+                    bad += 1
+            return out, bad
+        normals, offsets, _, whole = self._arrays
         out = row_dot(normals, z) - offsets > tol * self._lengths
+        v = None if p is None else row_dot(normals, p) - offsets
         if self._has_whole:
             out[whole] = False
-        return int(np.count_nonzero(out))
-
-    def audit(self, z: np.ndarray, tol: float, p: np.ndarray, slack: float) -> tuple[int, int]:
-        """``(outside(z, tol), violated(p, slack))`` from one pass over the rows."""
-        if self._arrays is not None:
-            return self.outside(z, tol), self.violated(p, slack)
-        out = bad = 0
-        for c in self._rows:
-            if c.violation(z) > tol * math.sqrt(c.norm_sq):
-                out += 1
-            if c.violation(p) > slack:
-                bad += 1
-        return out, bad
+            if v is not None:
+                v[whole] = 0.0
+        return int(np.count_nonzero(out)), 0 if v is None else int(np.count_nonzero(v > slack))
 
 
 class FeasibleSet:
@@ -445,7 +413,7 @@ class Polyhedron(FeasibleSet):
             raise InfeasibleSet(f"polyhedron appears empty: {exc}") from exc
 
     def contains(self, x, tol=1e-10):
-        return self._stack.outside(x, tol) == 0
+        return self._stack.audit(x, tol, None, 0.0)[0] == 0
 
     def sample(self, rng, size=None):
         if size is None:
@@ -498,7 +466,8 @@ def project_two_halfspaces(cut1: HalfspaceCut, cut2: HalfspaceCut, x0,
     a1, b1 = cut1.normal, cut1.offset
     a2, b2 = cut2.normal, cut2.offset
     if x0_sq is None:
-        x0, x0_sq = _point_sq(x0, a1.size)
+        x0 = as_point(x0, a1.size)
+        x0_sq = float(x0.dot(x0))
     if a2.size != a1.size:
         raise DimensionMismatch("cut normals have different dimensions")
 
@@ -590,7 +559,8 @@ def _dual_active_set(A, b, x0, x0_sq=None):
     """
     m = len(b)
     if x0_sq is None:
-        x0, x0_sq = _point_sq(x0, A.shape[1])
+        x0 = as_point(x0, A.shape[1])
+        x0_sq = float(x0.dot(x0))
     scale = np.sqrt(np.einsum("ij,ij->i", A, A))
     A = A / scale[:, None]
     b = b / scale

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import platform
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -44,7 +43,7 @@ from .hybrid import (
     run_sequential,
     run_single,
 )
-from .outcome import SolverOutcome, write_trace
+from .outcome import SolverOutcome, create_file, write_trace
 from .problems import (
     AffineOperator,
     AffineQuadraticBifunction,
@@ -434,10 +433,7 @@ def run(spec: RunSpec) -> SolverOutcome:
     if spec.trace_path:
         write_trace(spec.trace_path, outcome.trace)
     if spec.summary_path:
-        parent = os.path.dirname(spec.summary_path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(spec.summary_path, "w", encoding="utf-8") as fh:
+        with create_file(spec.summary_path) as fh:
             json.dump(summarize(spec, outcome, wall_ms), fh, indent=2)
             fh.write("\n")
     return outcome

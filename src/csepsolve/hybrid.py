@@ -224,34 +224,36 @@ def drive(
     max_outer: int,
     counters: RunCounters,
     *,
-    project: Callable[[CutStack, np.ndarray], np.ndarray] | None = None,
+    project: Callable[[CutStack, np.ndarray, float], np.ndarray] | None = None,
     known_point: np.ndarray | None = None,
 ) -> SolverOutcome:
     """Run the anchored iteration from x_1 = x0 until
     max(||x_{n+1} - x_n||, residual) <= tol or ``max_outer`` iterations.
 
     Iteration n calls ``step(n, x_n, ||x_n - x_{n-1}||^2)`` and takes the
-    anchor step of the CQ method, x_{n+1} = ``project(cuts, x0)`` for
-    ``cuts = build_cuts(x_n, Step.points, Step.eps, x0 - x_n, <x0 - x_n,
-    x0 - x_n>)``, the C-cuts followed by Q_n; without ``project`` it is
-    ``project_halfspace_intersection(cuts, x0, <x0, x0>)``, the squared
-    norm taken once per run.
+    anchor step of the CQ method, x_{n+1} = ``project(cuts, x0, <x0, x0>)``
+    for ``cuts = build_cuts(x_n, Step.points, Step.eps, x0 - x_n,
+    <x0 - x_n, x0 - x_n>)``, the C-cuts followed by Q_n, with x0 validated
+    and its squared norm taken once per run.  ``project`` defaults to
+    ``project_halfspace_intersection``.
 
-    Per iteration: counts the live cuts that x_{n+1} lies outside of by
-    more than ``ANCHOR_PROJECTION_TOL * (1 + ||x0||)`` in distance (a
-    projector that misses C_n ∩ Q_n), checks that ||x_{n+1} - x0|| does
-    not decrease, and, given ``known_point``, that every cut contains it
-    (both cut counts from one ``CutStack.audit``) and that
-    ||y - p||^2 <= ||x_n - p||^2 + eps for each row y of ``Step.near``
-    and its eps.  The trace records the least and greatest
-    eps.  The work counters, the least certificate gap and the first
-    unconverged inner solve, with its subproblem index, come from
-    ``Step.prox``.  A ``SolverError`` ends the run with its message, or
-    its class name when it has none.
+    Per iteration, one ``CutStack.audit`` counts the live cuts that x_{n+1}
+    lies outside of by more than ``ANCHOR_PROJECTION_TOL * (1 + ||x0||)``
+    in distance (a projector that misses C_n ∩ Q_n) and, given
+    ``known_point``, the cuts that exclude it.  ``drive`` also checks that
+    ||x_{n+1} - x0|| does not decrease and, given ``known_point``, that
+    ||y - p||^2 <= ||x_n - p||^2 + eps for each row y of ``Step.near`` and
+    its eps.  The trace records the least and greatest eps.  The work
+    counters, the least certificate gap and the first unconverged inner
+    solve, with its subproblem index, come from ``Step.prox``.  A
+    ``SolverError`` ends the run with its message, or its class name when
+    it has none.
     """
     if max_outer < 1 or not tol >= 0.0:
         raise ParameterViolation(f"need max_outer >= 1 and tol >= 0, got {max_outer} and {tol}")
     x0 = as_point(x0)
+    if project is None:
+        project = project_halfspace_intersection
     known_sq = math.nan  # ||x - known_point||^2 for the current x
     if known_point is not None:
         known_point = as_point(known_point, x0.size)
@@ -278,20 +280,14 @@ def drive(
                 x_next, dx2, degenerate = x, 0.0, 0
             else:
                 cuts = build_cuts(x, points, eps, q, q_sq)
-                if project is None:
-                    x_next = project_halfspace_intersection(cuts, x0, x0_sq)
-                else:
-                    x_next = project(cuts, x0)
+                x_next = project(cuts, x0, x0_sq)
                 degenerate = len(cuts) - len(cuts.live)
                 d = x_next - x
                 dx2 = float(d.dot(d))
-                if known_point is None:
-                    violations["anchor_projection"] += cuts.outside(x_next, anchor_tol)
-                else:
-                    outside, excluding = cuts.audit(x_next, anchor_tol, known_point,
-                                                    CONTAINMENT_SLACK)
-                    violations["anchor_projection"] += outside
-                    violations["cut_containment"] += excluding
+                outside, excluding = cuts.audit(x_next, anchor_tol, known_point,
+                                                CONTAINMENT_SLACK)
+                violations["anchor_projection"] += outside
+                violations["cut_containment"] += excluding
                 q = x0 - x_next
                 q_sq = float(q.dot(q))
                 next_dist = math.sqrt(q_sq)  # ||x_{n+1} - x0||, bit for bit
@@ -302,6 +298,8 @@ def drive(
                     lhs = row_dots(near - known_point)
                     violations["solution_distance_bound"] += int(np.count_nonzero(
                         lhs > (known_sq + eps) + DISTANCE_BOUND_SLACK))
+                    to_known = x_next - known_point
+                    known_sq = float(to_known.dot(to_known))
             counters.prox_solves += record.solves
             counters.set_projections += record.inner_iterations
             if record.nonconverged:
@@ -312,9 +310,6 @@ def drive(
                 min_cert = record.min_certificate
 
             step_norm = math.sqrt(dx2)
-            if known_point is not None:
-                to_known = x_next - known_point
-                known_sq = float(to_known.dot(to_known))
             # finite, as the cuts were built with them: min and max equal numpy's
             eps_min, eps_max = (eps, eps) if isinstance(eps, float) else (
                 min(rows := eps.tolist()), max(rows))

@@ -4,26 +4,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 STOP_TOLERANCE = "tolerance"
 STOP_MAX_OUTER = "max_outer"
 STOP_ERROR = "error"
-
-TRACE_HEADER = (
-    "n",
-    "step_norm",
-    "residual",
-    "eps_min",
-    "eps_max",
-    "dist_to_known",
-    "wall_ms",
-    "degenerate_cuts",
-    "selected_index",
-)
-
 
 @dataclass
 class IterationRecord:
@@ -50,6 +37,9 @@ class IterationRecord:
             f"{self.eps_min:.17g},{self.eps_max:.17g},{dist},{self.wall_ms:.6g},"
             f"{self.degenerate_cuts},{selected}"
         )
+
+
+TRACE_HEADER = tuple(f.name for f in fields(IterationRecord))
 
 
 @dataclass
@@ -104,12 +94,18 @@ class SolverOutcome:
         return self.trace[-1].dist_to_known
 
 
-def write_trace(path: str, trace: list[IterationRecord]) -> None:
-    """Write the fixed-header comma-separated trace."""
+def create_file(path: str):
+    """``path`` opened for writing UTF-8 text, its parent directory created
+    first when missing."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    return open(path, "w", encoding="utf-8")
+
+
+def write_trace(path: str, trace: list[IterationRecord]) -> None:
+    """Write the fixed-header comma-separated trace."""
+    with create_file(path) as fh:
         fh.write(",".join(TRACE_HEADER) + "\n")
         for record in trace:
             fh.write(record.csv_row() + "\n")

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteObjective
+from .errors import NonFiniteObjective, ParameterViolation
 from .geometry import Box, FeasibleSet, WholeSpace, norm, row_dots
 from .problems import (
     AffineOperator,
@@ -118,11 +118,15 @@ class ProxSystem:
 
     With ``certify_probes`` > 0 every result carries a sampled certificate
     whose probes, for subproblem i at outer iteration n, come from
-    ``probe_rng(certify_probes, seed, n, i)``.
+    ``probe_rng(certify_probes, seed, n, i)``, so ``seed`` must then be
+    non-negative: ``ParameterViolation`` before any solve otherwise.
     """
 
     def __init__(self, fs: list[Bifunction], lam: float, set_: FeasibleSet,
                  certify_probes: int = 0, seed: int = 0):
+        if certify_probes > 0 and seed < 0:
+            raise ParameterViolation(
+                f"seed={seed} must be >= 0 with certify_probes={certify_probes}")
         self.fs, self.lam, self.set_ = fs, lam, set_
         self.certify_probes, self.seed = certify_probes, seed
         self._stack = _kernel(fs, lam, set_)

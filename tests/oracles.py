@@ -315,8 +315,8 @@ def record_projections(monkeypatch, module):
     def recording_drive(*args, project=None, **kw):
         inner = project or hybrid.project_halfspace_intersection
 
-        def recording(cuts, anchor):
-            z = inner(cuts, anchor)
+        def recording(cuts, anchor, anchor_sq):
+            z = inner(cuts, anchor, anchor_sq)
             calls.append((cuts, anchor, z))
             return z
 

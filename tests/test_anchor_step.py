@@ -77,7 +77,7 @@ def test_a_step_without_cuts_keeps_x_and_skips_the_checks():
         assert dx2 == 0.0
         return Step(None, np.array([[9.0, 9.0]]), -1.0, 0.5, ProxRecord.of([]))
 
-    def project(cuts, x0):
+    def project(cuts, x0, x0_sq):
         raise AssertionError("nothing to project")
 
     x0 = np.array([1.0, 2.0])
@@ -97,7 +97,7 @@ def test_a_projection_closer_to_x0_than_the_last_counts_a_monotonicity_violation
     def step(n, x, dx2):
         return Step(x[None] + 1.0, np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of([]))
 
-    def project(cuts, x0):
+    def project(cuts, x0, x0_sq):
         return x0 + next(radii) * np.array([1.0, 0.0])
 
     out = drive("fixed", step, np.zeros(2), 0.0, 4, RunCounters(), project=project)
@@ -119,8 +119,8 @@ def test_a_projection_outside_a_cut_counts_an_anchor_projection_violation(shift,
 
     xs = []
 
-    def project(cuts, x0):
-        xs.append(hybrid.project_halfspace_intersection(cuts, x0) - next(shifts) * e1)
+    def project(cuts, x0, x0_sq):
+        xs.append(hybrid.project_halfspace_intersection(cuts, x0, x0_sq) - next(shifts) * e1)
         return xs[-1]
 
     out = drive("fixed", step, np.zeros(2), 0.0, 4, RunCounters(), project=project)
@@ -144,8 +144,8 @@ def test_a_short_c_cut_normal_near_convergence_counts_no_anchor_projection_viola
 
     xs = []
 
-    def project(cuts, x0):
-        xs.append(hybrid.project_halfspace_intersection(cuts, x0))
+    def project(cuts, x0, x0_sq):
+        xs.append(hybrid.project_halfspace_intersection(cuts, x0, x0_sq))
         return xs[-1]
 
     out = drive("fixed", step, np.zeros(2), 0.0, 2, RunCounters(), project=project)
@@ -163,7 +163,7 @@ def test_a_projection_error_counts_no_work_of_its_iteration():
         return Step(np.empty((0, x.size)), np.empty((0, x.size)), 0.0, 1.0,
                     ProxRecord.of(records))
 
-    def project(cuts, x0):
+    def project(cuts, x0, x0_sq):
         calls.append(cuts)
         if len(calls) == 2:
             raise EmptyIntersection("planted at iteration 2")
@@ -201,3 +201,16 @@ def test_a_solver_whose_projection_fails_keeps_the_work_before_it(monkeypatch):
 def test_every_solver_rejects_a_bad_tol_or_max_outer(name, bad):
     with pytest.raises(ParameterViolation):
         solve(name, **bad)
+
+
+@pytest.mark.parametrize("name", SOLVERS)
+def test_certifying_with_a_negative_seed_fails_before_the_first_iteration(monkeypatch, name):
+    # the seed is only drawn from when certificates are sampled
+    assert solve(name, tol=0.0, max_outer=2, seed=-1).iterations == 2
+
+    def no_run(*args, **kw):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(hybrid if name in HYBRIDS else baselines, "drive", no_run)
+    with pytest.raises(ParameterViolation, match=r"seed=-1 must be >= 0 with certify_probes=2"):
+        solve(name, certify_probes=2, seed=-1)

@@ -340,7 +340,8 @@ class TestFaceRows:
                 c = HalfspaceCut(rng.standard_normal(d), float(rng.uniform(0.0, 0.5)))
                 q = HalfspaceCut(np.zeros(d) if i % 7 == 0 else rng.standard_normal(d), 0.1)
                 cuts = CutStack.of([c, q])
-                z = baselines._project_onto_set_and_cuts(set_, rows, counters, cuts, x0)
+                z = baselines._project_onto_set_and_cuts(set_, rows, counters, cuts, x0,
+                                                         float(x0 @ x0))
                 listed = project_halfspace_intersection([*faces, c, q], x0)
                 assert z.tobytes() == listed.tobytes()
             assert counters.set_projections == 30

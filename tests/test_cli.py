@@ -128,6 +128,25 @@ class TestSolve:
         assert "certify_probes=-3" in capsys.readouterr().err
         assert not summary.exists()
 
+    def test_a_negative_seed_with_certificates_exit_two_before_the_run(self, capsys, tmp_path):
+        summary = tmp_path / "s.json"
+        code = main(["solve", SCALAR, "--algorithm", "single", "--certify", "3", "--seed", "-1",
+                     "--summary", str(summary)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: seed=-1 must be >= 0 with certify_probes=3" in captured.err
+        assert captured.out == ""
+        assert not summary.exists()
+
+    def test_an_unwritable_summary_exit_two(self, capsys, tmp_path):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        code = main(["solve", SCALAR, "--algorithm", "single",
+                     "--summary", str(blocker / "s.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err
+
     def test_relaxed_rule_accepts_wider_lambda(self, capsys):
         code = main(["solve", SCALAR, "--algorithm", "single",
                      "--lambda", "0.8", "--k", "8", "--rule", "relaxed"])
@@ -275,6 +294,21 @@ class TestCompare:
         rows = {r["algorithm"]: r for r in data["rows"]}
         assert rows["extragradient"]["prox_per_iteration"] == 2.0
         assert rows["single"]["prox_per_iteration"] == 1.0
+
+    def test_output_creates_its_directory(self, capsys, tmp_path):
+        out_path = tmp_path / "new" / "dir" / "cmp.json"
+        code = main(["compare", SCALAR, "--algorithms", "single", "--lambda", "0.3", "--k", "4",
+                     "--output", str(out_path)])
+        assert code == 0
+        assert [r["algorithm"] for r in json.loads(out_path.read_text())["rows"]] == ["single"]
+
+    def test_an_unwritable_output_exit_two(self, capsys, tmp_path):
+        # the output path is a directory
+        code = main(["compare", SCALAR, "--algorithms", "single", "--lambda", "0.3", "--k", "4",
+                     "--output", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
 
     @pytest.mark.parametrize("algorithms", [",", "", " , "])
     def test_no_algorithm_exit_two(self, capsys, algorithms):

@@ -439,8 +439,8 @@ class TestStepBookkeeping:
 
         xs = [inst.x0]
 
-        def project(cuts, x0):
-            xs.append(hybrid.project_halfspace_intersection(cuts, x0))
+        def project(cuts, x0, x0_sq):
+            xs.append(hybrid.project_halfspace_intersection(cuts, x0, x0_sq))
             return xs[-1]
 
         out = drive("sequential", checked_step, inst.x0, 0.0, 39, RunCounters(),

@@ -61,8 +61,12 @@ with open(Path(__file__).resolve().parent.parent.parent / "order.txt", "a") as f
     fh.write(f"{side} {args['--seed']} {args['--seconds']} {args['--trace']}\\n")
 value = (70.0 if side == "parent" else 63.0) + int(args["--seed"]) % 3
 rss = 100.0 if side == "parent" else 111.0
+# workload "bad": the change's run at seed 5 is incorrect, the parent's at 6 fails one
+bad = args["--workload"] == "bad"
+correct = not (bad and side == "change" and args["--seed"] == "5")
+failed = int(bad and side == "parent" and args["--seed"] == "6")
 print("# a comment line first")
-print(json.dumps({"correct": True, "attempted": 6, "failed": 0,
+print(json.dumps({"correct": correct, "attempted": 6, "failed": failed,
                   "metrics": {"iter_us.p50": {"value": value, "unit": "us"},
                               "peak_rss_mb": {"value": rss, "unit": "MB"}}}))
 """
@@ -98,3 +102,15 @@ def test_runs_alternate_and_write_the_record(tmp_path):
         "w peak_rss_mb: parent 100 change 111 (+11.0%), better in 0 and worse in 3 of 3 pairs, "
         "parent IQR 0  OVER BOUND 10%",
         "wrote BENCH_t.json"]
+    assert "CHECK FAILED" not in done.stdout
+    # an incorrect or failing run is named after its workload's verdict lines
+    done = subprocess.run([sys.executable, str(TOOL), "parent", "change", "--label", "t",
+                           "--workload", "bad", "--seeds", "4-6", "--seconds", "0.5"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == [
+        "bad CHECK FAILED: change seed 5 (correct false, failed 0), "
+        "parent seed 6 (correct true, failed 1)",
+        "wrote BENCH_t.json"]
+    bad = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["bad"]
+    assert (bad["correct_every_run"], bad["failed_every_run"]) == (False, [0, 1])

@@ -286,8 +286,8 @@ def test_a_stack_from_arrays_validates_once_as_each_cut_would():
     for stack in (CutStack(normals, offsets),
                   CutStack.of([HalfspaceCut(a, b) for a, b in zip(normals, offsets)])):
         assert stack.live == [0, 2]
-        assert stack.violated(z, 0.0) == 1
-        assert stack.outside(z, 0.0) == 1
+        assert stack.audit(z, 0.0, z, 0.0)[1] == 1
+        assert stack.audit(z, 0.0, None, 0.0)[0] == 1
 
 
 systems = st.fixed_dictionaries({
@@ -318,10 +318,11 @@ def test_a_stack_projects_and_counts_as_its_list_of_cuts(params):
         assert project_halfspace_intersection(stack, x0).tobytes() == (
             project_halfspace_intersection(listed, x0).tobytes())
         for slack in (1e-8, 0.0, -1.0):
-            assert stack.violated(z, slack) == sum(c.violation(z) > slack for c in listed)
+            assert stack.audit(z, 0.0, z, slack)[1] == sum(c.violation(z) > slack
+                                                           for c in listed)
         for tol in (1e-10, 0.0, 1.0):
-            assert stack.outside(z, tol) == sum(c.violation(z) > tol * math.sqrt(c.norm_sq)
-                                                for c in listed)
+            assert stack.audit(z, tol, None, 0.0)[0] == sum(
+                c.violation(z) > tol * math.sqrt(c.norm_sq) for c in listed)
         assert stack.live == [i for i, c in enumerate(listed) if not c.is_whole_space]
         for i, c in enumerate(listed):
             assert_same_cut(stack[i], c)

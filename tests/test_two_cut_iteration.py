@@ -32,13 +32,15 @@ from csepsolve import (  # noqa: E402
     run_single,
 )
 from csepsolve.geometry import CutStack, _dual_active_set, row_dots  # noqa: E402
+from csepsolve.hybrid import Step, drive  # noqa: E402
 from csepsolve.harness import (  # noqa: E402
     derive_default_params,
     extragradient_default_lam,
     load_problem,
     reference_solution,
 )
-from csepsolve.outcome import TRACE_HEADER  # noqa: E402
+from csepsolve.outcome import TRACE_HEADER, RunCounters  # noqa: E402
+from csepsolve.prox import ProxRecord  # noqa: E402
 
 from conftest import PROBLEM_DIR  # noqa: E402
 
@@ -73,15 +75,39 @@ def stacks_of(normals, offsets):
 
 
 @settings(max_examples=200, deadline=None)
-@given(systems, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
-def test_an_audit_counts_as_outside_and_violated(params, tol, slack):
+@given(systems, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.booleans())
+def test_an_audit_counts_as_its_row_wise_definitions(params, tol, slack, tiny):
     rng, normals, offsets, _ = planted_system(params)
     d = params["d"]
+    if tiny:  # whole-space rows of nonzero length, below DEGENERACY_THRESHOLD
+        zero = ~normals.any(axis=1)
+        normals[zero] = 1e-16 * rng.standard_normal((int(zero.sum()), d))
     for stack in stacks_of(normals, offsets):
+        rows = list(stack)
         for z, p in ((rng.standard_normal(d), rng.standard_normal(d)),
                      (np.zeros(d), np.zeros(d))):
             for t, s in ((tol, slack), (1e-10, 1e-8), (0.0, 0.0)):
-                assert stack.audit(z, t, p, s) == (stack.outside(z, t), stack.violated(p, s))
+                outside = sum(c.violation(z) > t * math.sqrt(c.norm_sq)
+                              for c in rows if not c.is_whole_space)
+                assert stack.audit(z, t, p, s) == (outside, sum(c.violation(p) > s
+                                                                for c in rows))
+                assert stack.audit(z, t, None, s) == (outside, 0)
+
+
+def test_a_given_projector_receives_the_runs_anchor_norm():
+    x0 = np.array([0.3, -1.7, 2.5])
+    seen = []
+
+    def step(n, x, dx2):
+        return Step(x[None] + 1.0, np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of([]))
+
+    def project(cuts, anchor, anchor_sq):
+        seen.append(anchor_sq)
+        return project_halfspace_intersection(cuts, anchor, anchor_sq)
+
+    out = drive("fixed", step, x0, 0.0, 3, RunCounters(), project=project)
+    assert out.iterations == 3
+    assert seen == [float(x0 @ x0)] * 3
 
 
 @settings(max_examples=200, deadline=None)

@@ -17,7 +17,9 @@ metric of CHANGE's ``BENCHMARK.json`` the runs of both sides, their
 medians and quartiles, the change of the median in percent, the parent's
 interquartile range, and the number of pairs in which the change was
 better and worse.  Other keys of an existing file are kept.  After each
-workload it prints one verdict line per metric (``verdict_lines``).
+workload it prints one verdict line per metric (``verdict_lines``) and,
+when a run was not correct or had failed operations, one ``CHECK FAILED``
+line naming each such run (``check_line``).
 """
 
 from __future__ import annotations
@@ -123,6 +125,15 @@ def verdict_lines(workload: str, summary: dict, metrics: dict[str, dict]) -> lis
     return lines
 
 
+def check_line(workload: str, pairs: list[dict]) -> str | None:
+    """``CHECK FAILED`` with the side and seed of every run in ``pairs`` that
+    was not correct or had failed operations; None when every run passed."""
+    bad = [f"{side} seed {p['seed']} (correct {str(p[side]['correct']).lower()}, "
+           f"failed {p[side]['failed']})"
+           for p in pairs for side in SIDES if not p[side]["correct"] or p[side]["failed"]]
+    return f"{workload} CHECK FAILED: {', '.join(bad)}" if bad else None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="source tree of the parent commit")
@@ -161,6 +172,8 @@ def main(argv=None) -> int:
             pairs, {name: m["better"] for name, m in metrics.items()})
         out.write_text(json.dumps(record, indent=1) + "\n")
         print("\n".join(verdict_lines(workload, summary, metrics)), flush=True)
+        if (line := check_line(workload, pairs)) is not None:
+            print(line, flush=True)
     print(f"wrote {out}")
     return 0
 

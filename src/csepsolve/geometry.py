@@ -312,7 +312,8 @@ class Box(FeasibleSet):
         return _clip(x, self.lower, self.upper)
 
     def contains(self, x, tol=1e-10):
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+        # ndarray .all(), not np.all's Python wrapper, as project skips np.clip's
+        return bool((x >= self.lower - tol).all() and (x <= self.upper + tol).all())
 
     def sample(self, rng, size=None):
         shape = self.dimension if size is None else (size, self.dimension)

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnknownConstants
+from .errors import DimensionMismatch, ParameterViolation, UnknownConstants
 from .geometry import FeasibleSet, as_point
 
 FD_STEP = 1e-5  # central-difference step of validate's subgradient check
@@ -367,10 +367,13 @@ def validate(instance: CsepInstance, samples: int, seed: int = 0) -> ValidationR
     f(y, x) > 1e-10); subgradient-vs-finite-difference discrepancy for the
     smooth families.  Weak continuity is not machine-checkable and only
     norm-continuity is exercised implicitly by the sampling.  Report-only:
-    nothing raises.
+    only ``samples`` < 1 (ValueError) or ``seed`` < 0 (ParameterViolation)
+    raises, before any sampling.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if seed < 0:
+        raise ParameterViolation(f"seed={seed} must be >= 0")
     rng = np.random.default_rng(seed)
     xs = instance.set.sample(rng, samples)
     ys = instance.set.sample(rng, samples)

@@ -318,14 +318,15 @@ class TestBaselineChecks:
 
 
 class TestFaceRows:
-    """The baselines stack C's faces once per run and write each
-    iteration's two cuts into the last rows: the projection is the one of
-    the list of faces followed by the cuts, bit for bit."""
+    """The baselines project x0 onto their two cuts first, and keep that
+    closed form when it lies in C; otherwise they stack C's faces once per
+    run and write each iteration's two cuts into the last rows, so the
+    projection is the one of the list of faces followed by the cuts."""
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_projection_equals_that_of_the_faces_and_cuts_listed(self, d, rng):
         from csepsolve import HalfspaceCut, Polyhedron, project_halfspace_intersection
-        from csepsolve.geometry import CutStack
+        from csepsolve.geometry import INTERSECTION_TOL, CutStack
         from csepsolve.outcome import RunCounters
 
         box = Box(-np.ones(d), np.ones(d))
@@ -334,14 +335,88 @@ class TestFaceRows:
         for set_ in (box, slab, WholeSpace(d)):
             faces = set_.as_halfspaces()
             rows, counters = baselines._face_rows(faces, d), RunCounters()
+            branches = set()
             for i in range(30):
-                x0 = rng.uniform(-0.5, 0.5, d)
+                x0 = rng.uniform(-1.5, 1.5, d)  # in C or not
+                x0_sq, tol = float(x0 @ x0), 1e-12 * (1.0 + np.linalg.norm(x0))
                 # both cuts hold at 0, a point of each set
                 c = HalfspaceCut(rng.standard_normal(d), float(rng.uniform(0.0, 0.5)))
                 q = HalfspaceCut(np.zeros(d) if i % 7 == 0 else rng.standard_normal(d), 0.1)
                 cuts = CutStack.of([c, q])
-                z = baselines._project_onto_set_and_cuts(set_, rows, counters, cuts, x0,
-                                                         float(x0 @ x0))
+                z = baselines._project_onto_set_and_cuts(set_, rows, counters, cuts, x0, x0_sq)
                 listed = project_halfspace_intersection([*faces, c, q], x0)
-                assert z.tobytes() == listed.tobytes()
+                closed = project_halfspace_intersection(cuts, x0, x0_sq)
+                if set_.contains(closed, INTERSECTION_TOL * (1.0 + np.sqrt(x0_sq))):
+                    branches.add("cuts")
+                    assert z.tobytes() == closed.tobytes()
+                    assert np.linalg.norm(z - listed) <= tol
+                else:
+                    branches.add("faces")
+                    assert z.tobytes() == listed.tobytes()
             assert counters.set_projections == 30
+            assert branches == ({"cuts", "faces"} if faces else {"cuts"})
+
+
+def test_anchor_projection_lies_in_the_set_and_the_cuts_and_is_the_projection():
+    # boxes, polyhedra, R^d and balls, with two cuts that hold at a point
+    # of C; the reference is the listed projection, Dykstra for the ball
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from csepsolve import Ball, HalfspaceCut, Polyhedron, project_halfspace_intersection
+    from csepsolve.geometry import CutStack, dykstra, project_halfspace
+    from csepsolve.outcome import RunCounters
+
+    def instance(seed, d, kind):
+        rng = np.random.default_rng(seed)
+        center = rng.standard_normal(d)
+        if kind == "box":
+            half = rng.uniform(0.1, 2.0, d)
+            set_ = Box(center - half, center + half)
+        elif kind == "polyhedron":
+            normals = rng.standard_normal((d + 3, d))
+            slack = np.where(rng.random(d + 3) < 0.3, 0.0, rng.exponential(1.0, d + 3))
+            set_ = Polyhedron([HalfspaceCut(a, float(a @ center + s))
+                               for a, s in zip(normals, slack)])
+        elif kind == "ball":
+            set_ = Ball(center, float(rng.uniform(0.1, 2.0)))
+        else:
+            set_ = WholeSpace(d)
+        # the cuts hold at p, halfway between the centre and a point of C:
+        # inside a ball, so that Dykstra's cycles cannot stall at one point
+        p, x0 = set_.project(rng.standard_normal((2, d)) + center)
+        p = 0.5 * (p + center)
+        cuts = []
+        for _ in range(2):
+            a = np.zeros(d) if rng.random() < 0.15 else rng.standard_normal(d)
+            slack = rng.exponential(0.3) if rng.random() < 0.7 else 0.0
+            cuts.append(HalfspaceCut(a, float(a @ p + slack)))
+        return set_, x0, cuts
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6),
+           st.sampled_from(["box", "polyhedron", "whole", "ball"]))
+    @settings(max_examples=200, deadline=None)
+    def check(seed, d, kind):
+        set_, x0, (c, q) = instance(seed, d, kind)
+        faces = set_.as_halfspaces()
+        rows = None if faces is None else baselines._face_rows(faces, d)
+        counters = RunCounters()
+        x0_sq = float(x0 @ x0)
+        z = baselines._project_onto_set_and_cuts(set_, rows, counters, CutStack.of([c, q]),
+                                                 x0, x0_sq)
+        tol = 1e-9 * (1.0 + np.sqrt(x0_sq))
+        for cut in (c, q):
+            assert cut.violation(z) <= tol * np.sqrt(cut.norm_sq)
+        assert set_.contains(z, tol)
+        if faces is None:
+            live = [cut for cut in (c, q) if not cut.is_whole_space]
+            listed = dykstra([set_.project] + [lambda v, cut=cut: project_halfspace(cut, v)
+                                               for cut in live], x0)
+        else:
+            listed = project_halfspace_intersection([*faces, c, q], x0)
+        assert np.linalg.norm(z - listed) <= tol
+        # one per call, or one per Dykstra cycle
+        assert counters.set_projections == 1 or faces is None
+
+    check()

@@ -394,6 +394,13 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert f"error: {path}: " in capsys.readouterr().err
 
+    def test_a_negative_seed_exit_two_naming_it(self, capsys):
+        code = main(["validate", SCALAR, "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: seed=-1 must be >= 0" in captured.err
+        assert captured.out == ""
+
     def test_a_top_level_array_exit_two(self, capsys, tmp_path):
         path = tmp_path / "array.json"
         path.write_text("[]")

@@ -194,8 +194,9 @@ class TestBitwiseFastPaths:
 
 
 class TestPointAndClipFastPaths:
-    """A valid float64 point is returned as is, and Box.project gives the
-    bits of np.clip; everything else behaves as the full paths do."""
+    """A valid float64 point is returned as is, Box.project gives the bits
+    of np.clip and Box.contains the answer of np.all; everything else
+    behaves as the full paths do."""
 
     @pytest.mark.parametrize("d", [1, 2, 50])
     def test_valid_point_is_returned_unchanged(self, d, rng):
@@ -251,6 +252,23 @@ class TestPointAndClipFastPaths:
         for x in (rng.uniform(-3, 3, 3), rng.uniform(-3, 3, (4, 3)),
                   np.array([[np.inf, -np.inf, np.nan], [-0.0, -0.0, 0.0]])):
             assert box.project(x).tobytes() == np.clip(x, box.lower, box.upper).tobytes()
+
+    def test_box_contains_matches_np_all(self, rng):
+        box = Box(np.array([0.0, -1.0, -2.0]), np.array([0.0, 1.0, 0.0]))
+        points = [
+            rng.uniform(-3, 3, 3),
+            rng.uniform(-0.5, 0.0, 3),
+            box.lower.copy(), box.upper.copy(),  # on faces
+            np.array([-0.0, 1.0, -2.0]),
+            box.upper + 1e-12, box.lower - 1e-9,
+            np.array([np.nan, 0.5, -1.0]), np.array([0.0, np.nan, np.nan]),
+            np.array([np.inf, 0.0, 0.0]), np.array([0.0, 0.0, -np.inf]),
+            [0.0, 0.5, -1.0],
+        ]
+        for x in points:
+            for tol in (1e-10, 1e-9, 1e-12, 0.0, -0.0, -1e-12, -1.0, np.inf, np.nan):
+                expected = bool(np.all(x >= box.lower - tol) and np.all(x <= box.upper + tol))
+                assert box.contains(x, tol) is expected, (x, tol)
 
 
 class TestTwoHalfspaces:

@@ -52,6 +52,26 @@ def test_summary_of_synthetic_pairs():
     assert (rate["change_better_pairs"], rate["change_worse_pairs"]) == (3, 1)
 
 
+@pytest.mark.parametrize("better, shift, ties, meets", [
+    ("lower", -10.0, 1, True),    # better in 9 of 10, the tie for neither side
+    ("lower", -10.0, 2, False),   # better in 8 of 10
+    ("lower", -4.0, 0, False),    # better in 10 of 10, medians 4 apart, parent IQR 4.5
+    ("lower", -5.0, 0, True),     # medians 5 apart
+    ("lower", 10.0, 0, False),    # worse in every pair
+    ("higher", 10.0, 1, True),
+    ("higher", -10.0, 0, False),
+])
+def test_the_claim_rule_needs_nine_in_ten_pairs_and_medians_apart_by_the_iqr(
+        better, shift, ties, meets):
+    pairs_tool = load_pairs()
+    parent = [100.0 + i for i in range(10)]  # inclusive quartiles 102.25 and 106.75
+    change = [p if i < ties else p + shift for i, p in enumerate(parent)]
+    summary = {"end_to_end": {"m": pairs_tool.metric_summary(parent, change, better)}}
+    assert summary["end_to_end"]["m"]["parent_iqr"] == 4.5
+    (line,) = pairs_tool.verdict_lines("w", summary, {"m": {"better": better}})
+    assert line.endswith("  MEETS CLAIM RULE") is meets
+
+
 FAKE_RUN = """\
 import json, sys
 from pathlib import Path
@@ -98,7 +118,7 @@ def test_runs_alternate_and_write_the_record(tmp_path):
     # worse, beyond its 10% bound
     assert done.stdout.splitlines()[-3:] == [
         "w iter_us.p50: parent 71 change 64 (-9.9%), better in 3 and worse in 0 of 3 pairs, "
-        "parent IQR 1",
+        "parent IQR 1  MEETS CLAIM RULE",
         "w peak_rss_mb: parent 100 change 111 (+11.0%), better in 0 and worse in 3 of 3 pairs, "
         "parent IQR 0  OVER BOUND 10%",
         "wrote BENCH_t.json"]

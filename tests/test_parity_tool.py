@@ -1,6 +1,7 @@
 """``tools/parity.py``: a dump is reproducible, and ``compare`` names the
 first field of a run that differs."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -22,7 +23,8 @@ def test_dumps_agree_and_a_planted_difference_is_named(tmp_path):
         done = parity("dump", REPO_ROOT, out, "--only", RUNS)
         assert done.returncode == 0, done.stderr
     same = parity("compare", a, b)
-    assert (same.returncode, same.stdout) == (0, "2 of 2 runs identical\n")
+    assert (same.returncode, same.stdout) == (
+        0, "2 of 2 runs identical\nsingle 1/1, armijo 1/1\n")
 
     runs = json.loads(b.read_text())
     run = runs["whole_line/armijo"]
@@ -35,12 +37,12 @@ def test_dumps_agree_and_a_planted_difference_is_named(tmp_path):
     planted = parity("compare", a, b)
     assert planted.returncode == 1
     lines = planted.stdout.splitlines()
-    assert lines[0] == "1 of 2 runs identical"
-    assert lines[1].startswith("whole_line/armijo: trace.step_norm[3]: ")
-    assert lines[1].endswith(" != 0.5")
+    assert lines[:2] == ["1 of 2 runs identical", "single 1/1, armijo 0/1"]
+    assert lines[2].startswith("whole_line/armijo: trace.step_norm[3]: ")
+    assert lines[2].endswith(" != 0.5")
     original = json.loads(a.read_text())["whole_line/armijo"]
     iterations = original["iterations"]
-    assert lines[2:] == [
+    assert lines[3:] == [
         f"  first differing outer iteration: n = {original['trace.n'][3]}",
         f"  A: tolerance after {iterations} iterations, "
         f"last dist_to_known {original['trace.dist_to_known'][-1]}",
@@ -60,8 +62,20 @@ def test_a_run_that_differs_only_in_final_x_is_named_without_its_bytes(tmp_path)
     planted = parity("compare", a, b)
     assert planted.returncode == 1
     lines = planted.stdout.splitlines()
-    assert lines[:3] == ["0 of 1 runs identical",
+    assert lines[:4] == ["0 of 1 runs identical",
+                         "single 0/1",
                          "vi_scalar_1d/single/probes3: final_x differs",
                          "  traces identical"]
-    assert lines[3].startswith(f"  A: {run['stop_reason']} after {run['iterations']} ")
-    assert len(lines) == 5
+    assert lines[4].startswith(f"  A: {run['stop_reason']} after {run['iterations']} ")
+    assert len(lines) == 6
+
+
+def test_the_algorithm_line_counts_identical_runs_per_algorithm():
+    spec = importlib.util.spec_from_file_location("parity_tool", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    names = ["p/armijo", "p/parallel/probes0", "p/parallel/probes3", "q/extragradient",
+             "q/armijo", "q/custom", "r/maxsel"]
+    differing = {"p/armijo", "p/parallel/probes3", "q/custom"}
+    assert tool.algorithm_line(names, differing) == (
+        "parallel 1/2, maxsel 1/1, extragradient 1/1, armijo 1/2, custom 0/1")

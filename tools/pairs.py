@@ -17,9 +17,10 @@ metric of CHANGE's ``BENCHMARK.json`` the runs of both sides, their
 medians and quartiles, the change of the median in percent, the parent's
 interquartile range, and the number of pairs in which the change was
 better and worse.  Other keys of an existing file are kept.  After each
-workload it prints one verdict line per metric (``verdict_lines``) and,
-when a run was not correct or had failed operations, one ``CHECK FAILED``
-line naming each such run (``check_line``).
+workload it prints one verdict line per metric (``verdict_lines``, which
+also tells whether a gain meets the claim rule) and, when a run was not
+correct or had failed operations, one ``CHECK FAILED`` line naming each
+such run (``check_line``).
 """
 
 from __future__ import annotations
@@ -106,21 +107,27 @@ def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
 def verdict_lines(workload: str, summary: dict, metrics: dict[str, dict]) -> list[str]:
     """One line per end-to-end metric of a workload's ``summary``: both
     medians and the change in percent, the pairs in which the change was
-    better and worse, the parent's IQR, and ``OVER BOUND`` when the change's
+    better and worse, the parent's IQR, ``OVER BOUND`` when the change's
     median is worse than the parent's by more than the metric's ``bound``
     (a fraction of the parent's median) in ``metrics``, the end-to-end
-    entries of ``BENCHMARK.json`` by name."""
+    entries of ``BENCHMARK.json`` by name, and ``MEETS CLAIM RULE`` when a
+    gain could be claimed: the change was better in at least 9 of every 10
+    pairs (a tie counts for neither side) and its median is better than
+    the parent's by more than the parent's IQR."""
     lines = []
     for name, m in summary["end_to_end"].items():
         pm, cm = m["parent_median"], m["change_median"]
         worse = cm - pm if metrics[name]["better"] == "lower" else pm - cm
         bound = metrics[name].get("bound")
         pct = "n/a" if m["change_pct"] is None else f"{m['change_pct']:+.1f}%"
+        pairs = len(m["parent_runs"])
         line = (f"{workload} {name}: parent {pm:g} change {cm:g} ({pct}), better in "
                 f"{m['change_better_pairs']} and worse in {m['change_worse_pairs']} of "
-                f"{len(m['parent_runs'])} pairs, parent IQR {m['parent_iqr']:g}")
+                f"{pairs} pairs, parent IQR {m['parent_iqr']:g}")
         if bound is not None and worse > bound * abs(pm):
             line += f"  OVER BOUND {100.0 * bound:g}%"
+        if 10 * m["change_better_pairs"] >= 9 * pairs and -worse > m["parent_iqr"]:
+            line += "  MEETS CLAIM RULE"
         lines.append(line)
     return lines
 

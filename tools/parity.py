@@ -15,11 +15,12 @@ counters, the invariant violations, ``min_prox_certificate``, the first
 unconverged inner solve and the error, with every float as its ``repr``
 (so NaN equals NaN).  ``--only`` restricts the dump to the named runs.
 
-``compare`` prints how many runs of A are identical in B and, for every
-other run, its first differing field (``final_x`` last, and by name only),
-the first outer iteration n whose trace record differs, and each side's
-stop reason, iterations and last ``dist_to_known``; it exits 1 on any
-difference.
+``compare`` prints how many runs of A are identical in B, then the same
+count per algorithm on one line (``algorithm_line``), and, for every
+other run, its first differing field (``final_x`` last, and by name
+only), the first outer iteration n whose trace record differs, and each
+side's stop reason, iterations and last ``dist_to_known``; it exits 1 on
+any difference.
 """
 
 from __future__ import annotations
@@ -220,6 +221,19 @@ def outcome_line(run: dict) -> str:
             f"last dist_to_known {dist[-1]}")
 
 
+def algorithm_line(names: list[str], differing: set[str]) -> str:
+    """The identical runs of each algorithm among the runs ``names``
+    (``problem/algorithm[/probes]``), e.g. ``parallel 24/24, armijo 2/13``,
+    in the order of ``ALL_ALGORITHMS``, any other algorithm after them."""
+    runs: dict[str, list[str]] = {}
+    for name in names:
+        runs.setdefault(name.split("/")[1], []).append(name)
+    order = sorted(runs, key=lambda a: ALL_ALGORITHMS.index(a) if a in ALL_ALGORITHMS
+                   else len(ALL_ALGORITHMS))
+    return ", ".join(f"{a} {sum(n not in differing for n in runs[a])}/{len(runs[a])}"
+                     for a in order)
+
+
 def compare(a_path: Path, b_path: Path) -> int:
     a = json.loads(a_path.read_text())
     b = json.loads(b_path.read_text())
@@ -232,8 +246,9 @@ def compare(a_path: Path, b_path: Path) -> int:
             where = "traces identical" if n is None else f"first differing outer iteration: n = {n}"
             differing.append((name, "\n  ".join(
                 [diff, where, f"A: {outcome_line(a[name])}", f"B: {outcome_line(b[name])}"])))
-    runs = len(_union(a, b))
-    print(f"{runs - len(differing)} of {runs} runs identical")
+    names = _union(a, b)
+    print(f"{len(names) - len(differing)} of {len(names)} runs identical")
+    print(algorithm_line(names, {name for name, _ in differing}))
     for name, diff in differing:
         print(f"{name}: {diff}")
     return 1 if differing else 0

@@ -7,8 +7,9 @@ the feasible set.  Their acceptance sets are subsets of C, so the anchor
 projection targets C intersected with the C-cut and the Q-cut, not just
 the two halfspaces.  That projector tries the two cuts' closed form
 first and keeps it when it lies in C, where it is the exact projection
-onto C and the cuts; only otherwise does it pay for C's faces (or
-Dykstra's cycles on a set that is not polyhedral).  Against projecting
+onto C and the cuts; only otherwise does it pay for C, projecting the
+list of C's faces and the two cuts in one call (or running Dykstra's
+cycles on a set that is not polyhedral).  Against projecting
 onto the faces every time, the iterates part at rounding level
 (``tools/parity.py``: no stop reason or invariant count changed, and the
 runs on R^d stayed identical).  Each method is a step for
@@ -29,7 +30,6 @@ import numpy as np
 from .errors import LinesearchFailed, MaxInnerIterationsExceeded, ParameterViolation
 from .geometry import (
     INTERSECTION_TOL,
-    CutStack,
     as_point,
     dykstra,
     norm,
@@ -101,19 +101,7 @@ def armijo_step_size(f, z, y_n, m, eta):
     return -t * f.value(z, y_n) / ((1.0 - t) * g_sq), g
 
 
-def _face_rows(faces, dim):
-    """The arrays of a ``CutStack`` of ``faces`` plus two rows for an
-    iteration's C-cut and Q-cut, and whether a face is the whole space."""
-    m = len(faces)
-    normals, offsets = np.empty((m + 2, dim)), np.empty(m + 2)
-    norm_sq, whole = np.empty(m + 2), np.empty(m + 2, dtype=bool)
-    for i, c in enumerate(faces):
-        normals[i], offsets[i], norm_sq[i], whole[i] = (c.normal, c.offset, c.norm_sq,
-                                                        c.is_whole_space)
-    return normals, offsets, norm_sq, whole, any(c.is_whole_space for c in faces)
-
-
-def _project_onto_set_and_cuts(set_, rows, counters, cuts, x0, x0_sq):
+def _project_onto_set_and_cuts(set_, faces, counters, cuts, x0, x0_sq):
     """Projection of x0 onto C intersected with the two cuts ``cuts``,
     counting set projections in ``counters``.
 
@@ -122,28 +110,17 @@ def _project_onto_set_and_cuts(set_, rows, counters, cuts, x0, x0_sq):
     C ∩ H1 ∩ H2, so when it lies in C (within ``INTERSECTION_TOL`` (1 +
     ||x0||)) it is the projection, returned as one set projection.  This
     holds for every set; on R^d it always applies.  Otherwise a polyhedral
-    set gives the ``rows`` of ``_face_rows`` for its faces, stacked once
-    per run: the cuts go into the last two rows, and the stack gets one
-    exact halfspace projection, counted as one set projection.  Other sets
-    (``rows`` None) alternate projections, one set projection per cycle.
+    set's ``faces`` followed by the two cuts get one exact halfspace
+    projection, counted as one set projection.  Other sets (``faces``
+    None) alternate projections, one set projection per cycle.
     """
     z = project_halfspace_intersection(cuts, x0, x0_sq)
     if set_.contains(z, INTERSECTION_TOL * (1.0 + math.sqrt(x0_sq))):
         counters.set_projections += 1
         return z
-    if rows is not None:
+    if faces is not None:
         counters.set_projections += 1
-        normals, offsets, norm_sq, whole, faces_whole = rows
-        i = len(offsets) - 2
-        c, q = cuts[0], cuts[1]
-        normals[i], offsets[i], norm_sq[i], whole[i] = (c.normal, c.offset, c.norm_sq,
-                                                        c.is_whole_space)
-        normals[i + 1], offsets[i + 1], norm_sq[i + 1], whole[i + 1] = (
-            q.normal, q.offset, q.norm_sq, q.is_whole_space)
-        return project_halfspace_intersection(
-            CutStack._valid(normals, offsets, norm_sq, whole,
-                            faces_whole or c.is_whole_space or q.is_whole_space),
-            x0, x0_sq)
+        return project_halfspace_intersection([*faces, cuts[0], cuts[1]], x0, x0_sq)
     live = [cuts[i] for i in cuts.live]
 
     def count_set_projection(v):
@@ -173,9 +150,7 @@ def _single_problem_start(instance: CsepInstance, name: str, counters: RunCounte
     set_ = instance.set
     if not set_.contains(x0, 1e-9):
         raise ParameterViolation("the baseline schemes require x0 in C")
-    faces = set_.as_halfspaces()
-    rows = None if faces is None else _face_rows(faces, x0.size)
-    project = partial(_project_onto_set_and_cuts, set_, rows, counters)
+    project = partial(_project_onto_set_and_cuts, set_, set_.as_halfspaces(), counters)
     return instance.bifunctions[0], x0, project
 
 

@@ -139,14 +139,6 @@ class HalfspaceCut:
             )
 
     @classmethod
-    def _valid(cls, normal, offset, norm_sq, is_whole_space) -> HalfspaceCut:
-        """A cut from data already validated (a row of a ``CutStack``)."""
-        cut = cls.__new__(cls)
-        cut.normal, cut.offset = normal, offset
-        cut.norm_sq, cut.is_whole_space = norm_sq, is_whole_space
-        return cut
-
-    @classmethod
     def _of(cls, normal, offset: float, norm_sq: float) -> HalfspaceCut:
         """``HalfspaceCut(normal, offset)`` for a vector ``normal`` whose
         ``normal.dot(normal)`` is ``norm_sq``: built without a second dot
@@ -155,7 +147,10 @@ class HalfspaceCut:
                 and normal.dtype is _FLOAT64 and normal.ndim == 1):
             whole = math.sqrt(norm_sq) < DEGENERACY_THRESHOLD
             if not (whole and offset < WHOLE_SPACE_OFFSET_FLOOR):
-                return cls._valid(normal, offset, norm_sq, whole)
+                cut = cls.__new__(cls)
+                cut.normal, cut.offset, cut.norm_sq, cut.is_whole_space = (
+                    normal, offset, norm_sq, whole)
+                return cut
         return cls(normal, offset)
 
     @property
@@ -176,10 +171,11 @@ class CutStack:
     two forms fixed when it is built: the cuts themselves, or arrays
     ``normals`` (k, d), ``offsets``, ``norm_sq`` and ``whole`` (k,) (as
     ``HalfspaceCut.norm_sq`` and ``is_whole_space``), whether any row is
-    the whole space and the lengths sqrt(norm_sq).
-    ``CutStack(normals, offsets)`` validates arrays once, as ``HalfspaceCut``
-    does one cut; ``CutStack.of(cuts)`` keeps at most two valid cuts as
-    they are and stacks more into arrays, with the same results bit for bit.
+    the whole space and the lengths sqrt(norm_sq).  It has two
+    constructors: ``CutStack(normals, offsets)`` validates arrays once, as
+    ``HalfspaceCut`` does one cut, and ``CutStack.of(cuts)`` keeps at most
+    two valid cuts as they are and stacks more into arrays, with the same
+    results bit for bit.
     """
 
     __slots__ = ("_rows", "_arrays", "_has_whole", "_lengths", "_live")
@@ -208,20 +204,19 @@ class CutStack:
     @classmethod
     def of(cls, cuts) -> CutStack:
         """The stack of the valid cuts ``cuts``, in order: the cuts
-        themselves when there are at most two, else ``CutStack`` of their arrays."""
+        themselves when there are at most two, else ``CutStack`` of their
+        arrays.  Cuts of different dimensions, whole-space ones included,
+        raise ``DimensionMismatch``."""
         rows = cuts if type(cuts) is list else list(cuts)
         if len(rows) > 2:
-            return cls(np.array([c.normal for c in rows]), np.array([c.offset for c in rows]))
+            normals = [c.normal for c in rows]
+            if len({a.size for a in normals}) > 1:
+                raise DimensionMismatch("cut normals have different dimensions")
+            return cls(np.array(normals), np.array([c.offset for c in rows]))
+        if len(rows) == 2 and rows[0].normal.size != rows[1].normal.size:
+            raise DimensionMismatch("cut normals have different dimensions")
         stack = cls.__new__(cls)
         stack._rows, stack._arrays, stack._live = rows, None, None
-        return stack
-
-    @classmethod
-    def _valid(cls, normals, offsets, norm_sq, whole, has_whole) -> CutStack:
-        """The array stack of validated data, ``has_whole`` telling if any row is whole."""
-        stack = cls.__new__(cls)
-        stack._rows, stack._arrays, stack._live = None, (normals, offsets, norm_sq, whole), None
-        stack._has_whole, stack._lengths = has_whole, np.sqrt(norm_sq)
         return stack
 
     def __len__(self) -> int:
@@ -230,9 +225,8 @@ class CutStack:
     def __getitem__(self, i) -> HalfspaceCut:
         if self._rows is not None:
             return self._rows[i]
-        normals, offsets, norm_sq, whole = self._arrays
-        return HalfspaceCut._valid(normals[i], float(offsets[i]), float(norm_sq[i]),
-                                   bool(whole[i]))
+        normals, offsets, norm_sq, _ = self._arrays
+        return HalfspaceCut._of(normals[i], float(offsets[i]), float(norm_sq[i]))
 
     @property
     def live(self) -> list[int]:

@@ -319,9 +319,8 @@ class TestBaselineChecks:
 
 class TestFaceRows:
     """The baselines project x0 onto their two cuts first, and keep that
-    closed form when it lies in C; otherwise they stack C's faces once per
-    run and write each iteration's two cuts into the last rows, so the
-    projection is the one of the list of faces followed by the cuts."""
+    closed form when it lies in C; otherwise the projection is the one of
+    the list of C's faces followed by the cuts."""
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_projection_equals_that_of_the_faces_and_cuts_listed(self, d, rng):
@@ -334,7 +333,7 @@ class TestFaceRows:
                            HalfspaceCut(-np.ones(d), 2.0)])
         for set_ in (box, slab, WholeSpace(d)):
             faces = set_.as_halfspaces()
-            rows, counters = baselines._face_rows(faces, d), RunCounters()
+            counters = RunCounters()
             branches = set()
             for i in range(30):
                 x0 = rng.uniform(-1.5, 1.5, d)  # in C or not
@@ -343,7 +342,7 @@ class TestFaceRows:
                 c = HalfspaceCut(rng.standard_normal(d), float(rng.uniform(0.0, 0.5)))
                 q = HalfspaceCut(np.zeros(d) if i % 7 == 0 else rng.standard_normal(d), 0.1)
                 cuts = CutStack.of([c, q])
-                z = baselines._project_onto_set_and_cuts(set_, rows, counters, cuts, x0, x0_sq)
+                z = baselines._project_onto_set_and_cuts(set_, faces, counters, cuts, x0, x0_sq)
                 listed = project_halfspace_intersection([*faces, c, q], x0)
                 closed = project_halfspace_intersection(cuts, x0, x0_sq)
                 if set_.contains(closed, INTERSECTION_TOL * (1.0 + np.sqrt(x0_sq))):
@@ -400,10 +399,9 @@ def test_anchor_projection_lies_in_the_set_and_the_cuts_and_is_the_projection():
     def check(seed, d, kind):
         set_, x0, (c, q) = instance(seed, d, kind)
         faces = set_.as_halfspaces()
-        rows = None if faces is None else baselines._face_rows(faces, d)
         counters = RunCounters()
         x0_sq = float(x0 @ x0)
-        z = baselines._project_onto_set_and_cuts(set_, rows, counters, CutStack.of([c, q]),
+        z = baselines._project_onto_set_and_cuts(set_, faces, counters, CutStack.of([c, q]),
                                                  x0, x0_sq)
         tol = 1e-9 * (1.0 + np.sqrt(x0_sq))
         for cut in (c, q):

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from csepsolve import (
     project_halfspace_intersection,
     project_two_halfspaces,
 )
-from csepsolve.geometry import as_point, dot, norm, row_dots, row_norms
+from csepsolve.geometry import CutStack, as_point, dot, norm, row_dots, row_norms
 
 from oracles import project_ldp_nnls, project_polyhedron_enumerate
 
@@ -410,6 +412,22 @@ class TestHalfspaceIntersection:
             iterative = dykstra_halfspaces([c1, c2], x0, tol=1e-12)
             assert np.linalg.norm(closed - iterative) < 1e-8
 
+    @pytest.mark.parametrize("k, at", [(k, at) for k in range(1, 5) for at in range(k + 1)])
+    @pytest.mark.parametrize("odd", [np.zeros(3), np.array([0.0, 1.0, 0.0])])
+    def test_cuts_of_mixed_dimensions_raise_whatever_their_count(self, k, at, odd):
+        # k cuts of R^2 with one cut of R^3, the whole space or not, at
+        # position ``at``: the rows form (two cuts) and the arrays (more)
+        cuts = [cut([1.0, float(i)], 1.0) for i in range(k)]
+        cuts.insert(at, cut(odd, 1.0))
+        mixed = "cut normals have different dimensions"
+        with pytest.raises(DimensionMismatch, match=mixed):
+            CutStack.of(cuts)
+        for x0 in ([2.0, 2.0], [2.0, 2.0, 2.0]):
+            with pytest.raises(DimensionMismatch, match=mixed):
+                project_halfspace_intersection(cuts, x0)
+        with pytest.raises(DimensionMismatch, match="polyhedron cuts have mixed dimensions"):
+            Polyhedron(cuts)
+
 
 class TestGeneralDykstra:
     def test_box_and_halfspace(self, rng):
@@ -467,3 +485,18 @@ class TestProjectionProperties:
             x = rng.standard_normal(3) * 2.0
             z = set_.project(x)
             assert np.linalg.norm(set_.project(z) - z) <= 1e-12
+
+
+def test_no_module_but_geometry_reads_the_private_state_of_a_cut_stack():
+    # a stack's private names: its slots, its private methods, and the
+    # array constructor the baselines once called; ``self._name`` is a
+    # module's own attribute
+    private = {"_arrays", "_rows", "_has_whole", "_lengths", "_live", "_valid"} | {
+        name for name in vars(CutStack) if name.startswith("_") and not name.startswith("__")}
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "csepsolve"
+    reads = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+             for path in sorted(src.glob("*.py")) if path.name != "geometry.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in private
+             and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+    assert reads == []

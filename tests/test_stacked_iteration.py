@@ -279,7 +279,9 @@ def test_a_stack_from_arrays_validates_once_as_each_cut_would():
     with pytest.raises(ValueError, match="non-finite"):
         CutStack(np.array([[1e200, 1e200], [np.nan, 0.0]]), np.zeros(2))
     # finite rows whose squares overflow pass, as in HalfspaceCut
-    assert not CutStack(np.array([[1e200, 1e200]]), np.zeros(1))[0].is_whole_space
+    stack = CutStack(np.array([[1e200, 1e200]]), np.zeros(1))
+    assert_same_cut(stack[0], HalfspaceCut([1e200, 1e200], 0.0))
+    assert not stack[0].is_whole_space
     # a whole-space row with an offset just below 0 is never violated nor outside
     offsets = np.array([0.5, -1e-13, -2.0])
     z = np.zeros(2)

@@ -6,6 +6,10 @@ output file that cannot be written (``error: <message>``), 3 for runtime
 failures inside a run, 4 when a solve ran without error but some inner
 solve stopped at its iteration cap (``solve`` only; this takes precedence
 over 0 and 1).  Every output file's missing parent directory is created.
+
+``compare`` loads the problem and computes its reference projection once;
+each row's ``wall_ms`` times that algorithm's solve and the writing of
+its outputs, not the loading.
 """
 
 from __future__ import annotations

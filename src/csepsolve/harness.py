@@ -97,7 +97,7 @@ def _as_vector(value, dim, path):
     arr = _as_array(value, path)
     if arr.ndim != 1 or arr.size != dim:
         raise SchemaError(f"{path}: expected a vector of length {dim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise SchemaError(f"{path}: contains non-finite entries")
     return arr
 
@@ -106,7 +106,7 @@ def _as_matrix(value, dim, path):
     arr = _as_array(value, path)
     if arr.shape != (dim, dim):
         raise SchemaError(f"{path}: expected a {dim}x{dim} matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise SchemaError(f"{path}: contains non-finite entries")
     return arr
 
@@ -384,16 +384,27 @@ def run(spec: RunSpec) -> SolverOutcome:
     available so the trace carries distances and the per-iteration checks
     run against a known solution.
     """
-    instance = load_problem(spec.problem_path)
-    if spec.algorithm in SINGLE_ONLY and instance.n_problems != 1:
-        raise ParameterViolation(
-            f"algorithm {spec.algorithm!r} requires N = 1, got N = {instance.n_problems}"
-        )
+    return _execute(spec, *_load(spec.problem_path))
+
+
+def _load(path: str) -> tuple[CsepInstance, np.ndarray | None]:
+    """The problem at ``path`` and its reference projection (None when no
+    oracle applies): the part of ``run`` that does not depend on the spec."""
+    instance = load_problem(path)
     try:
         known = reference_solution(instance)
     except (OracleUnavailable, EmptyF):
         known = None
+    return instance, known
 
+
+def _execute(spec: RunSpec, instance: CsepInstance, known: np.ndarray | None
+             ) -> SolverOutcome:
+    """``run`` of ``spec`` on its loaded problem and reference projection."""
+    if spec.algorithm in SINGLE_ONLY and instance.n_problems != 1:
+        raise ParameterViolation(
+            f"algorithm {spec.algorithm!r} requires N = 1, got N = {instance.n_problems}"
+        )
     common = dict(
         known_point=known,
         certify_probes=spec.certify_probes,
@@ -526,16 +537,22 @@ class ComparisonReport:
 
 def compare(specs: list[RunSpec]) -> ComparisonReport:
     """Run each spec (at least one, all on one problem) and tabulate cost
-    and accuracy."""
+    and accuracy.
+
+    The problem is loaded and its reference projection computed once; each
+    row's ``wall_ms`` times that spec's solve and the writing of its
+    outputs.
+    """
     if not specs:
         raise ParameterViolation("compare needs at least one algorithm")
     paths = {s.problem_path for s in specs}
     if len(paths) != 1:
         raise ParameterViolation("compare requires all specs to share one problem")
+    instance, known = _load(specs[0].problem_path)
     report = ComparisonReport(problem_path=specs[0].problem_path)
     for spec in specs:
         t0 = time.perf_counter()
-        outcome = run(spec)
+        outcome = _execute(spec, instance, known)
         wall_ms = (time.perf_counter() - t0) * 1e3
         report.rows.append(
             MethodRow(

@@ -103,9 +103,25 @@ def create_file(path: str):
     return open(path, "w", encoding="utf-8")
 
 
+_CSV_ROW = "%s,%.17g,%.17g,%s,%s,%s,%.6g,%s,%s\n"
+
+
 def write_trace(path: str, trace: list[IterationRecord]) -> None:
-    """Write the fixed-header comma-separated trace."""
+    """Write the fixed-header comma-separated trace: the header line, then
+    ``csv_row()`` of each record on its own line, in one write.
+
+    Each row is one ``%`` format; ``eps_min`` is formatted once when
+    ``eps_max`` is the same object, as in the two-cut iterations.
+    """
+    lines = [",".join(TRACE_HEADER) + "\n"]
+    append = lines.append
+    for r in trace:
+        eps = "%.17g" % r.eps_min
+        dist, selected = r.dist_to_known, r.selected_index
+        append(_CSV_ROW % (
+            r.n, r.step_norm, r.residual, eps,
+            eps if r.eps_max is r.eps_min else "%.17g" % r.eps_max,
+            "" if dist != dist else "%.17g" % dist,  # NaN, as csv_row
+            r.wall_ms, r.degenerate_cuts, "" if selected is None else selected))
     with create_file(path) as fh:
-        fh.write(",".join(TRACE_HEADER) + "\n")
-        for record in trace:
-            fh.write(record.csv_row() + "\n")
+        fh.write("".join(lines))

@@ -11,7 +11,7 @@ constants (c1, c2) satisfying
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -299,7 +299,8 @@ class CsepInstance:
 
     def lipschitz_max(self) -> tuple[float, float]:
         """(max c1, max c2) over the instance's bifunctions."""
-        return astuple(LipschitzData.largest(self.lipschitz_all()))
+        largest = LipschitzData.largest(self.lipschitz_all())
+        return largest.c1, largest.c2
 
     def reference_point(self) -> np.ndarray | None:
         """Projection of x0 onto the known solution set, when described."""

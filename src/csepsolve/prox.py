@@ -12,7 +12,10 @@ minimizer H^{-1} shift, H = I + lam*(Q + Q^T) inverted once per kernel.
 When that minimizer lies in C it is the answer, so the first step moves it
 by rounding only and the row stops there (two inner iterations counted:
 the start and that step); a row with active constraints goes on from the
-clipped point as before.
+clipped point as before.  Nearly every solve ends with all live rows
+stopping at one step, whose iterate is then the result; per-row
+bookkeeping is paid only when rows stop at different steps or reach
+MAX_INNER.
 
 ``_kernel`` is the one place a solver is chosen.  When every subproblem of
 a system belongs to one family it stacks the data once: M_i and q_i when
@@ -323,41 +326,55 @@ class _ProjectedGradientStack(_Stack):
         # no row that is singular in floating point
         definite = finite & (eig[:, 0] > H.shape[-1] * np.finfo(float).eps * eig[:, -1])
         self.convex = bool(definite.all())
-        self.step = 1.0 / eig[:, -1]
+        self.step = (1.0 / eig[:, -1])[:, None]
         self.Hinv = np.linalg.inv(np.where(definite[:, None, None], H, eye))
+        self.bound = _squared_bound(TOL_PROJECTED_GRADIENT)
 
     def solve(self, W, x):
         """One loop over the stack.  A row stops at the first step whose
         displacement is within TOL_PROJECTED_GRADIENT; a row still moving
         after MAX_INNER steps is returned unconverged.  Each step, the
         first from the projected unconstrained minimizer included, counts
-        one inner iteration, and the start one more."""
+        one inner iteration, and the start one more.
+
+        When every live row stops at the same step, that step's iterate is
+        the result: returned as it is when no row stopped earlier, else
+        written over the live rows in one assignment.  The result array and
+        the live-row index exist only once a row stops before the others or
+        reaches MAX_INNER."""
         if not self.convex:
             raise NonFiniteObjective("subproblem is not strongly convex (Q + Q^T too negative)")
-        bound, max_inner = _squared_bound(TOL_PROJECTED_GRADIENT), MAX_INNER
-        lam, set_ = self.lam, self.set_
-        project, matmul = set_.project, np.matmul
+        max_inner, lam, project, matmul = MAX_INNER, self.lam, self.set_.project, np.matmul
+        bound, sym, step = self.bound, self.sym, self.step
         shift = x - lam * (_matvec(self.P, W) + self.q) + lam * _matvec(self.QT, W)
-        out = np.empty_like(shift)
-        live = np.arange(shift.shape[0])
-        inner = max_inner * live.size  # a row done at step it takes it + 1, not max_inner
-        sym, step = self.sym, self.step[:, None]
+        inner = max_inner * len(shift)  # a row done at step it takes it + 1, not max_inner
+        out = live = None
         Y = project(_matvec(self.Hinv, shift))
         for it in range(1, max_inner + 1):
             grad = Y + lam * matmul(sym, Y[..., None])[..., 0] - shift
             Y_new = project(Y - step * grad)
             done = row_dots(Y_new - Y) <= bound
             n_done = int(np.count_nonzero(done))
+            if n_done == len(done):
+                inner -= n_done * (max_inner - it - 1)
+                if out is None:
+                    out = Y_new
+                else:
+                    out[live] = Y_new
+                _require_finite(out)
+                return out, ProxRecord(len(out), inner, (), math.inf)
             if n_done:
+                if out is None:
+                    out, live = np.empty_like(shift), np.arange(len(shift))
                 out[live[done]] = Y_new[done]
                 inner -= n_done * (max_inner - it - 1)
                 keep = ~done
                 live, sym, step, shift, Y_new = (
                     live[keep], sym[keep], step[keep], shift[keep], Y_new[keep]
                 )
-                if not live.size:
-                    break
             Y = Y_new
+        if out is None:
+            out, live = Y, np.arange(len(Y))
         else:
             out[live] = Y
         _require_finite(out)

@@ -205,6 +205,45 @@ class TestReferenceSolution:
         assert np.linalg.norm(reference_solution(blind) - declared) < 1e-12
 
 
+def test_write_trace_writes_the_header_and_each_csv_row():
+    pytest.importorskip("hypothesis")
+    import math
+    import tempfile
+    from pathlib import Path
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from csepsolve.outcome import write_trace
+
+    edge = st.sampled_from([math.nan, -math.nan, 0.0, -0.0, 5e-324, -5e-324,
+                            2.2250738585072014e-308 / 3, 1e308, -1e308, math.inf, -math.inf,
+                            0.1, 1e-10, 123456789.123456789])
+    floats = st.one_of(edge, st.floats())
+    counts = st.integers(0, 10**12)
+
+    @st.composite
+    def records(draw):
+        eps_min = draw(floats)
+        # the two-cut iterations pass one float object as both ends
+        eps_max = eps_min if draw(st.booleans()) else draw(floats)
+        return IterationRecord(draw(counts), draw(floats), draw(floats), eps_min, eps_max,
+                               draw(floats), draw(floats), draw(counts),
+                               draw(st.one_of(st.none(), counts)))
+
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "trace.csv"
+
+        @settings(max_examples=100, deadline=None)
+        @given(st.lists(records(), max_size=8))
+        def check(trace):
+            write_trace(str(path), trace)
+            expected = ",".join(TRACE_HEADER) + "\n" + "".join(r.csv_row() + "\n" for r in trace)
+            assert path.read_bytes() == expected.encode("utf-8")
+
+        check()
+
+
 class TestRun:
     def test_tolerance_stop_matches_oracle(self, tmp_path):
         spec = RunSpec(
@@ -298,6 +337,48 @@ class TestCompare:
         assert by_name["sequential"].prox_per_iteration == 1.0
         finals = [r.final_dist_to_oracle for r in report.rows]
         assert max(finals) < 1e-4
+
+    @pytest.mark.parametrize("name, algorithms", [
+        ("vi_scalar_1d.json", ("single", "extragradient", "armijo")),
+        ("csep3_mixed_3d.json", ("parallel", "maxsel", "sequential")),
+    ])
+    def test_loads_once_and_each_row_equals_a_separate_run(self, tmp_path, monkeypatch,
+                                                           name, algorithms):
+        import dataclasses
+
+        import csepsolve.harness as harness_module
+
+        def summaries(tag):
+            """Each spec's summary, ``wall_ms`` left out."""
+            out = []
+            for a in algorithms:
+                summary = json.loads((tmp_path / f"{tag}-{a}.json").read_text())
+                del summary["wall_ms"]
+                out.append(summary)
+            return out
+
+        path = str(PROBLEM_DIR / name)
+        specs = [RunSpec(problem_path=path, algorithm=a, max_outer=300,
+                         summary_path=str(tmp_path / f"run-{a}.json")) for a in algorithms]
+        separate = [run(spec) for spec in specs]
+        specs = [dataclasses.replace(s, summary_path=str(tmp_path / f"compare-{s.algorithm}.json"))
+                 for s in specs]
+        loads = []
+        original = harness_module.load_problem
+        monkeypatch.setattr(harness_module, "load_problem",
+                            lambda p: loads.append(p) or original(p))
+        report = compare(specs)
+        assert loads == [path]
+        for row, outcome in zip(report.rows, separate, strict=True):
+            expected = dataclasses.replace(
+                row, stop_reason=outcome.stop_reason, iterations=outcome.iterations,
+                prox_solves=outcome.counters.prox_solves,
+                prox_per_iteration=outcome.counters.prox_solves / outcome.iterations,
+                set_projections=outcome.counters.set_projections,
+                final_dist_to_oracle=outcome.final_dist_to_known())
+            assert repr(row) == repr(expected)
+            assert row.wall_ms > 0.0
+        assert summaries("compare") == summaries("run")  # final_x bit for bit
 
     def test_requires_shared_problem(self):
         with pytest.raises(ParameterViolation):

@@ -12,6 +12,13 @@ TOOL = REPO_ROOT / "tools" / "parity.py"
 RUNS = "vi_scalar_1d/single/probes3,whole_line/armijo"
 
 
+def load_tool():
+    spec = importlib.util.spec_from_file_location("parity_tool", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def parity(*args):
     return subprocess.run([sys.executable, str(TOOL), *map(str, args)],
                           capture_output=True, text=True, timeout=300)
@@ -71,11 +78,54 @@ def test_a_run_that_differs_only_in_final_x_is_named_without_its_bytes(tmp_path)
 
 
 def test_the_algorithm_line_counts_identical_runs_per_algorithm():
-    spec = importlib.util.spec_from_file_location("parity_tool", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool()
     names = ["p/armijo", "p/parallel/probes0", "p/parallel/probes3", "q/extragradient",
              "q/armijo", "q/custom", "r/maxsel"]
     differing = {"p/armijo", "p/parallel/probes3", "q/custom"}
     assert tool.algorithm_line(names, differing) == (
         "parallel 1/2, maxsel 1/1, extragradient 1/1, armijo 1/2, custom 0/1")
+
+
+def test_the_trace_csv_is_compared_by_its_bytes_with_wall_ms_blanked(tmp_path):
+    import csv
+    import hashlib
+    import io
+
+    from csepsolve import RunSpec, run
+
+    tool = load_tool()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    name = "vi_scalar_1d/single/probes3"
+    done = parity("dump", REPO_ROOT, a, "--only", name)
+    assert done.returncode == 0, done.stderr
+    runs = json.loads(a.read_text())
+    run_a = runs[name]
+
+    # the same solve here, its trace file's wall_ms column blanked by csv
+    trace = tmp_path / "trace.csv"
+    run(RunSpec(problem_path=str(REPO_ROOT / "problems" / "vi_scalar_1d.json"),
+                algorithm="single", tol=tool.TOL, max_outer=tool.BUNDLED_BUDGET,
+                certify_probes=3, trace_path=str(trace)))
+    rows = list(csv.reader(io.StringIO(trace.read_text(encoding="utf-8"))))
+    column = rows[0].index("wall_ms")
+    assert all(row[column] for row in rows[1:])
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        row[:column] + [""] + row[column + 1:] if i else row for i, row in enumerate(rows))
+    assert run_a["trace_csv"] == hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+    # only wall_ms is blanked: any other byte of the file changes the digest
+    text = "n,step_norm,wall_ms,selected_index\n1,0.5,0.25,\n2,0.125,0.0625,0\n"
+    assert tool.csv_digest(text) == tool.csv_digest(text.replace("0.0625", "9"))
+    assert tool.csv_digest(text) != tool.csv_digest(text.replace("0.125", "0.12500"))
+    assert tool.csv_digest(text) != tool.csv_digest(text.replace(",0\n", ",\n"))
+
+    run_a["trace_csv"] = tool.csv_digest(text)
+    b.write_text(json.dumps(runs))
+    planted = parity("compare", a, b)
+    assert planted.returncode == 1
+    lines = planted.stdout.splitlines()
+    assert lines[:4] == ["0 of 1 runs identical", "single 0/1",
+                         f"{name}: trace_csv: {json.loads(a.read_text())[name]['trace_csv']}"
+                         f" != {tool.csv_digest(text)}",
+                         "  traces identical"]

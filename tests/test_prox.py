@@ -393,6 +393,76 @@ def dense_aq(rng, d, scale=1.0, face=False):
     return AffineQuadraticBifunction(Q + monotone_matrix(rng, d), Q, q)
 
 
+class TestProjectedGradientStackEnds:
+    """The stacked projected-gradient loop ends in one of three ways: every
+    row stops at the same step, rows stop at different steps, or rows reach
+    MAX_INNER.  Each way returns the one-row kernels' minimizers, inner
+    totals and unconverged diagnostics, and the plain per-row loop's."""
+
+    @staticmethod
+    def assert_rows_are_the_plain_loop(fs, w, x, box, max_inner):
+        """The stack equals the one-row kernels (``assert_stack_matches_rows``)
+        and, row by row, ``projected_gradient_prox``: minimizer bytes, inner
+        steps, and an unconverged row's diagnostic.  Returns the stack's
+        record and the per-row step counts."""
+        rows = assert_stack_matches_rows(fs, w, x, 0.2, box)
+        _, record = ProxSystem(fs, 0.2, box).solve(w, x, 1)
+        plain = [projected_gradient_prox(f, w, x, 0.2, box, 1e-10, max_inner) for f in fs]
+        diagnostic = f"projected gradient hit {max_inner} iterations"
+        assert [(y.tobytes(), r.inner_iterations) for y, r in rows] == [
+            (y.tobytes(), steps) for y, steps, _ in plain]
+        assert record.nonconverged == tuple(
+            (i, diagnostic) for i, (_, _, converged) in enumerate(plain) if not converged)
+        assert record.inner_iterations == sum(steps for _, steps, _ in plain)
+        return record, [steps for _, steps, _ in plain]
+
+    @pytest.mark.parametrize("max_inner", [100_000, 1, 0])
+    def test_rows_that_all_stop_at_step_one(self, rng, monkeypatch, max_inner):
+        import csepsolve.prox as prox_module
+
+        d = 6
+        fs = [dense_aq(rng, d, scale) for scale in (0.1, 1.0, 5.0, 20.0)]
+        box = Box(-1e3 * np.ones(d), 1e3 * np.ones(d))  # every minimizer interior
+        monkeypatch.setattr(prox_module, "MAX_INNER", max_inner)
+        record, steps = self.assert_rows_are_the_plain_loop(
+            fs, rng.uniform(-1, 1, d), rng.uniform(-1, 1, d), box, max_inner)
+        if max_inner:  # the start, then one step that moves by rounding only
+            assert (steps, record.nonconverged) == ([2] * 4, ())
+        else:
+            assert (steps, len(record.nonconverged)) == ([0] * 4, 4)
+
+    @pytest.mark.parametrize("max_inner", [100_000, 1, 2, 3, 5])
+    def test_rows_that_stop_at_different_steps(self, rng, monkeypatch, max_inner):
+        import csepsolve.prox as prox_module
+
+        d = 6
+        # rows 1 and 3 have a bound active at their minimizer, rows 0 and 2 none
+        fs = [dense_aq(rng, d, 0.5), dense_aq(rng, d, 0.5, face=True),
+              dense_aq(rng, d, 2.0), dense_aq(rng, d, 5.0, face=True)]
+        box = Box(-2.0 * np.ones(d), 2.0 * np.ones(d))
+        monkeypatch.setattr(prox_module, "MAX_INNER", max_inner)
+        record, steps = self.assert_rows_are_the_plain_loop(
+            fs, rng.uniform(-1, 1, d), rng.uniform(-1, 1, d), box, max_inner)
+        assert steps[0] == steps[2] == 2
+        if max_inner == 100_000:
+            assert not record.nonconverged and steps[1] > 3 and steps[3] > 3
+        else:  # the interior rows stop at step 1, the others run out
+            assert [i for i, _ in record.nonconverged] == [1, 3]
+
+    def test_a_stack_that_stops_at_one_step_returns_fresh_arrays(self, rng):
+        d = 4
+        fs = [dense_aq(rng, d) for _ in range(3)]
+        box = Box(-1e3 * np.ones(d), 1e3 * np.ones(d))
+        system = ProxSystem(fs, 0.2, box)
+        w, x = rng.uniform(-1, 1, d), rng.uniform(-1, 1, d)
+        Y1, _ = system.solve(w, x, 1)
+        saved = Y1.copy()
+        Y2, _ = system.solve(w, x, 2)
+        assert Y1 is not Y2 and Y2.tobytes() == saved.tobytes()
+        Y2[:] = 0.0
+        assert Y1.tobytes() == saved.tobytes()
+
+
 class TestProxSystemParity:
     @pytest.mark.parametrize("d", [1, 3, 100])
     @pytest.mark.parametrize("n_rows", [1, 4, 16])

@@ -13,7 +13,10 @@ under all six solvers.  It writes, per run, the stop reason, iterations,
 ``final_x`` as hex bytes, every trace field except ``wall_ms``, the
 counters, the invariant violations, ``min_prox_certificate``, the first
 unconverged inner solve and the error, with every float as its ``repr``
-(so NaN equals NaN).  ``--only`` restricts the dump to the named runs.
+(so NaN equals NaN), and the sha256 of the trace CSV as ``write_trace``
+wrote it with the ``wall_ms`` column blanked (``trace_csv``, so that the
+file's bytes are compared too).  ``--only`` restricts the dump to the
+named runs.
 
 ``compare`` prints how many runs of A are identical in B, then the same
 count per algorithm on one line (``algorithm_line``), and, for every
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import sys
@@ -121,8 +125,23 @@ def _text(v) -> str:
     return repr(float(v)) if isinstance(v, float) else repr(v)
 
 
-def record(outcome, trace_fields) -> dict:
-    """Every compared field of one outcome, as strings and lists of strings."""
+def csv_digest(text: str) -> str:
+    """The sha256 of a trace CSV with every ``wall_ms`` entry below the
+    header blanked."""
+    header, *lines = text.split("\n")
+    column = header.split(",").index("wall_ms")
+    blanked = [header]
+    for line in lines:
+        cells = line.split(",")
+        if len(cells) > column:
+            cells[column] = ""
+        blanked.append(",".join(cells))
+    return hashlib.sha256("\n".join(blanked).encode("utf-8")).hexdigest()
+
+
+def record(outcome, trace_fields, trace_csv: str) -> dict:
+    """Every compared field of one outcome, as strings and lists of strings;
+    ``trace_csv`` is the text of the trace file its run wrote."""
     fields = {
         "stop_reason": outcome.stop_reason,
         "iterations": _text(outcome.iterations),
@@ -137,6 +156,7 @@ def record(outcome, trace_fields) -> dict:
     fields["min_prox_certificate"] = _text(outcome.min_prox_certificate)
     fields["first_nonconverged"] = _text(outcome.first_nonconverged)
     fields["error"] = _text(outcome.error)
+    fields["trace_csv"] = csv_digest(trace_csv)
     return fields
 
 
@@ -152,13 +172,17 @@ def dump(src: Path, out: Path, only: set[str] | None = None) -> dict:
     trace_fields = [f.name for f in dataclasses.fields(IterationRecord) if f.name != "wall_ms"]
     results = {}
     with tempfile.TemporaryDirectory() as scratch:
+        trace_path = Path(scratch) / "trace.csv"
         for name, path, algorithm, probes, budget in run_list(src, Path(scratch)):
             if only is not None and name not in only:
                 continue
             spec = harness.RunSpec(problem_path=str(path), algorithm=algorithm, tol=TOL,
-                                   max_outer=budget, certify_probes=probes)
+                                   max_outer=budget, certify_probes=probes,
+                                   trace_path=str(trace_path))
             try:
-                results[name] = record(harness.run(spec), trace_fields)
+                outcome = harness.run(spec)
+                results[name] = record(outcome, trace_fields,
+                                       trace_path.read_text(encoding="utf-8"))
             except Exception as exc:  # a run that raises is compared by its exception
                 results[name] = {"raised": f"{type(exc).__name__}: {exc}"}
     if only is not None and set(results) != only:

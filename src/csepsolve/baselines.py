@@ -154,6 +154,12 @@ def _single_problem_start(instance: CsepInstance, name: str, counters: RunCounte
     return instance.bifunctions[0], x0, project
 
 
+def extragradient_lam_cap(c1: float, c2: float) -> float:
+    """The least 1/(2c) over the positive constants c of (c1, c2), which the
+    extragradient baseline's lam must stay below."""
+    return 0.5 / max(c1, c2)
+
+
 def run_hybrid_extragradient(
     instance: CsepInstance,
     lam: float,
@@ -173,7 +179,7 @@ def run_hybrid_extragradient(
     counters = RunCounters()
     f, x0, project = _single_problem_start(instance, "extragradient", counters)
     lip = f.lipschitz_data()
-    lam_cap = 0.5 / max(lip.c1, lip.c2)  # the least 1/(2c) over positive c
+    lam_cap = extragradient_lam_cap(lip.c1, lip.c2)
     if not 0.0 < lam < lam_cap:
         raise ParameterViolation(
             f"lam={lam:g} outside (0, {lam_cap:g}) for c1={lip.c1:g}, c2={lip.c2:g}"

@@ -128,9 +128,10 @@ def _cmd_solve(args) -> int:
     print(f"stop_reason: {outcome.stop_reason}")
     print(f"iterations: {outcome.iterations}")
     print(f"final_x: [{final}]")
-    if outcome.trace and not math.isnan(outcome.trace[-1].dist_to_known):
-        print(f"dist_to_oracle: {outcome.trace[-1].dist_to_known:.6e}")
-    print(f"invariant_violations: {sum(outcome.invariant_violations.values())}")
+    dist = outcome.final_dist_to_known()
+    if not math.isnan(dist):
+        print(f"dist_to_oracle: {dist:.6e}")
+    print(f"invariant_violations: {outcome.total_violations}")
     if outcome.error:
         print(f"error: {outcome.error}", file=sys.stderr)
         return EXIT_RUNTIME

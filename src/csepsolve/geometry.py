@@ -429,11 +429,9 @@ def project(set_: FeasibleSet, x) -> np.ndarray:
 
 def project_halfspace(cut: HalfspaceCut, x) -> np.ndarray:
     """Exact projection onto a single halfspace."""
-    if cut.is_whole_space:
-        return as_point(x, cut.dimension).copy()
     x = as_point(x, cut.dimension)
     v = dot(cut.normal, x) - cut.offset
-    if v <= 0.0:
+    if v <= 0.0 or cut.is_whole_space:
         return x.copy()
     return x - (v / cut.norm_sq) * cut.normal
 
@@ -451,12 +449,7 @@ def project_two_halfspaces(cut1: HalfspaceCut, cut2: HalfspaceCut, x0,
     <x0, x0> as ``x0_sq``, which the result does not depend on otherwise.
     """
     if cut1.is_whole_space or cut2.is_whole_space:
-        if cut1.dimension != cut2.dimension:
-            raise DimensionMismatch("cut normals have different dimensions")
-        live = [c for c in (cut1, cut2) if not c.is_whole_space]
-        if not live:
-            return as_point(x0, cut1.dimension).copy()
-        return project_halfspace(live[0], x0)
+        return project_halfspace_intersection([cut1, cut2], x0)
 
     a1, b1 = cut1.normal, cut1.offset
     a2, b2 = cut2.normal, cut2.offset

@@ -7,11 +7,17 @@ import json
 import platform
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .baselines import ArmijoParams, run_armijo_hybrid, run_hybrid_extragradient
+from .baselines import (
+    ArmijoParams,
+    extragradient_lam_cap,
+    run_armijo_hybrid,
+    run_hybrid_extragradient,
+)
 from .errors import (
     ConstantsMissing,
     DegenerateCut,
@@ -36,8 +42,9 @@ from .geometry import (
 from .hybrid import (
     RULE_STRICT,
     HybridParams,
+    k_floor,
+    lam_bound,
     require_one_worker,
-    rule_factor,
     run_maxsel_hybrid,
     run_parallel_hybrid,
     run_sequential,
@@ -55,9 +62,14 @@ from .problems import (
     ViInducedBifunction,
 )
 
-HYBRID_ALGORITHMS = ("parallel", "maxsel", "single", "sequential")
-ALGORITHMS = HYBRID_ALGORITHMS + ("extragradient", "armijo")
-SINGLE_ONLY = ("single", "extragradient", "armijo")
+# The runner of each hybrid; the two baselines take their own parameters.
+HYBRID_RUNNERS = {
+    "parallel": run_parallel_hybrid,
+    "maxsel": run_maxsel_hybrid,
+    "single": run_single,
+    "sequential": run_sequential,
+}
+ALGORITHMS = (*HYBRID_RUNNERS, "extragradient", "armijo")
 
 # Named black-box bifunctions available to problem files.
 _BLACKBOX_REGISTRY: dict[str, tuple] = {}
@@ -363,18 +375,15 @@ class RunSpec:
 
 def derive_default_params(instance: CsepInstance, rule: str = RULE_STRICT):
     """Admissible (lam, k) derived from the instance's constants: lam at half
-    the bound, k at twice its floor."""
+    the bound ``lam_bound``, k at twice the floor ``k_floor`` there."""
     c1, c2 = instance.lipschitz_max()
-    factor = rule_factor(rule)
-    lam = 1.0 / (2.0 * factor * (c1 + c2))
-    k = 2.0 / (1.0 - factor * lam * (c1 + c2))
-    return lam, k
+    lam = lam_bound(rule, c1, c2) / 2.0
+    return lam, 2.0 * k_floor(rule, lam, c1, c2)
 
 
 def extragradient_default_lam(instance: CsepInstance) -> float:
-    c1, c2 = instance.lipschitz_max()
-    return 0.45 * min(1.0 / c1 if c1 > 0 else np.inf,
-                      1.0 / c2 if c2 > 0 else np.inf)
+    """lam at 0.9 times the extragradient baseline's ``extragradient_lam_cap``."""
+    return 0.9 * extragradient_lam_cap(*instance.lipschitz_max())
 
 
 def run(spec: RunSpec) -> SolverOutcome:
@@ -400,45 +409,30 @@ def _load(path: str) -> tuple[CsepInstance, np.ndarray | None]:
 
 def _execute(spec: RunSpec, instance: CsepInstance, known: np.ndarray | None
              ) -> SolverOutcome:
-    """``run`` of ``spec`` on its loaded problem and reference projection."""
-    if spec.algorithm in SINGLE_ONLY and instance.n_problems != 1:
-        raise ParameterViolation(
-            f"algorithm {spec.algorithm!r} requires N = 1, got N = {instance.n_problems}"
-        )
-    common = dict(
-        known_point=known,
-        certify_probes=spec.certify_probes,
-        seed=spec.seed,
-    )
-    # Derived defaults go into the spec, so the summary records them.
-    if spec.algorithm in HYBRID_ALGORITHMS:
-        d_lam, d_k = derive_default_params(instance, spec.rule)
+    """``run`` of ``spec`` on its loaded problem and reference projection.
+
+    Derived defaults go into the spec, so the summary records them.  Each
+    runner checks that the instance suits it (N = 1 for ``single`` and the
+    baselines)."""
+    if spec.algorithm in HYBRID_RUNNERS:
+        lam, k = derive_default_params(instance, spec.rule)
+        spec = replace(spec, lam=lam if spec.lam is None else spec.lam,
+                       k=k if spec.k is None else spec.k)
+        solve = partial(HYBRID_RUNNERS[spec.algorithm], instance,
+                        HybridParams(lam=spec.lam, k=spec.k, tol=spec.tol,
+                                     max_outer=spec.max_outer, rule=spec.rule),
+                        workers=spec.workers)
     elif spec.algorithm == "extragradient":
-        d_lam, d_k = extragradient_default_lam(instance), None
+        if spec.lam is None:
+            spec = replace(spec, lam=extragradient_default_lam(instance))
+        solve = partial(run_hybrid_extragradient, instance, spec.lam, spec.tol, spec.max_outer)
     else:
-        d_lam, d_k = derive_default_params(instance)[0], None
-    spec = replace(spec, lam=d_lam if spec.lam is None else spec.lam,
-                   k=d_k if spec.k is None else spec.k)
+        if spec.lam is None:
+            spec = replace(spec, lam=derive_default_params(instance)[0])
+        solve = partial(run_armijo_hybrid, instance, ArmijoParams(eta=spec.eta, lam=spec.lam),
+                        spec.tol, spec.max_outer)
     t0 = time.perf_counter()
-    if spec.algorithm in HYBRID_ALGORITHMS:
-        params = HybridParams(lam=spec.lam, k=spec.k, tol=spec.tol,
-                              max_outer=spec.max_outer, rule=spec.rule)
-        runner = {
-            "parallel": run_parallel_hybrid,
-            "maxsel": run_maxsel_hybrid,
-            "single": run_single,
-            "sequential": run_sequential,
-        }[spec.algorithm]
-        outcome = runner(instance, params, workers=spec.workers, **common)
-    elif spec.algorithm == "extragradient":
-        outcome = run_hybrid_extragradient(
-            instance, spec.lam, tol=spec.tol, max_outer=spec.max_outer, **common
-        )
-    else:
-        outcome = run_armijo_hybrid(
-            instance, ArmijoParams(eta=spec.eta, lam=spec.lam),
-            tol=spec.tol, max_outer=spec.max_outer, **common
-        )
+    outcome = solve(known_point=known, certify_probes=spec.certify_probes, seed=spec.seed)
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     if spec.trace_path:
@@ -464,11 +458,7 @@ def summarize(spec: RunSpec, outcome: SolverOutcome, wall_ms: float) -> dict:
         "stop_reason": outcome.stop_reason,
         "iterations": outcome.iterations,
         "invariant_violations": dict(outcome.invariant_violations),
-        "counters": {
-            "prox_solves": outcome.counters.prox_solves,
-            "set_projections": outcome.counters.set_projections,
-            "prox_nonconverged": outcome.counters.prox_nonconverged,
-        },
+        "counters": asdict(outcome.counters),
         "wall_ms": wall_ms,
         "seed": spec.seed,
         "tol": spec.tol,
@@ -480,7 +470,7 @@ def summarize(spec: RunSpec, outcome: SolverOutcome, wall_ms: float) -> dict:
             "python": platform.python_version(),
         },
     }
-    if spec.algorithm in HYBRID_ALGORITHMS:
+    if spec.algorithm in HYBRID_RUNNERS:
         summary["k"] = spec.k
         summary["rule"] = spec.rule
     elif spec.algorithm == "armijo":

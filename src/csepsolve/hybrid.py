@@ -101,21 +101,37 @@ def rule_factor(rule: str) -> float:
     return 2.0 if rule == RULE_STRICT else 1.0
 
 
+def lam_bound(rule: str, c1: float, c2: float) -> float:
+    """The bound 1/(factor (c1 + c2)) that lam must stay below under ``rule``."""
+    return 1.0 / (rule_factor(rule) * (c1 + c2))
+
+
+def k_floor(rule: str, lam: float, c1: float, c2: float) -> float:
+    """The floor 1/(1 - factor lam (c1 + c2)) that k must exceed under ``rule``."""
+    return 1.0 / (1.0 - rule_factor(rule) * lam * (c1 + c2))
+
+
 def validate_params(params: HybridParams, c1: float, c2: float) -> None:
     """Check (lam, k) against the bound family selected by ``params.rule``;
     k must also be finite, since an infinite k makes every cut's eps
     non-finite."""
-    s = c1 + c2
-    factor = rule_factor(params.rule)
-    if not 0.0 < params.lam < 1.0 / (factor * s):
+    bound = lam_bound(params.rule, c1, c2)
+    if not 0.0 < params.lam < bound:
         raise ParameterViolation(
-            f"lam={params.lam:g} outside (0, {1.0 / (factor * s):g}) "
-            f"for rule={params.rule} with c1+c2={s:g}"
+            f"lam={params.lam:g} outside (0, {bound:g}) "
+            f"for rule={params.rule} with c1+c2={c1 + c2:g}"
         )
-    k_floor = 1.0 / (1.0 - factor * params.lam * s)
-    if not k_floor < params.k < math.inf:
+    floor = k_floor(params.rule, params.lam, c1, c2)
+    if not floor < params.k < math.inf:
         raise ParameterViolation(
-            f"k={params.k:g} must be finite and exceed {k_floor:g} for rule={params.rule}")
+            f"k={params.k:g} must be finite and exceed {floor:g} for rule={params.rule}")
+
+
+def eps_coefficients(params: HybridParams, c1, c2):
+    """The coefficients a = 2 lam c1 and b = 1 - 1/k - 2 lam c2 of
+    eps = k dx + a dy_prev - b dy, for float or array constants c1, c2;
+    formed in one order, so every eps of a run is bit for bit ``epsilon``'s."""
+    return 2.0 * params.lam * c1, 1.0 - 1.0 / params.k - 2.0 * params.lam * c2
 
 
 def epsilon(
@@ -127,11 +143,8 @@ def epsilon(
     and ||y_{n+1} - y_n||^2.  May be negative; never clamped (the signed
     third term is what drives the residuals to zero).
     """
-    return (
-        params.k * dx
-        + 2.0 * params.lam * lip.c1 * dy_prev
-        - (1.0 - 1.0 / params.k - 2.0 * params.lam * lip.c2) * dy
-    )
+    a, b = eps_coefficients(params, lip.c1, lip.c2)
+    return params.k * dx + a * dy_prev - b * dy
 
 
 def build_c_cut(x_n: np.ndarray, y_next: np.ndarray, eps: float) -> HalfspaceCut:
@@ -387,13 +400,13 @@ def _parallel_step(params, lips, y_init, system):
     """Every subproblem from its own previous solution; one C-cut each.
 
     The eps of all subproblems are k dx + a dy_prev - b dy with the arrays
-    a = 2 lam c1 and b = 1 - 1/k - 2 lam c2 formed once: the operations of
-    ``epsilon`` in its order, so each row equals it bit for bit.
+    a and b of ``eps_coefficients`` formed once, so each row equals
+    ``epsilon`` bit for bit.
     """
     n_problems = len(lips)
     k = params.k
-    a = 2.0 * params.lam * np.array([lip.c1 for lip in lips])
-    b = 1.0 - 1.0 / params.k - 2.0 * params.lam * np.array([lip.c2 for lip in lips])
+    c1, c2 = np.array([(lip.c1, lip.c2) for lip in lips]).T
+    a, b = eps_coefficients(params, c1, c2)
     y_cur = np.tile(y_init, (n_problems, 1))
     dy_prev = np.zeros(n_problems)  # ||y_cur[i] - y_prev[i]||^2, the previous dy
 
@@ -416,13 +429,12 @@ def _shared_anchor_step(params, lip, y_init, system, cyclic):
     call and cuts with the solution farthest from x_n; ``sequential``
     (cyclic=True) solves only the one chosen by ``cyclic_index`` and
     measures the residual over the latest solution of each subproblem.
-    The coefficients 2 lam c1 and 1 - 1/k - 2 lam c2 of ``epsilon`` are
-    formed once, so eps equals it bit for bit.
+    The coefficients of ``eps_coefficients`` are formed once, so eps equals
+    ``epsilon`` bit for bit.
     """
     n_problems = len(system.fs)
     k = params.k
-    a = 2.0 * params.lam * lip.c1
-    b = 1.0 - 1.0 / params.k - 2.0 * params.lam * lip.c2
+    a, b = eps_coefficients(params, lip.c1, lip.c2)
     ybar = y_init
     dy_prev = 0.0  # ||ybar - ybar_prev||^2, the previous step's dy
     last_Y = np.tile(y_init, (n_problems, 1))  # latest solution of each subproblem

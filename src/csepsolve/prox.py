@@ -32,10 +32,10 @@ a (k, d) stack as it would each row.
 ``ProxSystem`` builds, once per run, the stack of all N subproblems when
 there is one, and subproblem i's one-row kernel ``_kernel([f], lam, set_)``
 when row i is first solved alone (the stack itself when N = 1); ``solve``
-solves all N subproblems on the stack, or row by row without it, and
-``solve_row`` row i alone on its one-row kernel.  The batched forms
-used (``np.matmul`` over stacks) give each row's result bit for bit, so
-both agree exactly.  Certified solves certify each row after.
+solves all N subproblems on the stack, or without it row by row through
+``solve_row``, which solves row i alone on its one-row kernel.  The
+batched forms used (``np.matmul`` over stacks) give each row's result bit
+for bit, so both agree exactly.  Certified solves certify each row after.
 
 A kernel returns the (k, d) minimizers and one ``ProxRecord`` of the call:
 the total inner iterations, the unconverged rows with their diagnostics,
@@ -139,15 +139,15 @@ class ProxSystem:
         """All N subproblems at outer iteration n, subproblem i anchored at W
         (one shared 1-D anchor) or at row W[i].
 
-        Returns the (N, d) stack of minimizers and the record of the call.
+        Returns the (N, d) stack of minimizers and the record of the call;
+        without a stack, the rows of ``solve_row`` and ``ProxRecord.of``
+        their records.
         """
-        if self._stack is not None:
-            Y, record = self._stack.solve(W, x)
-        else:
-            rows = [self._row(i).solve(W if W.ndim == 1 else W[i], x)
+        if self._stack is None:
+            rows = [self.solve_row(i, W if W.ndim == 1 else W[i], x, n)
                     for i in range(len(self.fs))]
-            Y = np.concatenate([y for y, _ in rows])
-            record = ProxRecord.of([r for _, r in rows])
+            return np.concatenate([y for y, _ in rows]), ProxRecord.of([r for _, r in rows])
+        Y, record = self._stack.solve(W, x)
         if self.certify_probes > 0:
             least = math.inf
             for i, y in enumerate(Y):

@@ -49,6 +49,10 @@ DEGENERACY_THRESHOLD = 1e-14
 WHOLE_SPACE_OFFSET_FLOOR = -1e-12
 # Feasibility slack of the many-cut projection, relative to 1 + ||x0||.
 INTERSECTION_TOL = 1e-12
+# Two cuts whose Gram determinant det = n1 n2 - <a1, a2>^2 is below
+# NEAR_PARALLEL n1 n2 (normals within about 0.1 rad) would lose more than two
+# digits to its cancellation; their projection takes the Gram-Schmidt form.
+NEAR_PARALLEL = 1e-2
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -441,12 +445,21 @@ def project_two_halfspaces(cut1: HalfspaceCut, cut2: HalfspaceCut, x0,
     """Exact projection onto the intersection of two halfspaces.
 
     Closed-form case analysis on the active set: the starting point itself,
-    one single-halfspace projection, or the solution of the 2x2 Gram system
-    with nonnegative multipliers.  Degenerate cuts count as the whole space.
-    Raises EmptyIntersection when no case applies (empty intersection, which
-    the calling algorithms rule out by construction).  A caller that has
-    validated x0 as a float64 point of the cuts' dimension may pass its
-    <x0, x0> as ``x0_sq``, which the result does not depend on otherwise.
+    one single-halfspace projection, or, with both cuts active, the
+    solution of the 2x2 Gram system with nonnegative multipliers, in its
+    Gram-Schmidt form for nearly parallel normals (``NEAR_PARALLEL``).
+    Degenerate cuts count as the whole space.  Raises EmptyIntersection
+    when no case applies (empty intersection, which the calling algorithms
+    rule out by construction).  A caller that has validated x0 as a
+    float64 point of the cuts' dimension may pass its <x0, x0> as
+    ``x0_sq``, which the result does not depend on otherwise.
+
+    Accuracy, at every angle t between the normals (checked against the
+    exact rational KKT solution by a property test): the result z lies in
+    both cuts and ||z - x0|| equals the exact distance, each within the
+    slack s = 1e-12 (1 + ||x0||) + 1e-15, and z lies within s / sin t of
+    the exact projection, the factor by which rounding the data moves the
+    point where two nearly parallel hyperplanes meet.
     """
     if cut1.is_whole_space or cut2.is_whole_space:
         return project_halfspace_intersection([cut1, cut2], x0)
@@ -481,11 +494,23 @@ def project_two_halfspaces(cut1: HalfspaceCut, cut2: HalfspaceCut, x0,
 
     g12 = dot(a1, a2)
     det = n1 * n2 - g12 * g12
-    if det > 1e-16 * n1 * n2:
+    if det >= NEAR_PARALLEL * n1 * n2:
         mu1 = (n2 * v1 - g12 * v2) / det
         mu2 = (n1 * v2 - g12 * v1) / det
         if mu1 >= -1e-12 and mu2 >= -1e-12:
             return x0 - max(mu1, 0.0) * a1 - max(mu2, 0.0) * a2
+    else:
+        # Gram-Schmidt: x0 onto hyperplane 1, then along u, the part of a2
+        # orthogonal to a1, onto hyperplane 2, with ||u||^2 (= det / n1)
+        # taken from u itself
+        z = x0 - (v1 / n1) * a1
+        u = a2 - (g12 / n1) * a1
+        u_sq = float(u.dot(u))
+        if u_sq > 1e-16 * n2:  # else the normals are parallel to working precision
+            mu2 = (dot(a2, z) - b2) / u_sq
+            mu1 = (v1 - g12 * mu2) / n1  # z - mu2 u = x0 - mu1 a1 - mu2 a2
+            if mu1 >= -1e-12 and mu2 >= -1e-12:
+                return z - max(mu2, 0.0) * u
     raise EmptyIntersection(
         f"two-halfspace projection found no feasible case (v1={v1:g}, v2={v2:g})"
     )

@@ -4,13 +4,16 @@ These deliberately avoid the library's solution paths: the polyhedron
 projectors enumerate active sets or solve the dual by NNLS, the prox oracle
 scans a grid, the derivative check uses central differences, and the
 affine VI residual is the worst case over the box in closed form.
-``record_projections`` is no reference: it records the iterates of a run
-from the anchor projections ``hybrid.drive`` makes.
+``project_two_halfspaces_exact`` solves the KKT conditions of the
+two-halfspace projection in rational arithmetic.  ``record_projections``
+is no reference: it records the iterates of a run from the anchor
+projections ``hybrid.drive`` makes.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -141,11 +144,13 @@ def projected_gradient_prox(f, w, x, lam, set_, tol, max_inner):
 
 
 def project_two_halfspaces_reference(cut1, cut2, x0):
-    """The two-halfspace closed form as first written: each squared normal
-    and the anchor norm recomputed where used.  ``project_two_halfspaces``
-    must return the same bytes, or raise EmptyIntersection in the same
-    cases."""
+    """The two-halfspace closed form as first written, each squared normal
+    and the anchor norm recomputed where used, with the Gram-Schmidt form
+    that replaced the 2x2 Gram solve for nearly parallel normals.
+    ``project_two_halfspaces`` must return the same bytes, or raise
+    EmptyIntersection in the same cases."""
     from csepsolve import EmptyIntersection
+    from csepsolve.geometry import NEAR_PARALLEL
 
     def project_one(cut, x):
         a = cut.normal
@@ -183,12 +188,49 @@ def project_two_halfspaces_reference(cut1, cut2, x0):
 
     g12 = float(a1 @ a2)
     det = n1 * n2 - g12 * g12
-    if det > 1e-16 * n1 * n2:
+    if det >= NEAR_PARALLEL * n1 * n2:
         mu1 = (n2 * v1 - g12 * v2) / det
         mu2 = (n1 * v2 - g12 * v1) / det
         if mu1 >= -1e-12 and mu2 >= -1e-12:
             return x0 - max(mu1, 0.0) * a1 - max(mu2, 0.0) * a2
+        raise EmptyIntersection("two-halfspace projection found no feasible case")
+    z = x0 - (v1 / n1) * a1
+    u = a2 - (g12 / n1) * a1
+    u_sq = float(u @ u)
+    if u_sq > 1e-16 * n2:
+        mu2 = (float(a2 @ z) - b2) / u_sq
+        mu1 = (v1 - g12 * mu2) / n1
+        if mu1 >= -1e-12 and mu2 >= -1e-12:
+            return z - max(mu2, 0.0) * u
     raise EmptyIntersection("two-halfspace projection found no feasible case")
+
+
+def project_two_halfspaces_exact(cut1, cut2, x0):
+    """The projection of x0 onto {<a1, z> <= b1} ∩ {<a2, z> <= b2}, exact:
+    every float of the cuts and of x0 is taken as the rational it is, and
+    the active sets {}, {1}, {2}, {1, 2} are tried in turn until one meets
+    the KKT conditions (z in both cuts, multipliers nonnegative, an active
+    cut tight), which hold at exactly one point.  Returns the coordinates
+    as ``Fraction``s; raises ValueError when the intersection is empty."""
+    a1, a2, x = ([Fraction(float(v)) for v in p] for p in (cut1.normal, cut2.normal, x0))
+    b1, b2 = Fraction(float(cut1.offset)), Fraction(float(cut2.offset))
+
+    def dot(u, v):
+        return sum((p * q for p, q in zip(u, v)), Fraction(0))
+
+    n1, n2, g12 = dot(a1, a1), dot(a2, a2), dot(a1, a2)
+    v1, v2 = dot(a1, x) - b1, dot(a2, x) - b2
+    det = n1 * n2 - g12 * g12
+    candidates = [(Fraction(0), Fraction(0))]
+    candidates += [(v1 / n1, Fraction(0))] if n1 else []
+    candidates += [(Fraction(0), v2 / n2)] if n2 else []
+    candidates += [((n2 * v1 - g12 * v2) / det, (n1 * v2 - g12 * v1) / det)] if det else []
+    for mu1, mu2 in candidates:
+        z = [xi - mu1 * p - mu2 * q for xi, p, q in zip(x, a1, a2)]
+        c1, c2 = dot(a1, z) - b1, dot(a2, z) - b2
+        if mu1 >= 0 and mu2 >= 0 and c1 <= 0 and c2 <= 0 and mu1 * c1 == 0 and mu2 * c2 == 0:
+            return z
+    raise ValueError("the two halfspaces do not intersect")
 
 
 def dual_active_set_reference(A, b, x0):

@@ -7,7 +7,14 @@ systems made empty by a Farkas combination must raise EmptyIntersection.
 On both, the dual active-set projector must return the bytes of its first
 form, or raise the same exception class.
 Random pairs of cuts must project bit for bit as the reference closed form.
+Pairs of nearly parallel cuts, both active at the projection, must project
+as the exact rational KKT solution does, within the bound that
+``project_two_halfspaces`` states; so must the two cuts on which
+``ep_quadratic_2d`` under ``extragradient`` once fired its anchor check.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +36,7 @@ from csepsolve.geometry import _dual_active_set  # noqa: E402
 from oracles import (  # noqa: E402
     dual_active_set_reference,
     project_ldp_nnls,
+    project_two_halfspaces_exact,
     project_two_halfspaces_reference,
 )
 
@@ -192,3 +200,83 @@ def test_two_halfspaces_match_reference_bytes(params):
             project_two_halfspaces(cut1, cut2, x0)
         return
     assert project_two_halfspaces(cut1, cut2, x0).tobytes() == expected.tobytes()
+
+
+near_parallel_pairs = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "d": st.integers(2, 6),
+    "log_theta": st.floats(-8.0, -1.0),
+    "log_lengths": st.tuples(st.floats(-7.0, 3.0), st.floats(-7.0, 3.0)),
+})
+
+
+def exact_dot(u, v):
+    return sum((Fraction(float(p)) * Fraction(float(q)) for p, q in zip(u, v)), Fraction(0))
+
+
+def both_active_pair(params):
+    """Two cuts whose normals, of lengths 10^log_lengths, meet at the angle
+    10^log_theta, and an x0 from which both are active at the projection.
+
+    The offsets are the cut values at a random point.  x0 is the exact point
+    of both hyperplanes in the span of the normals plus a positive
+    combination of the unit normals, rounded once, so that it lies inside
+    the thin cone of the normals at every angle drawn."""
+    rng = np.random.default_rng(params["seed"])
+    e1, e2 = np.linalg.qr(rng.standard_normal((params["d"], 2)))[0].T
+    theta = 10.0 ** params["log_theta"]
+    u1, u2 = e1, math.cos(theta) * e1 + math.sin(theta) * e2
+    a1, a2 = 10.0 ** params["log_lengths"][0] * u1, 10.0 ** params["log_lengths"][1] * u2
+    p = rng.standard_normal(params["d"]) * 10.0 ** rng.uniform(-1.0, 1.0)
+    cut1, cut2 = HalfspaceCut(a1, float(a1 @ p)), HalfspaceCut(a2, float(a2 @ p))
+    n1, n2, g12 = exact_dot(a1, a1), exact_dot(a2, a2), exact_dot(a1, a2)
+    b1, b2 = Fraction(cut1.offset), Fraction(cut2.offset)
+    det = n1 * n2 - g12 * g12
+    alpha, beta = (n2 * b1 - g12 * b2) / det, (n1 * b2 - g12 * b1) / det
+    step = (rng.uniform(0.1, 1.0) * u1 + rng.uniform(0.1, 1.0) * u2) * 10.0 ** rng.uniform(-1, 1)
+    x0 = [alpha * Fraction(float(c)) + beta * Fraction(float(e)) + Fraction(float(s))
+          for c, e, s in zip(a1, a2, step)]
+    return cut1, cut2, np.array([float(v) for v in x0])
+
+
+def assert_matches_exact_projection(cut1, cut2, x0):
+    """``project_two_halfspaces`` against the exact projection z*, the bound
+    its docstring states: the result z lies in both cuts and ||z - x0||
+    equals ||z* - x0||, each within its slack 1e-12 (1 + ||x0||) + 1e-15,
+    and ||z - z*|| is at most that slack over sin t, for the angle t
+    between the normals."""
+    z = project_two_halfspaces(cut1, cut2, x0)
+    exact = project_two_halfspaces_exact(cut1, cut2, x0)
+    tol = 1e-12 * (1.0 + float(np.linalg.norm(x0))) + 1e-15
+    for cut in (cut1, cut2):
+        violation = exact_dot(cut.normal, z) - Fraction(cut.offset)
+        assert float(violation) <= tol * math.sqrt(cut.norm_sq)
+    x, zq = [Fraction(float(v)) for v in x0], [Fraction(float(v)) for v in z]
+    dist = math.sqrt(float(sum((p - q) ** 2 for p, q in zip(zq, x))))
+    exact_dist = math.sqrt(float(sum((p - q) ** 2 for p, q in zip(exact, x))))
+    assert abs(dist - exact_dist) <= tol
+    n1, n2, g12 = (exact_dot(u, v) for u, v in ((cut1.normal,) * 2, (cut2.normal,) * 2,
+                                                 (cut1.normal, cut2.normal)))
+    sin = math.sqrt(float(1 - g12 * g12 / (n1 * n2)))
+    assert math.sqrt(float(sum((p - q) ** 2 for p, q in zip(zq, exact)))) <= tol / sin
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_parallel_pairs)
+def test_near_parallel_pairs_match_the_exact_projection(params):
+    assert_matches_exact_projection(*both_active_pair(params))
+
+
+def test_the_ep_quadratic_extragradient_cuts_match_the_exact_projection():
+    # The C-cut and Q-cut of the anchor projection at n = 4 649 of
+    # ep_quadratic_2d under extragradient (defaults, tol 1e-8), whose
+    # normals have cosine 0.99999935: the 2x2 Gram form left the result
+    # 2.33e-10 outside both cuts, over the check's 2.20e-10.
+    c_cut = HalfspaceCut(np.array([float.fromhex("-0x1.91240483a0000p-18"),
+                                   float.fromhex("0x1.efb5a17900000p-20")]),
+                         float.fromhex("-0x1.1535ebd29c86fp-19"))
+    q_cut = HalfspaceCut(np.array([float.fromhex("-0x1.4ccc802b38b9bp+0"),
+                                   float.fromhex("0x1.99993db94c396p-2")]),
+                         float.fromhex("-0x1.cccaae3ea7ff9p-2"))
+    x0 = np.array([float.fromhex("-0x1.999999999999ap-1"), float.fromhex("0x1.ccccccccccccdp-1")])
+    assert_matches_exact_projection(c_cut, q_cut, x0)

@@ -4,8 +4,9 @@ Exit codes: 0 when a solve stops by tolerance, 1 on the outer-iteration
 cap, 2 for validation errors (bad files, bad parameters) and for an
 output file that cannot be written (``error: <message>``), 3 for runtime
 failures inside a run, 4 when a solve ran without error but some inner
-solve stopped at its iteration cap (``solve`` only; this takes precedence
-over 0 and 1).  Every output file's missing parent directory is created.
+solve stopped at its iteration cap, 5 when some invariant check fired
+(both ``solve`` only).  A solve exits 3 first, then 5, then 4, then 0 or
+1.  Every output file's missing parent directory is created.
 
 ``compare`` loads the problem and computes its reference projection once;
 each row's ``wall_ms`` times that algorithm's solve and the writing of
@@ -38,11 +39,12 @@ EXIT_MAX_OUTER = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 EXIT_INNER_NONCONVERGED = 4
+EXIT_INVARIANT_VIOLATED = 5
 
 SOLVE_EXIT_CODES = (
     "exit codes: 0 stopped by tolerance, 1 hit --max-outer, 2 validation error or "
-    "unwritable output, 3 runtime failure, 4 an inner solve stopped at its iteration cap "
-    "(takes precedence over 0 and 1)"
+    "unwritable output, 3 runtime failure, 4 an inner solve stopped at its iteration cap, "
+    "5 an invariant check fired; a run takes 3, else 5, else 4, else 0 or 1"
 )
 
 _VALIDATION_ERRORS = (
@@ -135,6 +137,11 @@ def _cmd_solve(args) -> int:
     if outcome.error:
         print(f"error: {outcome.error}", file=sys.stderr)
         return EXIT_RUNTIME
+    if outcome.total_violations:
+        fired = ", ".join(f"{name} {count}"
+                          for name, count in outcome.invariant_violations.items() if count)
+        print(f"invariant checks fired: {fired}", file=sys.stderr)
+        return EXIT_INVARIANT_VIOLATED
     if outcome.first_nonconverged is not None:
         first = outcome.first_nonconverged
         print(f"inner solve stopped at its iteration cap (iteration {first.n}, "

@@ -39,6 +39,59 @@ def diverging_problem(tmp_path, monkeypatch, subgradient=None):
     return str(path)
 
 
+def projector_missing_once(monkeypatch, then_fail=False):
+    """Make ``drive``'s projector return, at its first call, the midpoint of
+    x0 and the projection, which lies outside a cut whenever x0 lies
+    outside their intersection; later calls project, or with ``then_fail``
+    raise EmptyIntersection."""
+    from csepsolve import EmptyIntersection, hybrid
+
+    project, calls = hybrid.project_halfspace_intersection, []
+
+    def missing_once(cuts, x0, x0_sq=None):
+        calls.append(1)
+        if len(calls) == 1:
+            return 0.5 * (x0 + project(cuts, x0, x0_sq))
+        if then_fail:
+            raise EmptyIntersection("the projector gave up")
+        return project(cuts, x0, x0_sq)
+
+    monkeypatch.setattr(hybrid, "project_halfspace_intersection", missing_once)
+
+
+def dense_aq_problem(tmp_path, monkeypatch):
+    """Two dense affine-quadratic subproblems with no known solution,
+    solved in one stacked projected-gradient loop with MAX_INNER = 3: the
+    nearly zero Q_0 starts at its interior minimizer and converges at once,
+    while q_1 puts the minimizer of row 1 on the face y_0 = -1, so that row
+    stops at the cap."""
+    import csepsolve.prox as prox_module
+
+    rng = np.random.default_rng(3)
+    d = 4
+    C = rng.standard_normal((d, d))
+    dense_q = C @ C.T
+    bifunctions = [
+        {"type": "affine_quadratic", "P": np.diag([1.0, 2.0, 1.5, 1.0]).tolist(),
+         "Q": np.full((d, d), 1e-12).tolist(), "q": [0.0] * d},
+        {"type": "affine_quadratic", "P": (dense_q + np.eye(d)).tolist(),
+         "Q": dense_q.tolist(), "q": [100.0, 0.0, 0.0, 0.0]},
+    ]
+    path = tmp_path / "dense_aq.json"
+    path.write_text(json.dumps({
+        "dimension": d,
+        "set": {"type": "box", "lower": [-1.0] * d, "upper": [1.0] * d},
+        "bifunctions": bifunctions,
+        "x0": [0.5] * d,
+    }))
+    monkeypatch.setattr(prox_module, "MAX_INNER", 3)
+    return str(path)
+
+
+DENSE_AQ_ARGS = ["--algorithm", "maxsel", "--lambda", "0.05", "--k", "6", "--tol", "0",
+                 "--max-outer", "4"]
+
+
 class TestSolve:
     def test_tolerance_exit_zero(self, capsys, tmp_path):
         code = main([
@@ -153,33 +206,7 @@ class TestSolve:
         assert code == 0
 
     def test_inner_nonconvergence_exit_four(self, capsys, tmp_path, monkeypatch):
-        import csepsolve.prox as prox_module
-
-        rng = np.random.default_rng(3)
-        d = 4
-        C = rng.standard_normal((d, d))
-        dense_q = C @ C.T
-        # both Q are dense, so the two subproblems are solved in one stacked
-        # projected-gradient loop; the nearly zero Q_0 starts at its interior
-        # minimizer and converges at once, while q_1 puts the minimizer of
-        # row 1 on the face y_0 = -1, so that row stops at the cap
-        bifunctions = [
-            {"type": "affine_quadratic", "P": np.diag([1.0, 2.0, 1.5, 1.0]).tolist(),
-             "Q": np.full((d, d), 1e-12).tolist(), "q": [0.0] * d},
-            {"type": "affine_quadratic", "P": (dense_q + np.eye(d)).tolist(),
-             "Q": dense_q.tolist(), "q": [100.0, 0.0, 0.0, 0.0]},
-        ]
-        path = tmp_path / "dense_aq.json"
-        path.write_text(json.dumps({
-            "dimension": d,
-            "set": {"type": "box", "lower": [-1.0] * d, "upper": [1.0] * d},
-            "bifunctions": bifunctions,
-            "x0": [0.5] * d,
-            "known_solution": {"type": "singleton", "point": [0.0] * d},
-        }))
-        monkeypatch.setattr(prox_module, "MAX_INNER", 3)
-        code = main(["solve", str(path), "--algorithm", "maxsel", "--lambda", "0.05",
-                     "--k", "6", "--tol", "0", "--max-outer", "4"])
+        code = main(["solve", dense_aq_problem(tmp_path, monkeypatch), *DENSE_AQ_ARGS])
         captured = capsys.readouterr()
         # the run itself stopped at the outer cap (exit 1 without the
         # unconverged inner solve)
@@ -187,6 +214,32 @@ class TestSolve:
         assert code == 4
         assert ("iteration 1, subproblem 1): projected gradient hit 3 iterations"
                 in captured.err)
+
+    @pytest.mark.parametrize("budget, stop_reason", [([], "tolerance"),
+                                                     (["--max-outer", "1"], "max_outer")])
+    def test_a_fired_check_exit_five(self, capsys, monkeypatch, budget, stop_reason):
+        # without the projector that misses a cut, the same runs exit 0 and 1
+        projector_missing_once(monkeypatch)
+        code = main(["solve", SCALAR, "--algorithm", "single", "--lambda", "0.3", "--k", "4",
+                     *budget])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert f"stop_reason: {stop_reason}" in captured.out
+        assert "invariant checks fired: anchor_projection 1" in captured.err
+
+    def test_a_fired_check_exit_five_ahead_of_four(self, capsys, tmp_path, monkeypatch):
+        projector_missing_once(monkeypatch)
+        code = main(["solve", dense_aq_problem(tmp_path, monkeypatch), *DENSE_AQ_ARGS])
+        assert code == 5
+        assert "invariant checks fired: anchor_projection" in capsys.readouterr().err
+
+    def test_a_run_error_exit_three_ahead_of_five(self, capsys, monkeypatch):
+        projector_missing_once(monkeypatch, then_fail=True)
+        code = main(["solve", SCALAR, "--algorithm", "single", "--lambda", "0.3", "--k", "4"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "invariant_violations: 1" in captured.out
+        assert "error: the projector gave up" in captured.err
 
     def test_run_error_exit_three_with_the_error_in_the_summary(self, capsys, tmp_path,
                                                                 monkeypatch):
@@ -239,6 +292,7 @@ class TestSolve:
             main(["solve", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
         assert "4 an inner solve stopped at its iteration cap" in help_text
+        assert "5 an invariant check fired; a run takes 3, else 5, else 4, else 0 or 1" in help_text
 
     @pytest.mark.parametrize("algorithm", ["parallel", "maxsel", "sequential"])
     def test_multi_algorithms_on_system(self, capsys, algorithm):

@@ -8,8 +8,10 @@ list below through ``harness.run``: the bundled problem files of ``SRC``
 under every applicable algorithm with 0 and 3 certificate probes, seeded
 ``vi_system``/``aq_system`` files from ``SRC/bench/gen.py`` at N = 1, 3, 4
 and 8, a ball instance, and a polygon, two whole-space instances and a box
-instance with no known solution (so its reference comes from the oracle)
-under all six solvers.  It writes, per run, the stop reason, iterations,
+instance with no known solution (so its reference comes from the oracle).
+A problem with N = 1 runs under ``single`` and the two baselines only:
+there ``parallel``, ``maxsel`` and ``sequential`` repeat ``single`` bit for
+bit but for ``selected_index`` (``tests/test_n1_equivalence.py``).  It writes, per run, the stop reason, iterations,
 ``final_x`` as hex bytes, every trace field except ``wall_ms``, the
 counters, the invariant violations, ``min_prox_certificate``, the first
 unconverged inner solve and the error, with every float as its ``repr``
@@ -48,6 +50,7 @@ PROBES = (0, 3)
 SEEDED = [(family, seed, 10, n) for family in ("vi_system", "aq_system")
           for seed, n in ((1, 1), (2, 3), (3, 4), (4, 8))]
 ALL_ALGORITHMS = ("parallel", "maxsel", "single", "sequential", "extragradient", "armijo")
+SINGLE_ALGORITHMS = ("single", "extragradient", "armijo")
 MULTI_ALGORITHMS = ("parallel", "maxsel", "sequential")
 
 
@@ -98,25 +101,23 @@ def run_list(src: Path, scratch: Path):
     runs = []
     for path in sorted((src / "problems").glob("*.json")):
         n = len(json.loads(path.read_text())["bifunctions"])
-        for algorithm in ALL_ALGORITHMS if n == 1 else MULTI_ALGORITHMS:
+        for algorithm in SINGLE_ALGORITHMS if n == 1 else MULTI_ALGORITHMS:
             for probes in PROBES:
                 runs.append((f"{path.stem}/{algorithm}/probes{probes}", path, algorithm,
                              probes, BUNDLED_BUDGET))
     for family, seed, d, n in SEEDED:
         path = scratch / f"{family}_s{seed}_d{d}_n{n}.json"
         gen.write(str(path), getattr(gen, family)(seed, d, n))
-        for algorithm in ALL_ALGORITHMS if n == 1 else MULTI_ALGORITHMS:
+        for algorithm in SINGLE_ALGORITHMS if n == 1 else MULTI_ALGORITHMS:
             runs.append((f"{path.stem}/{algorithm}", path, algorithm, 0, SEEDED_BUDGET))
-    documents = [("ball", BALL, ("single", "extragradient", "armijo"), BALL_BUDGET),
-                 ("polygon", POLYGON, ALL_ALGORITHMS, POLYGON_BUDGET),
-                 ("corner", CORNER, ALL_ALGORITHMS, CORNER_BUDGET)]
-    documents += [(name, doc, ALL_ALGORITHMS, WHOLE_SPACE_BUDGET)
-                  for name, doc in WHOLE_SPACE.items()]
-    for name, doc, algorithms, budget in documents:
+    documents = [("ball", BALL, BALL_BUDGET), ("polygon", POLYGON, POLYGON_BUDGET),
+                 ("corner", CORNER, CORNER_BUDGET)]
+    documents += [(name, doc, WHOLE_SPACE_BUDGET) for name, doc in WHOLE_SPACE.items()]
+    for name, doc, budget in documents:
         path = scratch / f"{name}.json"
         path.write_text(json.dumps(doc))
         runs.extend((f"{name}/{algorithm}", path, algorithm, 0, budget)
-                    for algorithm in algorithms)
+                    for algorithm in SINGLE_ALGORITHMS)
     return runs
 
 

@@ -16,12 +16,12 @@ its outputs, not the loading.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from .errors import (
-    ConstantsMissing,
     DimensionMismatch,
     EmptyF,
     OracleUnavailable,
@@ -31,6 +31,7 @@ from .errors import (
     SolverError,
 )
 from .harness import ALGORITHMS, RunSpec, compare, load_problem, reference_solution, run
+from .hybrid import RULE_RELAXED, RULE_STRICT
 from .outcome import STOP_MAX_OUTER, STOP_TOLERANCE, create_file
 from .problems import validate
 
@@ -51,26 +52,31 @@ _VALIDATION_ERRORS = (
     ParameterViolation,
     ParseError,
     SchemaError,
-    ConstantsMissing,
     DimensionMismatch,
     ValueError,
     OSError,
 )
 
 
-def _add_solver_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+_SPEC_FIELDS = {f.name for f in dataclasses.fields(RunSpec)}
+
+
+def _solver_options() -> argparse.ArgumentParser:
+    """The parent parser of the solver options: each stores under its
+    ``RunSpec`` field name, and one that is not given stores nothing, so
+    that the field keeps ``RunSpec``'s default."""
+    p = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    p.add_argument("--lambda", dest="lam", type=float,
                    help="prox step size (default: derived from the constants)")
-    p.add_argument("--k", type=float, default=None,
-                   help="cut-inflation constant (default: derived)")
-    p.add_argument("--eta", type=float, default=0.5,
-                   help="linesearch backtracking ratio (armijo only)")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-outer", type=int, default=100_000)
-    p.add_argument("--rule", choices=("strict", "relaxed"), default="strict")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--certify", type=int, default=0, metavar="PROBES",
+    p.add_argument("--k", type=float, help="cut-inflation constant (default: derived)")
+    p.add_argument("--eta", type=float, help="linesearch backtracking ratio (armijo only)")
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-outer", type=int)
+    p.add_argument("--rule", choices=(RULE_STRICT, RULE_RELAXED))
+    p.add_argument("--seed", type=int)
+    p.add_argument("--certify", dest="certify_probes", type=int, metavar="PROBES",
                    help="probes per inner solve for optimality certificates")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,23 +85,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solvers for common solutions of equilibrium-problem systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    solver_options = _solver_options()
 
     p_solve = sub.add_parser("solve", help="run one algorithm on a problem file",
-                             epilog=SOLVE_EXIT_CODES)
+                             epilog=SOLVE_EXIT_CODES, parents=[solver_options])
     p_solve.add_argument("problem")
     p_solve.add_argument("--algorithm", choices=ALGORITHMS, required=True)
-    _add_solver_options(p_solve)
     p_solve.add_argument("--trace", dest="trace_path", default=None)
     p_solve.add_argument("--summary", dest="summary_path", default=None)
 
     p_oracle = sub.add_parser("oracle", help="print the reference projection of x0")
     p_oracle.add_argument("problem")
 
-    p_cmp = sub.add_parser("compare", help="run several algorithms on one problem")
+    p_cmp = sub.add_parser("compare", help="run several algorithms on one problem",
+                           parents=[solver_options])
     p_cmp.add_argument("problem")
     p_cmp.add_argument("--algorithms", required=True,
                        help="comma-separated subset of " + ",".join(ALGORITHMS))
-    _add_solver_options(p_cmp)
     p_cmp.add_argument("--output", default=None, help="write the table as JSON")
 
     p_val = sub.add_parser("validate", help="spot-check the standing assumptions")
@@ -107,20 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args, algorithm: str) -> RunSpec:
-    return RunSpec(
-        problem_path=args.problem,
-        algorithm=algorithm,
-        lam=args.lam,
-        k=args.k,
-        eta=args.eta,
-        tol=args.tol,
-        max_outer=args.max_outer,
-        rule=args.rule,
-        seed=args.seed,
-        certify_probes=args.certify,
-        trace_path=getattr(args, "trace_path", None),
-        summary_path=getattr(args, "summary_path", None),
-    )
+    """The ``RunSpec`` of ``algorithm`` on the problem, with the options given."""
+    given = {name: value for name, value in vars(args).items() if name in _SPEC_FIELDS}
+    return RunSpec(**{**given, "problem_path": args.problem, "algorithm": algorithm})
 
 
 def _cmd_solve(args) -> int:

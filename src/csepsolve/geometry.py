@@ -47,12 +47,14 @@ DEGENERACY_THRESHOLD = 1e-14
 # Zero-normal cuts with offset >= this denote the whole space; below it they
 # are contradictory and rejected.
 WHOLE_SPACE_OFFSET_FLOOR = -1e-12
-# Feasibility slack of the many-cut projection, relative to 1 + ||x0||.
+# Feasibility slack of the halfspace projections, relative to 1 + ||x0||.
 INTERSECTION_TOL = 1e-12
 # Two cuts whose Gram determinant det = n1 n2 - <a1, a2>^2 is below
 # NEAR_PARALLEL n1 n2 (normals within about 0.1 rad) would lose more than two
 # digits to its cancellation; their projection takes the Gram-Schmidt form.
 NEAR_PARALLEL = 1e-2
+# Cycle cap of Dykstra's alternating projection.
+MAX_DYKSTRA_CYCLES = 10_000
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -110,14 +112,24 @@ def row_norms(D: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dots(D))
 
 
+def _is_whole_space(norm_sq: float, offset: float) -> bool:
+    """Whether the cut {<normal, z> <= offset} with <normal, normal> =
+    ``norm_sq`` is the whole space: its normal is shorter than
+    ``DEGENERACY_THRESHOLD`` and 0 <= offset holds (up to -1e-12).  With so
+    short a normal and a lower offset it is empty: ``DegenerateCut``."""
+    whole = math.sqrt(norm_sq) < DEGENERACY_THRESHOLD
+    if whole and offset < WHOLE_SPACE_OFFSET_FLOOR:
+        raise DegenerateCut(f"zero-normal cut with offset {offset:g} denotes the empty set")
+    return whole
+
+
 @dataclass
 class HalfspaceCut:
     """The halfspace {z : <normal, z> <= offset}.
 
-    Only this class and ``CutStack`` decide that a cut whose normal is
-    shorter than ``DEGENERACY_THRESHOLD`` is the whole space when
-    0 <= offset holds (up to -1e-12), else empty: ``DegenerateCut``.
-    ``norm_sq`` is <normal, normal>, computed once here for the projections.
+    ``_is_whole_space`` decides a cut's collapse; ``CutStack`` applies the
+    same rule to arrays.  ``norm_sq`` is <normal, normal>, computed once
+    here for the projections.
     """
 
     normal: np.ndarray
@@ -136,11 +148,7 @@ class HalfspaceCut:
         if not (math.isfinite(self.offset)
                 and (math.isfinite(norm_sq) or np.isfinite(normal).all())):
             raise ValueError("cut has non-finite data")
-        self.is_whole_space = math.sqrt(norm_sq) < DEGENERACY_THRESHOLD
-        if self.is_whole_space and self.offset < WHOLE_SPACE_OFFSET_FLOOR:
-            raise DegenerateCut(
-                f"zero-normal cut with offset {self.offset:g} denotes the empty set"
-            )
+        self.is_whole_space = _is_whole_space(norm_sq, self.offset)
 
     @classmethod
     def _of(cls, normal, offset: float, norm_sq: float) -> HalfspaceCut:
@@ -149,12 +157,10 @@ class HalfspaceCut:
         when the data are finite, else by the constructor, which raises."""
         if (math.isfinite(norm_sq) and math.isfinite(offset)
                 and normal.dtype is _FLOAT64 and normal.ndim == 1):
-            whole = math.sqrt(norm_sq) < DEGENERACY_THRESHOLD
-            if not (whole and offset < WHOLE_SPACE_OFFSET_FLOOR):
-                cut = cls.__new__(cls)
-                cut.normal, cut.offset, cut.norm_sq, cut.is_whole_space = (
-                    normal, offset, norm_sq, whole)
-                return cut
+            cut = cls.__new__(cls)
+            cut.normal, cut.offset, cut.norm_sq, cut.is_whole_space = (
+                normal, offset, norm_sq, _is_whole_space(norm_sq, offset))
+            return cut
         return cls(normal, offset)
 
     @property
@@ -284,8 +290,8 @@ class FeasibleSet:
         """The set as an intersection of halfspaces; None if not polyhedral."""
         return None
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Random point(s) of the set; shape (d,) or (size, d)."""
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` random points of the set, as a (size, d) stack."""
         raise NotImplementedError
 
 
@@ -313,9 +319,8 @@ class Box(FeasibleSet):
         # ndarray .all(), not np.all's Python wrapper, as project skips np.clip's
         return bool((x >= self.lower - tol).all() and (x <= self.upper + tol).all())
 
-    def sample(self, rng, size=None):
-        shape = self.dimension if size is None else (size, self.dimension)
-        return rng.uniform(self.lower, self.upper, size=shape)
+    def sample(self, rng, size):
+        return rng.uniform(self.lower, self.upper, size=(size, self.dimension))
 
     def as_halfspaces(self) -> list[HalfspaceCut]:
         """The 2d face inequalities of the box, upper then lower per coordinate."""
@@ -350,13 +355,11 @@ class Ball(FeasibleSet):
     def contains(self, x, tol=1e-10):
         return bool(np.linalg.norm(x - self.center) <= self.radius + tol)
 
-    def sample(self, rng, size=None):
-        m = 1 if size is None else size
-        u = rng.standard_normal((m, self.dimension))
+    def sample(self, rng, size):
+        u = rng.standard_normal((size, self.dimension))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        r = self.radius * rng.uniform(0.0, 1.0, size=(m, 1)) ** (1.0 / self.dimension)
-        pts = self.center + r * u
-        return pts[0] if size is None else pts
+        r = self.radius * rng.uniform(0.0, 1.0, size=(size, 1)) ** (1.0 / self.dimension)
+        return self.center + r * u
 
 
 @dataclass
@@ -378,9 +381,8 @@ class WholeSpace(FeasibleSet):
     def as_halfspaces(self) -> list[HalfspaceCut]:
         return []
 
-    def sample(self, rng, size=None):
-        shape = self.dim if size is None else (size, self.dim)
-        return rng.standard_normal(shape)
+    def sample(self, rng, size):
+        return rng.standard_normal((size, self.dim))
 
 
 @dataclass
@@ -414,12 +416,8 @@ class Polyhedron(FeasibleSet):
     def contains(self, x, tol=1e-10):
         return self._stack.audit(x, tol, None, 0.0)[0] == 0
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.project(rng.standard_normal(self.dimension))
-        return np.array(
-            [self.project(rng.standard_normal(self.dimension)) for _ in range(size)]
-        )
+    def sample(self, rng, size):
+        return self.project(rng.standard_normal((size, self.dimension)))
 
     def as_halfspaces(self) -> list[HalfspaceCut]:
         return list(self.cuts)
@@ -475,9 +473,9 @@ def project_two_halfspaces(cut1: HalfspaceCut, cut2: HalfspaceCut, x0,
     n1, n2 = cut1.norm_sq, cut2.norm_sq
     v1 = dot(a1, x0) - b1
     v2 = dot(a2, x0) - b2
-    # Feasibility slack: 1e-12 (1 + ||x0||) + 1e-15 in distance, times each
-    # normal's length to compare with a constraint value.
-    slack = 1e-12 * (1.0 + math.sqrt(x0_sq)) + 1e-15
+    # Feasibility slack: INTERSECTION_TOL (1 + ||x0||) + 1e-15 in distance,
+    # times each normal's length to compare with a constraint value.
+    slack = INTERSECTION_TOL * (1.0 + math.sqrt(x0_sq)) + 1e-15
     tol1 = slack * math.sqrt(n1)
     tol2 = slack * math.sqrt(n2)
 
@@ -516,17 +514,12 @@ def project_two_halfspaces(cut1: HalfspaceCut, cut2: HalfspaceCut, x0,
     )
 
 
-def dykstra_halfspaces(
-    cuts: list[HalfspaceCut],
-    x0,
-    tol: float = 1e-12,
-    max_cycles: int = 10_000,
-) -> np.ndarray:
+def dykstra_halfspaces(cuts: list[HalfspaceCut], x0, tol: float) -> np.ndarray:
     """``dykstra`` with one halfspace projector per cut, a cross-check of
     ``project_halfspace_intersection`` that nearly parallel cuts make
     arbitrarily slow."""
     projectors = [lambda v, c=c: project_halfspace(c, v) for c in cuts]
-    return dykstra(projectors, x0, tol=tol, max_cycles=max_cycles)
+    return dykstra(projectors, x0, tol=tol)
 
 
 def project_halfspace_intersection(cuts: CutStack | list[HalfspaceCut], x0,
@@ -667,23 +660,19 @@ def _append_basis(Q, T, k, dz, r, rho):
     T[k, k] = 1.0 / length
 
 
-def dykstra(
-    projectors,
-    x0,
-    tol: float = 1e-10,
-    max_cycles: int = 10_000,
-) -> np.ndarray:
+def dykstra(projectors, x0, tol: float = 1e-10) -> np.ndarray:
     """Dykstra's alternating projection over arbitrary convex sets.
 
     ``projectors`` is a sequence of callables, each mapping a point to its
     exact projection onto one closed convex set.  Converges to the projection
     of ``x0`` onto the intersection.  Membership at the stopping point is
-    checked with one extra pass through the projectors.
+    checked with one extra pass through the projectors.  After
+    ``MAX_DYKSTRA_CYCLES`` cycles it raises ``MaxInnerIterationsExceeded``.
     """
     x0 = as_point(x0)
     x = x0.copy()
     corrections = [np.zeros_like(x0) for _ in projectors]
-    for _ in range(max_cycles):
+    for _ in range(MAX_DYKSTRA_CYCLES):
         start = x.copy()
         for i, proj in enumerate(projectors):
             s = x + corrections[i]
@@ -694,6 +683,6 @@ def dykstra(
             if worst <= tol:
                 return x
     raise MaxInnerIterationsExceeded(
-        f"Dykstra hit {max_cycles} cycles without reaching tolerance {tol:g}",
+        f"Dykstra hit {MAX_DYKSTRA_CYCLES} cycles without reaching tolerance {tol:g}",
         best=x,
     )

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, ParameterViolation, UnknownConstants
-from .geometry import FeasibleSet, as_point
+from .geometry import Box, FeasibleSet, as_point
 
 FD_STEP = 1e-5  # central-difference step of validate's subgradient check
 
@@ -242,15 +242,18 @@ class SingletonSolution:
 
 @dataclass
 class AffineSegmentBoxSolution:
-    """Known solution set {z in [lower, upper] : z_j = value_j for fixed j}."""
+    """Known solution set {z in [lower, upper] : z_j = value_j for fixed j}.
+
+    ``box``, the ``Box`` of the bounds, checks and projects onto them."""
 
     fixed: dict[int, float]
     lower: np.ndarray
     upper: np.ndarray
+    box: Box = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.lower = as_point(self.lower)
-        self.upper = as_point(self.upper, self.lower.size)
+        self.box = Box(self.lower, self.upper)
+        self.lower, self.upper = self.box.lower, self.box.upper
         self.fixed = {int(j): float(v) for j, v in self.fixed.items()}
         for j, v in self.fixed.items():
             if not 0 <= j < self.lower.size:
@@ -259,7 +262,7 @@ class AffineSegmentBoxSolution:
                 raise ValueError(f"fixed value {v:g} outside the box in coordinate {j}")
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        y = np.clip(x, self.lower, self.upper)
+        y = self.box.project(x)
         for j, v in self.fixed.items():
             y[j] = v
         return y

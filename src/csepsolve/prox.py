@@ -29,11 +29,12 @@ each row stops at its own step.  Any other system (callable operators,
 black-box or mixed bifunctions) has no stack.  Every feasible set projects
 a (k, d) stack as it would each row.
 
-``ProxSystem`` builds, once per run, the stack of all N subproblems when
-there is one, and subproblem i's one-row kernel ``_kernel([f], lam, set_)``
-when row i is first solved alone (the stack itself when N = 1); ``solve``
-solves all N subproblems on the stack, or without it row by row through
-``solve_row``, which solves row i alone on its one-row kernel.  The
+``ProxSystem`` builds each kernel once per run, at its first use: the
+stack of all N subproblems when ``solve`` is first called, and subproblem
+i's one-row kernel ``_kernel([f], lam, set_)`` when row i is first solved
+alone.  ``solve`` solves all N subproblems on the stack, or without one
+row by row through ``solve_row``, which solves row i alone on its one-row
+kernel.  The
 batched forms used (``np.matmul`` over stacks) give each row's result bit
 for bit, so both agree exactly.  Certified solves certify each row after.
 
@@ -132,8 +133,7 @@ class ProxSystem:
                 f"seed={seed} must be >= 0 with certify_probes={certify_probes}")
         self.fs, self.lam, self.set_ = fs, lam, set_
         self.certify_probes, self.seed = certify_probes, seed
-        self._stack = _kernel(fs, lam, set_)
-        self._rows = [self._stack] if len(fs) == 1 else [None] * len(fs)
+        self._kernels = {}
 
     def solve(self, W: np.ndarray, x: np.ndarray, n: int) -> tuple[np.ndarray, ProxRecord]:
         """All N subproblems at outer iteration n, subproblem i anchored at W
@@ -143,11 +143,12 @@ class ProxSystem:
         without a stack, the rows of ``solve_row`` and ``ProxRecord.of``
         their records.
         """
-        if self._stack is None:
+        stack = self._kernel_of(None)
+        if stack is None:
             rows = [self.solve_row(i, W if W.ndim == 1 else W[i], x, n)
                     for i in range(len(self.fs))]
             return np.concatenate([y for y, _ in rows]), ProxRecord.of([r for _, r in rows])
-        Y, record = self._stack.solve(W, x)
+        Y, record = stack.solve(W, x)
         if self.certify_probes > 0:
             least = math.inf
             for i, y in enumerate(Y):
@@ -162,7 +163,7 @@ class ProxSystem:
         """Subproblem i alone at outer iteration n, anchored at w, returned as
         ``solve`` returns all N: its (1, d) minimizer, equal bit for bit to
         row i of ``solve``, and the record of its solve as subproblem i."""
-        Y, record = self._row(i).solve(w, x)
+        Y, record = self._kernel_of(i).solve(w, x)
         if record.nonconverged:
             record = record._replace(nonconverged=((i, record.nonconverged[0][1]),))
         if self.certify_probes > 0:
@@ -171,12 +172,13 @@ class ProxSystem:
                 record = record._replace(min_certificate=gap)
         return Y, record
 
-    def _row(self, i: int):
-        """Subproblem i's one-row kernel, built at its first use."""
-        kernel = self._rows[i]
-        if kernel is None:
-            kernel = self._rows[i] = _kernel([self.fs[i]], self.lam, self.set_)
-        return kernel
+    def _kernel_of(self, i: int | None):
+        """The kernel of all N subproblems (``i`` None; None when they have
+        no stack) or of subproblem i alone, built at its first use."""
+        if i not in self._kernels:
+            fs = self.fs if i is None else [self.fs[i]]
+            self._kernels[i] = _kernel(fs, self.lam, self.set_)
+        return self._kernels[i]
 
     def _certify(self, i, w, x, n, y) -> float:
         return certify_prox(
@@ -453,7 +455,7 @@ def certify_prox(
 
     which is nonnegative at the true minimizer for every y in C.
     """
-    Y = np.atleast_2d(set_.sample(rng, probes))
+    Y = set_.sample(rng, probes)
     lhs = (Y - result) @ (result - x)
     gaps = lhs - lam * (f.value(w, result) - f.value_batch(w, Y))
     return float(np.min(gaps))

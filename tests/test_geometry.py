@@ -465,7 +465,7 @@ class TestProjectionProperties:
     @pytest.mark.parametrize("set_", SETS, ids=["box", "ball", "whole", "poly"])
     def test_distance_splits(self, set_, rng):
         for _ in range(300):
-            x = set_.sample(rng)
+            x = set_.sample(rng, 1)[0]
             y = rng.standard_normal(3) * 2.0
             py = set_.project(y)
             lhs = float((x - py) @ (x - py)) + float((py - y) @ (py - y))

@@ -215,6 +215,8 @@ def _parse_known_solution(doc, dim):
                            "known_solution.lower")
         upper = _as_vector(_require(doc, "upper", "known_solution"), dim,
                            "known_solution.upper")
+        # the bounds first, so that an inverted box is named as such
+        _construct("known_solution", Box, lower, upper)
         fixed = {}
         for j, v in fixed_doc.items():
             path = f"known_solution.fixed.{j}"

@@ -333,6 +333,26 @@ class TestOracle:
         assert main(["oracle", str(path)]) == 3
         assert "oracle unavailable: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fixed", [{}, {"0": 0.5}])
+    def test_an_inverted_known_box_exit_two_naming_it(self, capsys, tmp_path, fixed):
+        # lower [-1, 1] and upper [1, -1] hold no point; the error names the
+        # known solution, not one of its fixed coordinates
+        path = tmp_path / "inverted.json"
+        path.write_text(json.dumps({
+            "dimension": 2,
+            "set": {"type": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+            "bifunctions": [{"type": "vi_affine", "M": [[1.0, 0.0], [0.0, 0.0]],
+                             "q": [0.0, 0.0]}],
+            "x0": [0.5, 0.3],
+            "known_solution": {"type": "affine_segment_box", "fixed": fixed,
+                               "lower": [-1.0, 1.0], "upper": [1.0, -1.0]},
+        }))
+        assert main(["oracle", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: known_solution: ")
+        assert "fixed" not in captured.err
+
 
 class TestCompare:
     def test_table_and_json(self, capsys, tmp_path):

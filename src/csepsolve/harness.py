@@ -447,7 +447,9 @@ def _execute(spec: RunSpec, instance: CsepInstance, known: np.ndarray | None
 
 
 def summarize(spec: RunSpec, outcome: SolverOutcome, wall_ms: float) -> dict:
-    """The run record: outcome, work counters, the parameters in ``spec``
+    """The run record: outcome, the count of each check's violations and
+    the first iteration at which it fired (null when it never did), work
+    counters, the parameters in ``spec``
     (``k`` and ``rule`` for the hybrid variants, ``eta`` for armijo), the
     versions of csepsolve, numpy and Python, and the first unconverged inner
     solve when there was one.  A ``RunSpec`` built from these fields
@@ -460,6 +462,7 @@ def summarize(spec: RunSpec, outcome: SolverOutcome, wall_ms: float) -> dict:
         "stop_reason": outcome.stop_reason,
         "iterations": outcome.iterations,
         "invariant_violations": dict(outcome.invariant_violations),
+        "first_violation": dict(outcome.first_violation),
         "counters": asdict(outcome.counters),
         "wall_ms": wall_ms,
         "seed": spec.seed,
@@ -499,6 +502,7 @@ class MethodRow:
     set_projections: int
     wall_ms: float
     final_dist_to_oracle: float
+    invariant_violations: int
 
 
 @dataclass
@@ -514,7 +518,7 @@ class ComparisonReport:
     def to_text(self) -> str:
         header = (
             f"{'algorithm':<14}{'stop':<10}{'iters':>8}{'prox':>8}"
-            f"{'prox/it':>9}{'proj_C':>8}{'wall_ms':>10}{'dist':>12}"
+            f"{'prox/it':>9}{'proj_C':>8}{'wall_ms':>10}{'dist':>12}{'viol':>6}"
         )
         lines = [header, "-" * len(header)]
         for r in self.rows:
@@ -523,6 +527,7 @@ class ComparisonReport:
                 f"{r.algorithm:<14}{r.stop_reason:<10}{r.iterations:>8d}"
                 f"{r.prox_solves:>8d}{r.prox_per_iteration:>9.2f}"
                 f"{r.set_projections:>8d}{r.wall_ms:>10.1f}{dist:>12}"
+                f"{r.invariant_violations:>6d}"
             )
         return "\n".join(lines)
 
@@ -560,6 +565,7 @@ def compare(specs: list[RunSpec]) -> ComparisonReport:
                 set_projections=outcome.counters.set_projections,
                 wall_ms=wall_ms,
                 final_dist_to_oracle=outcome.final_dist_to_known(),
+                invariant_violations=outcome.total_violations,
             )
         )
     return report

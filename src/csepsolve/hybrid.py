@@ -256,7 +256,8 @@ def drive(
     ``known_point``, the cuts that exclude it.  ``drive`` also checks that
     ||x_{n+1} - x0|| does not decrease and, given ``known_point``, that
     ||y - p||^2 <= ||x_n - p||^2 + eps for each row y of ``Step.near`` and
-    its eps.  The trace records the least and greatest eps.  The work
+    its eps.  Only in an iteration in which some check fired does it note,
+    for each check, the first iteration at which it fired.  The trace records the least and greatest eps.  The work
     counters, the least certificate gap and the first unconverged inner
     solve, with its subproblem index, come from ``Step.prox``.  A
     ``SolverError`` ends the run with its message, or its class name when
@@ -272,6 +273,7 @@ def drive(
         known_point = as_point(known_point, x0.size)
         known_sq = float((x0 - known_point) @ (x0 - known_point))
     violations = dict.fromkeys(VIOLATION_KEYS, 0)
+    first_violation = dict.fromkeys(VIOLATION_KEYS)
     x0_sq = float(x0.dot(x0))
     anchor_tol = ANCHOR_PROJECTION_TOL * (1.0 + math.sqrt(x0_sq))  # norm(x0), bit for bit
     trace: list[IterationRecord] = []
@@ -301,18 +303,25 @@ def drive(
                                                 CONTAINMENT_SLACK)
                 violations["anchor_projection"] += outside
                 violations["cut_containment"] += excluding
+                fired = outside + excluding
                 q = x0 - x_next
                 q_sq = float(q.dot(q))
                 next_dist = math.sqrt(q_sq)  # ||x_{n+1} - x0||, bit for bit
                 if next_dist < anchor_dist - MONOTONE_SLACK:
                     violations["anchor_monotonicity"] += 1
+                    fired += 1
                 anchor_dist = next_dist
                 if known_point is not None:
                     lhs = row_dots(near - known_point)
-                    violations["solution_distance_bound"] += int(np.count_nonzero(
-                        lhs > (known_sq + eps) + DISTANCE_BOUND_SLACK))
+                    above = int(np.count_nonzero(lhs > (known_sq + eps) + DISTANCE_BOUND_SLACK))
+                    violations["solution_distance_bound"] += above
+                    fired += above
                     to_known = x_next - known_point
                     known_sq = float(to_known.dot(to_known))
+                if fired:
+                    for key, count in violations.items():
+                        if count and first_violation[key] is None:
+                            first_violation[key] = n
             counters.prox_solves += record.solves
             counters.set_projections += record.inner_iterations
             if record.nonconverged:
@@ -339,7 +348,8 @@ def drive(
 
     return SolverOutcome(
         algorithm=algorithm, final_x=x, stop_reason=stop_reason, iterations=len(trace),
-        trace=trace, invariant_violations=violations, counters=counters,
+        trace=trace, invariant_violations=violations, first_violation=first_violation,
+        counters=counters,
         min_prox_certificate=float(min_cert) if np.isfinite(min_cert) else float("nan"),
         error=error_msg, first_nonconverged=first_nonconverged)
 

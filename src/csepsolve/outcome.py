@@ -67,7 +67,9 @@ class SolverOutcome:
     """Result of one solver run.
 
     ``invariant_violations`` counts failed per-iteration checks (all zero on
-    an accepted run); ``min_prox_certificate`` is the worst sampled
+    an accepted run) and ``first_violation`` gives, for each check, the
+    first outer iteration at which it fired (None when it never fired);
+    ``min_prox_certificate`` is the worst sampled
     optimality gap over all inner solves (NaN when certification was off);
     ``first_nonconverged`` is the first inner solve that stopped unconverged
     (None when every one converged).
@@ -79,6 +81,7 @@ class SolverOutcome:
     iterations: int
     trace: list[IterationRecord]
     invariant_violations: dict[str, int]
+    first_violation: dict[str, int | None]
     counters: RunCounters
     min_prox_certificate: float
     error: str | None

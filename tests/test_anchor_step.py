@@ -27,7 +27,7 @@ from csepsolve import (
     run_sequential,
     run_single,
 )
-from csepsolve.hybrid import Step, drive
+from csepsolve.hybrid import VIOLATION_KEYS, Step, drive
 from csepsolve.prox import ProxRecord
 from csepsolve.outcome import RunCounters
 
@@ -103,6 +103,7 @@ def test_a_projection_closer_to_x0_than_the_last_counts_a_monotonicity_violation
     out = drive("fixed", step, np.zeros(2), 0.0, 4, RunCounters(), project=project)
     assert out.iterations == 4
     assert out.invariant_violations["anchor_monotonicity"] == 2
+    assert out.first_violation["anchor_monotonicity"] == 2
 
 
 @pytest.mark.parametrize("shift, count", [(0.3, 2), (1e-13, 0)])
@@ -128,6 +129,8 @@ def test_a_projection_outside_a_cut_counts_an_anchor_projection_violation(shift,
         [0.5, 1.0 - shift, 1.5 - shift, 2.0 - 2 * shift])
     assert out.invariant_violations["anchor_projection"] == count
     assert out.invariant_violations["anchor_monotonicity"] == 0
+    assert out.first_violation == {**dict.fromkeys(VIOLATION_KEYS),
+                                   "anchor_projection": 2 if count else None}
 
 
 def test_a_short_c_cut_normal_near_convergence_counts_no_anchor_projection_violation():

@@ -39,20 +39,20 @@ def diverging_problem(tmp_path, monkeypatch, subgradient=None):
     return str(path)
 
 
-def projector_missing_once(monkeypatch, then_fail=False):
-    """Make ``drive``'s projector return, at its first call, the midpoint of
-    x0 and the projection, which lies outside a cut whenever x0 lies
-    outside their intersection; later calls project, or with ``then_fail``
-    raise EmptyIntersection."""
+def projector_missing_once(monkeypatch, then_fail=False, at=1):
+    """Make ``drive``'s projector return, at its call ``at``, the midpoint
+    of x0 and the projection, which lies outside a cut whenever x0 lies
+    outside their intersection; other calls project, or after that one
+    with ``then_fail`` raise EmptyIntersection."""
     from csepsolve import EmptyIntersection, hybrid
 
     project, calls = hybrid.project_halfspace_intersection, []
 
     def missing_once(cuts, x0, x0_sq=None):
         calls.append(1)
-        if len(calls) == 1:
+        if len(calls) == at:
             return 0.5 * (x0 + project(cuts, x0, x0_sq))
-        if then_fail:
+        if then_fail and len(calls) > at:
             raise EmptyIntersection("the projector gave up")
         return project(cuts, x0, x0_sq)
 
@@ -227,6 +227,23 @@ class TestSolve:
         assert f"stop_reason: {stop_reason}" in captured.out
         assert "invariant checks fired: anchor_projection 1" in captured.err
 
+    def test_the_summary_gives_the_first_iteration_each_check_fired(self, capsys, tmp_path,
+                                                                    monkeypatch):
+        # the projector misses at iteration 3; x_4 lies outside a cut of
+        # iteration 4 too, and x_3 lies nearer x0 than x_2
+        projector_missing_once(monkeypatch, at=3)
+        path = tmp_path / "summary.json"
+        code = main(["solve", SCALAR, "--algorithm", "single", "--lambda", "0.3", "--k", "4",
+                     "--summary", str(path)])
+        assert code == 5
+        summary = json.loads(path.read_text())
+        assert summary["invariant_violations"] == {
+            "cut_containment": 0, "solution_distance_bound": 0,
+            "anchor_monotonicity": 1, "anchor_projection": 2}
+        assert summary["first_violation"] == {
+            "cut_containment": None, "solution_distance_bound": None,
+            "anchor_monotonicity": 3, "anchor_projection": 3}
+
     def test_a_fired_check_exit_five_ahead_of_four(self, capsys, tmp_path, monkeypatch):
         projector_missing_once(monkeypatch)
         code = main(["solve", dense_aq_problem(tmp_path, monkeypatch), *DENSE_AQ_ARGS])
@@ -368,6 +385,19 @@ class TestCompare:
         rows = {r["algorithm"]: r for r in data["rows"]}
         assert rows["extragradient"]["prox_per_iteration"] == 2.0
         assert rows["single"]["prox_per_iteration"] == 1.0
+
+    def test_each_row_counts_its_fired_checks(self, capsys, tmp_path, monkeypatch):
+        # the projector misses once, in the first algorithm's first iteration
+        projector_missing_once(monkeypatch)
+        out_path = tmp_path / "cmp.json"
+        code = main(["compare", SCALAR, "--algorithms", "single,single",
+                     "--lambda", "0.3", "--k", "4", "--output", str(out_path)])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0].split()[-1] == "viol"
+        assert [row.split()[-1] for row in rows[2:]] == ["1", "0"]
+        data = json.loads(out_path.read_text())
+        assert [r["invariant_violations"] for r in data["rows"]] == [1, 0]
 
     def test_output_creates_its_directory(self, capsys, tmp_path):
         out_path = tmp_path / "new" / "dir" / "cmp.json"

@@ -375,7 +375,8 @@ class TestCompare:
                 prox_solves=outcome.counters.prox_solves,
                 prox_per_iteration=outcome.counters.prox_solves / outcome.iterations,
                 set_projections=outcome.counters.set_projections,
-                final_dist_to_oracle=outcome.final_dist_to_known())
+                final_dist_to_oracle=outcome.final_dist_to_known(),
+                invariant_violations=outcome.total_violations)
             assert repr(row) == repr(expected)
             assert row.wall_ms > 0.0
         assert summaries("compare") == summaries("run")  # final_x bit for bit

@@ -48,14 +48,15 @@ def test_counts_lines_and_settable_values(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     # Docstring lines: the module's, solve's three and Plain's one; blank lines:
-    # the seven outside a docstring.  Settable values: tol, max_iter, scale;
-    # rows, step, cache (derived and hidden are init=False).  Then one line
-    # per module, in path order, the empty __init__.py first.
-    lines = MODULE.count(chr(10))
-    assert done.stdout == (f"lines {lines}\ndocstring lines 5\n"
-                           "comment lines 1\nblank lines 7\nsettable values 6\n"
-                           "__init__.py lines 0 settable values 0\n"
-                           f"mod.py lines {lines} settable values 6\n")
+    # the seven outside a docstring; other lines: the 14 left of the 27.
+    # Settable values: tol, max_iter, scale; rows, step, cache (derived and
+    # hidden are init=False).  Then one line per module, in path order, the
+    # empty __init__.py first.
+    assert MODULE.count(chr(10)) == 27
+    assert done.stdout == ("lines 27\ndocstring lines 5\ncomment lines 1\n"
+                           "blank lines 7\nother lines 14\nsettable values 6\n"
+                           "__init__.py lines 0 other lines 0 settable values 0\n"
+                           "mod.py lines 27 other lines 14 settable values 6\n")
 
 
 def test_missing_package_is_an_error(tmp_path):

@@ -6,13 +6,13 @@ prints, for the ``.py`` files under ``SRC/src/csepsolve``, the number of
 lines (as ``wc -l`` counts them); how many of them are docstring lines
 (every line of a module, class or function docstring), comment lines
 (holding only a comment) and blank lines (holding only whitespace, outside
-a docstring), so that a change can show which kind of line it removed; and
-the number of settable values: every default of a function or lambda
+a docstring), so that a change can show which kind of line it removed; the
+other lines, of none of these kinds; and the number of settable values: every default of a function or lambda
 parameter, plus every annotated class attribute given a value, except
 dataclass fields declared ``field(..., init=False)``, which no caller can
 set.  After these totals it prints one line per module, its path under
-``src/csepsolve`` with its lines and settable values, so that a change
-can show which module it shrank.
+``src/csepsolve`` with its lines, other lines and settable values, so that
+a change can show which module it shrank.
 """
 
 from __future__ import annotations
@@ -79,9 +79,10 @@ def main(argv=None) -> int:
     print(f"lines {sum(lines for _, lines, _, _ in modules)}")
     for i, kind in enumerate(KINDS):
         print(f"{kind} lines {sum(kinds[i] for _, _, kinds, _ in modules)}")
+    print(f"other lines {sum(lines - sum(kinds) for _, lines, kinds, _ in modules)}")
     print(f"settable values {sum(values for _, _, _, values in modules)}")
-    for name, lines, _, values in modules:
-        print(f"{name} lines {lines} settable values {values}")
+    for name, lines, kinds, values in modules:
+        print(f"{name} lines {lines} other lines {lines - sum(kinds)} settable values {values}")
     return 0
 
 

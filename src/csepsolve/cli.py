@@ -58,9 +58,6 @@ _VALIDATION_ERRORS = (
 )
 
 
-_SPEC_FIELDS = {f.name for f in dataclasses.fields(RunSpec)}
-
-
 def _solver_options() -> argparse.ArgumentParser:
     """The parent parser of the solver options: each stores under its
     ``RunSpec`` field name, and one that is not given stores nothing, so
@@ -114,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _spec_from_args(args, algorithm: str) -> RunSpec:
     """The ``RunSpec`` of ``algorithm`` on the problem, with the options given."""
-    given = {name: value for name, value in vars(args).items() if name in _SPEC_FIELDS}
+    fields = {f.name for f in dataclasses.fields(RunSpec)}
+    given = {name: value for name, value in vars(args).items() if name in fields}
     return RunSpec(**{**given, "problem_path": args.problem, "algorithm": algorithm})
 
 

@@ -449,11 +449,11 @@ def _execute(spec: RunSpec, instance: CsepInstance, known: np.ndarray | None
 def summarize(spec: RunSpec, outcome: SolverOutcome, wall_ms: float) -> dict:
     """The run record: outcome, the count of each check's violations and
     the first iteration at which it fired (null when it never did), work
-    counters, the parameters in ``spec``
-    (``k`` and ``rule`` for the hybrid variants, ``eta`` for armijo), the
-    versions of csepsolve, numpy and Python, and the first unconverged inner
-    solve when there was one.  A ``RunSpec`` built from these fields
-    reproduces ``final_x`` bit for bit on the same versions."""
+    counters, the parameters in ``spec`` (``k`` and ``rule`` for the hybrid
+    variants, ``eta`` for armijo), the versions of csepsolve, numpy and
+    Python, and the first unconverged inner solve when there was one.  A
+    ``RunSpec`` built from these fields reproduces ``final_x`` bit for bit
+    on the same versions."""
     summary = {
         "problem": spec.problem_path,
         "algorithm": spec.algorithm,

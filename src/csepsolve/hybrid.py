@@ -257,11 +257,11 @@ def drive(
     ||x_{n+1} - x0|| does not decrease and, given ``known_point``, that
     ||y - p||^2 <= ||x_n - p||^2 + eps for each row y of ``Step.near`` and
     its eps.  Only in an iteration in which some check fired does it note,
-    for each check, the first iteration at which it fired.  The trace records the least and greatest eps.  The work
-    counters, the least certificate gap and the first unconverged inner
-    solve, with its subproblem index, come from ``Step.prox``.  A
-    ``SolverError`` ends the run with its message, or its class name when
-    it has none.
+    for each check, the first iteration at which it fired.  The trace
+    records the least and greatest eps.  The work counters, the least
+    certificate gap and the first unconverged inner solve, with its
+    subproblem index, come from ``Step.prox``.  A ``SolverError`` ends the
+    run with its message, or its class name when it has none.
     """
     if max_outer < 1 or not tol >= 0.0:
         raise ParameterViolation(f"need max_outer >= 1 and tol >= 0, got {max_outer} and {tol}")

@@ -69,8 +69,8 @@ class SolverOutcome:
     ``invariant_violations`` counts failed per-iteration checks (all zero on
     an accepted run) and ``first_violation`` gives, for each check, the
     first outer iteration at which it fired (None when it never fired);
-    ``min_prox_certificate`` is the worst sampled
-    optimality gap over all inner solves (NaN when certification was off);
+    ``min_prox_certificate`` is the worst sampled optimality gap over all
+    inner solves (NaN when certification was off);
     ``first_nonconverged`` is the first inner solve that stopped unconverged
     (None when every one converged).
     """

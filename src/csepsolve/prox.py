@@ -34,9 +34,9 @@ stack of all N subproblems when ``solve`` is first called, and subproblem
 i's one-row kernel ``_kernel([f], lam, set_)`` when row i is first solved
 alone.  ``solve`` solves all N subproblems on the stack, or without one
 row by row through ``solve_row``, which solves row i alone on its one-row
-kernel.  The
-batched forms used (``np.matmul`` over stacks) give each row's result bit
-for bit, so both agree exactly.  Certified solves certify each row after.
+kernel.  The batched forms used (``np.matmul`` over stacks) give each
+row's result bit for bit, so both agree exactly.  Certified solves certify
+each row after.
 
 A kernel returns the (k, d) minimizers and one ``ProxRecord`` of the call:
 the total inner iterations, the unconverged rows with their diagnostics,

@@ -56,7 +56,6 @@ from .outcome import (
 from .problems import (
     AffineOperator,
     AffineQuadraticBifunction,
-    AffineSegmentBoxSolution,
     Bifunction,
     BlackBoxBifunction,
     CallableOperator,

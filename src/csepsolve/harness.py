@@ -54,7 +54,6 @@ from .outcome import SolverOutcome, create_file, write_trace
 from .problems import (
     AffineOperator,
     AffineQuadraticBifunction,
-    AffineSegmentBoxSolution,
     BlackBoxBifunction,
     CsepInstance,
     LipschitzData,
@@ -98,26 +97,15 @@ def _as_number(value, path):
         raise SchemaError(f"{path}: expected a number, got {value!r}") from None
 
 
-def _as_array(value, path):
+def _as_array(value, shape, path):
+    """``value`` as a float array of ``shape`` with finite entries, or a
+    SchemaError naming ``path``."""
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: expected an array of numbers ({exc})") from None
-
-
-def _as_vector(value, dim, path):
-    arr = _as_array(value, path)
-    if arr.ndim != 1 or arr.size != dim:
-        raise SchemaError(f"{path}: expected a vector of length {dim}")
-    if not np.isfinite(arr).all():
-        raise SchemaError(f"{path}: contains non-finite entries")
-    return arr
-
-
-def _as_matrix(value, dim, path):
-    arr = _as_array(value, path)
-    if arr.shape != (dim, dim):
-        raise SchemaError(f"{path}: expected a {dim}x{dim} matrix, got shape {arr.shape}")
+    if arr.shape != shape:
+        raise SchemaError(f"{path}: expected shape {shape}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise SchemaError(f"{path}: contains non-finite entries")
     return arr
@@ -132,34 +120,36 @@ def _construct(path, cls, *args):
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def _parse_set(doc, dim):
-    kind = _require(doc, "type", "set")
+def _parse_set(doc, dim, path):
+    """The set that ``doc`` describes, each error naming its field under
+    ``path``."""
+    kind = _require(doc, "type", path)
     if kind == "box":
         return _construct(
-            "set", Box,
-            _as_vector(_require(doc, "lower", "set"), dim, "set.lower"),
-            _as_vector(_require(doc, "upper", "set"), dim, "set.upper"),
+            path, Box,
+            _as_array(_require(doc, "lower", path), (dim,), f"{path}.lower"),
+            _as_array(_require(doc, "upper", path), (dim,), f"{path}.upper"),
         )
     if kind == "ball":
         return _construct(
-            "set.radius", Ball,
-            _as_vector(_require(doc, "center", "set"), dim, "set.center"),
-            _as_number(_require(doc, "radius", "set"), "set.radius"),
+            f"{path}.radius", Ball,
+            _as_array(_require(doc, "center", path), (dim,), f"{path}.center"),
+            _as_number(_require(doc, "radius", path), f"{path}.radius"),
         )
     if kind == "polyhedron":
-        cut_docs = _require(doc, "cuts", "set")
+        cut_docs = _require(doc, "cuts", path)
         if not isinstance(cut_docs, list):
-            raise SchemaError("set.cuts: expected a list")
+            raise SchemaError(f"{path}.cuts: expected a list")
         cuts = []
         for i, c in enumerate(cut_docs):
-            path = f"set.cuts[{i}]"
-            normal = _as_vector(_require(c, "normal", path), dim, f"{path}.normal")
-            offset = _as_number(_require(c, "offset", path), f"{path}.offset")
-            cuts.append(_construct(path, HalfspaceCut, normal, offset))
-        return _construct("set.cuts", Polyhedron, cuts)
+            at = f"{path}.cuts[{i}]"
+            normal = _as_array(_require(c, "normal", at), (dim,), f"{at}.normal")
+            offset = _as_number(_require(c, "offset", at), f"{at}.offset")
+            cuts.append(_construct(at, HalfspaceCut, normal, offset))
+        return _construct(f"{path}.cuts", Polyhedron, cuts)
     if kind == "whole_space":
         return WholeSpace(dim)
-    raise SchemaError(f"set.type: unknown variant {kind!r}")
+    raise SchemaError(f"{path}.type: unknown variant {kind!r}")
 
 
 def _parse_lipschitz(doc, path):
@@ -178,14 +168,14 @@ def _parse_bifunction(doc, dim, index):
     kind = _require(doc, "type", path)
     lipschitz = _parse_lipschitz(doc, path)
     if kind == "vi_affine":
-        M = _as_matrix(_require(doc, "M", path), dim, f"{path}.M")
-        q = _as_vector(doc.get("q", np.zeros(dim)), dim, f"{path}.q")
+        M = _as_array(_require(doc, "M", path), (dim, dim), f"{path}.M")
+        q = _as_array(doc.get("q", np.zeros(dim)), (dim,), f"{path}.q")
         L = _as_number(doc["L"], f"{path}.L") if "L" in doc else None
         return ViInducedBifunction(_construct(f"{path}.L", AffineOperator, M, q, L), lipschitz)
     if kind == "affine_quadratic":
-        P = _as_matrix(_require(doc, "P", path), dim, f"{path}.P")
-        Q = _as_matrix(_require(doc, "Q", path), dim, f"{path}.Q")
-        q = _as_vector(doc.get("q", np.zeros(dim)), dim, f"{path}.q")
+        P = _as_array(_require(doc, "P", path), (dim, dim), f"{path}.P")
+        Q = _as_array(_require(doc, "Q", path), (dim, dim), f"{path}.Q")
+        q = _as_array(doc.get("q", np.zeros(dim)), (dim,), f"{path}.q")
         return AffineQuadraticBifunction(P, Q, q, lipschitz)
     if kind == "blackbox":
         if lipschitz is None:
@@ -201,29 +191,28 @@ def _parse_bifunction(doc, dim, index):
 
 
 def _parse_known_solution(doc, dim):
+    """The known solution set that ``doc`` describes: the one-point box of a
+    ``singleton``, or the box of an ``affine_segment_box`` with each fixed
+    coordinate's bounds pinned to its value."""
     kind = _require(doc, "type", "known_solution")
     if kind == "singleton":
-        return SingletonSolution(
-            _as_vector(_require(doc, "point", "known_solution"), dim,
-                       "known_solution.point")
-        )
+        return SingletonSolution(_as_array(_require(doc, "point", "known_solution"),
+                                           (dim,), "known_solution.point"))
     if kind == "affine_segment_box":
-        fixed_doc = _require(doc, "fixed", "known_solution")
-        if not isinstance(fixed_doc, dict):
+        fixed = _require(doc, "fixed", "known_solution")
+        if not isinstance(fixed, dict):
             raise SchemaError("known_solution.fixed: expected an object")
-        lower = _as_vector(_require(doc, "lower", "known_solution"), dim,
-                           "known_solution.lower")
-        upper = _as_vector(_require(doc, "upper", "known_solution"), dim,
-                           "known_solution.upper")
         # the bounds first, so that an inverted box is named as such
-        _construct("known_solution", Box, lower, upper)
-        fixed = {}
-        for j, v in fixed_doc.items():
-            path = f"known_solution.fixed.{j}"
-            # one coordinate at a time, so that an error names its key
-            fixed.update(_construct(path, AffineSegmentBoxSolution,
-                                    {j: _as_number(v, path)}, lower, upper).fixed)
-        return AffineSegmentBoxSolution(fixed, lower, upper)
+        box = _parse_set({**doc, "type": "box"}, dim, "known_solution")
+        for key, value in fixed.items():
+            path = f"known_solution.fixed.{key}"
+            v, j = _as_number(value, path), _construct(path, int, key)
+            if not 0 <= j < dim:
+                raise SchemaError(f"{path}: fixed coordinate {j} out of range")
+            if not box.lower[j] - 1e-12 <= v <= box.upper[j] + 1e-12:
+                raise SchemaError(f"{path}: fixed value {v:g} outside the box in coordinate {j}")
+            box.lower[j] = box.upper[j] = v
+        return box
     raise SchemaError(f"known_solution.type: unknown variant {kind!r}")
 
 
@@ -248,12 +237,12 @@ def load_problem(path: str) -> CsepInstance:
     dim = _require(doc, "dimension", "top level")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise SchemaError("dimension: must be a positive integer")
-    set_ = _parse_set(_require(doc, "set", "top level"), dim)
+    set_ = _parse_set(_require(doc, "set", "top level"), dim, "set")
     bif_docs = _require(doc, "bifunctions", "top level")
     if not isinstance(bif_docs, list) or not bif_docs:
         raise SchemaError("bifunctions: must be a nonempty list")
     bifunctions = [_parse_bifunction(b, dim, i) for i, b in enumerate(bif_docs)]
-    x0 = _as_vector(_require(doc, "x0", "top level"), dim, "x0")
+    x0 = _as_array(_require(doc, "x0", "top level"), (dim,), "x0")
     known = None
     if doc.get("known_solution") is not None:
         known = _parse_known_solution(doc["known_solution"], dim)

@@ -227,65 +227,39 @@ def default_lipschitz(f: Bifunction) -> LipschitzData:
     )
 
 
-@dataclass
-class SingletonSolution:
-    """Known solution set consisting of a single point."""
+class SingletonSolution(Box):
+    """The one-point set {point}: the box whose bounds are both ``point``,
+    so that its projection returns the bytes of ``point``."""
 
-    point: np.ndarray
+    def __init__(self, point):
+        super().__init__(point, point)
 
-    def __post_init__(self):
-        self.point = as_point(self.point)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self.point.copy()
-
-
-@dataclass
-class AffineSegmentBoxSolution:
-    """Known solution set {z in [lower, upper] : z_j = value_j for fixed j}.
-
-    ``box``, the ``Box`` of the bounds, checks and projects onto them."""
-
-    fixed: dict[int, float]
-    lower: np.ndarray
-    upper: np.ndarray
-    box: Box = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.box = Box(self.lower, self.upper)
-        self.lower, self.upper = self.box.lower, self.box.upper
-        self.fixed = {int(j): float(v) for j, v in self.fixed.items()}
-        for j, v in self.fixed.items():
-            if not 0 <= j < self.lower.size:
-                raise DimensionMismatch(f"fixed coordinate {j} out of range")
-            if not self.lower[j] - 1e-12 <= v <= self.upper[j] + 1e-12:
-                raise ValueError(f"fixed value {v:g} outside the box in coordinate {j}")
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        y = self.box.project(x)
-        for j, v in self.fixed.items():
-            y[j] = v
-        return y
+    @property
+    def point(self) -> np.ndarray:
+        return self.lower
 
 
 @dataclass
 class CsepInstance:
     """A system of equilibrium problems over one feasible set.
 
-    ``known_solution`` optionally describes the solution set analytically so
-    reference projections and per-iteration checks are exact.
+    ``known_solution`` optionally gives the solution set as a feasible set,
+    so that reference projections and per-iteration checks are exact.
     """
 
     dimension: int
     set: FeasibleSet
     bifunctions: list[Bifunction]
     x0: np.ndarray
-    known_solution: SingletonSolution | AffineSegmentBoxSolution | None = None
+    known_solution: FeasibleSet | None = None
 
     def __post_init__(self):
         self.x0 = as_point(self.x0, self.dimension)
         if self.set.dimension != self.dimension:
             raise DimensionMismatch("feasible set dimension differs from instance")
+        if (self.known_solution is not None
+                and self.known_solution.dimension != self.dimension):
+            raise DimensionMismatch("known solution dimension differs from instance")
         if not self.bifunctions:
             raise ValueError("instance needs at least one bifunction")
         for i, f in enumerate(self.bifunctions):

@@ -5,7 +5,6 @@ import pytest
 
 from csepsolve import (
     AffineOperator,
-    AffineSegmentBoxSolution,
     Box,
     CsepInstance,
     SingletonSolution,
@@ -38,7 +37,7 @@ def scalar_1d_instance():
 def halfline_instance():
     """A(x) = (x1, 0) on [-1, 1]^2, x0 = (0.5, 0.3); solution set {0} x [-1, 1]."""
     op = AffineOperator([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0], lipschitz_L=1.0)
-    solution = AffineSegmentBoxSolution({0: 0.0}, [-1.0, -1.0], [1.0, 1.0])
+    solution = Box([0.0, -1.0], [0.0, 1.0])  # coordinate 0 pinned to 0
     return CsepInstance(
         2, Box([-1.0, -1.0], [1.0, 1.0]), [ViInducedBifunction(op)],
         [0.5, 0.3], solution,
@@ -64,7 +63,7 @@ def csep3_plane_instance():
         AffineOperator(np.diag([c, 0.0, 0.0]), np.zeros(3), lipschitz_L=c)
         for c in (1.0, 2.0, 0.5)
     ]
-    solution = AffineSegmentBoxSolution({0: 0.0}, -np.ones(3), np.ones(3))
+    solution = Box([0.0, -1.0, -1.0], [0.0, 1.0, 1.0])  # coordinate 0 pinned to 0
     return CsepInstance(
         3, Box(-np.ones(3), np.ones(3)),
         [ViInducedBifunction(o) for o in ops],

@@ -4,7 +4,6 @@ import pytest
 from csepsolve import (
     AffineOperator,
     AffineQuadraticBifunction,
-    AffineSegmentBoxSolution,
     BlackBoxBifunction,
     Box,
     CallableOperator,
@@ -213,7 +212,7 @@ class TestInstance:
         assert np.allclose(inst.reference_point(), [0.25])
 
     def test_reference_point_segment(self):
-        sol = AffineSegmentBoxSolution({0: 0.0}, [-1.0, -1.0], [1.0, 1.0])
+        sol = Box([0.0, -1.0], [0.0, 1.0])  # {0} x [-1, 1]
         assert np.allclose(sol.project(np.array([0.5, 0.3])), [0.0, 0.3])
         assert np.allclose(sol.project(np.array([-2.0, 5.0])), [0.0, 1.0])
 

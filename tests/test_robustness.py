@@ -7,7 +7,6 @@ import pytest
 from csepsolve import (
     STOP_ERROR,
     AffineOperator,
-    AffineSegmentBoxSolution,
     Box,
     CsepInstance,
     HybridParams,
@@ -72,7 +71,7 @@ def test_rescaled_halfline_problem(scale):
     lower, upper = scale * base.set.lower, scale * base.set.upper
     instance = CsepInstance(
         2, Box(lower, upper), base.bifunctions, scale * base.x0,
-        AffineSegmentBoxSolution({0: 0.0}, lower, upper),
+        Box(np.r_[0.0, lower[1:]], np.r_[0.0, upper[1:]]),  # coordinate 0 pinned to 0
     )
     lam, k = derive_default_params(instance)
     out = run_single(instance, HybridParams(lam=lam, k=k, tol=1e-8 * scale),

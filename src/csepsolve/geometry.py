@@ -339,8 +339,8 @@ class Ball(FeasibleSet):
     def __post_init__(self):
         self.center = as_point(self.center)
         self.radius = float(self.radius)
-        if not self.radius > 0:
-            raise ValueError("ball radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("ball radius must be positive and finite")
 
     @property
     def dimension(self) -> int:

@@ -204,11 +204,15 @@ def _parse_known_solution(doc, dim):
             raise SchemaError("known_solution.fixed: expected an object")
         # the bounds first, so that an inverted box is named as such
         box = _parse_set({**doc, "type": "box"}, dim, "known_solution")
+        pinned = set()
         for key, value in fixed.items():
             path = f"known_solution.fixed.{key}"
             v, j = _as_number(value, path), _construct(path, int, key)
             if not 0 <= j < dim:
                 raise SchemaError(f"{path}: fixed coordinate {j} out of range")
+            if j in pinned:
+                raise SchemaError(f"{path}: coordinate {j} is fixed twice")
+            pinned.add(j)
             if not box.lower[j] - 1e-12 <= v <= box.upper[j] + 1e-12:
                 raise SchemaError(f"{path}: fixed value {v:g} outside the box in coordinate {j}")
             box.lower[j] = box.upper[j] = v

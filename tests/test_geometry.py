@@ -65,6 +65,11 @@ class TestProject:
         ball = Ball([0.0, 0.0], 1.0)
         assert np.allclose(project(ball, [3.0, 4.0]), [0.6, 0.8])
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+    def test_a_ball_radius_that_is_not_positive_and_finite_is_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            Ball([0.0, 0.0], radius)
+
     def test_whole_space_identity(self):
         ws = WholeSpace(2)
         assert np.allclose(project(ws, [-7.0, 2.0]), [-7.0, 2.0])

@@ -58,6 +58,26 @@ def test_dumps_agree_and_a_planted_difference_is_named(tmp_path):
     assert all(original["final_x"] not in line for line in lines)
 
 
+def test_the_first_iteration_of_each_check_is_compared(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    name = "vi_scalar_1d/single/probes3"
+    done = parity("dump", REPO_ROOT, a, "--only", name)
+    assert done.returncode == 0, done.stderr
+    runs = json.loads(a.read_text())
+    run = runs[name]
+    checks = [f.split(".", 1)[1] for f in run if f.startswith("violations.")]
+    assert checks
+    assert all(run[f"first_violation.{check}"] == "None" for check in checks)
+
+    run[f"first_violation.{checks[0]}"] = "7"
+    b.write_text(json.dumps(runs))
+    planted = parity("compare", a, b)
+    assert planted.returncode == 1
+    assert planted.stdout.splitlines()[:4] == [
+        "0 of 1 runs identical", "single 0/1",
+        f"{name}: first_violation.{checks[0]}: None != 7", "  traces identical"]
+
+
 def test_a_run_that_differs_only_in_final_x_is_named_without_its_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     done = parity("dump", REPO_ROOT, a, "--only", "vi_scalar_1d/single/probes3")

@@ -194,6 +194,12 @@ class TestInstance:
             CsepInstance(2, Box([-1.0, -1.0], [1.0, 1.0]), [vi(np.eye(3))],
                          [0.0, 0.0])
 
+    def test_a_known_solution_of_another_dimension_is_rejected(self):
+        box = Box([-1.0, -1.0], [1.0, 1.0])
+        for known in (SingletonSolution([0.0]), Box(-np.ones(3), np.ones(3))):
+            with pytest.raises(DimensionMismatch, match="known solution"):
+                CsepInstance(2, box, [vi(np.eye(2))], [0.0, 0.0], known)
+
     def test_needs_bifunction(self):
         with pytest.raises(ValueError):
             CsepInstance(1, Box([-1.0], [1.0]), [], [0.0])

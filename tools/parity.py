@@ -13,8 +13,9 @@ A problem with N = 1 runs under ``single`` and the two baselines only:
 there ``parallel``, ``maxsel`` and ``sequential`` repeat ``single`` bit for
 bit but for ``selected_index`` (``tests/test_n1_equivalence.py``).  It writes, per run, the stop reason, iterations,
 ``final_x`` as hex bytes, every trace field except ``wall_ms``, the
-counters, the invariant violations, ``min_prox_certificate``, the first
-unconverged inner solve and the error, with every float as its ``repr``
+counters, the invariant violations and the first iteration at which each
+check fired, ``min_prox_certificate``, the first unconverged inner solve
+and the error, with every float as its ``repr``
 (so NaN equals NaN), and the sha256 of the trace CSV as ``write_trace``
 wrote it with the ``wall_ms`` column blanked (``trace_csv``, so that the
 file's bytes are compared too).  ``--only`` restricts the dump to the
@@ -154,6 +155,8 @@ def record(outcome, trace_fields, trace_csv: str) -> dict:
         fields[f"counters.{name}"] = _text(value)
     for name, count in sorted(outcome.invariant_violations.items()):
         fields[f"violations.{name}"] = _text(count)
+    for name, n in sorted(outcome.first_violation.items()):
+        fields[f"first_violation.{name}"] = _text(n)
     fields["min_prox_certificate"] = _text(outcome.min_prox_certificate)
     fields["first_nonconverged"] = _text(outcome.first_nonconverged)
     fields["error"] = _text(outcome.error)

@@ -371,25 +371,6 @@ class TestOracle:
         assert "fixed" not in captured.err
 
 
-    def test_a_coordinate_fixed_twice_exit_two_naming_its_second_key(self, capsys, tmp_path):
-        # the problem file of the README with coordinate 0 named twice
-        path = tmp_path / "twice.json"
-        path.write_text(json.dumps({
-            "dimension": 2,
-            "set": {"type": "box", "lower": [-1, -1], "upper": [1, 1]},
-            "bifunctions": [{"type": "vi_affine", "M": [[1, 0], [0, 0]], "q": [0, 0],
-                             "L": 1.0}],
-            "x0": [0.5, 0.3],
-            "known_solution": {"type": "affine_segment_box", "fixed": {"0": 0.0, "00": 0.7},
-                               "lower": [-1, -1], "upper": [1, 1]},
-        }))
-        assert main(["oracle", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: known_solution.fixed.00: ")
-        assert "twice" in captured.err
-
-
 class TestCompare:
     def test_table_and_json(self, capsys, tmp_path):
         out_path = tmp_path / "cmp.json"

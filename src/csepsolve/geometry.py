@@ -29,9 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:  # the ufunc behind np.clip, without its Python wrapper
+# numpy's C entry points behind the Python wrappers np.clip,
+# np.count_nonzero(a) and np.einsum, bound once (with max_of and all_of
+# below) so that no outer iteration runs a Python function of numpy
+try:
+    from numpy._core.multiarray import c_einsum, count_nonzero
     from numpy._core.umath import clip as _clip
 except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum, count_nonzero
     from numpy.core.umath import clip as _clip
 
 from .errors import (
@@ -41,6 +46,10 @@ from .errors import (
     InfeasibleSet,
     MaxInnerIterationsExceeded,
 )
+
+# for a 1-D array a, max_of(a) is a.max() and all_of(a) is a.all()
+max_of = np.maximum.reduce
+all_of = np.logical_and.reduce
 
 # A cut whose normal is shorter than this is treated as carrying no direction.
 DEGENERACY_THRESHOLD = 1e-14
@@ -180,15 +189,16 @@ class CutStack:
     A stack is a sequence of its rows, each a ``HalfspaceCut``, in one of
     two forms fixed when it is built: the cuts themselves, or arrays
     ``normals`` (k, d), ``offsets``, ``norm_sq`` and ``whole`` (k,) (as
-    ``HalfspaceCut.norm_sq`` and ``is_whole_space``), whether any row is
-    the whole space and the lengths sqrt(norm_sq).  It has two
+    ``HalfspaceCut.norm_sq`` and ``is_whole_space``) and the lengths
+    sqrt(norm_sq).  ``n_whole`` counts its whole-space rows.  It has two
     constructors: ``CutStack(normals, offsets)`` validates arrays once, as
     ``HalfspaceCut`` does one cut, and ``CutStack.of(cuts)`` keeps at most
-    two valid cuts as they are and stacks more into arrays, with the same
-    results bit for bit.
+    two valid cuts as they are, noting two that are both live as the pair
+    that ``project_halfspace_intersection`` projects onto directly, and
+    stacks more into arrays, with the same results bit for bit.
     """
 
-    __slots__ = ("_rows", "_arrays", "_has_whole", "_lengths", "_live")
+    __slots__ = ("_rows", "_arrays", "_lengths", "_live", "_pair", "n_whole")
 
     def __init__(self, normals, offsets):
         normals = np.asarray(normals, dtype=float)
@@ -202,14 +212,14 @@ class CutStack:
             raise ValueError("cut has non-finite data")
         self._lengths = lengths = np.sqrt(norm_sq)
         whole = lengths < DEGENERACY_THRESHOLD
-        self._has_whole = bool(np.count_nonzero(whole))
-        if self._has_whole:
-            empty = np.flatnonzero(whole & (offsets < WHOLE_SPACE_OFFSET_FLOOR))
-            if empty.size:
-                raise DegenerateCut(
-                    f"zero-normal cut with offset {offsets[empty[0]]:g} denotes the empty set"
-                )
-        self._rows, self._arrays, self._live = None, (normals, offsets, norm_sq, whole), None
+        self.n_whole = int(count_nonzero(whole))
+        if self.n_whole:
+            empty = whole & (offsets < WHOLE_SPACE_OFFSET_FLOOR)
+            if count_nonzero(empty):
+                raise DegenerateCut(f"zero-normal cut with offset {offsets[empty.argmax()]:g} "
+                                    "denotes the empty set")
+        self._rows, self._arrays, self._live, self._pair = (
+            None, (normals, offsets, norm_sq, whole), None, None)
 
     @classmethod
     def of(cls, cuts) -> CutStack:
@@ -225,8 +235,13 @@ class CutStack:
             return cls(np.array(normals), np.array([c.offset for c in rows]))
         if len(rows) == 2 and rows[0].normal.size != rows[1].normal.size:
             raise DimensionMismatch("cut normals have different dimensions")
+        n_whole = 0
+        for c in rows:
+            if c.is_whole_space:
+                n_whole += 1
         stack = cls.__new__(cls)
-        stack._rows, stack._arrays, stack._live = rows, None, None
+        stack._rows, stack._arrays, stack._live, stack.n_whole = rows, None, None, n_whole
+        stack._pair = rows if len(rows) == 2 and not n_whole else None
         return stack
 
     def __len__(self) -> int:
@@ -244,7 +259,7 @@ class CutStack:
         if self._live is None:
             if self._arrays is None:
                 self._live = [i for i, c in enumerate(self._rows) if not c.is_whole_space]
-            elif self._has_whole:
+            elif self.n_whole:
                 self._live = [i for i, w in enumerate(self._arrays[3].tolist()) if not w]
             else:
                 self._live = list(range(len(self)))
@@ -266,11 +281,11 @@ class CutStack:
         normals, offsets, _, whole = self._arrays
         out = row_dot(normals, z) - offsets > tol * self._lengths
         v = None if p is None else row_dot(normals, p) - offsets
-        if self._has_whole:
+        if self.n_whole:
             out[whole] = False
             if v is not None:
                 v[whole] = 0.0
-        return int(np.count_nonzero(out)), 0 if v is None else int(np.count_nonzero(v > slack))
+        return int(count_nonzero(out)), 0 if v is None else int(count_nonzero(v > slack))
 
 
 class FeasibleSet:
@@ -316,8 +331,7 @@ class Box(FeasibleSet):
         return _clip(x, self.lower, self.upper)
 
     def contains(self, x, tol=1e-10):
-        # ndarray .all(), not np.all's Python wrapper, as project skips np.clip's
-        return bool((x >= self.lower - tol).all() and (x <= self.upper + tol).all())
+        return bool(all_of(x >= self.lower - tol) and all_of(x <= self.upper + tol))
 
     def sample(self, rng, size):
         return rng.uniform(self.lower, self.upper, size=(size, self.dimension))
@@ -348,12 +362,13 @@ class Ball(FeasibleSet):
 
     def project(self, x):
         diff = x - self.center
-        norms = np.linalg.norm(diff, axis=-1, keepdims=diff.ndim > 1)
+        # np.linalg.norm(diff, axis=-1, keepdims=diff.ndim > 1), bit for bit
+        norms = np.sqrt(np.add.reduce(diff * diff, axis=-1, keepdims=diff.ndim > 1))
         scale = np.minimum(1.0, self.radius / np.maximum(norms, 1e-300))
         return self.center + scale * diff
 
     def contains(self, x, tol=1e-10):
-        return bool(np.linalg.norm(x - self.center) <= self.radius + tol)
+        return norm(x - self.center) <= self.radius + tol
 
     def sample(self, rng, size):
         u = rng.standard_normal((size, self.dimension))
@@ -407,7 +422,7 @@ class Polyhedron(FeasibleSet):
 
     def project(self, x):
         try:
-            if np.ndim(x) == 2:
+            if x.ndim == 2:
                 return np.array([project_halfspace_intersection(self._stack, y) for y in x])
             return project_halfspace_intersection(self._stack, x)
         except (EmptyIntersection, MaxInnerIterationsExceeded) as exc:
@@ -529,10 +544,13 @@ def project_halfspace_intersection(cuts: CutStack | list[HalfspaceCut], x0,
     One or two live cuts use the closed forms, more ``_dual_active_set``
     on the live rows of the stack's arrays (a stack of three or more rows
     holds its arrays), whose feasibility slack is ``INTERSECTION_TOL``.
-    ``x0_sq`` is as in ``project_two_halfspaces``.
+    A stack's pair of live rows goes to ``project_two_halfspaces`` without
+    a second look.  ``x0_sq`` is as in ``project_two_halfspaces``.
     """
     if not isinstance(cuts, CutStack):
         cuts = CutStack.of(cuts)
+    if cuts._pair is not None:
+        return project_two_halfspaces(*cuts._pair, x0, x0_sq)
     live = cuts.live
     if not live:
         return as_point(x0, cuts[0].dimension if len(cuts) else None).copy()
@@ -541,7 +559,7 @@ def project_halfspace_intersection(cuts: CutStack | list[HalfspaceCut], x0,
     if len(live) == 2:
         return project_two_halfspaces(cuts[live[0]], cuts[live[1]], x0, x0_sq)
     normals, offsets, _, _ = cuts._arrays
-    if cuts._has_whole:
+    if cuts.n_whole:
         normals, offsets = normals[live], offsets[live]
     return _dual_active_set(normals, offsets, x0, x0_sq)
 
@@ -567,11 +585,11 @@ def _dual_active_set(A, b, x0, x0_sq=None):
     if x0_sq is None:
         x0 = as_point(x0, A.shape[1])
         x0_sq = float(x0.dot(x0))
-    scale = np.sqrt(np.einsum("ij,ij->i", A, A))
+    scale = np.sqrt(c_einsum("ij,ij->i", A, A))  # np.einsum's result
     A = A / scale[:, None]
     b = b / scale
     feas_tol = INTERSECTION_TOL * (1.0 + math.sqrt(x0_sq))
-    Q = np.empty_like(A)
+    Q = np.empty(A.shape)
     T = np.zeros((m, m))
     active: list[int] = []
     mu: list[float] = []
@@ -671,7 +689,7 @@ def dykstra(projectors, x0, tol: float = 1e-10) -> np.ndarray:
     """
     x0 = as_point(x0)
     x = x0.copy()
-    corrections = [np.zeros_like(x0) for _ in projectors]
+    corrections = [np.zeros(x0.size) for _ in projectors]
     for _ in range(MAX_DYKSTRA_CYCLES):
         start = x.copy()
         for i, proj in enumerate(projectors):

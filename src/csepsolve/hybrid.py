@@ -37,7 +37,9 @@ from .geometry import (
     CutStack,
     HalfspaceCut,
     as_point,
+    count_nonzero,
     dot,
+    max_of,
     project_halfspace,  # not called here; bench/spans.py wraps it by name in this module
     project_halfspace_intersection,
     row_dot,
@@ -296,7 +298,7 @@ def drive(
             else:
                 cuts = build_cuts(x, points, eps, q, q_sq)
                 x_next = project(cuts, x0, x0_sq)
-                degenerate = len(cuts) - len(cuts.live)
+                degenerate = cuts.n_whole
                 d = x_next - x
                 dx2 = float(d.dot(d))
                 outside, excluding = cuts.audit(x_next, anchor_tol, known_point,
@@ -313,7 +315,7 @@ def drive(
                 anchor_dist = next_dist
                 if known_point is not None:
                     lhs = row_dots(near - known_point)
-                    above = int(np.count_nonzero(lhs > (known_sq + eps) + DISTANCE_BOUND_SLACK))
+                    above = int(count_nonzero(lhs > (known_sq + eps) + DISTANCE_BOUND_SLACK))
                     violations["solution_distance_bound"] += above
                     fired += above
                     to_known = x_next - known_point
@@ -425,7 +427,7 @@ def _parallel_step(params, lips, y_init, system):
         y_next, record = system.solve(y_cur, x, n)
         dy = row_dots(y_next - y_cur)
         eps = k * dx2 + a * dy_prev - b * dy
-        residual = float(row_norms(y_next - x).max())
+        residual = float(max_of(row_norms(y_next - x)))
         y_cur, dy_prev = y_next, dy
         return Step(y_next, y_next, eps, residual, record)
 
@@ -455,7 +457,7 @@ def _shared_anchor_step(params, lip, y_init, system, cyclic):
             selected = cyclic_index(n, n_problems)
             Y, record = system.solve_row(selected, ybar, x, n)
             y_next = last_Y[selected] = Y[0]
-            residual = float(row_norms(last_Y - x).max())
+            residual = float(max_of(row_norms(last_Y - x)))
         else:
             Y, record = system.solve(ybar, x, n)
             dists = row_norms(Y - x)

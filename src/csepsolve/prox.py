@@ -30,9 +30,10 @@ black-box or mixed bifunctions) has no stack.  Every feasible set projects
 a (k, d) stack as it would each row.
 
 ``ProxSystem`` builds each kernel once per run, at its first use: the
-stack of all N subproblems when ``solve`` is first called, and subproblem
-i's one-row kernel ``_kernel([f], lam, set_)`` when row i is first solved
-alone.  ``solve`` solves all N subproblems on the stack, or without one
+stack of all N subproblems when ``solve`` is first called, and the one-row
+kernels ``_kernel([f], lam, set_)`` of all N when a first row is solved
+alone, so that a cyclic run builds none after its first iteration.
+``solve`` solves all N subproblems on the stack, or without one
 row by row through ``solve_row``, which solves row i alone on its one-row
 kernel.  The batched forms used (``np.matmul`` over stacks) give each
 row's result bit for bit, so both agree exactly.  Certified solves certify
@@ -54,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFiniteObjective, ParameterViolation
-from .geometry import Box, FeasibleSet, WholeSpace, norm, row_dots
+from .geometry import Box, FeasibleSet, WholeSpace, all_of, count_nonzero, norm, row_dots
 from .problems import (
     AffineOperator,
     AffineQuadraticBifunction,
@@ -147,7 +148,7 @@ class ProxSystem:
         if stack is None:
             rows = [self.solve_row(i, W if W.ndim == 1 else W[i], x, n)
                     for i in range(len(self.fs))]
-            return np.concatenate([y for y, _ in rows]), ProxRecord.of([r for _, r in rows])
+            return np.array([y[0] for y, _ in rows]), ProxRecord.of([r for _, r in rows])
         Y, record = stack.solve(W, x)
         if self.certify_probes > 0:
             least = math.inf
@@ -174,10 +175,14 @@ class ProxSystem:
 
     def _kernel_of(self, i: int | None):
         """The kernel of all N subproblems (``i`` None; None when they have
-        no stack) or of subproblem i alone, built at its first use."""
+        no stack) or of subproblem i alone, built at its first use, the
+        one-row kernels all N at once."""
         if i not in self._kernels:
-            fs = self.fs if i is None else [self.fs[i]]
-            self._kernels[i] = _kernel(fs, self.lam, self.set_)
+            if i is None:
+                self._kernels[None] = _kernel(self.fs, self.lam, self.set_)
+            else:
+                self._kernels.update((j, _kernel([f], self.lam, self.set_))
+                                     for j, f in enumerate(self.fs))
         return self._kernels[i]
 
     def _certify(self, i, w, x, n, y) -> float:
@@ -356,7 +361,7 @@ class _ProjectedGradientStack(_Stack):
             grad = Y + lam * matmul(sym, Y[..., None])[..., 0] - shift
             Y_new = project(Y - step * grad)
             done = row_dots(Y_new - Y) <= bound
-            n_done = int(np.count_nonzero(done))
+            n_done = int(count_nonzero(done))
             if n_done == len(done):
                 inner -= n_done * (max_inner - it - 1)
                 if out is None:
@@ -367,7 +372,7 @@ class _ProjectedGradientStack(_Stack):
                 return out, ProxRecord(len(out), inner, (), math.inf)
             if n_done:
                 if out is None:
-                    out, live = np.empty_like(shift), np.arange(len(shift))
+                    out, live = np.empty(shift.shape), np.arange(len(shift))
                 out[live[done]] = Y_new[done]
                 inner -= n_done * (max_inner - it - 1)
                 keep = ~done
@@ -431,7 +436,7 @@ def _solve_blackbox(f, w, x, lam, set_):
         if averaging_from is not None:
             beta = 2.0 / (it - averaging_from + 2.0)
         y = y + beta * (target - y)
-        if not np.isfinite(y).all():
+        if not all_of(np.isfinite(y)):
             raise NonFiniteObjective("subgradient iteration diverged")
     diagnostic = f"subgradient scheme hit {max_inner} iterations (best residual {best_res:.3e})"
     return best, ProxRecord(1, max_inner, ((0, diagnostic),), math.inf)

@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 
 import numpy as np
@@ -13,6 +14,16 @@ from csepsolve import (
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROBLEM_DIR = REPO_ROOT / "problems"
+
+
+def seeded_problem(tmp_path, family, seed, n=1):
+    """``bench/gen.py``'s ``family(seed, 10, n)`` written to a file."""
+    spec = importlib.util.spec_from_file_location("bench_gen", REPO_ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    path = tmp_path / f"{family}_{seed}_{n}.json"
+    gen.write(str(path), getattr(gen, family)(seed, 10, n))
+    return str(path)
 
 
 @pytest.fixture

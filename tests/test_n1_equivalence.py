@@ -11,30 +11,19 @@ alone.
 """
 
 import dataclasses
-import importlib.util
 
 import pytest
 
 from csepsolve import RunSpec, run
 from csepsolve.outcome import IterationRecord
 
-from conftest import PROBLEM_DIR, REPO_ROOT
+from conftest import PROBLEM_DIR, seeded_problem
 
 HYBRIDS = ("single", "maxsel", "sequential", "parallel")
 BUNDLED = ("ep_quadratic_2d", "vi_halfline_2d", "vi_scalar_1d")
 SEEDED = [("vi_system", 1), ("vi_system", 2), ("aq_system", 1), ("aq_system", 2)]
 TRACE_FIELDS = [f.name for f in dataclasses.fields(IterationRecord)
                 if f.name not in ("wall_ms", "selected_index")]
-
-
-def seeded_problem(tmp_path, family, seed):
-    """``bench/gen.py``'s ``family(seed, 10, 1)`` written to a file."""
-    spec = importlib.util.spec_from_file_location("bench_gen", REPO_ROOT / "bench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    path = tmp_path / f"{family}_{seed}.json"
-    gen.write(str(path), getattr(gen, family)(seed, 10, 1))
-    return str(path)
 
 
 def record(path, algorithm, probes, max_outer):

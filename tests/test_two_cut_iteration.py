@@ -129,6 +129,38 @@ def test_the_runs_anchor_norm_projects_as_the_projectors_own(params):
             _dual_active_set(A, b, x0).tobytes())
 
 
+@pytest.mark.parametrize("whole", [(), (0,), (1,), (0, 1)])
+def test_a_pair_projects_onto_its_live_rows_and_counts_its_whole_ones(whole):
+    # two cuts of R^3 that 0 satisfies, the rows in ``whole`` zero: the row
+    # form (with a pair when both are live) and the array form project as
+    # the closed form of their live rows, x0 itself when none is
+    rng = np.random.default_rng(len(whole) + 10 * sum(whole))
+    for _ in range(100):
+        normals, offsets = rng.standard_normal((2, 3)), rng.uniform(0.1, 1.0, 2)
+        normals[list(whole)] = 0.0
+        cuts = [HalfspaceCut(a, b) for a, b in zip(normals, offsets)]
+        live = [c for c in cuts if not c.is_whole_space]
+        x0 = 3.0 * rng.standard_normal(3)
+        expected = (project_two_halfspaces(*live, x0) if len(live) == 2
+                    else project_halfspace(live[0], x0) if live else x0)
+        for stack in (CutStack.of(cuts), CutStack(normals, offsets)):
+            assert stack.n_whole == len(whole)
+            z = project_halfspace_intersection(stack, x0, float(x0.dot(x0)))
+            assert z.tobytes() == expected.tobytes()
+            assert z is not x0
+        assert project_halfspace_intersection(cuts, x0).tobytes() == expected.tobytes()
+
+
+def test_each_iteration_counts_its_whole_space_cuts():
+    # iteration 1: Q_1 is the whole space (x_1 = x0); iteration 2: the
+    # C-cut of y = x_2 is; iteration 3: neither is
+    def step(n, x, dx2):
+        return Step(x[None] + (n % 2), np.empty((0, x.size)), 0.0, 1.0, ProxRecord.of([]))
+
+    out = drive("fixed", step, np.array([0.3, -1.7]), 0.0, 3, RunCounters())
+    assert [r.degenerate_cuts for r in out.trace] == [1, 1, 0]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.floats(-150.0, 150.0))
 def test_a_one_row_stack_dots_as_its_row(seed, d, log_scale):

@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="spot-check the standing assumptions")
     p_val.add_argument("problem")
     p_val.add_argument("--samples", type=int, default=200)
-    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                       help="sampling seed (default: that of problems.validate)")
 
     return parser
 
@@ -173,7 +174,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_validate(args) -> int:
     instance = load_problem(args.problem)
-    report = validate(instance, samples=args.samples, seed=args.seed)
+    seed = {"seed": args.seed} if "seed" in args else {}
+    report = validate(instance, samples=args.samples, **seed)
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK
 

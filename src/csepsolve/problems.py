@@ -11,6 +11,7 @@ constants (c1, c2) satisfying
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
@@ -29,14 +30,15 @@ def spectral_norm_estimate(M: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class LipschitzData:
-    """Lipschitz-type constants (c1, c2); both nonnegative, not both zero."""
+    """Lipschitz-type constants (c1, c2); both nonnegative and finite, not
+    both zero."""
 
     c1: float
     c2: float
 
     def __post_init__(self):
-        if not (self.c1 >= 0.0 and self.c2 >= 0.0):
-            raise ValueError("Lipschitz-type constants must be nonnegative")
+        if not (0.0 <= self.c1 < math.inf and 0.0 <= self.c2 < math.inf):
+            raise ValueError("Lipschitz-type constants must be nonnegative and finite")
         if not self.c1 + self.c2 > 0.0:
             raise ValueError("c1 + c2 must be positive for the step bound to exist")
 
@@ -69,8 +71,8 @@ class AffineOperator:
             est = spectral_norm_estimate(self.M)
             self.lipschitz_L = est if est != 0.0 else 1.0  # NaN stays and raises
         self.lipschitz_L = float(self.lipschitz_L)
-        if not self.lipschitz_L > 0.0:
-            raise ValueError("operator Lipschitz constant must be positive")
+        if not 0.0 < self.lipschitz_L < math.inf:
+            raise ValueError("operator Lipschitz constant must be positive and finite")
 
     @property
     def dimension(self) -> int:

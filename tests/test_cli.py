@@ -449,6 +449,10 @@ MALFORMED = [
     ("set.radius", {"set": {"type": "ball", "center": [0.0, 0.0], "radius": math.inf}}),
     ("set.cuts", {"set": {"type": "polyhedron", "cuts": []}}),
     ("bifunctions[0].L", {"bifunctions": [{**IDENTITY, "L": -1.0}]}),
+    # json reads 1e400 as inf, as it reads Infinity
+    ("bifunctions[0].L", {"bifunctions": [{**IDENTITY, "L": math.inf}]}),
+    ("bifunctions[0]", {"bifunctions": [{**IDENTITY, "c1": math.inf, "c2": 1.0}]}),
+    ("bifunctions[0]", {"bifunctions": [{**IDENTITY, "c1": 1.0, "c2": math.inf}]}),
     *[(f"known_solution.fixed.{j}", {"known_solution": {
         "type": "affine_segment_box", "fixed": {j: value}, "lower": [-1.0, -1.0],
         "upper": [1.0, 1.0]}}) for j, value in (("a", 0.0), ("2", 0.0), ("1", 3.0))],
@@ -502,6 +506,21 @@ class TestValidate:
         path = tmp_path / "absent.json"
         assert main(["validate", str(path)]) == 2
         assert f"error: {path}: " in capsys.readouterr().err
+
+    def test_an_unset_seed_leaves_its_default_to_problems_validate(self, capsys, monkeypatch):
+        import csepsolve.cli as cli
+        from csepsolve.problems import validate
+
+        calls = []
+
+        def recording_validate(instance, **options):
+            calls.append(options)
+            return validate(instance, **options)
+
+        monkeypatch.setattr(cli, "validate", recording_validate)
+        assert main(["validate", SCALAR, "--samples", "5"]) == 0
+        assert main(["validate", SCALAR, "--samples", "5", "--seed", "3"]) == 0
+        assert calls == [{"samples": 5}, {"samples": 5, "seed": 3}]
 
     def test_a_negative_seed_exit_two_naming_it(self, capsys):
         code = main(["validate", SCALAR, "--seed", "-1"])

@@ -70,6 +70,23 @@ class TestLoadProblem:
         with pytest.raises(SchemaError, match=r"bifunctions\[0\]\.q"):
             load_problem(write_problem(tmp_path, doc))
 
+    @pytest.mark.parametrize("field, entries, named", [
+        ("L", {"L": 1e400}, r"bifunctions\[0\]\.L: .*finite"),
+        ("c1", {"c1": 1e400, "c2": 0.5}, r"bifunctions\[0\]: .*finite"),
+        ("c2", {"c1": 0.5, "c2": 1e400}, r"bifunctions\[0\]: .*finite"),
+    ])
+    def test_an_infinite_constant_is_rejected_naming_its_bifunction(self, tmp_path, field,
+                                                                   entries, named):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["bifunctions"][0].update(entries)
+        # the file holds the literal 1e400, which json reads as inf
+        text = json.dumps(doc).replace("Infinity", "1e400")
+        assert f'"{field}": 1e400' in text
+        path = tmp_path / "problem.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=named):
+            load_problem(str(path))
+
     def test_blackbox_missing_constants(self, tmp_path):
         doc = json.loads(json.dumps(BASE_DOC))
         doc["bifunctions"] = [{"type": "blackbox", "name": "zero"}]

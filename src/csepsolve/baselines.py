@@ -84,9 +84,7 @@ def armijo_linesearch(f, x_n, y_n, lam, params: ArmijoParams):
         if value + threshold <= 0.0:
             return m, z
     raise LinesearchFailed(
-        f"no admissible exponent within {MAX_LINESEARCH} trials",
-        last_value=value,
-    )
+        f"no admissible exponent within {MAX_LINESEARCH} trials; last value {value:g}")
 
 
 def armijo_step_size(f, z, y_n, m, eta):

@@ -45,10 +45,6 @@ class ParameterViolation(SolverError):
 class LinesearchFailed(SolverError):
     """The backtracking linesearch exhausted its trial budget."""
 
-    def __init__(self, message, last_value=None):
-        super().__init__(message)
-        self.last_value = last_value
-
 
 class OracleUnavailable(SolverError):
     """No reference solution can be computed for this instance."""

@@ -198,7 +198,7 @@ class CutStack:
     stacks more into arrays, with the same results bit for bit.
     """
 
-    __slots__ = ("_rows", "_arrays", "_lengths", "_live", "_pair", "n_whole")
+    __slots__ = ("_rows", "_arrays", "_lengths", "_pair", "n_whole")
 
     def __init__(self, normals, offsets):
         normals = np.asarray(normals, dtype=float)
@@ -218,8 +218,7 @@ class CutStack:
             if count_nonzero(empty):
                 raise DegenerateCut(f"zero-normal cut with offset {offsets[empty.argmax()]:g} "
                                     "denotes the empty set")
-        self._rows, self._arrays, self._live, self._pair = (
-            None, (normals, offsets, norm_sq, whole), None, None)
+        self._rows, self._arrays, self._pair = None, (normals, offsets, norm_sq, whole), None
 
     @classmethod
     def of(cls, cuts) -> CutStack:
@@ -240,7 +239,7 @@ class CutStack:
             if c.is_whole_space:
                 n_whole += 1
         stack = cls.__new__(cls)
-        stack._rows, stack._arrays, stack._live, stack.n_whole = rows, None, None, n_whole
+        stack._rows, stack._arrays, stack.n_whole = rows, None, n_whole
         stack._pair = rows if len(rows) == 2 and not n_whole else None
         return stack
 
@@ -256,14 +255,11 @@ class CutStack:
     @property
     def live(self) -> list[int]:
         """Indices of the rows that are not the whole space."""
-        if self._live is None:
-            if self._arrays is None:
-                self._live = [i for i, c in enumerate(self._rows) if not c.is_whole_space]
-            elif self.n_whole:
-                self._live = [i for i, w in enumerate(self._arrays[3].tolist()) if not w]
-            else:
-                self._live = list(range(len(self)))
-        return self._live
+        if self._arrays is None:
+            return [i for i, c in enumerate(self._rows) if not c.is_whole_space]
+        if self.n_whole:
+            return [i for i, w in enumerate(self._arrays[3].tolist()) if not w]
+        return list(range(len(self)))
 
     def audit(self, z: np.ndarray, tol: float, p: np.ndarray | None,
               slack: float) -> tuple[int, int]:

@@ -178,10 +178,6 @@ def _parse_bifunction(doc, dim, index):
         q = _as_array(doc.get("q", np.zeros(dim)), (dim,), f"{path}.q")
         return AffineQuadraticBifunction(P, Q, q, lipschitz)
     if kind == "blackbox":
-        if lipschitz is None:
-            raise ConstantsMissing(
-                f"{path}: black-box bifunctions need explicit c1, c2"
-            )
         name = _require(doc, "name", path)
         if name not in _BLACKBOX_REGISTRY:
             raise SchemaError(f"{path}.name: no registered bifunction {name!r}")
@@ -371,14 +367,15 @@ class RunSpec:
 def derive_default_params(instance: CsepInstance, rule: str = RULE_STRICT):
     """Admissible (lam, k) derived from the instance's constants: lam at half
     the bound ``lam_bound``, k at twice the floor ``k_floor`` there."""
-    c1, c2 = instance.lipschitz_max()
-    lam = lam_bound(rule, c1, c2) / 2.0
-    return lam, 2.0 * k_floor(rule, lam, c1, c2)
+    lip = LipschitzData.largest(instance.lipschitz_all())
+    lam = lam_bound(rule, lip.c1, lip.c2) / 2.0
+    return lam, 2.0 * k_floor(rule, lam, lip.c1, lip.c2)
 
 
 def extragradient_default_lam(instance: CsepInstance) -> float:
     """lam at 0.9 times the extragradient baseline's ``extragradient_lam_cap``."""
-    return 0.9 * extragradient_lam_cap(*instance.lipschitz_max())
+    lip = LipschitzData.largest(instance.lipschitz_all())
+    return 0.9 * extragradient_lam_cap(lip.c1, lip.c2)
 
 
 def run(spec: RunSpec) -> SolverOutcome:

@@ -92,8 +92,8 @@ class CallableOperator:
 
     def __post_init__(self):
         self.lipschitz_L = float(self.lipschitz_L)
-        if not self.lipschitz_L > 0.0:
-            raise ValueError("operator Lipschitz constant must be positive")
+        if not 0.0 < self.lipschitz_L < math.inf:
+            raise ValueError("operator Lipschitz constant must be positive and finite")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return as_point(self.fn(x), self.dimension)
@@ -275,11 +275,6 @@ class CsepInstance:
 
     def lipschitz_all(self) -> list[LipschitzData]:
         return [f.lipschitz_data() for f in self.bifunctions]
-
-    def lipschitz_max(self) -> tuple[float, float]:
-        """(max c1, max c2) over the instance's bifunctions."""
-        largest = LipschitzData.largest(self.lipschitz_all())
-        return largest.c1, largest.c2
 
     def reference_point(self) -> np.ndarray | None:
         """Projection of x0 onto the known solution set, when described."""

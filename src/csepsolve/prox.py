@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFiniteObjective, ParameterViolation
-from .geometry import Box, FeasibleSet, WholeSpace, all_of, count_nonzero, norm, row_dots
+from .geometry import Box, FeasibleSet, WholeSpace, all_of, count_nonzero, norm, row_norms
 from .problems import (
     AffineOperator,
     AffineQuadraticBifunction,
@@ -238,22 +238,6 @@ def _matvec(S: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.matmul(S, W) if W.ndim == 1 else np.matmul(S, W[..., None])[..., 0]
 
 
-def _squared_bound(tol: float) -> float:
-    """The largest double s with sqrt(s) <= tol (-inf when there is none).
-
-    sqrt is correctly rounded and monotone, so ``row_dots(D) <= s`` decides
-    exactly as ``row_norms(D) <= tol`` for every row.
-    """
-    if not tol >= 0.0:
-        return -math.inf
-    s = tol * tol
-    while math.sqrt(s) > tol:
-        s = math.nextafter(s, 0.0)
-    while s < math.inf and math.sqrt(math.nextafter(s, math.inf)) <= tol:
-        s = math.nextafter(s, math.inf)
-    return s
-
-
 class _Stack:
     """Per-row arrays, named by ``ROWS`` and stacked along axis 0."""
 
@@ -335,7 +319,6 @@ class _ProjectedGradientStack(_Stack):
         self.convex = bool(definite.all())
         self.step = (1.0 / eig[:, -1])[:, None]
         self.Hinv = np.linalg.inv(np.where(definite[:, None, None], H, eye))
-        self.bound = _squared_bound(TOL_PROJECTED_GRADIENT)
 
     def solve(self, W, x):
         """One loop over the stack.  A row stops at the first step whose
@@ -352,7 +335,7 @@ class _ProjectedGradientStack(_Stack):
         if not self.convex:
             raise NonFiniteObjective("subproblem is not strongly convex (Q + Q^T too negative)")
         max_inner, lam, project, matmul = MAX_INNER, self.lam, self.set_.project, np.matmul
-        bound, sym, step = self.bound, self.sym, self.step
+        sym, step = self.sym, self.step
         shift = x - lam * (_matvec(self.P, W) + self.q) + lam * _matvec(self.QT, W)
         inner = max_inner * len(shift)  # a row done at step it takes it + 1, not max_inner
         out = live = None
@@ -360,7 +343,7 @@ class _ProjectedGradientStack(_Stack):
         for it in range(1, max_inner + 1):
             grad = Y + lam * matmul(sym, Y[..., None])[..., 0] - shift
             Y_new = project(Y - step * grad)
-            done = row_dots(Y_new - Y) <= bound
+            done = row_norms(Y_new - Y) <= TOL_PROJECTED_GRADIENT
             n_done = int(count_nonzero(done))
             if n_done == len(done):
                 inner -= n_done * (max_inner - it - 1)

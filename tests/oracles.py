@@ -149,7 +149,7 @@ def project_two_halfspaces_reference(cut1, cut2, x0):
     that replaced the 2x2 Gram solve for nearly parallel normals.
     ``project_two_halfspaces`` must return the same bytes, or raise
     EmptyIntersection in the same cases."""
-    from csepsolve import EmptyIntersection
+    from csepsolve.errors import EmptyIntersection
     from csepsolve.geometry import NEAR_PARALLEL
 
     def project_one(cut, x):
@@ -241,7 +241,7 @@ def dual_active_set_reference(A, b, x0):
     same exception class."""
     import math
 
-    from csepsolve import EmptyIntersection, MaxInnerIterationsExceeded
+    from csepsolve.errors import EmptyIntersection, MaxInnerIterationsExceeded
     from csepsolve.geometry import INTERSECTION_TOL
 
     def orthogonal_part(Q, T, k, a):
@@ -313,7 +313,7 @@ def dual_active_set_reference(A, b, x0):
 def c_cut_by_constructor(x_n, y, eps):
     """``hybrid.build_c_cut`` through the ``HalfspaceCut`` constructor, which
     alone decides whether the cut is the whole space or contradictory."""
-    from csepsolve import HalfspaceCut
+    from csepsolve.geometry import HalfspaceCut
 
     diff = x_n - y
     return HalfspaceCut(2.0 * diff, float((x_n + y) @ diff) + eps)
@@ -328,7 +328,7 @@ def q_of(x0, x_n):
 
 def q_cut_by_constructor(x0, x_n):
     """``hybrid.build_q_cut`` through the ``HalfspaceCut`` constructor."""
-    from csepsolve import HalfspaceCut
+    from csepsolve.geometry import HalfspaceCut
 
     normal = x0 - x_n
     return HalfspaceCut(normal, float(normal @ x_n))

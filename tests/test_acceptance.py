@@ -11,29 +11,26 @@ import pytest
 
 from csepsolve import (
     AffineOperator,
-    ArmijoParams,
-    Ball,
     Box,
     HybridParams,
-    ParameterViolation,
-    Polyhedron,
-    RunSpec,
     ViInducedBifunction,
-    WholeSpace,
-    compare,
-    dykstra_halfspaces,
     hybrid,
-    project_two_halfspaces,
-    run_armijo_hybrid,
-    run_hybrid_extragradient,
-    run_maxsel_hybrid,
     run_parallel_hybrid,
-    run_sequential,
-    run_single,
-    solve_prox,
 )
+from csepsolve.baselines import ArmijoParams, run_armijo_hybrid, run_hybrid_extragradient
 from csepsolve.cli import main as cli_main
-from csepsolve.geometry import HalfspaceCut
+from csepsolve.errors import ParameterViolation
+from csepsolve.geometry import (
+    Ball,
+    HalfspaceCut,
+    Polyhedron,
+    WholeSpace,
+    dykstra_halfspaces,
+    project_two_halfspaces,
+)
+from csepsolve.harness import RunSpec, compare
+from csepsolve.hybrid import run_maxsel_hybrid, run_sequential, run_single
+from csepsolve.prox import solve_prox
 
 from conftest import (
     PROBLEM_DIR,
@@ -319,7 +316,7 @@ def test_criterion_10_determinism():
     spec = RunSpec(problem_path=str(PROBLEM_DIR / "vi_halfline_2d.json"),
                    algorithm="single", lam=0.4, k=6.0, seed=11,
                    certify_probes=50)
-    from csepsolve import run as run_spec
+    from csepsolve.harness import run as run_spec
 
     a = run_spec(spec)
     b = run_spec(spec)

@@ -11,25 +11,20 @@ import math
 import numpy as np
 import pytest
 
-from csepsolve import (
-    STOP_ERROR,
-    ArmijoParams,
-    EmptyIntersection,
-    HybridParams,
-    ParameterViolation,
-    baselines,
+from csepsolve import HybridParams, baselines, hybrid, run_parallel_hybrid
+from csepsolve.baselines import ArmijoParams, run_armijo_hybrid, run_hybrid_extragradient
+from csepsolve.errors import EmptyIntersection, ParameterViolation
+from csepsolve.hybrid import (
+    VIOLATION_KEYS,
+    Step,
     build_q_cut,
-    hybrid,
-    run_armijo_hybrid,
-    run_hybrid_extragradient,
+    drive,
     run_maxsel_hybrid,
-    run_parallel_hybrid,
     run_sequential,
     run_single,
 )
-from csepsolve.hybrid import VIOLATION_KEYS, Step, drive
+from csepsolve.outcome import STOP_ERROR, RunCounters
 from csepsolve.prox import ProxRecord
-from csepsolve.outcome import RunCounters
 
 from conftest import csep2_instance, halfline_instance
 from oracles import iterates, q_of, record_projections

@@ -1,27 +1,26 @@
 import numpy as np
 import pytest
 
-from csepsolve import baselines
 from csepsolve import (
     AffineOperator,
-    ArmijoParams,
-    BlackBoxBifunction,
     Box,
-    CallableOperator,
     CsepInstance,
     HybridParams,
-    LinesearchFailed,
-    LipschitzData,
-    ParameterViolation,
     SingletonSolution,
     ViInducedBifunction,
-    WholeSpace,
+    baselines,
+)
+from csepsolve.baselines import (
+    ArmijoParams,
     armijo_linesearch,
     armijo_step_size,
     run_armijo_hybrid,
     run_hybrid_extragradient,
-    run_single,
 )
+from csepsolve.errors import LinesearchFailed, ParameterViolation
+from csepsolve.geometry import WholeSpace
+from csepsolve.hybrid import run_single
+from csepsolve.problems import BlackBoxBifunction, CallableOperator, LipschitzData
 
 from conftest import PROBLEM_DIR, csep2_instance, halfline_instance, scalar_1d_instance
 
@@ -115,7 +114,7 @@ class TestLinesearch:
         monkeypatch.setattr(baselines, "MAX_LINESEARCH", 10)
         f = BlackBoxBifunction(lambda x, y: 1.0, lambda x, y: np.zeros_like(x),
                                LipschitzData(1.0, 1.0))
-        with pytest.raises(LinesearchFailed):
+        with pytest.raises(LinesearchFailed, match="within 10 trials; last value 1$"):
             armijo_linesearch(f, np.array([0.0]), np.array([1.0]), 0.5,
                               ArmijoParams(eta=0.5, lam=0.5))
 
@@ -196,7 +195,7 @@ class TestArmijoHybrid:
 
 class TestBallSet:
     def ball_instance(self):
-        from csepsolve import Ball
+        from csepsolve.geometry import Ball
 
         # A(x) = x - (2, 0): the solution sits on the boundary at (1, 0)
         op = AffineOperator(np.eye(2), np.array([-2.0, 0.0]), lipschitz_L=1.0)
@@ -227,7 +226,7 @@ class TestBallSet:
         # A(x) = x from x0 = 0, its solution: predictor and corrector stay
         # at x0, so the C-cut and Q-cut are the whole space and the anchor
         # step is one projection onto the ball, with no Dykstra cycle
-        from csepsolve import Ball
+        from csepsolve.geometry import Ball
 
         def no_dykstra(*args, **kw):
             raise AssertionError("dykstra called with no live cut")
@@ -304,7 +303,7 @@ class TestBaselineChecks:
     def test_wrong_known_point_fires_checks(self):
         # the solution of vi_scalar_1d is 0, so cuts built towards it exclude
         # 0.5 and the iterates get closer to 0 than to 0.5
-        from csepsolve import load_problem
+        from csepsolve.harness import load_problem
 
         inst = load_problem(str(PROBLEM_DIR / "vi_scalar_1d.json"))
         runs = (
@@ -324,8 +323,13 @@ class TestFaceRows:
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_projection_equals_that_of_the_faces_and_cuts_listed(self, d, rng):
-        from csepsolve import HalfspaceCut, Polyhedron, project_halfspace_intersection
-        from csepsolve.geometry import INTERSECTION_TOL, CutStack
+        from csepsolve.geometry import (
+            INTERSECTION_TOL,
+            CutStack,
+            HalfspaceCut,
+            Polyhedron,
+            project_halfspace_intersection,
+        )
         from csepsolve.outcome import RunCounters
 
         box = Box(-np.ones(d), np.ones(d))
@@ -363,8 +367,15 @@ def test_anchor_projection_lies_in_the_set_and_the_cuts_and_is_the_projection():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from csepsolve import Ball, HalfspaceCut, Polyhedron, project_halfspace_intersection
-    from csepsolve.geometry import CutStack, dykstra, project_halfspace
+    from csepsolve.geometry import (
+        Ball,
+        CutStack,
+        HalfspaceCut,
+        Polyhedron,
+        dykstra,
+        project_halfspace,
+        project_halfspace_intersection,
+    )
     from csepsolve.outcome import RunCounters
 
     def instance(seed, d, kind):

@@ -44,7 +44,8 @@ def projector_missing_once(monkeypatch, then_fail=False, at=1):
     of x0 and the projection, which lies outside a cut whenever x0 lies
     outside their intersection; other calls project, or after that one
     with ``then_fail`` raise EmptyIntersection."""
-    from csepsolve import EmptyIntersection, hybrid
+    from csepsolve import hybrid
+    from csepsolve.errors import EmptyIntersection
 
     project, calls = hybrid.project_halfspace_intersection, []
 
@@ -107,7 +108,7 @@ class TestSolve:
         assert json.loads((tmp_path / "s.json").read_text())["algorithm"] == "single"
 
     def test_summary_records_derived_params(self, capsys, tmp_path):
-        from csepsolve import derive_default_params, load_problem
+        from csepsolve.harness import derive_default_params, load_problem
 
         code = main(["solve", SCALAR, "--algorithm", "single",
                      "--summary", str(tmp_path / "s.json")])
@@ -260,7 +261,7 @@ class TestSolve:
 
     def test_run_error_exit_three_with_the_error_in_the_summary(self, capsys, tmp_path,
                                                                 monkeypatch):
-        from csepsolve import RunSpec, run
+        from csepsolve.harness import RunSpec, run
 
         path = diverging_problem(tmp_path, monkeypatch)
         with np.errstate(over="ignore"):
@@ -277,7 +278,7 @@ class TestSolve:
         assert math.isnan(outcome.final_dist_to_known())
 
     def test_run_error_without_a_message_exit_three(self, capsys, tmp_path, monkeypatch):
-        from csepsolve import NonFiniteObjective
+        from csepsolve.errors import NonFiniteObjective
 
         def subgradient(x, y):
             raise NonFiniteObjective()

@@ -5,24 +5,26 @@ import pathlib
 import numpy as np
 import pytest
 
-from csepsolve import (
+from csepsolve import Box
+from csepsolve.errors import DegenerateCut, DimensionMismatch, EmptyIntersection, InfeasibleSet
+from csepsolve.geometry import (
     Ball,
-    Box,
-    DegenerateCut,
-    DimensionMismatch,
-    EmptyIntersection,
+    CutStack,
     HalfspaceCut,
-    InfeasibleSet,
     Polyhedron,
     WholeSpace,
+    as_point,
+    dot,
     dykstra,
     dykstra_halfspaces,
+    norm,
     project,
     project_halfspace,
     project_halfspace_intersection,
     project_two_halfspaces,
+    row_dots,
+    row_norms,
 )
-from csepsolve.geometry import CutStack, as_point, dot, norm, row_dots, row_norms
 
 from oracles import project_ldp_nnls, project_polyhedron_enumerate
 

@@ -3,29 +3,26 @@ import json
 import numpy as np
 import pytest
 
-from csepsolve import (
-    AffineOperator,
-    Ball,
-    BlackBoxBifunction,
-    Box,
+from csepsolve import AffineOperator, Box, CsepInstance, SingletonSolution, ViInducedBifunction
+from csepsolve.errors import (
     ConstantsMissing,
-    CsepInstance,
     EmptyF,
-    LipschitzData,
     OracleUnavailable,
     ParameterViolation,
     ParseError,
-    RunSpec,
     SchemaError,
-    SingletonSolution,
-    ViInducedBifunction,
+)
+from csepsolve.geometry import Ball
+from csepsolve.harness import (
+    RunSpec,
     compare,
+    derive_default_params,
     load_problem,
     reference_solution,
     run,
 )
-from csepsolve.harness import derive_default_params
 from csepsolve.outcome import TRACE_HEADER, IterationRecord
+from csepsolve.problems import BlackBoxBifunction, LipschitzData
 
 from conftest import PROBLEM_DIR
 
@@ -320,9 +317,9 @@ class TestRun:
     def test_derive_default_params_admissible(self):
         inst = load_problem(str(PROBLEM_DIR / "csep2_zero_2d.json"))
         lam, k = derive_default_params(inst)
-        c1, c2 = inst.lipschitz_max()
-        assert 0 < lam < 1.0 / (2.0 * (c1 + c2))
-        assert k > 1.0 / (1.0 - 2.0 * lam * (c1 + c2))
+        lip = LipschitzData.largest(inst.lipschitz_all())
+        assert 0 < lam < 1.0 / (2.0 * (lip.c1 + lip.c2))
+        assert k > 1.0 / (1.0 - 2.0 * lam * (lip.c1 + lip.c2))
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ParameterViolation):

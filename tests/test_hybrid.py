@@ -2,38 +2,38 @@ import numpy as np
 import pytest
 
 from csepsolve import (
-    STOP_ERROR,
     AffineOperator,
-    AffineQuadraticBifunction,
-    BlackBoxBifunction,
     Box,
-    CallableOperator,
     CsepInstance,
-    DegenerateCut,
     HybridParams,
-    InnerNonconvergence,
-    LipschitzData,
-    ParameterViolation,
-    ProxSystem,
-    RunSpec,
     SingletonSolution,
     ViInducedBifunction,
+    hybrid,
+    run_parallel_hybrid,
+)
+from csepsolve.errors import DegenerateCut, ParameterViolation
+from csepsolve.harness import RunSpec, derive_default_params
+from csepsolve.hybrid import (
+    Step,
+    _shared_anchor_step,
     build_c_cut,
     build_q_cut,
     cyclic_index,
-    derive_default_params,
+    drive,
     epsilon,
-    hybrid,
     run_maxsel_hybrid,
-    run_parallel_hybrid,
     run_sequential,
     run_single,
-    solve_prox,
     validate_params,
 )
-from csepsolve.hybrid import Step, _shared_anchor_step, drive
-from csepsolve.prox import ProxRecord
-from csepsolve.outcome import RunCounters
+from csepsolve.outcome import STOP_ERROR, InnerNonconvergence, RunCounters
+from csepsolve.problems import (
+    AffineQuadraticBifunction,
+    BlackBoxBifunction,
+    CallableOperator,
+    LipschitzData,
+)
+from csepsolve.prox import ProxRecord, ProxSystem, solve_prox
 
 from conftest import csep2_instance, csep3_plane_instance, halfline_instance, scalar_1d_instance
 from oracles import iterates, q_of, record_projections
@@ -294,7 +294,7 @@ class TestRunners:
 
     def test_first_unconverged_stacked_solve_reported(self, monkeypatch):
         import csepsolve.prox as prox_module
-        from csepsolve import AffineQuadraticBifunction
+        from csepsolve.problems import AffineQuadraticBifunction
         from csepsolve.harness import summarize
 
         rng = np.random.default_rng(3)
@@ -334,7 +334,8 @@ class TestRunners:
         assert all(b >= a - 1e-12 for a, b in zip(dists, dists[1:]))
 
     def test_empty_feasible_set_raises_at_initialization(self):
-        from csepsolve import HalfspaceCut, InfeasibleSet, Polyhedron
+        from csepsolve.errors import InfeasibleSet
+        from csepsolve.geometry import HalfspaceCut, Polyhedron
 
         empty = Polyhedron([
             HalfspaceCut(np.array([1.0]), -1.0),

@@ -14,7 +14,7 @@ import dataclasses
 
 import pytest
 
-from csepsolve import RunSpec, run
+from csepsolve.harness import RunSpec, run
 from csepsolve.outcome import IterationRecord
 
 from conftest import PROBLEM_DIR, seeded_problem

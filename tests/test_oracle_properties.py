@@ -17,13 +17,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from csepsolve import (  # noqa: E402
-    AffineOperator,
-    Box,
-    CsepInstance,
-    ViInducedBifunction,
-    reference_solution,
-)
+from csepsolve import AffineOperator, Box, CsepInstance, ViInducedBifunction  # noqa: E402
+from csepsolve.harness import reference_solution  # noqa: E402
 
 from oracles import vi_residual  # noqa: E402
 

@@ -18,7 +18,8 @@ import sys
 import numpy as np
 import pytest
 
-from csepsolve import RunSpec, hybrid, run
+from csepsolve import hybrid
+from csepsolve.harness import RunSpec, run
 
 from conftest import PROBLEM_DIR, seeded_problem
 

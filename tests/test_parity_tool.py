@@ -49,11 +49,14 @@ def test_dumps_agree_and_a_planted_difference_is_named(tmp_path):
     assert lines[2].endswith(" != 0.5")
     original = json.loads(a.read_text())["whole_line/armijo"]
     iterations = original["iterations"]
+    passage = ", first <= 0.0001 at n = {}, <= 1e-06 at n = {}".format(
+        *(next(n for n, d in zip(original["trace.n"], original["trace.dist_to_known"])
+               if float(d) <= level) for level in (1e-4, 1e-6)))
     assert lines[3:] == [
         f"  first differing outer iteration: n = {original['trace.n'][3]}",
         f"  A: tolerance after {iterations} iterations, "
-        f"last dist_to_known {original['trace.dist_to_known'][-1]}",
-        f"  B: tolerance after {iterations} iterations, last dist_to_known 0.25",
+        f"last dist_to_known {original['trace.dist_to_known'][-1]}{passage}",
+        f"  B: tolerance after {iterations} iterations, last dist_to_known 0.25{passage}",
     ]
     assert all(original["final_x"] not in line for line in lines)
 
@@ -97,6 +100,26 @@ def test_a_run_that_differs_only_in_final_x_is_named_without_its_bytes(tmp_path)
     assert len(lines) == 6
 
 
+def test_each_side_of_a_differing_run_shows_its_first_passages(tmp_path, capsys):
+    # dumps of the parent's format: the passages come from trace.dist_to_known
+    tool = load_tool()
+    run = {"stop_reason": "max_outer", "iterations": "4", "trace.n": ["1", "2", "3", "4"],
+           "trace.dist_to_known": ["0.5", "5e-05", "2e-06", "nan"]}
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"p/single": run}))
+    b.write_text(json.dumps({"p/single": {**run, "trace.dist_to_known": [
+        "0.5", "0.001", "1e-06", "1e-07"]}}))
+    assert tool.compare(a, b) == 1
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "p/single: trace.dist_to_known[1]: 5e-05 != 0.001",
+        "  first differing outer iteration: n = 2",
+        "  A: max_outer after 4 iterations, last dist_to_known nan, "
+        "first <= 0.0001 at n = 2, <= 1e-06 at n = never",
+        "  B: max_outer after 4 iterations, last dist_to_known 1e-07, "
+        "first <= 0.0001 at n = 3, <= 1e-06 at n = 3",
+    ]
+
+
 def test_the_algorithm_line_counts_identical_runs_per_algorithm():
     tool = load_tool()
     names = ["p/armijo", "p/parallel/probes0", "p/parallel/probes3", "q/extragradient",
@@ -111,7 +134,7 @@ def test_the_trace_csv_is_compared_by_its_bytes_with_wall_ms_blanked(tmp_path):
     import hashlib
     import io
 
-    from csepsolve import RunSpec, run
+    from csepsolve.harness import RunSpec, run
 
     tool = load_tool()
     a, b = tmp_path / "a.json", tmp_path / "b.json"

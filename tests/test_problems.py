@@ -1,23 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from csepsolve import (
-    AffineOperator,
+from csepsolve import AffineOperator, Box, CsepInstance, SingletonSolution, ViInducedBifunction
+from csepsolve.errors import DimensionMismatch, UnknownConstants
+from csepsolve.geometry import CutStack, HalfspaceCut, Polyhedron, project_two_halfspaces
+from csepsolve.problems import (
     AffineQuadraticBifunction,
     BlackBoxBifunction,
-    Box,
     CallableOperator,
-    CsepInstance,
-    CutStack,
-    DimensionMismatch,
-    HalfspaceCut,
     LipschitzData,
-    Polyhedron,
-    SingletonSolution,
-    UnknownConstants,
-    ViInducedBifunction,
     default_lipschitz,
-    project_two_halfspaces,
     spectral_norm_estimate,
     validate,
 )
@@ -210,7 +204,7 @@ class TestInstance:
             [vi(np.eye(2), L=1.0), vi(2 * np.eye(2), L=2.0)],
             [0.0, 0.0],
         )
-        assert inst.lipschitz_max() == (1.0, 1.0)
+        assert LipschitzData.largest(inst.lipschitz_all()) == LipschitzData(1.0, 1.0)
 
     def test_reference_point_singleton(self):
         inst = CsepInstance(1, Box([-1.0], [1.0]), [vi(np.eye(1))], [0.7],
@@ -290,7 +284,11 @@ MALFORMED = {
     "operator_shift_size": (lambda: AffineOperator(np.eye(2), np.zeros(3)),
                             DimensionMismatch, "shift dimension"),
     "callable_zero_constant": (lambda: CallableOperator(lambda x: x, 0.0, 1),
-                               ValueError, "must be positive"),
+                               ValueError, "must be positive and finite"),
+    "callable_infinite_constant": (lambda: CallableOperator(lambda x: x, math.inf, 1),
+                                   ValueError, "must be positive and finite"),
+    "callable_nan_constant": (lambda: CallableOperator(lambda x: x, math.nan, 1),
+                              ValueError, "must be positive and finite"),
     "quadratic_q_size": (lambda: AffineQuadraticBifunction(np.eye(2), np.eye(3), np.zeros(2)),
                          DimensionMismatch, "d-by-d"),
     "validate_no_samples": (lambda: validate(CsepInstance(1, Box([-1.0], [1.0]),

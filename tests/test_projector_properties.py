@@ -24,14 +24,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from csepsolve import (  # noqa: E402
-    EmptyIntersection,
+from csepsolve.errors import EmptyIntersection, SolverError  # noqa: E402
+from csepsolve.geometry import (  # noqa: E402
     HalfspaceCut,
-    SolverError,
+    _dual_active_set,
     project_halfspace_intersection,
     project_two_halfspaces,
 )
-from csepsolve.geometry import _dual_active_set  # noqa: E402
 
 from oracles import (  # noqa: E402
     dual_active_set_reference,

@@ -3,22 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from csepsolve import (
-    AffineOperator,
+from csepsolve import AffineOperator, Box, ViInducedBifunction
+from csepsolve.errors import NonFiniteObjective
+from csepsolve.geometry import Ball, WholeSpace
+from csepsolve.problems import (
     AffineQuadraticBifunction,
-    Ball,
     BlackBoxBifunction,
-    Box,
     CallableOperator,
     LipschitzData,
-    NonFiniteObjective,
+)
+from csepsolve.prox import (
+    ProxRecord,
     ProxSystem,
-    ViInducedBifunction,
-    WholeSpace,
+    _require_finite,
     certify_prox,
+    objective,
+    probe_rng,
     solve_prox,
 )
-from csepsolve.prox import ProxRecord, _require_finite, _squared_bound, objective, probe_rng
 
 from oracles import grid_minimize_1d, projected_gradient_prox
 
@@ -200,8 +202,8 @@ class TestAffineQuadraticRoute:
 
 
 class TestFiniteCheckAndStepBound:
-    """The summed finiteness test and the squared stopping bound decide
-    exactly as the elementwise test and the row norms did."""
+    """The summed finiteness test decides exactly as the elementwise test
+    did."""
 
     @pytest.mark.parametrize("Y", [[[1.0, np.nan]], [[np.inf, 0.0], [1.0, 2.0]],
                                    [[np.inf, -np.inf]], [[-np.inf]]])
@@ -213,29 +215,6 @@ class TestFiniteCheckAndStepBound:
         with np.errstate(over="ignore"):
             _require_finite(np.array([[1e308, 1e308], [1e308, -1.0]]))
         _require_finite(np.empty((0, 3)))
-
-    @pytest.mark.parametrize("tol", [0.0, 5e-324, 1e-300, 1e-160, 1e-10, 1e-8,
-                                     0.3, 1.0, 2.0, 1e154, 1e200, math.inf])
-    def test_squared_bound_is_the_largest_dot_within_tol(self, tol):
-        s = _squared_bound(tol)
-        assert math.sqrt(s) <= tol
-        assert s == math.inf or math.sqrt(math.nextafter(s, math.inf)) > tol
-        dots = [s, tol * tol, 0.0, math.inf]
-        for direction in (0.0, math.inf):
-            v = s
-            for _ in range(8):
-                v = math.nextafter(v, direction)
-                dots.append(v)
-        dots = np.array(dots)
-        with np.errstate(over="ignore"):
-            assert ((dots <= s) == (np.sqrt(dots) <= tol)).all()
-
-    @pytest.mark.parametrize("tol", [-1e-10, -math.inf, math.nan])
-    def test_squared_bound_admits_nothing_for_a_negative_tol(self, tol):
-        s = _squared_bound(tol)
-        dots = np.array([0.0, 5e-324, 1.0, math.inf])
-        assert not (dots <= s).any()
-        assert not (np.sqrt(dots) <= tol).any()
 
 
 class TestBlackBoxRoute:

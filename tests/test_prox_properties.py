@@ -19,7 +19,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from csepsolve import AffineQuadraticBifunction, Box, ProxSystem, WholeSpace  # noqa: E402
+from csepsolve import Box  # noqa: E402
+from csepsolve.geometry import WholeSpace  # noqa: E402
+from csepsolve.problems import AffineQuadraticBifunction  # noqa: E402
+from csepsolve.prox import ProxSystem  # noqa: E402
 
 systems = st.fixed_dictionaries({
     "seed": st.integers(0, 2**32 - 1),

@@ -5,22 +5,19 @@ import numpy as np
 import pytest
 
 from csepsolve import (
-    STOP_ERROR,
     AffineOperator,
     Box,
     CsepInstance,
     HybridParams,
     SingletonSolution,
-    MaxInnerIterationsExceeded,
     ViInducedBifunction,
-    derive_default_params,
     geometry,
-    load_problem,
-    run_maxsel_hybrid,
     run_parallel_hybrid,
-    run_sequential,
-    run_single,
 )
+from csepsolve.errors import MaxInnerIterationsExceeded
+from csepsolve.harness import derive_default_params, load_problem
+from csepsolve.hybrid import run_maxsel_hybrid, run_sequential, run_single
+from csepsolve.outcome import STOP_ERROR
 
 from csepsolve.cli import main
 

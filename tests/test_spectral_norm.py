@@ -11,14 +11,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from csepsolve import (  # noqa: E402
-    AffineOperator,
-    Box,
-    CsepInstance,
-    ViInducedBifunction,
-    spectral_norm_estimate,
-    validate,
-)
+from csepsolve import AffineOperator, Box, CsepInstance, ViInducedBifunction  # noqa: E402
+from csepsolve.problems import spectral_norm_estimate, validate  # noqa: E402
 
 from conftest import REPO_ROOT  # noqa: E402
 

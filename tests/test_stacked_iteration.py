@@ -20,32 +20,38 @@ from hypothesis import strategies as st  # noqa: E402
 import csepsolve.prox as prox_module  # noqa: E402
 from csepsolve import (  # noqa: E402
     AffineOperator,
-    AffineQuadraticBifunction,
     Box,
-    CallableOperator,
     CsepInstance,
-    DegenerateCut,
-    EmptyIntersection,
-    HalfspaceCut,
     HybridParams,
-    ProxSystem,
     SingletonSolution,
     ViInducedBifunction,
+    run_parallel_hybrid,
+)
+from csepsolve.errors import DegenerateCut, EmptyIntersection  # noqa: E402
+from csepsolve.geometry import (  # noqa: E402
+    DEGENERACY_THRESHOLD,
+    CutStack,
+    HalfspaceCut,
     WholeSpace,
+    project_halfspace_intersection,
+)
+from csepsolve.hybrid import (  # noqa: E402
+    _parallel_step,
     build_c_cut,
     build_cuts,
     build_q_cut,
-    certify_prox,
     epsilon,
-    project_halfspace_intersection,
     run_maxsel_hybrid,
-    run_parallel_hybrid,
     run_sequential,
+)
+from csepsolve.problems import AffineQuadraticBifunction, CallableOperator  # noqa: E402
+from csepsolve.prox import (  # noqa: E402
+    ProxRecord,
+    ProxSystem,
+    certify_prox,
+    probe_rng,
     solve_prox,
 )
-from csepsolve.geometry import DEGENERACY_THRESHOLD, CutStack  # noqa: E402
-from csepsolve.hybrid import _parallel_step  # noqa: E402
-from csepsolve.prox import ProxRecord, probe_rng  # noqa: E402
 from oracles import c_cut_by_constructor, q_cut_by_constructor, q_of  # noqa: E402
 
 

@@ -16,28 +16,34 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from csepsolve import (  # noqa: E402
+from csepsolve import HybridParams, run_parallel_hybrid  # noqa: E402
+from csepsolve.baselines import (  # noqa: E402
     ArmijoParams,
-    DimensionMismatch,
+    run_armijo_hybrid,
+    run_hybrid_extragradient,
+)
+from csepsolve.errors import DimensionMismatch  # noqa: E402
+from csepsolve.geometry import (  # noqa: E402
+    CutStack,
     HalfspaceCut,
-    HybridParams,
+    _dual_active_set,
     project_halfspace,
     project_halfspace_intersection,
     project_two_halfspaces,
-    run_armijo_hybrid,
-    run_hybrid_extragradient,
-    run_maxsel_hybrid,
-    run_parallel_hybrid,
-    run_sequential,
-    run_single,
+    row_dots,
 )
-from csepsolve.geometry import CutStack, _dual_active_set, row_dots  # noqa: E402
-from csepsolve.hybrid import Step, drive  # noqa: E402
 from csepsolve.harness import (  # noqa: E402
     derive_default_params,
     extragradient_default_lam,
     load_problem,
     reference_solution,
+)
+from csepsolve.hybrid import (  # noqa: E402
+    Step,
+    drive,
+    run_maxsel_hybrid,
+    run_sequential,
+    run_single,
 )
 from csepsolve.outcome import TRACE_HEADER, RunCounters  # noqa: E402
 from csepsolve.prox import ProxRecord  # noqa: E402

@@ -25,8 +25,10 @@ named runs.
 count per algorithm on one line (``algorithm_line``), and, for every
 other run, its first differing field (``final_x`` last, and by name
 only), the first outer iteration n whose trace record differs, and each
-side's stop reason, iterations and last ``dist_to_known``; it exits 1 on
-any difference.
+side's stop reason, iterations, last ``dist_to_known`` and first passage:
+the first n whose ``dist_to_known`` is at most 1e-4 and at most 1e-6
+("never" when none is), which rounding moves far less than the last
+distance of a run that stops at its budget; it exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ SEEDED = [(family, seed, 10, n) for family in ("vi_system", "aq_system")
 ALL_ALGORITHMS = ("parallel", "maxsel", "single", "sequential", "extragradient", "armijo")
 SINGLE_ALGORITHMS = ("single", "extragradient", "armijo")
 MULTI_ALGORITHMS = ("parallel", "maxsel", "sequential")
+PASSAGE_LEVELS = (1e-4, 1e-6)
 
 
 def _vi_document(set_doc, M, q, x0, point=None):
@@ -240,13 +243,25 @@ def first_trace_difference(a: dict, b: dict) -> str | None:
     return ns[i] if i < len(ns) else "-"
 
 
+def first_passage(run: dict, level: float) -> str:
+    """The n of a run's first trace record whose ``dist_to_known`` is at
+    most ``level``, or "never"."""
+    for n, dist in zip(run.get("trace.n", []), run.get("trace.dist_to_known", [])):
+        if float(dist) <= level:
+            return n
+    return "never"
+
+
 def outcome_line(run: dict) -> str:
-    """A run's stop reason, iterations and last ``dist_to_known``."""
+    """A run's stop reason, iterations, last ``dist_to_known`` and first
+    passage below each of ``PASSAGE_LEVELS``."""
     if "raised" in run:
         return f"raised {run['raised']}"
     dist = run.get("trace.dist_to_known") or ["-"]
+    passage = ", ".join(f"<= {level:g} at n = {first_passage(run, level)}"
+                        for level in PASSAGE_LEVELS)
     return (f"{run['stop_reason']} after {run['iterations']} iterations, "
-            f"last dist_to_known {dist[-1]}")
+            f"last dist_to_known {dist[-1]}, first {passage}")
 
 
 def algorithm_line(names: list[str], differing: set[str]) -> str:

@@ -379,14 +379,14 @@ class TestProjectedGradientStackEnds:
     totals and unconverged diagnostics, and the plain per-row loop's."""
 
     @staticmethod
-    def assert_rows_are_the_plain_loop(fs, w, x, box, max_inner):
+    def assert_rows_are_the_plain_loop(fs, w, x, box, max_inner, tol=1e-10):
         """The stack equals the one-row kernels (``assert_stack_matches_rows``)
-        and, row by row, ``projected_gradient_prox``: minimizer bytes, inner
-        steps, and an unconverged row's diagnostic.  Returns the stack's
-        record and the per-row step counts."""
+        and, row by row, ``projected_gradient_prox`` stopping at ``tol``:
+        minimizer bytes, inner steps, and an unconverged row's diagnostic.
+        Returns the stack's record and the per-row step counts."""
         rows = assert_stack_matches_rows(fs, w, x, 0.2, box)
         _, record = ProxSystem(fs, 0.2, box).solve(w, x, 1)
-        plain = [projected_gradient_prox(f, w, x, 0.2, box, 1e-10, max_inner) for f in fs]
+        plain = [projected_gradient_prox(f, w, x, 0.2, box, tol, max_inner) for f in fs]
         diagnostic = f"projected gradient hit {max_inner} iterations"
         assert [(y.tobytes(), r.inner_iterations) for y, r in rows] == [
             (y.tobytes(), steps) for y, steps, _ in plain]
@@ -427,6 +427,49 @@ class TestProjectedGradientStackEnds:
             assert not record.nonconverged and steps[1] > 3 and steps[3] > 3
         else:  # the interior rows stop at step 1, the others run out
             assert [i for i, _ in record.nonconverged] == [1, 3]
+
+    @pytest.mark.parametrize("tol", [0.0, 5e-324, 1e-300, 1e-160, 1e-10, 1e-8, 0.3, 1.0,
+                                     2.0, 1e154, 1e200, math.inf, -1e-10, -math.inf, math.nan])
+    def test_rows_stop_where_the_plain_loop_does_at_any_tol(self, rng, monkeypatch, tol):
+        import csepsolve.prox as prox_module
+
+        d = 6
+        fs = [dense_aq(rng, d, 0.5), dense_aq(rng, d, 0.5, face=True),
+              dense_aq(rng, d, 2.0), dense_aq(rng, d, 5.0, face=True)]
+        box = Box(-2.0 * np.ones(d), 2.0 * np.ones(d))
+        monkeypatch.setattr(prox_module, "MAX_INNER", 30)
+        monkeypatch.setattr(prox_module, "TOL_PROJECTED_GRADIENT", tol)
+        record, steps = self.assert_rows_are_the_plain_loop(
+            fs, rng.uniform(-1, 1, d), rng.uniform(-1, 1, d), box, 30, tol)
+        if not tol >= 0.0:  # a negative or NaN tol stops no row
+            assert steps == [30] * 4 and [i for i, _ in record.nonconverged] == [0, 1, 2, 3]
+        if tol == math.inf:  # every displacement is finite
+            assert steps == [2] * 4 and not record.nonconverged
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_a_row_stops_at_the_first_step_within_tol(self, rng, monkeypatch, k, below):
+        """With tol equal to the face row's k-th displacement, that row stops
+        at step k; one ulp below it, later."""
+        import csepsolve.prox as prox_module
+
+        d = 6
+        fs = [dense_aq(rng, d, 0.5), dense_aq(rng, d, 5.0, face=True)]
+        box = Box(-2.0 * np.ones(d), 2.0 * np.ones(d))
+        w, x = rng.uniform(-1, 1, d), rng.uniform(-1, 1, d)
+        monkeypatch.setattr(prox_module, "TOL_PROJECTED_GRADIENT", -1.0)
+        iterates = []
+        for max_inner in (k - 1, k):
+            monkeypatch.setattr(prox_module, "MAX_INNER", max_inner)
+            iterates.append(ProxSystem(fs, 0.2, box).solve(w, x, 1)[0][1])
+        tol = float(np.linalg.norm(iterates[1] - iterates[0]))
+        if below:
+            tol = math.nextafter(tol, -math.inf)
+        monkeypatch.setattr(prox_module, "MAX_INNER", 100_000)
+        monkeypatch.setattr(prox_module, "TOL_PROJECTED_GRADIENT", tol)
+        record, steps = self.assert_rows_are_the_plain_loop(fs, w, x, box, 100_000, tol)
+        assert not record.nonconverged and steps[0] == 2
+        assert steps[1] > k + 1 if below else steps[1] == k + 1
 
     def test_a_stack_that_stops_at_one_step_returns_fresh_arrays(self, rng):
         d = 4

@@ -434,12 +434,6 @@ class Polyhedron(FeasibleSet):
         return list(self.cuts)
 
 
-def project(set_: FeasibleSet, x) -> np.ndarray:
-    """Metric projection of ``x`` onto ``set_`` (nearest point in the set)."""
-    x = as_point(x, set_.dimension)
-    return set_.project(x)
-
-
 def project_halfspace(cut: HalfspaceCut, x) -> np.ndarray:
     """Exact projection onto a single halfspace."""
     x = as_point(x, cut.dimension)

@@ -79,9 +79,6 @@ def register_blackbox(name: str, eval_fn, subgrad2_fn) -> None:
     _BLACKBOX_REGISTRY[name] = (eval_fn, subgrad2_fn)
 
 
-register_blackbox("zero", lambda x, y: 0.0, lambda x, y: np.zeros_like(x))
-
-
 def _require(mapping, key, path):
     if not isinstance(mapping, dict):
         raise SchemaError(f"{path}: expected an object")

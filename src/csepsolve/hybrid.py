@@ -130,23 +130,12 @@ def validate_params(params: HybridParams, c1: float, c2: float) -> None:
 
 
 def eps_coefficients(params: HybridParams, c1, c2):
-    """The coefficients a = 2 lam c1 and b = 1 - 1/k - 2 lam c2 of
-    eps = k dx + a dy_prev - b dy, for float or array constants c1, c2;
-    formed in one order, so every eps of a run is bit for bit ``epsilon``'s."""
+    """The coefficients a = 2 lam c1 and b = 1 - 1/k - 2 lam c2, for float
+    or array constants c1, c2, of the cut correction
+    eps = k dx + a dy_prev - b dy, where dx, dy_prev and dy are
+    ||x_n - x_{n-1}||^2, ||y_n - y_{n-1}||^2 and ||y_{n+1} - y_n||^2.
+    eps may be negative and is never clamped."""
     return 2.0 * params.lam * c1, 1.0 - 1.0 / params.k - 2.0 * params.lam * c2
-
-
-def epsilon(
-    params: HybridParams, lip: LipschitzData, dx: float, dy_prev: float, dy: float
-) -> float:
-    """Cut correction term from squared displacements.
-
-    ``dx``, ``dy_prev``, ``dy`` are ||x_n - x_{n-1}||^2, ||y_n - y_{n-1}||^2
-    and ||y_{n+1} - y_n||^2.  May be negative; never clamped (the signed
-    third term is what drives the residuals to zero).
-    """
-    a, b = eps_coefficients(params, lip.c1, lip.c2)
-    return params.k * dx + a * dy_prev - b * dy
 
 
 def build_c_cut(x_n: np.ndarray, y_next: np.ndarray, eps: float) -> HalfspaceCut:
@@ -193,12 +182,6 @@ def build_cuts(x_n: np.ndarray, Y: np.ndarray, eps: float | np.ndarray,
     offsets[:k] = row_dot(x_n + Y, diff) + eps
     normals[k], offsets[k] = q, dot(q, x_n)
     return CutStack(normals, offsets)
-
-
-def cyclic_index(n: int, n_problems: int) -> int:
-    """0-based subproblem index for outer iteration n of the cyclic variant
-    (iteration 1 works on subproblem 2 when more than one is present)."""
-    return n % n_problems
 
 
 class Step(NamedTuple):
@@ -412,8 +395,8 @@ def _parallel_step(params, lips, y_init, system):
     """Every subproblem from its own previous solution; one C-cut each.
 
     The eps of all subproblems are k dx + a dy_prev - b dy with the arrays
-    a and b of ``eps_coefficients`` formed once, so each row equals
-    ``epsilon`` bit for bit.
+    a and b of ``eps_coefficients`` formed once, so each row equals that
+    formula for its own c1, c2 bit for bit.
     """
     n_problems = len(lips)
     k = params.k
@@ -439,10 +422,10 @@ def _shared_anchor_step(params, lip, y_init, system, cyclic):
 
     ``maxsel`` (cyclic=False) solves every subproblem in one ``system``
     call and cuts with the solution farthest from x_n; ``sequential``
-    (cyclic=True) solves only the one chosen by ``cyclic_index`` and
-    measures the residual over the latest solution of each subproblem.
-    The coefficients of ``eps_coefficients`` are formed once, so eps equals
-    ``epsilon`` bit for bit.
+    (cyclic=True) solves only subproblem n mod N at iteration n (subproblem
+    2 of the statement's 1-based count first, when N > 1) and measures the
+    residual over the latest solution of each subproblem.  The
+    coefficients of ``eps_coefficients`` are formed once per run.
     """
     n_problems = len(system.fs)
     k = params.k
@@ -454,7 +437,7 @@ def _shared_anchor_step(params, lip, y_init, system, cyclic):
     def step(n, x, dx2):
         nonlocal ybar, dy_prev
         if cyclic:
-            selected = cyclic_index(n, n_problems)
+            selected = n % n_problems
             Y, record = system.solve_row(selected, ybar, x, n)
             y_next = last_Y[selected] = Y[0]
             residual = float(max_of(row_norms(last_Y - x)))

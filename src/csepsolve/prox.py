@@ -96,11 +96,6 @@ class ProxRecord(NamedTuple):
         return cls(len(records), inner, tuple(nonconverged), least)
 
 
-def objective(f: Bifunction, w, x, lam: float, y) -> float:
-    """The subproblem objective lam*f(w, y) + 0.5*||x - y||^2."""
-    return lam * f.value(w, y) + 0.5 * float((x - y) @ (x - y))
-
-
 def probe_rng(certify_probes: int, seed: int, n: int, i: int):
     """Certificate-probe generator for inner solve i of outer iteration n."""
     return np.random.default_rng((seed, n, i)) if certify_probes > 0 else None

@@ -10,10 +10,14 @@ from csepsolve import (
     CsepInstance,
     SingletonSolution,
     ViInducedBifunction,
+    register_blackbox,
 )
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROBLEM_DIR = REPO_ROOT / "problems"
+
+# the black-box bifunction f = 0, for problem files of the tests
+register_blackbox("zero", lambda x, y: 0.0, lambda x, y: np.zeros_like(x))
 
 
 def seeded_problem(tmp_path, family, seed, n=1):

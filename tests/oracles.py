@@ -5,7 +5,9 @@ projectors enumerate active sets or solve the dual by NNLS, the prox oracle
 scans a grid, the derivative check uses central differences, and the
 affine VI residual is the worst case over the box in closed form.
 ``project_two_halfspaces_exact`` solves the KKT conditions of the
-two-halfspace projection in rational arithmetic.  ``record_projections``
+two-halfspace projection in rational arithmetic.  ``objective`` and
+``epsilon`` state the subproblem objective and the cut correction as
+formulas.  ``record_projections``
 is no reference: it records the iterates of a run from the anchor
 projections ``hybrid.drive`` makes.
 """
@@ -95,6 +97,23 @@ def project_ldp_nnls(cuts, x0):
     if np.max(normals @ z - offsets) > 1e-9 * (1.0 + np.linalg.norm(x0)):
         return project_polyhedron_enumerate(cuts, x0)
     return z
+
+
+def objective(f, w, x, lam, y):
+    """The subproblem objective lam*f(w, y) + 0.5*||x - y||^2."""
+    return lam * f.value(w, y) + 0.5 * float((x - y) @ (x - y))
+
+
+def epsilon(params, lip, dx, dy_prev, dy):
+    """The cut correction eps = k dx + a dy_prev - b dy of one subproblem
+    with constants ``lip``, from the squared displacements
+    ``dx`` = ||x_n - x_{n-1}||^2, ``dy_prev`` = ||y_n - y_{n-1}||^2 and
+    ``dy`` = ||y_{n+1} - y_n||^2, with a and b from
+    ``hybrid.eps_coefficients``."""
+    from csepsolve.hybrid import eps_coefficients
+
+    a, b = eps_coefficients(params, lip.c1, lip.c2)
+    return params.k * dx + a * dy_prev - b * dy
 
 
 def grid_minimize_1d(objective, lo, hi, tol=1e-6):

@@ -18,7 +18,6 @@ from csepsolve.geometry import (
     dykstra,
     dykstra_halfspaces,
     norm,
-    project,
     project_halfspace,
     project_halfspace_intersection,
     project_two_halfspaces,
@@ -61,11 +60,11 @@ def nearly_parallel_system(seed):
 class TestProject:
     def test_box_clamps(self):
         box = Box([0.0, 0.0], [1.0, 1.0])
-        assert np.allclose(project(box, [2.0, 0.5]), [1.0, 0.5])
+        assert np.allclose(box.project(np.array([2.0, 0.5])), [1.0, 0.5])
 
     def test_ball_radial(self):
         ball = Ball([0.0, 0.0], 1.0)
-        assert np.allclose(project(ball, [3.0, 4.0]), [0.6, 0.8])
+        assert np.allclose(ball.project(np.array([3.0, 4.0])), [0.6, 0.8])
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
     def test_a_ball_radius_that_is_not_positive_and_finite_is_rejected(self, radius):
@@ -74,20 +73,21 @@ class TestProject:
 
     def test_whole_space_identity(self):
         ws = WholeSpace(2)
-        assert np.allclose(project(ws, [-7.0, 2.0]), [-7.0, 2.0])
+        assert np.allclose(ws.project(np.array([-7.0, 2.0])), [-7.0, 2.0])
 
     def test_dimension_mismatch(self):
+        # a point is checked against a set's dimension as it is read
         with pytest.raises(DimensionMismatch):
-            project(Box([0.0], [1.0]), [1.0, 2.0])
+            as_point([1.0, 2.0], Box([0.0], [1.0]).dimension)
 
     def test_polyhedron_delegates(self):
         poly = Polyhedron([cut([1.0, 0.0], 0.0)])
-        assert np.allclose(project(poly, [2.0, 3.0]), [0.0, 3.0])
+        assert np.allclose(poly.project(np.array([2.0, 3.0])), [0.0, 3.0])
 
     def test_empty_polyhedron_detected(self):
         poly = Polyhedron([cut([1.0], -1.0), cut([-1.0], -2.0), cut([1.0], -1.5)])
         with pytest.raises(InfeasibleSet):
-            project(poly, [0.0])
+            poly.project(np.array([0.0]))
 
 
 def stack_sets(rng, d):

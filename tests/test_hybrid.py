@@ -18,9 +18,7 @@ from csepsolve.hybrid import (
     _shared_anchor_step,
     build_c_cut,
     build_q_cut,
-    cyclic_index,
     drive,
-    epsilon,
     run_maxsel_hybrid,
     run_sequential,
     run_single,
@@ -36,7 +34,7 @@ from csepsolve.problems import (
 from csepsolve.prox import ProxRecord, ProxSystem, solve_prox
 
 from conftest import csep2_instance, csep3_plane_instance, halfline_instance, scalar_1d_instance
-from oracles import iterates, q_of, record_projections
+from oracles import epsilon, iterates, q_of, record_projections
 
 
 def vi(M, L=None):
@@ -142,12 +140,19 @@ class TestCuts:
 
 
 class TestCyclicIndex:
+    """The subproblem ``sequential`` solves at iteration n, n mod N, read
+    from the trace's ``selected_index``."""
+
     def test_mod_sequence(self):
         # 1-based statement: [1]=2, [2]=3, [3]=1, [4]=2 for three subproblems
-        assert [cyclic_index(n, 3) + 1 for n in (1, 2, 3, 4)] == [2, 3, 1, 2]
+        out = run_sequential(csep3_plane_instance(),
+                             HybridParams(lam=0.2, k=6.0, max_outer=4, tol=0.0))
+        assert [r.selected_index + 1 for r in out.trace] == [2, 3, 1, 2]
 
     def test_single_problem_constant(self):
-        assert all(cyclic_index(n, 1) == 0 for n in range(1, 10))
+        out = run_sequential(scalar_1d_instance(),
+                             HybridParams(lam=0.3, k=4.0, max_outer=9, tol=0.0))
+        assert [r.selected_index for r in out.trace] == [0] * 9
 
 
 class TestRunners:

@@ -17,12 +17,11 @@ from csepsolve.prox import (
     ProxSystem,
     _require_finite,
     certify_prox,
-    objective,
     probe_rng,
     solve_prox,
 )
 
-from oracles import grid_minimize_1d, projected_gradient_prox
+from oracles import grid_minimize_1d, objective, projected_gradient_prox
 
 
 def vi(M, q=None, L=None):

@@ -40,7 +40,6 @@ from csepsolve.hybrid import (  # noqa: E402
     build_c_cut,
     build_cuts,
     build_q_cut,
-    epsilon,
     run_maxsel_hybrid,
     run_sequential,
 )
@@ -52,7 +51,7 @@ from csepsolve.prox import (  # noqa: E402
     probe_rng,
     solve_prox,
 )
-from oracles import c_cut_by_constructor, q_cut_by_constructor, q_of  # noqa: E402
+from oracles import c_cut_by_constructor, epsilon, q_cut_by_constructor, q_of  # noqa: E402
 
 
 def outcome_of(build):

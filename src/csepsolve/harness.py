@@ -216,9 +216,10 @@ def _parse_known_solution(doc, dim):
 def load_problem(path: str) -> CsepInstance:
     """Read and validate a JSON problem file.
 
-    Raises ParseError for syntactic defects, SchemaError (naming the field)
-    for structural ones, and ConstantsMissing when a black-box bifunction
-    omits its constants.  Every bifunction of the returned instance has
+    Raises ParseError (naming the path) for a file that cannot be read, is
+    not UTF-8 or is not JSON, SchemaError (naming the field) for structural
+    defects, and ConstantsMissing when a black-box bifunction omits its
+    constants.  Every bifunction of the returned instance has
     usable Lipschitz-type constants.
     """
     try:
@@ -226,7 +227,7 @@ def load_problem(path: str) -> CsepInstance:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
     if not isinstance(doc, dict):

@@ -503,6 +503,13 @@ class TestValidate:
         assert code == 2
         assert f"error: {field}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["validate"], ["solve", "--algorithm", "single"]])
+    def test_a_file_that_is_not_utf8_exit_two_naming_it(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"dimension": 1, "set": {"type": "box", "lower": [\xff]}}')
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
+
     def test_a_missing_file_exit_two_naming_it(self, capsys, tmp_path):
         path = tmp_path / "absent.json"
         assert main(["validate", str(path)]) == 2

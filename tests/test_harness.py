@@ -109,6 +109,12 @@ class TestLoadProblem:
         with pytest.raises(ParseError, match="line 1"):
             load_problem(str(path))
 
+    def test_a_file_that_is_not_utf8_raises_a_parse_error_naming_it(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"dimension": 1, "set": {"type": "box", "lower": [\xff]}}')
+        with pytest.raises(ParseError, match=f"{path}: .*can't decode byte 0xff"):
+            load_problem(str(path))
+
     def test_unknown_set_variant(self, tmp_path):
         doc = json.loads(json.dumps(BASE_DOC))
         doc["set"] = {"type": "simplex"}

@@ -671,22 +671,38 @@ def _append_basis(Q, T, k, dz, r, rho):
 def dykstra(projectors, x0, tol: float = 1e-10) -> np.ndarray:
     """Dykstra's alternating projection over arbitrary convex sets.
 
-    ``projectors`` is a sequence of callables, each mapping a point to its
-    exact projection onto one closed convex set.  Converges to the projection
-    of ``x0`` onto the intersection.  Membership at the stopping point is
-    checked with one extra pass through the projectors.  After
-    ``MAX_DYKSTRA_CYCLES`` cycles it raises ``MaxInnerIterationsExceeded``.
+    ``projectors`` is a sequence of m callables, each mapping a point to its
+    exact projection onto one closed convex set C_i.  Converges to the
+    projection p of ``x0`` onto their intersection C.  Projector i maps
+    s = x + c_i to x' = P_i(s) and sets its correction c_i to s - x', so
+    x0 - x is the sum of the c_i.  A cycle may end where it began while
+    the corrections still change, far from p, so it stops only when, over
+    one cycle, x moved by at most ``tol`` and the changes of the c_i have
+    a sum of squares of at most tol^2 (Birgin & Raydan, SIAM J. Sci.
+    Comput. 26 (2005)), and then one more pass moves x by at most ``tol``
+    through each projector.  The change of c_i is the step x - x' of its
+    projector, so in exact arithmetic the point x_i that projector i
+    reached lies within sqrt(m) tol of the returned x, and c_i, an outward
+    normal of C_i at x_i, gives
+
+        ||x - p||^2 <= sqrt(m) tol (||c_1|| + ... + ||c_m||) + ||x0 - p|| dist(x, C)
+
+    with dist(x, C_i) <= tol for each i.  After ``MAX_DYKSTRA_CYCLES``
+    cycles it raises ``MaxInnerIterationsExceeded``.
     """
     x0 = as_point(x0)
     x = x0.copy()
     corrections = [np.zeros(x0.size) for _ in projectors]
     for _ in range(MAX_DYKSTRA_CYCLES):
-        start = x.copy()
+        start, change = x.copy(), 0.0
         for i, proj in enumerate(projectors):
             s = x + corrections[i]
             x = proj(s)
-            corrections[i] = s - x
-        if norm(x - start) <= tol:
+            c = s - x
+            dc = c - corrections[i]
+            change += float(dc.dot(dc))
+            corrections[i] = c
+        if norm(x - start) <= tol and change <= tol * tol:
             worst = max((norm(proj(x) - x) for proj in projectors), default=0.0)
             if worst <= tol:
                 return x

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # numpy's C entry points behind the Python wrappers np.clip,
-# np.count_nonzero(a) and np.einsum, bound once (with max_of and all_of
-# below) so that no outer iteration runs a Python function of numpy
+# np.count_nonzero(a) and np.einsum, bound once (with max_of, min_of and
+# all_of below) so that no outer iteration runs a Python function of numpy
 try:
     from numpy._core.multiarray import c_einsum, count_nonzero
     from numpy._core.umath import clip as _clip
@@ -47,8 +47,9 @@ from .errors import (
     MaxInnerIterationsExceeded,
 )
 
-# for a 1-D array a, max_of(a) is a.max() and all_of(a) is a.all()
+# for a 1-D array a, max_of(a) is a.max(), min_of(a) a.min() and all_of(a) a.all()
 max_of = np.maximum.reduce
+min_of = np.minimum.reduce
 all_of = np.logical_and.reduce
 
 # A cut whose normal is shorter than this is treated as carrying no direction.
@@ -330,7 +331,12 @@ class Box(FeasibleSet):
         return bool(all_of(x >= self.lower - tol) and all_of(x <= self.upper + tol))
 
     def sample(self, rng, size):
-        return rng.uniform(self.lower, self.upper, size=(size, self.dimension))
+        # rng.uniform(lower, upper, ...) bit for bit without its Python-level
+        # checks, which raise OverflowError for an infinite upper - lower
+        span = self.upper - self.lower
+        if not math.isfinite(np.add.reduce(span)):
+            return rng.uniform(self.lower, self.upper, size=(size, self.dimension))
+        return self.lower + span * rng.random((size, self.dimension))
 
     def as_halfspaces(self) -> list[HalfspaceCut]:
         """The 2d face inequalities of the box, upper then lower per coordinate."""
@@ -368,7 +374,7 @@ class Ball(FeasibleSet):
 
     def sample(self, rng, size):
         u = rng.standard_normal((size, self.dimension))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        u /= np.sqrt(np.add.reduce(u * u, axis=1, keepdims=True))  # np.linalg.norm's
         r = self.radius * rng.uniform(0.0, 1.0, size=(size, 1)) ** (1.0 / self.dimension)
         return self.center + r * u
 

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, ParameterViolation, UnknownConstants
-from .geometry import Box, FeasibleSet, as_point
+from .geometry import Box, FeasibleSet, as_point, c_einsum
 
 FD_STEP = 1e-5  # central-difference step of validate's subgradient check
 
@@ -180,7 +180,7 @@ class AffineQuadraticBifunction(Bifunction):
 
     def value_batch(self, x, Y):
         rows = Y @ self.Q.T + (self.P @ x + self.q)
-        return np.einsum("ij,ij->i", rows, Y - x)
+        return c_einsum("ij,ij->i", rows, Y - x)
 
     def subgrad2(self, x, y):
         return self.Q.T @ (y - x) + self.P @ x + self.Q @ y + self.q

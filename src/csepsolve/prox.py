@@ -55,7 +55,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFiniteObjective, ParameterViolation
-from .geometry import Box, FeasibleSet, WholeSpace, all_of, count_nonzero, norm, row_norms
+from .geometry import (
+    Box,
+    FeasibleSet,
+    WholeSpace,
+    all_of,
+    count_nonzero,
+    min_of,
+    norm,
+    row_norms,
+)
 from .problems import (
     AffineOperator,
     AffineQuadraticBifunction,
@@ -441,4 +450,4 @@ def certify_prox(
     Y = set_.sample(rng, probes)
     lhs = (Y - result) @ (result - x)
     gaps = lhs - lam * (f.value(w, result) - f.value_batch(w, Y))
-    return float(np.min(gaps))
+    return float(min_of(gaps))

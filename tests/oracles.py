@@ -116,6 +116,25 @@ def epsilon(params, lip, dx, dy_prev, dy):
     return params.k * dx + a * dy_prev - b * dy
 
 
+def certify_prox_reference(f, w, x, lam, set_, result, probes, rng):
+    """``prox.certify_prox`` as first written, through numpy's Python
+    functions: a box's probes by ``rng.uniform``, affine-quadratic values
+    by ``np.einsum`` and the least gap by ``np.min``."""
+    from csepsolve.geometry import Box
+    from csepsolve.problems import AffineQuadraticBifunction
+
+    if isinstance(set_, Box):
+        Y = rng.uniform(set_.lower, set_.upper, size=(probes, set_.dimension))
+    else:
+        Y = set_.sample(rng, probes)
+    if isinstance(f, AffineQuadraticBifunction):
+        values = np.einsum("ij,ij->i", Y @ f.Q.T + (f.P @ w + f.q), Y - w)
+    else:
+        values = f.value_batch(w, Y)
+    lhs = (Y - result) @ (result - x)
+    return float(np.min(lhs - lam * (f.value(w, result) - values)))
+
+
 def grid_minimize_1d(objective, lo, hi, tol=1e-6):
     """Brute-force scalar minimizer: coarse scan plus interval shrinking."""
     xs = np.linspace(lo, hi, 2001)

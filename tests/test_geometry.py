@@ -112,6 +112,25 @@ class TestStackProjection:
             assert stacked.shape == (k, d), type(set_).__name__
             assert stacked.tobytes() == rows.tobytes(), type(set_).__name__
 
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_samples_are_those_of_the_generator_methods_they_replace(self, rng, d):
+        lower = rng.standard_normal(d) * 10.0 ** rng.uniform(-100, 100, d)
+        box = Box(lower, lower + rng.exponential(1.0, d) * 10.0 ** rng.uniform(-100, 100, d))
+        ball = Ball(rng.standard_normal(d), 0.7)
+        for seed in range(20):
+            box_rng, ball_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            u = ball_rng.standard_normal((5, d))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            r = 0.7 * ball_rng.uniform(0.0, 1.0, size=(5, 1)) ** (1.0 / d)
+            assert box.sample(np.random.default_rng(seed), 5).tobytes() == (
+                box_rng.uniform(box.lower, box.upper, size=(5, d)).tobytes())
+            assert ball.sample(np.random.default_rng(seed), 5).tobytes() == (
+                (ball.center + r * u).tobytes())
+
+    def test_a_box_whose_span_overflows_cannot_be_sampled(self, rng):
+        with np.errstate(over="ignore"), pytest.raises(OverflowError):
+            Box([-1e308, 0.0], [1e308, 1.0]).sample(rng, 2)
+
     def test_empty_polyhedron_stack_raises(self):
         poly = Polyhedron([cut([1.0], -1.0), cut([-1.0], -2.0), cut([1.0], -1.5)])
         with pytest.raises(InfeasibleSet):

@@ -441,7 +441,12 @@ class Polyhedron(FeasibleSet):
 
 
 def project_halfspace(cut: HalfspaceCut, x) -> np.ndarray:
-    """Exact projection onto a single halfspace."""
+    """Projection onto a single halfspace: a copy of x when the cut is the
+    whole space or holds at x.  Otherwise, for x in R^d and u = 2^-53, the
+    result lies within (2d + 6) u (||x|| + |offset| / ||normal||) of the
+    exact projection, at every normal length (checked against the rational
+    projection by a property test, with lengths about
+    ``DEGENERACY_THRESHOLD``)."""
     x = as_point(x, cut.dimension)
     v = dot(cut.normal, x) - cut.offset
     if v <= 0.0 or cut.is_whole_space:

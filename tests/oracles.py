@@ -4,8 +4,9 @@ These deliberately avoid the library's solution paths: the polyhedron
 projectors enumerate active sets or solve the dual by NNLS, the prox oracle
 scans a grid, the derivative check uses central differences, and the
 affine VI residual is the worst case over the box in closed form.
-``project_two_halfspaces_exact`` solves the KKT conditions of the
-two-halfspace projection in rational arithmetic.  ``objective`` and
+``project_halfspace_exact`` and ``project_two_halfspaces_exact`` project
+onto one and two halfspaces in rational arithmetic, the latter by solving
+the KKT conditions.  ``objective`` and
 ``epsilon`` state the subproblem objective and the cut correction as
 formulas.  ``record_projections``
 is no reference: it records the iterates of a run from the anchor
@@ -241,6 +242,18 @@ def project_two_halfspaces_reference(cut1, cut2, x0):
         if mu1 >= -1e-12 and mu2 >= -1e-12:
             return z - max(mu2, 0.0) * u
     raise EmptyIntersection("two-halfspace projection found no feasible case")
+
+
+def project_halfspace_exact(cut, x):
+    """The projection of x onto {<normal, z> <= offset}, exact: every float
+    of the cut and of x is taken as the rational it is.  Returns the
+    coordinates as ``Fraction``s; x itself when the cut holds there."""
+    a, z = ([Fraction(float(v)) for v in p] for p in (cut.normal, x))
+    violation = sum((p * q for p, q in zip(a, z)), Fraction(0)) - Fraction(cut.offset)
+    if violation <= 0:
+        return z
+    t = violation / sum((p * p for p in a), Fraction(0))
+    return [zi - t * ai for zi, ai in zip(z, a)]
 
 
 def project_two_halfspaces_exact(cut1, cut2, x0):

@@ -11,6 +11,10 @@ Pairs of nearly parallel cuts, both active at the projection, must project
 as the exact rational KKT solution does, within the bound that
 ``project_two_halfspaces`` states; so must the two cuts on which
 ``ep_quadratic_2d`` under ``extragradient`` once fired its anchor check.
+Single cuts whose normals are about ``DEGENERACY_THRESHOLD`` long, with
+offsets about ``WHOLE_SPACE_OFFSET_FLOOR``, must be decided as their exact
+length says and project within the bound that ``project_halfspace``
+states of the exact rational projection.
 """
 
 import math
@@ -24,16 +28,20 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from csepsolve.errors import EmptyIntersection, SolverError  # noqa: E402
+from csepsolve.errors import DegenerateCut, EmptyIntersection, SolverError  # noqa: E402
 from csepsolve.geometry import (  # noqa: E402
+    DEGENERACY_THRESHOLD,
+    WHOLE_SPACE_OFFSET_FLOOR,
     HalfspaceCut,
     _dual_active_set,
+    project_halfspace,
     project_halfspace_intersection,
     project_two_halfspaces,
 )
 
 from oracles import (  # noqa: E402
     dual_active_set_reference,
+    project_halfspace_exact,
     project_ldp_nnls,
     project_two_halfspaces_exact,
     project_two_halfspaces_reference,
@@ -279,3 +287,49 @@ def test_the_ep_quadratic_extragradient_cuts_match_the_exact_projection():
                          float.fromhex("-0x1.cccaae3ea7ff9p-2"))
     x0 = np.array([float.fromhex("-0x1.999999999999ap-1"), float.fromhex("0x1.ccccccccccccdp-1")])
     assert_matches_exact_projection(c_cut, q_cut, x0)
+
+
+FLOOR = WHOLE_SPACE_OFFSET_FLOOR
+near_degenerate_cuts = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "d": st.integers(1, 6),
+    "length": st.one_of(
+        st.floats(-16.0, -12.0).map(lambda e: 10.0 ** e),
+        st.sampled_from([DEGENERACY_THRESHOLD, math.nextafter(DEGENERACY_THRESHOLD, 0.0),
+                         math.nextafter(DEGENERACY_THRESHOLD, 1.0)])),
+    "offset": st.one_of(
+        st.sampled_from([FLOOR, math.nextafter(FLOOR, -1.0), math.nextafter(FLOOR, 0.0),
+                         0.0, -0.0]),
+        st.floats(-1e-11, 1e-11)),
+    "log_x": st.floats(-3.0, 3.0),
+})
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_degenerate_cuts)
+def test_a_cut_about_the_degeneracy_threshold_long_projects_as_decided(params):
+    # the whole space (x copied) or DegenerateCut below the threshold, as
+    # the offset falls; else within project_halfspace's bound of the exact
+    # projection.  A length within 1e-14 of the threshold may go either way.
+    rng = np.random.default_rng(params["seed"])
+    d, offset = params["d"], params["offset"]
+    u = rng.standard_normal(d)
+    normal = params["length"] * (u / np.linalg.norm(u))
+    x = rng.standard_normal(d) * 10.0 ** params["log_x"]
+    ratio = exact_dot(normal, normal) / Fraction(DEGENERACY_THRESHOLD) ** 2
+    try:
+        cut = HalfspaceCut(normal, offset)
+    except DegenerateCut:
+        assert ratio < 1 + 1e-14 and offset < FLOOR
+        return
+    z = project_halfspace(cut, x)
+    if cut.is_whole_space:
+        assert ratio < 1 + 1e-14 and offset >= FLOOR
+        assert z is not x and z.tobytes() == x.tobytes()
+        return
+    assert ratio > 1 - 1e-14
+    exact = project_halfspace_exact(cut, x)
+    error = math.sqrt(float(sum((Fraction(float(p)) - q) ** 2 for p, q in zip(z, exact))))
+    bound = (2 * d + 6) * 2.0 ** -53 * (float(np.linalg.norm(x))
+                                        + abs(offset) / math.sqrt(cut.norm_sq))
+    assert error <= bound

@@ -682,24 +682,22 @@ def _append_basis(Q, T, k, dz, r, rho):
 def dykstra(projectors, x0, tol: float = 1e-10) -> np.ndarray:
     """Dykstra's alternating projection over arbitrary convex sets.
 
-    ``projectors`` is a sequence of m callables, each mapping a point to its
-    exact projection onto one closed convex set C_i.  Converges to the
-    projection p of ``x0`` onto their intersection C.  Projector i maps
-    s = x + c_i to x' = P_i(s) and sets its correction c_i to s - x', so
-    x0 - x is the sum of the c_i.  A cycle may end where it began while
-    the corrections still change, far from p, so it stops only when, over
-    one cycle, x moved by at most ``tol`` and the changes of the c_i have
-    a sum of squares of at most tol^2 (Birgin & Raydan, SIAM J. Sci.
-    Comput. 26 (2005)), and then one more pass moves x by at most ``tol``
-    through each projector.  The change of c_i is the step x - x' of its
-    projector, so in exact arithmetic the point x_i that projector i
-    reached lies within sqrt(m) tol of the returned x, and c_i, an outward
-    normal of C_i at x_i, gives
+    ``projectors`` map a point to its exact projection onto one of m closed
+    convex sets C_i.  Projector i maps s = x + c_i to x' = P_i(s) and sets
+    its correction c_i to s - x', so the change of c_i is its step x - x'.
+    The iterates converge to p, the projection of ``x0`` onto the
+    intersection C.  A cycle can end where it began while the corrections
+    still change, far from p, so it stops only when a cycle moves x by at
+    most ``tol`` and changes the c_i by a sum of squares of at most tol^2
+    (Birgin & Raydan, SIAM J. Sci. Comput. 26 (2005)), and one more pass
+    moves x by at most ``tol`` through each projector.  At that stop, in
+    exact arithmetic, x0 - x is the sum of the c_i, each an outward normal
+    of C_i at a point within sqrt(m) tol of x, so that
 
         ||x - p||^2 <= sqrt(m) tol (||c_1|| + ... + ||c_m||) + ||x0 - p|| dist(x, C)
 
-    with dist(x, C_i) <= tol for each i.  After ``MAX_DYKSTRA_CYCLES``
-    cycles it raises ``MaxInnerIterationsExceeded``.
+    with dist(x, C_i) <= tol.  After ``MAX_DYKSTRA_CYCLES`` cycles it
+    raises ``MaxInnerIterationsExceeded``.
     """
     x0 = as_point(x0)
     x = x0.copy()

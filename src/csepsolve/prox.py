@@ -55,16 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFiniteObjective, ParameterViolation
-from .geometry import (
-    Box,
-    FeasibleSet,
-    WholeSpace,
-    all_of,
-    count_nonzero,
-    min_of,
-    norm,
-    row_norms,
-)
+from .geometry import Box, FeasibleSet, WholeSpace, all_of, count_nonzero, min_of, norm, row_norms
 from .problems import (
     AffineOperator,
     AffineQuadraticBifunction,

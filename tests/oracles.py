@@ -6,11 +6,11 @@ scans a grid, the derivative check uses central differences, and the
 affine VI residual is the worst case over the box in closed form.
 ``project_halfspace_exact`` and ``project_two_halfspaces_exact`` project
 onto one and two halfspaces in rational arithmetic, the latter by solving
-the KKT conditions.  ``objective`` and
-``epsilon`` state the subproblem objective and the cut correction as
-formulas.  ``record_projections``
-is no reference: it records the iterates of a run from the anchor
-projections ``hybrid.drive`` makes.
+the KKT conditions.  ``objective`` and ``epsilon`` state the subproblem
+objective and the cut correction as formulas, and
+``certify_prox_reference`` the sampled certificate through numpy's Python
+functions.  ``record_projections`` is no reference: it records the
+iterates of a run from the anchor projections ``hybrid.drive`` makes.
 """
 
 from __future__ import annotations

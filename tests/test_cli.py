@@ -503,7 +503,8 @@ class TestValidate:
         assert code == 2
         assert f"error: {field}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["validate"], ["solve", "--algorithm", "single"]])
+    @pytest.mark.parametrize("command", [["validate"], ["solve", "--algorithm", "single"]],
+                             ids=["validate", "solve"])
     def test_a_file_that_is_not_utf8_exit_two_naming_it(self, capsys, tmp_path, command):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"dimension": 1, "set": {"type": "box", "lower": [\xff]}}')

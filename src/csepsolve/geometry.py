@@ -65,6 +65,9 @@ INTERSECTION_TOL = 1e-12
 NEAR_PARALLEL = 1e-2
 # Cycle cap of Dykstra's alternating projection.
 MAX_DYKSTRA_CYCLES = 10_000
+# Dykstra's stop tolerance is at least this many units of rounding (2^-52)
+# of the size of its iterates and corrections.
+DYKSTRA_ROUNDING_FLOOR = 64 * 2.0**-52
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -331,12 +334,7 @@ class Box(FeasibleSet):
         return bool(all_of(x >= self.lower - tol) and all_of(x <= self.upper + tol))
 
     def sample(self, rng, size):
-        # rng.uniform(lower, upper, ...) bit for bit without its Python-level
-        # checks, which raise OverflowError for an infinite upper - lower
-        span = self.upper - self.lower
-        if not math.isfinite(np.add.reduce(span)):
-            return rng.uniform(self.lower, self.upper, size=(size, self.dimension))
-        return self.lower + span * rng.random((size, self.dimension))
+        return rng.uniform(self.lower, self.upper, size=(size, self.dimension))
 
     def as_halfspaces(self) -> list[HalfspaceCut]:
         """The 2d face inequalities of the box, upper then lower per coordinate."""
@@ -374,7 +372,7 @@ class Ball(FeasibleSet):
 
     def sample(self, rng, size):
         u = rng.standard_normal((size, self.dimension))
-        u /= np.sqrt(np.add.reduce(u * u, axis=1, keepdims=True))  # np.linalg.norm's
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
         r = self.radius * rng.uniform(0.0, 1.0, size=(size, 1)) ** (1.0 / self.dimension)
         return self.center + r * u
 
@@ -688,32 +686,38 @@ def dykstra(projectors, x0, tol: float = 1e-10) -> np.ndarray:
     The iterates converge to p, the projection of ``x0`` onto the
     intersection C.  A cycle can end where it began while the corrections
     still change, far from p, so it stops only when a cycle moves x by at
-    most ``tol`` and changes the c_i by a sum of squares of at most tol^2
-    (Birgin & Raydan, SIAM J. Sci. Comput. 26 (2005)), and one more pass
-    moves x by at most ``tol`` through each projector.  At that stop, in
+    most t and changes the c_i by a sum of squares of at most t^2 (Birgin &
+    Raydan, SIAM J. Sci. Comput. 26 (2005)), and one more pass moves x by
+    at most t through each projector.  t is ``tol`` or, when larger, 64
+    units of rounding of r = 1 + ||x0|| + ||c_1|| + ... + ||c_m||, which
+    bounds ||x|| and every c_i: without that floor the rounding of a large
+    problem keeps it above ``tol`` until the cycle cap.  At that stop, in
     exact arithmetic, x0 - x is the sum of the c_i, each an outward normal
-    of C_i at a point within sqrt(m) tol of x, so that
+    of C_i at a point within sqrt(m) t of x, so that
 
-        ||x - p||^2 <= sqrt(m) tol (||c_1|| + ... + ||c_m||) + ||x0 - p|| dist(x, C)
+        ||x - p||^2 <= sqrt(m) t (||c_1|| + ... + ||c_m||) + ||x0 - p|| dist(x, C)
 
-    with dist(x, C_i) <= tol.  After ``MAX_DYKSTRA_CYCLES`` cycles it
-    raises ``MaxInnerIterationsExceeded``.
+    with dist(x, C_i) <= t.  After ``MAX_DYKSTRA_CYCLES`` cycles it raises
+    ``MaxInnerIterationsExceeded``.
     """
     x0 = as_point(x0)
     x = x0.copy()
     corrections = [np.zeros(x0.size) for _ in projectors]
+    x0_size = 1.0 + norm(x0)
     for _ in range(MAX_DYKSTRA_CYCLES):
-        start, change = x.copy(), 0.0
+        start, change, size = x.copy(), 0.0, x0_size
         for i, proj in enumerate(projectors):
             s = x + corrections[i]
             x = proj(s)
             c = s - x
             dc = c - corrections[i]
             change += float(dc.dot(dc))
+            size += norm(c)
             corrections[i] = c
-        if norm(x - start) <= tol and change <= tol * tol:
+        t = max(tol, DYKSTRA_ROUNDING_FLOOR * size)
+        if norm(x - start) <= t and change <= t * t:
             worst = max((norm(proj(x) - x) for proj in projectors), default=0.0)
-            if worst <= tol:
+            if worst <= t:
                 return x
     raise MaxInnerIterationsExceeded(
         f"Dykstra hit {MAX_DYKSTRA_CYCLES} cycles without reaching tolerance {tol:g}",

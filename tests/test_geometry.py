@@ -112,25 +112,6 @@ class TestStackProjection:
             assert stacked.shape == (k, d), type(set_).__name__
             assert stacked.tobytes() == rows.tobytes(), type(set_).__name__
 
-    @pytest.mark.parametrize("d", [1, 3, 8])
-    def test_samples_are_those_of_the_generator_methods_they_replace(self, rng, d):
-        lower = rng.standard_normal(d) * 10.0 ** rng.uniform(-100, 100, d)
-        box = Box(lower, lower + rng.exponential(1.0, d) * 10.0 ** rng.uniform(-100, 100, d))
-        ball = Ball(rng.standard_normal(d), 0.7)
-        for seed in range(20):
-            box_rng, ball_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            u = ball_rng.standard_normal((5, d))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            r = 0.7 * ball_rng.uniform(0.0, 1.0, size=(5, 1)) ** (1.0 / d)
-            assert box.sample(np.random.default_rng(seed), 5).tobytes() == (
-                box_rng.uniform(box.lower, box.upper, size=(5, d)).tobytes())
-            assert ball.sample(np.random.default_rng(seed), 5).tobytes() == (
-                (ball.center + r * u).tobytes())
-
-    def test_a_box_whose_span_overflows_cannot_be_sampled(self, rng):
-        with np.errstate(over="ignore"), pytest.raises(OverflowError):
-            Box([-1e308, 0.0], [1e308, 1.0]).sample(rng, 2)
-
     def test_empty_polyhedron_stack_raises(self):
         poly = Polyhedron([cut([1.0], -1.0), cut([-1.0], -2.0), cut([1.0], -1.5)])
         with pytest.raises(InfeasibleSet):
@@ -468,6 +449,22 @@ class TestGeneralDykstra:
             ]
             ref = project_polyhedron_enumerate(box_cuts, x0)
             assert np.linalg.norm(z - ref) < 1e-7
+
+    def test_a_ball_and_two_cuts_scaled_by_1e6_project_as_at_unit_scale(self, rng):
+        # at size 1e6 the rounding of a point is about the default tol
+        for _ in range(20):
+            d = int(rng.integers(2, 5))
+            center, radius = rng.standard_normal(d), rng.uniform(0.1, 2.0)
+            x0 = 2.0 * rng.standard_normal(d)
+            cuts = [(a, a @ center + rng.exponential(0.3)) for a in rng.standard_normal((2, d))]
+
+            def scaled(s):
+                ball = Ball(center * s, radius * s)
+                projectors = [lambda v, c=HalfspaceCut(a, b * s): project_halfspace(c, v)
+                              for a, b in cuts]
+                return dykstra([ball.project, *projectors], x0 * s) / s
+
+            assert np.linalg.norm(scaled(1e6) - scaled(1.0)) <= 1e-9
 
 
 class TestProjectionProperties:

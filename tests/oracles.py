@@ -119,15 +119,11 @@ def epsilon(params, lip, dx, dy_prev, dy):
 
 def certify_prox_reference(f, w, x, lam, set_, result, probes, rng):
     """``prox.certify_prox`` as first written, through numpy's Python
-    functions: a box's probes by ``rng.uniform``, affine-quadratic values
-    by ``np.einsum`` and the least gap by ``np.min``."""
-    from csepsolve.geometry import Box
+    functions: affine-quadratic values by ``np.einsum`` and the least gap
+    by ``np.min``."""
     from csepsolve.problems import AffineQuadraticBifunction
 
-    if isinstance(set_, Box):
-        Y = rng.uniform(set_.lower, set_.upper, size=(probes, set_.dimension))
-    else:
-        Y = set_.sample(rng, probes)
+    Y = set_.sample(rng, probes)
     if isinstance(f, AffineQuadraticBifunction):
         values = np.einsum("ij,ij->i", Y @ f.Q.T + (f.P @ w + f.q), Y - w)
     else:

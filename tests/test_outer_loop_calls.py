@@ -8,8 +8,10 @@ the Python wrappers around them (``np.count_nonzero``, ``np.einsum``,
 hook counts the calls into Python functions defined under numpy's package
 directory from the start of iteration 2 until ``hybrid.drive`` returns;
 iteration 1 may build the prox kernels.  A certified run seeds one probe
-generator per inner solve (``prox.probe_rng``), and numpy's seeding runs
-Python code, so calls made for ``probe_rng`` are not counted.
+generator per inner solve (``prox.probe_rng``) and draws its probes on a
+box by ``Generator.uniform`` (``Box.sample``); numpy's seeding and the
+argument checks of ``uniform`` run Python code, so calls made for
+``probe_rng`` and ``Box.sample`` are not counted.
 """
 
 import collections
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 from csepsolve import hybrid, prox
+from csepsolve.geometry import Box
 from csepsolve.harness import RunSpec, run
 
 from conftest import PROBLEM_DIR, seeded_problem
@@ -34,8 +37,10 @@ BASELINES = ("extragradient", "armijo")
 def numpy_calls_after_iteration_one(spec: RunSpec):
     """The run's outcome and the (file, function) of each call into a Python
     function of numpy made from the start of iteration 2 until ``drive``
-    returns, with its count, leaving out those made for ``prox.probe_rng``."""
-    drive, seed = hybrid.drive.__code__, prox.probe_rng.__code__
+    returns, with its count, leaving out those made for ``prox.probe_rng``
+    and ``Box.sample``."""
+    drive = hybrid.drive.__code__
+    exempt = {prox.probe_rng.__code__, Box.sample.__code__}
     state = {"step": None, "iteration": 0}
     calls = collections.Counter()
 
@@ -50,7 +55,7 @@ def numpy_calls_after_iteration_one(spec: RunSpec):
                 caller = frame.f_back
                 while caller.f_code.co_filename.startswith(NUMPY_DIR):
                     caller = caller.f_back
-                if caller.f_code is not seed:
+                if caller.f_code not in exempt:
                     calls[(code.co_filename[len(NUMPY_DIR):], code.co_name)] += 1
         elif event == "return" and code is drive:
             state["iteration"] = 0
